@@ -8,11 +8,7 @@
 //     copies dominate;
 //   * irregular -> irregular (chaos -> chaos, shuffled index sets): runs
 //     degenerate to single elements, pack/unpack gather-scatter dominates
-//     and the transport copies are the remaining fat;  the executor is
-//     measured twice — once with kernel dispatch forced off (the pre-kernel
-//     run-wise loops) and once with the compiled PlanKernels — so the
-//     flattened index-list gather/scatter win is isolated from the
-//     zero-copy transport win;
+//     and the transport copies are the remaining fat;
 //   * split-phase overlap   (symmetric ring exchange): blocking run()
 //     against start()/poll()/finish() under a synthetic per-step compute
 //     load calibrated to the exchange time.  Measured on the virtual
@@ -20,7 +16,8 @@
 //   * node aggregation under contention (fine-grained all-to-all, 2 nodes
 //     x 4 processes, one NIC per node, per-message NIC cost on): flat
 //     per-peer sends against the node-aggregated executor, A/B on the
-//     virtual clock.  The per-link-class traffic counters
+//     virtual clock, one world per layout (NetConfig::nodeAggregation).
+//     The per-link-class traffic counters
 //     (link.inter_node/intra_node/forwarded) show the message-count
 //     mechanism: aggregated mode emits at most nodes-1 inter-node
 //     messages per rank per step.
@@ -57,10 +54,9 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "oracle/reference_executor.h"
 #include "sched/executor.h"
 #include "sched/kernels.h"
-#include "sched/node_agg.h"
-#include "sched/reference_executor.h"
 #include "util/rng.h"
 
 using namespace mc;
@@ -109,18 +105,11 @@ struct KernelCounts {
 
 struct CaseResult {
   const char* name = "";
-  Leg reference, runwise, executor;
+  Leg reference, executor;
   KernelCounts kernels;
   double speedup() const {
     return executor.perStepSeconds > 0
                ? reference.perStepSeconds / executor.perStepSeconds
-               : 0.0;
-  }
-  /// Isolated pack/unpack kernel win: the same persistent executor with
-  /// dispatch forced off against the compiled kernels.
-  double kernelSpeedup() const {
-    return executor.perStepSeconds > 0
-               ? runwise.perStepSeconds / executor.perStepSeconds
                : 0.0;
   }
   /// Transport copy reduction; the executor leg is expected to be 0, so
@@ -201,25 +190,14 @@ Leg measureVirtualLeg(transport::Comm& c, int steps, StepFn&& step) {
   return leg;
 }
 
-/// Measures the same bound executor twice: with kernel dispatch forced off
-/// (the pre-kernel run-wise loops) and with the compiled PlanKernels, plus
-/// the per-step kernel-execution counters of the fast leg.  The dispatch
-/// flag is process-wide, so each toggle sits between barriers — every rank
-/// has stored the same value before any rank resumes measuring.  Counter
-/// diffs cover the leg's warmup execution too, hence the steps + 1
-/// normalization.
+/// Measures a bound executor's leg plus its per-step kernel-execution
+/// counters.  Counter diffs cover the leg's warmup execution too, hence the
+/// steps + 1 normalization.
 template <typename StepFn>
-void measureExecutorLegs(transport::Comm& c, int steps, StepFn&& step,
-                         Leg& runwise, Leg& fast, KernelCounts& kernels) {
-  c.barrier();
-  sched::setKernelDispatch(false);
-  c.barrier();
-  runwise = measureLeg(c, steps, step);
-  c.barrier();
-  sched::setKernelDispatch(true);
-  c.barrier();
+Leg measureExecutorLeg(transport::Comm& c, int steps, StepFn&& step,
+                       KernelCounts& kernels) {
   const sched::KernelStats k0 = sched::kernelStats();
-  fast = measureLeg(c, steps, step);
+  const Leg leg = measureLeg(c, steps, step);
   const sched::KernelStats k1 = sched::kernelStats();
   const double perStep = 1.0 / (steps + 1);
   kernels.contiguous = c.allreduceSum(
@@ -230,6 +208,7 @@ void measureExecutorLegs(transport::Comm& c, int steps, StepFn&& step,
       static_cast<double>(k1.execRunList - k0.execRunList) * perStep);
   kernels.indexList = c.allreduceSum(
       static_cast<double>(k1.execIndexList - k0.execIndexList) * perStep);
+  return leg;
 }
 
 struct OverlapResult {
@@ -348,14 +327,11 @@ int main(int argc, char** argv) {
                                           c.nextUserTag());
       });
       sched::Executor<double> ex(c, sched.plan);
-      Leg runwise, fast;
       KernelCounts kernels;
-      measureExecutorLegs(
-          c, steps, [&] { ex.run(a.raw(), b.raw()); }, runwise, fast,
-          kernels);
+      const Leg fast = measureExecutorLeg(
+          c, steps, [&] { ex.run(a.raw(), b.raw()); }, kernels);
       if (c.rank() == 0) {
         results[0].reference = ref;
-        results[0].runwise = runwise;
         results[0].executor = fast;
         results[0].kernels = kernels;
       }
@@ -379,14 +355,11 @@ int main(int argc, char** argv) {
                                           c.nextUserTag());
       });
       sched::Executor<double> ex(c, sched.plan);
-      Leg runwise, fast;
       KernelCounts kernels;
-      measureExecutorLegs(
-          c, steps, [&] { ex.run(x->raw(), y->raw()); }, runwise, fast,
-          kernels);
+      const Leg fast = measureExecutorLeg(
+          c, steps, [&] { ex.run(x->raw(), y->raw()); }, kernels);
       if (c.rank() == 0) {
         results[1].reference = ref;
-        results[1].runwise = runwise;
         results[1].executor = fast;
         results[1].kernels = kernels;
       }
@@ -430,20 +403,22 @@ int main(int argc, char** argv) {
     }
   });
 
-  // Case 4: node-aggregated execution under NIC contention.  A separate
-  // world: 8 processes on 2 nodes (4 per node), one NIC per node with a
-  // per-message processing cost — the Section 5.4 regime where times rise
-  // with processes per node because every message pays the shared NIC.
-  // The same fine-grained all-to-all runs flat (one message per remote
-  // rank) and aggregated (one framed message per remote node, split and
-  // forwarded by the destination's leader), A/B on the virtual clock.
+  // Case 4: node-aggregated execution under NIC contention.  8 processes
+  // on 2 nodes (4 per node), one NIC per node with a per-message processing
+  // cost — the Section 5.4 regime where times rise with processes per node
+  // because every message pays the shared NIC.  The same fine-grained
+  // all-to-all runs flat (one message per remote rank) and aggregated (one
+  // framed message per remote node, split and forwarded by the
+  // destination's leader) in two otherwise identical worlds, A/B on the
+  // virtual clock.
   constexpr int kAggNodes = 2;
   constexpr Index kAggBlock = 8;
-  {
+  for (const bool aggregated : {false, true}) {
     transport::WorldOptions options;
     options.net.nodesPerProgram = {kAggNodes};
     options.net.contention = true;
     options.net.interNode.nicPerMessage = 100e-6;
+    options.net.nodeAggregation = aggregated;
     transport::World::runSPMD(
         kProcs,
         [&](transport::Comm& c) {
@@ -457,39 +432,21 @@ int main(int argc, char** argv) {
               static_cast<size_t>(kAggBlock) * (kProcs - 1), 0.0);
           const std::span<const double> srcSpan(src);
           const std::span<double> dstSpan(dst);
-          // The aggregation flag is process-wide and captured at bind, so
-          // each toggle sits between barriers and the executor is
-          // constructed afterwards (aggregated binds are collective).
-          c.barrier();
-          sched::setNodeAggregation(false);
-          c.barrier();
-          {
-            sched::Executor<double> ex(c, plan);
-            const Leg flat = measureVirtualLeg(
-                c, steps, [&] { ex.run(srcSpan, dstSpan); });
-            if (c.rank() == 0) contention.flat = flat;
+          sched::Executor<double> ex(c, plan);
+          const Leg leg = measureVirtualLeg(
+              c, steps, [&] { ex.run(srcSpan, dstSpan); });
+          if (c.rank() == 0) {
+            (aggregated ? contention.aggregated : contention.flat) = leg;
           }
-          c.barrier();
-          sched::setNodeAggregation(true);
-          c.barrier();
-          {
-            sched::Executor<double> ex(c, plan);
-            const Leg agg = measureVirtualLeg(
-                c, steps, [&] { ex.run(srcSpan, dstSpan); });
-            if (c.rank() == 0) contention.aggregated = agg;
-          }
-          c.barrier();
-          sched::setNodeAggregation(false);
         },
         options);
   }
 
   std::vector<std::string> cols;
-  std::vector<double> refT, runT, exT;
+  std::vector<double> refT, exT;
   for (const CaseResult& r : results) {
     cols.push_back(r.name);
     refT.push_back(r.reference.perStepSeconds);
-    runT.push_back(r.runwise.perStepSeconds);
     exT.push_back(r.executor.perStepSeconds);
   }
   std::printf("%s\n",
@@ -500,15 +457,14 @@ int main(int argc, char** argv) {
                   cols,
                   {
                       bench::Row{"reference (copy per step)", refT, {}},
-                      bench::Row{"executor (run-wise loops)", runT, {}},
                       bench::Row{"executor (compiled kernels)", exT, {}},
                   })
                   .c_str());
   for (const CaseResult& r : results) {
     std::printf(
-        "%-22s speedup %4.2fx (kernels alone %4.2fx)   bytes copied/step: "
+        "%-22s speedup %4.2fx   bytes copied/step: "
         "%11.0f -> %3.0f   allocations/step: %6.0f -> %2.0f\n",
-        r.name, r.speedup(), r.kernelSpeedup(),
+        r.name, r.speedup(),
         r.reference.bytesCopied / steps, r.executor.bytesCopied / steps,
         r.reference.allocations / steps, r.executor.allocations / steps);
     std::printf(
@@ -540,73 +496,6 @@ int main(int argc, char** argv) {
       contention.aggregated.interNodeMessages / steps,
       contention.aggregated.forwardedMessages / steps,
       contention.speedup());
-
-  // Per-phase attribution of the irregular kernel-dispatch win: a separate
-  // span-recorded world reruns the irregular case under both dispatch modes
-  // and sums the executor's pack/unpack/apply thread-CPU span seconds.
-  // Spans cost a clock read per phase, so this runs outside the measured
-  // legs above; the phase split is the per-phase evidence the wall-clock
-  // speedup cannot give (pack and unpack shrink, recvWait does not).
-  struct PhaseCpu {
-    double pack = 0, unpack = 0, apply = 0;  // CPU sec/step, summed ranks
-  };
-  PhaseCpu phaseRunwise, phaseKernels;
-  Leg phaseLink;  // link-class traffic of the kernels leg (attribution only)
-  obs::setEnabled(true);
-  transport::World::runSPMD(kProcs, [&](transport::Comm& c) {
-    constexpr int kPhaseSteps = 5;
-    auto x = makeIrreg(c, n, 7);
-    auto y = makeIrreg(c, n, 8);
-    x->fillByGlobal([](Index g) { return static_cast<double>(g) * 0.5; });
-    core::SetOfRegions srcSet, dstSet;
-    srcSet.add(core::Region::indices(shuffledIds(n, 5)));
-    dstSet.add(core::Region::indices(shuffledIds(n, 6)));
-    const core::McSchedule sched = core::computeSchedule(
-        c, core::ChaosAdapter::describe(*x), srcSet,
-        core::ChaosAdapter::describe(*y), dstSet, core::Method::kCooperation);
-    sched::Executor<double> ex(c, sched.plan);
-    const auto phaseLeg = [&](bool kernels, PhaseCpu& out) {
-      c.barrier();
-      sched::setKernelDispatch(kernels);
-      c.barrier();
-      ex.run(x->raw(), y->raw());  // warmup outside the span window
-      obs::threadRegistry().clearSpans();
-      for (int i = 0; i < kPhaseSteps; ++i) ex.run(x->raw(), y->raw());
-      PhaseCpu mine;
-      for (const obs::SpanRecord& s : obs::threadRegistry().takeSpans()) {
-        if (std::strcmp(s.name, obs::phase::kPack) == 0) {
-          mine.pack += s.cpuSeconds();
-        } else if (std::strcmp(s.name, obs::phase::kUnpack) == 0) {
-          mine.unpack += s.cpuSeconds();
-        } else if (std::strcmp(s.name, obs::phase::kApply) == 0) {
-          mine.apply += s.cpuSeconds();
-        }
-      }
-      const double pack = c.allreduceSum(mine.pack) / kPhaseSteps;
-      const double unpack = c.allreduceSum(mine.unpack) / kPhaseSteps;
-      const double apply = c.allreduceSum(mine.apply) / kPhaseSteps;
-      if (c.rank() == 0) out = PhaseCpu{pack, unpack, apply};
-    };
-    phaseLeg(false, phaseRunwise);
-    const transport::TrafficStats linkBefore = c.stats();
-    phaseLeg(true, phaseKernels);
-    const transport::TrafficStats linkDiff = c.stats() - linkBefore;
-    Leg link;
-    reduceLinkStats(c, linkDiff, link);
-    if (c.rank() == 0) phaseLink = link;
-    c.barrier();
-    sched::setKernelDispatch(true);
-  });
-  obs::setEnabled(false);
-  std::printf(
-      "\nirregular per-phase CPU, run-wise -> kernels [ms/step, summed over "
-      "ranks]:\n"
-      "  pack   %7.3f -> %7.3f\n"
-      "  unpack %7.3f -> %7.3f\n"
-      "  apply  %7.3f -> %7.3f\n",
-      phaseRunwise.pack * 1e3, phaseKernels.pack * 1e3,
-      phaseRunwise.unpack * 1e3, phaseKernels.unpack * 1e3,
-      phaseRunwise.apply * 1e3, phaseKernels.apply * 1e3);
 
   // Span-recorded rerun of the split-phase overlap case, exported as a
   // Chrome trace.  A separate world, so span recording cannot perturb the
@@ -670,10 +559,8 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < results.size(); ++i) {
     obs::BenchReport::Case& cs = report.addCase(jsonNames[i]);
     legMetrics(cs, "reference", results[i].reference);
-    legMetrics(cs, "executor_runwise", results[i].runwise);
     legMetrics(cs, "executor", results[i].executor);
     cs.metric("speedup", results[i].speedup());
-    cs.metric("kernel_speedup", results[i].kernelSpeedup());
     cs.metric("copy_ratio", results[i].copyRatio());
     cs.metric("kernel_exec_per_step.contiguous", results[i].kernels.contiguous);
     cs.metric("kernel_exec_per_step.strided", results[i].kernels.strided);
@@ -681,14 +568,6 @@ int main(int argc, char** argv) {
     cs.metric("kernel_exec_per_step.index_list", results[i].kernels.indexList);
     linkMetrics(cs, "link.", results[i].executor);
   }
-  obs::BenchReport::Case& ph = report.addCase("irregular_kernel_phases");
-  ph.metric("runwise.pack_cpu_seconds", phaseRunwise.pack);
-  ph.metric("runwise.unpack_cpu_seconds", phaseRunwise.unpack);
-  ph.metric("runwise.apply_cpu_seconds", phaseRunwise.apply);
-  ph.metric("kernels.pack_cpu_seconds", phaseKernels.pack);
-  ph.metric("kernels.unpack_cpu_seconds", phaseKernels.unpack);
-  ph.metric("kernels.apply_cpu_seconds", phaseKernels.apply);
-  linkMetrics(ph, "link.", phaseLink);
   obs::BenchReport::Case& ov = report.addCase("split_phase_overlap");
   ov.metric("comm_seconds", overlap.commSeconds);
   ov.metric("blocking.per_step_seconds", overlap.blocking.perStepSeconds);

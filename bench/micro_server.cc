@@ -30,7 +30,6 @@
 
 #include "common/bench_util.h"
 #include "obs/json.h"
-#include "sched/node_agg.h"
 #include "server/client_session.h"
 #include "server/compute_server.h"
 #include "util/stats.h"
@@ -95,9 +94,7 @@ SweepResult runSweep(int numClients, int requestsPerClient,
   options.net.nodesPerProgram[0] = serverNodes;
   options.net.interNode.nicPerMessage = nicPerMessage;
   options.net.hierarchicalCollectives = topologyAware;
-  // Process-wide, captured at executor bind; set before the world's threads
-  // launch and restored after they all join.
-  sched::setNodeAggregation(topologyAware);
+  options.net.nodeAggregation = topologyAware;
 
   // Heavy-tailed think time: bounded Pareto (alpha=1.5) scaled to the
   // per-request service estimate, so large client counts queue up bursts.
@@ -145,7 +142,6 @@ SweepResult runSweep(int numClients, int requestsPerClient,
         }});
   }
   World::run(specs, options);
-  sched::setNodeAggregation(false);
 
   SweepResult res;
   res.stats = stats;

@@ -38,10 +38,10 @@ sched::Schedule buildIrregCopySchedule(transport::Comm& comm,
   for (int q = 0; q < np; ++q) {
     const auto qq = static_cast<size_t>(q);
     if (q != me && !srcOffTo[qq].empty()) {
-      out.sends.push_back(sched::OffsetPlan{q, std::move(srcOffTo[qq])});
+      out.sends.push_back(sched::OffsetPlan{q, std::move(srcOffTo[qq]), {}});
     }
     if (q != me && !incoming[qq].empty()) {
-      out.recvs.push_back(sched::OffsetPlan{q, std::move(incoming[qq])});
+      out.recvs.push_back(sched::OffsetPlan{q, std::move(incoming[qq]), {}});
     }
   }
   out.sortByPeer();

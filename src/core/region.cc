@@ -1,5 +1,6 @@
 #include "core/region.h"
 
+#include <cstdint>
 #include <cstring>
 
 #include "util/error.h"
@@ -149,7 +150,13 @@ SetOfRegions deserializeSet(std::span<const std::byte> bytes) {
         break;
       }
       case Region::Kind::kIndices: {
+        // The count arrives from another program: bound it by the bytes
+        // actually present before reserving anything.
         const Index n = getIndex(bytes, pos);
+        MC_REQUIRE(n >= 0 && static_cast<std::uint64_t>(n) <=
+                                 (bytes.size() - pos) / sizeof(Index),
+                   "index count %lld exceeds serialized SetOfRegions",
+                   static_cast<long long>(n));
         std::vector<Index> idx;
         idx.reserve(static_cast<size_t>(n));
         for (Index k = 0; k < n; ++k) idx.push_back(getIndex(bytes, pos));

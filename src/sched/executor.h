@@ -31,9 +31,19 @@
 // offset), so the drain stashes payloads and applies them in peer order —
 // results stay bitwise identical under any delivery interleaving.
 //
-// setDrainOrder(DrainOrder::kPeer) is a debug flag restoring the old
+// NetConfig::drainOrder = DrainOrder::kPeer is a debug knob restoring
 // peer-ordered receives; data results are identical, only the virtual-clock
 // interleaving (and wall time) differ.
+//
+// One exchange, two message layouts.  Bind fixes the messages one run sends
+// and the sources it receives from (in kPeer order); every run walks those
+// lists through one send loop, one receive function and one intake.  The
+// flat layout sends one headerless message per send plan and routes each
+// arrival by its transport envelope.  The node-aggregated layout
+// (NetConfig::nodeAggregation, intra-program only; wire format in
+// node_agg.h) sends one header-tagged message per same-node plan plus one
+// framed message per remote node, whose leader relays the other ranks'
+// segments intra-node; arrivals route by header.
 //
 // Split-phase execution: run() is synchronous — it blocks draining every
 // receive before the caller computes a single point, so per-step time is
@@ -54,8 +64,9 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <span>
@@ -65,33 +76,13 @@
 #include "sched/footprint.h"
 #include "sched/kernels.h"
 #include "sched/node_agg.h"
-#include "sched/plan_exec.h"
 #include "sched/schedule.h"
 #include "transport/comm.h"
 
 namespace mc::sched {
 
-/// How run() consumes its receives.
-enum class DrainOrder {
-  kArrival,  // any-source within the peer program, routed by sender rank
-  kPeer,     // fixed peer order (debug: fully deterministic virtual clocks)
-};
-
-namespace detail {
-inline std::atomic<DrainOrder>& drainOrderFlag() {
-  static std::atomic<DrainOrder> flag{DrainOrder::kArrival};
-  return flag;
-}
-}  // namespace detail
-
-inline DrainOrder drainOrder() {
-  return detail::drainOrderFlag().load(std::memory_order_relaxed);
-}
-/// Process-wide debug switch; set it before the world runs (it is read by
-/// every virtual processor).
-inline void setDrainOrder(DrainOrder order) {
-  detail::drainOrderFlag().store(order, std::memory_order_relaxed);
-}
+/// How run() consumes its receives; set per world in NetConfig::drainOrder.
+using transport::DrainOrder;
 
 template <typename T>
 class Executor {
@@ -170,11 +161,8 @@ class Executor {
                "split-phase run in flight: finish() it before run()");
     sendPhase(src, tag);
     localPhase(src, dst, /*add=*/false);
-    if (agg_) {
-      drainAggregated(dst, tag, /*add=*/false);
-    } else {
-      drainCopy(dst, tag);
-    }
+    openExchange(tag);
+    drain(dst, /*unpackNow=*/true);
   }
   void run(std::span<const T> src, std::span<T> dst) {
     run(src, dst, comm_->nextUserTag());
@@ -190,11 +178,9 @@ class Executor {
                "split-phase run in flight: finish() it before runAdd()");
     sendPhase(src, tag);
     localPhase(src, dst, /*add=*/true);
-    if (agg_) {
-      drainAggregated(dst, tag, /*add=*/true);
-    } else {
-      drainAdd(dst, tag);
-    }
+    openExchange(tag);
+    drain(dst, /*unpackNow=*/false);
+    unpackStash(dst, /*add=*/true);
   }
   void runAdd(std::span<const T> src, std::span<T> dst) {
     runAdd(src, dst, comm_->nextUserTag());
@@ -230,7 +216,7 @@ class Executor {
     /// True when every expected message has been consumed (by poll).
     bool done() const {
       requireActive();
-      return ex_->pendingDone();
+      return ex_->exchangeDone();
     }
 
     /// Blocks for the remaining messages, applies local transfers from the
@@ -274,11 +260,9 @@ class Executor {
     MC_REQUIRE(!inFlight_,
                "split-phase run already in flight: finish() it first");
     sendPhase(src, tag);
-    ++runEpoch_;
+    openExchange(tag);
     inFlight_ = true;
-    pendingTag_ = tag;
     pendingSrc_ = src;
-    arrived_ = 0;
     return Pending(this);
   }
   Pending start(std::span<const T> src) {
@@ -305,7 +289,8 @@ class Executor {
   /// Receiver half.
   void runRecv(std::span<T> dst) {
     MC_REQUIRE(remoteProgram_ >= 0, "intra-program executor: use run");
-    drainCopy(dst, comm_->nextInterTag(remoteProgram_));
+    openExchange(comm_->nextInterTag(remoteProgram_));
+    drain(dst, /*unpackNow=*/true);
   }
 
   /// Split-phase receiver half: allocates the paired inter-program tag *now*
@@ -318,12 +303,9 @@ class Executor {
     MC_REQUIRE(remoteProgram_ >= 0, "intra-program executor: use start");
     MC_REQUIRE(!inFlight_,
                "split-phase run already in flight: finish() it first");
-    const int tag = comm_->nextInterTag(remoteProgram_);
-    ++runEpoch_;
+    openExchange(comm_->nextInterTag(remoteProgram_));
     inFlight_ = true;
-    pendingTag_ = tag;
     pendingSrc_ = {};
-    arrived_ = 0;
     return Pending(this);
   }
 
@@ -332,6 +314,29 @@ class Executor {
     int srcGlobal = 0;       // sender's global rank (the arrival-order key)
     std::size_t bytes = 0;   // exact expected payload size
     std::uint64_t epoch = 0;  // last run that consumed this slot
+  };
+
+  /// A payload parked for the plan-order unpack; its plan's elements start
+  /// `off` bytes in, past any routing header.
+  struct Stashed {
+    std::vector<std::byte> payload;
+    std::size_t off = 0;
+  };
+
+  /// One send plan's part of a message: `headerBytes` of routing headers
+  /// (none in the flat layout), then the plan's packed elements.
+  struct OutPart {
+    std::size_t plan = 0;
+    std::size_t headerBytes = 0;
+  };
+
+  /// One message a run sends, fixed at bind — routing headers included, so
+  /// packing needs no knowledge of the layout.
+  struct OutMsg {
+    int dest = 0;                    // rank in the peer program
+    std::size_t bytes = 0;           // payload size, headers included
+    std::vector<std::byte> headers;  // the parts' headers, concatenated
+    std::vector<OutPart> parts;      // in peer order
   };
 
   Executor(transport::Comm& comm, const Schedule* sched,
@@ -346,14 +351,21 @@ class Executor {
 
   void bind() { bindReusing(nullptr, nullptr, nullptr); }
 
+  /// The program the schedule's peer ranks live in.
+  int peerProgram() const {
+    return remoteProgram_ >= 0 ? remoteProgram_ : comm_->program();
+  }
+
+  bool peerOrder() const {
+    return comm_->netConfig().drainOrder == DrainOrder::kPeer;
+  }
+
   /// Fills all bind-time state for sched_.  When `old` (plus its compiled
   /// kernels) is given, plans identical to the old schedule's plan for the
   /// same peer reuse the already-compiled kernel instead of recompiling —
   /// the rebind() fast path for untouched peers.
   void bindReusing(const Schedule* old, std::vector<PlanKernel>* oldSend,
                    std::vector<PlanKernel>* oldRecv) {
-    const int peerProg =
-        remoteProgram_ >= 0 ? remoteProgram_ : comm_->program();
     sendPlanBytes_.reserve(sched_->sends.size());
     for (const OffsetPlan& p : sched_->sends) {
       sendPlanBytes_.push_back(static_cast<std::size_t>(p.elementCount()) *
@@ -362,7 +374,7 @@ class Executor {
     slots_.reserve(sched_->recvs.size());
     for (const OffsetPlan& p : sched_->recvs) {
       RecvSlot s;
-      s.srcGlobal = comm_->globalRankOf(peerProg, p.peer);
+      s.srcGlobal = comm_->globalRankOf(peerProgram(), p.peer);
       s.bytes = static_cast<std::size_t>(p.elementCount()) * sizeof(T);
       // Plans are sorted by peer and global ranks are monotone in peer, so
       // slots_ is sorted by srcGlobal and slot index == plan index; a
@@ -372,8 +384,7 @@ class Executor {
       slots_.push_back(s);
     }
     stash_.resize(sched_->recvs.size());
-    stashOff_.assign(sched_->recvs.size(), 0);
-    bindAggregation();
+    bindExchange(remoteProgram_ < 0 && comm_->netConfig().nodeAggregation);
     // Compile the dispatch kernels once per bind (see kernels.h): every
     // run thereafter moves bytes through the variant the plan's shape
     // earned instead of re-branching per run.
@@ -418,8 +429,8 @@ class Executor {
     std::vector<PlanKernel> oldSendKernels = std::move(sendKernels_);
     std::vector<PlanKernel> oldRecvKernels = std::move(recvKernels_);
     // Stashed payload capacity is as good as a free buffer; keep it.
-    for (std::vector<std::byte>& buf : stash_) {
-      if (buf.capacity() > 0) freeBufs_.push_back(std::move(buf));
+    for (Stashed& s : stash_) {
+      if (s.payload.capacity() > 0) freeBufs_.push_back(std::move(s.payload));
     }
     stash_.clear();
     sendPlanBytes_.clear();
@@ -438,59 +449,75 @@ class Executor {
     }
   }
 
-  // --- node aggregation -----------------------------------------------------
+  // --- the exchange, fixed at bind ------------------------------------------
 
-  /// Captures the process-wide aggregation flag for this bind and derives
-  /// the per-node send grouping and receive expectations.  Intra-program
-  /// only; with aggregation on, binds are collective over the program (the
-  /// node leader learns which frames to expect via an intra-node exchange).
-  void bindAggregation() {
-    agg_ = false;
-    directSendIdx_.clear();
-    aggGroups_.clear();
-    frameSrcs_.clear();
-    directRecvPeers_.clear();
-    aggExpected_ = 0;
-    if (remoteProgram_ >= 0 || !nodeAggregation()) return;
+  /// Fixes the two lists every run walks: the messages it sends (outbox_)
+  /// and the sources it receives from, in DrainOrder::kPeer order
+  /// (sources_, whose size is the messages one run consumes).  With
+  /// intake(), the only code that tells the flat layout from the
+  /// node-aggregated one.  Aggregated binds are collective over the
+  /// program: each node leader learns which frames to expect through an
+  /// intra-node exchange.
+  void bindExchange(bool aggregated) {
+    aggregated_ = aggregated;
+    outbox_.clear();
+    sources_.clear();
+    if (!aggregated_) {
+      for (std::size_t i = 0; i < sched_->sends.size(); ++i) {
+        outbox_.push_back(OutMsg{sched_->sends[i].peer, 0, {}, {}});
+        addPart(outbox_.back(), i, {});
+      }
+      for (const OffsetPlan& p : sched_->recvs) sources_.push_back(p.peer);
+      return;
+    }
     MC_REQUIRE(alignof(T) <= 8,
                "node aggregation supports element alignment up to 8");
-    agg_ = true;
     const int myNode = comm_->myNode();
-    // Group send plans by destination node; plans stay in peer order inside
-    // each group and groups sort by leader, so framing is deterministic.
+    // Same-node peers get a data-tagged message each; plans bound for one
+    // remote node share a frame to its leader, in peer order, each behind
+    // a segment header, and frames sort by leader, so framing is
+    // deterministic.
+    std::array<std::byte, kAggMsgHeaderBytes + kAggSegHeaderBytes> header{};
+    std::vector<OutMsg> frames;
     for (std::size_t i = 0; i < sched_->sends.size(); ++i) {
-      const OffsetPlan& plan = sched_->sends[i];
-      if (comm_->nodeOfRank(plan.peer) == myNode) {
-        directSendIdx_.push_back(i);
+      const int peer = sched_->sends[i].peer;
+      if (comm_->nodeOfRank(peer) == myNode) {
+        writeAggMsgHeader(header.data(), kAggData, comm_->globalRank());
+        outbox_.push_back(OutMsg{peer, 0, {}, {}});
+        addPart(outbox_.back(), i,
+                std::span(header).first(kAggMsgHeaderBytes));
         continue;
       }
-      const int leader = comm_->leaderOfRank(plan.peer);
-      AggGroup* g = nullptr;
-      for (AggGroup& cand : aggGroups_) {
-        if (cand.leader == leader) {
-          g = &cand;
-          break;
-        }
+      const int leader = comm_->leaderOfRank(peer);
+      auto frame = std::find_if(
+          frames.begin(), frames.end(),
+          [leader](const OutMsg& f) { return f.dest == leader; });
+      std::size_t len = 0;  // a new frame starts with its message header
+      if (frame == frames.end()) {
+        frames.push_back(OutMsg{leader, 0, {}, {}});
+        frame = std::prev(frames.end());
+        writeAggMsgHeader(header.data(), kAggFrame, comm_->globalRank());
+        len = kAggMsgHeaderBytes;
       }
-      if (g == nullptr) {
-        aggGroups_.push_back(AggGroup{leader, kAggMsgHeaderBytes, {}});
-        g = &aggGroups_.back();
-      }
-      g->frameBytes += kAggSegHeaderBytes + sendPlanBytes_[i];
-      g->planIdx.push_back(i);
+      writeAggSegHeader(header.data() + len,
+                        comm_->globalRankOf(comm_->program(), peer),
+                        sendPlanBytes_[i]);
+      addPart(*frame, i, std::span(header).first(len + kAggSegHeaderBytes));
     }
-    std::sort(aggGroups_.begin(), aggGroups_.end(),
-              [](const AggGroup& a, const AggGroup& b) {
-                return a.leader < b.leader;
-              });
-    // Receive expectations: same-node sources arrive directly (in plan
-    // order under kPeer); remote sources arrive inside frames at the node
-    // leader, which forwards other ranks' segments intra-node.
+    std::sort(frames.begin(), frames.end(),
+              [](const OutMsg& a, const OutMsg& b) { return a.dest < b.dest; });
+    outbox_.insert(outbox_.end(), std::make_move_iterator(frames.begin()),
+                   std::make_move_iterator(frames.end()));
+    // Same-node sources arrive directly, in plan order; remote sources
+    // arrive inside frames at the node leader, which forwards other ranks'
+    // segments intra-node.  A member takes its forwards from the leader in
+    // FIFO order: the leader's own direct send precedes them in its program
+    // order, so the two streams never cross.
     std::vector<std::int32_t> myRemote;
     for (const RecvSlot& s : slots_) {
       const int srcLocal = comm_->localRankOfGlobal(s.srcGlobal);
       if (comm_->nodeOfRank(srcLocal) == myNode) {
-        directRecvPeers_.push_back(srcLocal);
+        sources_.push_back(srcLocal);
       } else {
         myRemote.push_back(s.srcGlobal);
       }
@@ -498,92 +525,61 @@ class Executor {
     const int tag = comm_->nextUserTag();
     if (!comm_->isNodeLeader()) {
       comm_->send(comm_->nodeLeader(), tag, myRemote);
-      aggExpected_ = directRecvPeers_.size() + myRemote.size();
-    } else {
-      std::vector<std::int32_t> uni = myRemote;
-      for (int r : comm_->nodePeers()) {
-        if (r == comm_->rank()) continue;
-        const std::vector<std::int32_t> peerRemote =
-            comm_->recv<std::int32_t>(r, tag);
-        uni.insert(uni.end(), peerRemote.begin(), peerRemote.end());
-      }
-      std::sort(uni.begin(), uni.end());
-      uni.erase(std::unique(uni.begin(), uni.end()), uni.end());
-      frameSrcs_.assign(uni.begin(), uni.end());
-      aggExpected_ = directRecvPeers_.size() + frameSrcs_.size();
+      sources_.insert(sources_.end(), myRemote.size(), comm_->nodeLeader());
+      return;
+    }
+    std::vector<std::int32_t> frameSrcs = myRemote;
+    for (int r : comm_->nodePeers()) {
+      if (r == comm_->rank()) continue;
+      const std::vector<std::int32_t> theirs =
+          comm_->recv<std::int32_t>(r, tag);
+      frameSrcs.insert(frameSrcs.end(), theirs.begin(), theirs.end());
+    }
+    std::sort(frameSrcs.begin(), frameSrcs.end());
+    frameSrcs.erase(std::unique(frameSrcs.begin(), frameSrcs.end()),
+                    frameSrcs.end());
+    for (const std::int32_t g : frameSrcs) {
+      sources_.push_back(comm_->localRankOfGlobal(g));
     }
   }
 
   // --- send side ------------------------------------------------------------
 
-  void packInto(std::size_t i, std::span<const T> src, std::byte* out) {
-    const OffsetPlan& plan = sched_->sends[i];
-    if (kernelDispatchEnabled()) {
-      packKernel<T>(sendKernels_[i], plan, src, reinterpret_cast<T*>(out));
-    } else {
-      packPlan<T>(plan, src, reinterpret_cast<T*>(out));
-    }
-  }
-
+  /// Packs and posts every message of the outbox.
   void sendPhase(std::span<const T> src, int tag) {
-    if (agg_) {
-      sendPhaseAggregated(src, tag);
-      return;
-    }
     obs::ScopedSpan sendSpan(obs::phase::kSend);
-    for (std::size_t i = 0; i < sched_->sends.size(); ++i) {
-      const OffsetPlan& plan = sched_->sends[i];
-      std::vector<std::byte> payload = obtainBuffer(sendPlanBytes_[i]);
+    for (const OutMsg& out : outbox_) {
+      std::vector<std::byte> payload = obtainBuffer(out.bytes);
       {
         obs::ScopedSpan packSpan(obs::phase::kPack);
-        comm_->compute([&] { packInto(i, src, payload.data()); });
+        comm_->compute([&] { packMessage(out, src, payload.data()); });
       }
       if (remoteProgram_ >= 0) {
-        comm_->sendBytesTo(remoteProgram_, plan.peer, tag,
-                           std::move(payload));
+        comm_->sendBytesTo(remoteProgram_, out.dest, tag, std::move(payload));
       } else {
-        comm_->sendBytes(plan.peer, tag, std::move(payload));
+        comm_->sendBytes(out.dest, tag, std::move(payload));
       }
     }
   }
 
-  /// Aggregated sends: same-node peers get their ordinary per-peer message
-  /// (with a routing header), every remote *node* gets exactly ONE framed
-  /// message addressed to its leader — so this rank emits at most nodes-1
-  /// inter-node messages per schedule step.
-  void sendPhaseAggregated(std::span<const T> src, int tag) {
-    obs::ScopedSpan sendSpan(obs::phase::kSend);
-    for (std::size_t i : directSendIdx_) {
-      const OffsetPlan& plan = sched_->sends[i];
-      std::vector<std::byte> payload =
-          obtainBuffer(kAggMsgHeaderBytes + sendPlanBytes_[i]);
-      writeAggMsgHeader(payload.data(), kAggData, comm_->globalRank());
-      {
-        obs::ScopedSpan packSpan(obs::phase::kPack);
-        comm_->compute(
-            [&] { packInto(i, src, payload.data() + kAggMsgHeaderBytes); });
+  /// Appends send plan `i` to `out` behind `header` (its routing bytes).
+  void addPart(OutMsg& out, std::size_t i, std::span<const std::byte> header) {
+    out.headers.insert(out.headers.end(), header.begin(), header.end());
+    out.parts.push_back(OutPart{i, header.size()});
+    out.bytes += header.size() + sendPlanBytes_[i];
+  }
+
+  void packMessage(const OutMsg& out, std::span<const T> src, std::byte* p) {
+    const std::byte* header = out.headers.data();
+    for (const OutPart& part : out.parts) {
+      if (part.headerBytes > 0) {
+        std::memcpy(p, header, part.headerBytes);
+        header += part.headerBytes;
+        p += part.headerBytes;
       }
-      comm_->sendBytes(plan.peer, tag, std::move(payload));
-    }
-    for (const AggGroup& g : aggGroups_) {
-      std::vector<std::byte> payload = obtainBuffer(g.frameBytes);
-      writeAggMsgHeader(payload.data(), kAggFrame, comm_->globalRank());
-      {
-        obs::ScopedSpan packSpan(obs::phase::kPack);
-        comm_->compute([&] {
-          std::byte* p = payload.data() + kAggMsgHeaderBytes;
-          for (std::size_t i : g.planIdx) {
-            writeAggSegHeader(
-                p,
-                comm_->globalRankOf(comm_->program(), sched_->sends[i].peer),
-                sendPlanBytes_[i]);
-            p += kAggSegHeaderBytes;
-            packInto(i, src, p);
-            p += sendPlanBytes_[i];
-          }
-        });
-      }
-      comm_->sendBytes(g.leader, tag, std::move(payload));
+      packKernel<T>(sendKernels_[part.plan], sched_->sends[part.plan], src,
+                    reinterpret_cast<T*>(p));
+      p += sendPlanBytes_[part.plan];
     }
   }
 
@@ -623,8 +619,7 @@ class Executor {
   void localPhase(std::span<const T> src, std::span<T> dst, bool add) {
     obs::ScopedSpan span(obs::phase::kApply);
     comm_->compute([&] {
-      if (kernelDispatchEnabled() &&
-          localKernel_.kind == KernelKind::kIndexList) {
+      if (localKernel_.kind == KernelKind::kIndexList) {
         // Flattened local transfers; compile() only picks kIndexList when
         // element order matches copyLocalRuns exactly (see kernels.h).
         if (add) {
@@ -673,20 +668,31 @@ class Executor {
 
   // --- receive side ---------------------------------------------------------
 
-  transport::Message nextMessage(std::size_t k, int tag) {
-    obs::ScopedSpan span(obs::phase::kRecvWait);
-    if (drainOrder() == DrainOrder::kPeer) {
-      const int peer = sched_->recvs[k].peer;
-      return remoteProgram_ >= 0
-                 ? comm_->recvMsgFrom(remoteProgram_, peer, tag)
-                 : comm_->recvMsg(peer, tag);
-    }
-    const int prog = remoteProgram_ >= 0 ? remoteProgram_ : comm_->program();
-    return comm_->recvMsgAnyOf(prog, tag);
+  /// Starts consuming one run's messages, tagged `tag`.
+  void openExchange(int tag) {
+    ++runEpoch_;
+    tag_ = tag;
+    arrived_ = 0;
   }
 
-  /// Routes a drained payload to its plan by the *original* sender's global
-  /// rank, verifying size and that no plan is served twice in one run.
+  bool exchangeDone() const { return arrived_ == sources_.size(); }
+
+  /// The exchange's next message (blocking): from the bind-time source list
+  /// under DrainOrder::kPeer, otherwise whichever peer-program message
+  /// arrives first.
+  transport::Message nextMessage() {
+    obs::ScopedSpan span(obs::phase::kRecvWait);
+    if (peerOrder()) {
+      const int src = sources_[arrived_];
+      return remoteProgram_ >= 0
+                 ? comm_->recvMsgFrom(remoteProgram_, src, tag_)
+                 : comm_->recvMsg(src, tag_);
+    }
+    return comm_->recvMsgAnyOf(peerProgram(), tag_);
+  }
+
+  /// Routes a payload to its plan by the *original* sender's global rank,
+  /// verifying size and that no plan is served twice in one run.
   std::size_t slotForSrc(int srcGlobal, std::size_t nbytes) {
     std::size_t lo = 0, hi = slots_.size();
     while (lo < hi) {
@@ -708,70 +714,27 @@ class Executor {
                slot.bytes);
     return lo;  // slot index == plan index (both sorted by peer)
   }
-  std::size_t slotFor(const transport::Message& m) {
-    return slotForSrc(m.srcGlobal, m.payload.size());
-  }
 
-  void drainCopy(std::span<T> dst, int tag) {
-    ++runEpoch_;
-    for (std::size_t n = 0; n < sched_->recvs.size(); ++n) {
-      transport::Message m = nextMessage(n, tag);
-      const std::size_t k = slotFor(m);
-      const OffsetPlan& plan = sched_->recvs[k];
-      // Unpack straight out of the payload — builders emit disjoint
-      // per-peer receive offsets, so these unpacks commute and arrival
-      // order cannot change the result.
-      {
-        obs::ScopedSpan span(obs::phase::kUnpack);
-        comm_->compute([&] {
-          if (kernelDispatchEnabled()) {
-            unpackKernel<T>(recvKernels_[k], plan,
-                            transport::payloadView<T>(m).data(), dst);
-          } else {
-            unpackPlan<T>(plan, transport::payloadView<T>(m).data(), dst);
-          }
-        });
-      }
-      recycle(std::move(m.payload));
+  /// Consumes one message of the exchange.  A flat message routes by its
+  /// transport envelope; an aggregated one by its header, and a frame
+  /// additionally re-sends every segment addressed to another rank to that
+  /// same-node rank, with a data header carrying the original source.  The
+  /// routed payload then unpacks into `dst` at once (`unpackNow`) or stashes
+  /// for unpackStash.
+  void intake(transport::Message&& m, std::span<T> dst, bool unpackNow) {
+    ++arrived_;
+    if (!aggregated_) {
+      const std::size_t k = slotForSrc(m.srcGlobal, m.payload.size());
+      accept(k, std::move(m.payload), 0, dst, unpackNow);
+      return;
     }
-  }
-
-  // --- aggregated receive side ----------------------------------------------
-
-  /// Next aggregated-mode message.  Under kPeer the receive order is fixed
-  /// for deterministic virtual clocks: direct same-node sources in plan
-  /// order, then frames in sorted-source order (leader) or the leader's
-  /// forwards in FIFO order (member).  The leader's direct sends precede
-  /// its forwards in its own program order, so the member-side FIFO per
-  /// (source, tag) pair keeps the two streams from crossing.
-  transport::Message nextAggMessage(std::size_t n, int tag) {
-    obs::ScopedSpan span(obs::phase::kRecvWait);
-    if (drainOrder() == DrainOrder::kPeer) {
-      if (n < directRecvPeers_.size()) {
-        return comm_->recvMsg(directRecvPeers_[n], tag);
-      }
-      if (comm_->isNodeLeader()) {
-        const std::size_t j = n - directRecvPeers_.size();
-        return comm_->recvMsg(comm_->localRankOfGlobal(frameSrcs_[j]), tag);
-      }
-      return comm_->recvMsg(comm_->nodeLeader(), tag);
-    }
-    return comm_->recvMsgAnyOf(comm_->program(), tag);
-  }
-
-  /// Aggregated-mode intake for one message: a data payload stashes by its
-  /// header's original source; a frame is split — the segment addressed to
-  /// this rank stays stashed, every other segment re-sends to its same-node
-  /// destination with a data header carrying the original source.
-  void stashAggMessage(transport::Message&& m, int tag) {
     MC_REQUIRE(m.payload.size() >= kAggMsgHeaderBytes,
                "aggregated message shorter than its header");
     const AggMsgHeader h = readAggMsgHeader(m.payload.data());
     if (h.kind == kAggData) {
       const std::size_t k =
           slotForSrc(h.srcGlobal, m.payload.size() - kAggMsgHeaderBytes);
-      stash_[k] = std::move(m.payload);
-      stashOff_[k] = kAggMsgHeaderBytes;
+      accept(k, std::move(m.payload), kAggMsgHeaderBytes, dst, unpackNow);
       return;
     }
     MC_REQUIRE(h.kind == kAggFrame, "bad aggregated message kind %d", h.kind);
@@ -787,7 +750,7 @@ class Executor {
       const AggSegHeader seg = readAggSegHeader(m.payload.data() + pos);
       pos += kAggSegHeaderBytes;
       const auto segBytes = static_cast<std::size_t>(seg.bytes);
-      MC_REQUIRE(pos + segBytes <= m.payload.size(),
+      MC_REQUIRE(segBytes <= m.payload.size() - pos,
                  "truncated segment payload in aggregated frame");
       if (seg.dstGlobal == comm_->globalRank()) {
         MC_REQUIRE(ownSlot == kNoSlot,
@@ -801,7 +764,7 @@ class Executor {
         std::memcpy(fwd.data() + kAggMsgHeaderBytes, m.payload.data() + pos,
                     segBytes);
         comm_->noteForwarded(segBytes);
-        comm_->sendBytes(comm_->localRankOfGlobal(seg.dstGlobal), tag,
+        comm_->sendBytes(comm_->localRankOfGlobal(seg.dstGlobal), tag_,
                          std::move(fwd));
       }
       pos += segBytes;
@@ -809,108 +772,80 @@ class Executor {
     MC_REQUIRE(pos == m.payload.size(),
                "trailing bytes in aggregated frame");
     if (ownSlot != kNoSlot) {
-      stash_[ownSlot] = std::move(m.payload);
-      stashOff_[ownSlot] = ownOff;
+      accept(ownSlot, std::move(m.payload), ownOff, dst, unpackNow);
     } else {
       recycle(std::move(m.payload));
     }
   }
 
-  /// Unpacks every stashed payload in plan order (honoring each stash's
-  /// aggregated-mode byte offset) and recycles the buffers.  Copy unpacks
-  /// commute (disjoint per-peer offsets) and adds apply in peer order, so
-  /// results are bitwise identical to the flat drain.
-  void unpackStash(std::span<T> dst, bool add) {
-    for (std::size_t k = 0; k < sched_->recvs.size(); ++k) {
-      const OffsetPlan& plan = sched_->recvs[k];
-      obs::ScopedSpan span(obs::phase::kUnpack);
-      comm_->compute([&] {
-        const T* payload =
-            reinterpret_cast<const T*>(stash_[k].data() + stashOff_[k]);
-        if (kernelDispatchEnabled()) {
-          if (add) {
-            unpackAddKernel<T>(recvKernels_[k], plan, payload, dst);
-          } else {
-            unpackKernel<T>(recvKernels_[k], plan, payload, dst);
-          }
-        } else if (add) {
-          unpackPlanAdd<T>(plan, payload, dst);
-        } else {
-          unpackPlan<T>(plan, payload, dst);
-        }
-      });
-      recycle(std::move(stash_[k]));
-      stash_[k] = {};
-      stashOff_[k] = 0;
+  /// Unpacks a routed payload (its plan's elements start `off` bytes in) at
+  /// once, or stashes it for an in-order unpack.
+  void accept(std::size_t k, std::vector<std::byte>&& payload,
+              std::size_t off, std::span<T> dst, bool unpackNow) {
+    if (unpackNow) {
+      unpackSlot(k, payload.data() + off, dst, /*add=*/false);
+      recycle(std::move(payload));
+    } else {
+      stash_[k] = Stashed{std::move(payload), off};
     }
   }
 
-  void drainAggregated(std::span<T> dst, int tag, bool add) {
-    ++runEpoch_;
-    for (std::size_t n = 0; n < aggExpected_; ++n) {
-      stashAggMessage(nextAggMessage(n, tag), tag);
+  void unpackSlot(std::size_t k, const std::byte* bytes, std::span<T> dst,
+                  bool add) {
+    obs::ScopedSpan span(obs::phase::kUnpack);
+    comm_->compute([&] {
+      const T* payload = reinterpret_cast<const T*>(bytes);
+      if (add) {
+        unpackAddKernel<T>(recvKernels_[k], sched_->recvs[k], payload, dst);
+      } else {
+        unpackKernel<T>(recvKernels_[k], sched_->recvs[k], payload, dst);
+      }
+    });
+  }
+
+  /// Unpacks every stashed payload in plan order and recycles the buffers.
+  /// Copy unpacks commute (disjoint per-peer offsets) and adds apply in
+  /// peer order, so results are bitwise identical under any arrival order.
+  void unpackStash(std::span<T> dst, bool add) {
+    for (std::size_t k = 0; k < stash_.size(); ++k) {
+      Stashed& s = stash_[k];
+      if (s.payload.capacity() == 0) continue;  // nothing stashed
+      unpackSlot(k, s.payload.data() + s.off, dst, add);
+      recycle(std::move(s.payload));
+      s = {};
     }
-    unpackStash(dst, add);
+  }
+
+  /// Blocking intake of the exchange's remaining messages: the one drain
+  /// behind run, runAdd, runRecv, finish, finishAdd and cancellation.
+  void drain(std::span<T> dst, bool unpackNow) {
+    while (!exchangeDone()) intake(nextMessage(), dst, unpackNow);
   }
 
   // --- split-phase internals ------------------------------------------------
 
-  /// Verifies, sizes, and stashes one drained message by plan slot.
-  void stashMessage(transport::Message&& m) {
-    stash_[slotFor(m)] = std::move(m.payload);
-    ++arrived_;
-  }
-
-  /// Messages one run consumes (in aggregated mode frames and forwards
-  /// replace the per-peer messages, so the count differs from recvs.size()).
-  std::size_t expectedMessages() const {
-    return agg_ ? aggExpected_ : sched_->recvs.size();
-  }
-
-  bool pendingDone() const { return arrived_ == expectedMessages(); }
-
-  /// Blocking intake of one more pending message (either drain mode).
-  void drainOnePending() {
-    if (agg_) {
-      stashAggMessage(nextAggMessage(arrived_, pendingTag_), pendingTag_);
-      ++arrived_;
-    } else {
-      stashMessage(nextMessage(arrived_, pendingTag_));
-    }
-  }
-
   bool pollPending() {
-    if (drainOrder() == DrainOrder::kPeer) {
+    if (peerOrder()) {
       // kPeer is the deterministic-clock debug mode: consuming messages at
       // wall-clock-dependent moments would reorder the virtual-clock max
       // arithmetic, so the opportunistic drain is disabled and every
       // receive happens in finish, in peer order.
-      return pendingDone();
+      return exchangeDone();
     }
-    const int prog = remoteProgram_ >= 0 ? remoteProgram_ : comm_->program();
-    while (!pendingDone()) {
+    while (!exchangeDone()) {
       std::optional<transport::Message> m =
-          comm_->tryRecvMsgAnyOf(prog, pendingTag_);
+          comm_->tryRecvMsgAnyOf(peerProgram(), tag_);
       if (!m.has_value()) break;
-      if (agg_) {
-        stashAggMessage(std::move(*m), pendingTag_);
-        ++arrived_;
-      } else {
-        stashMessage(std::move(*m));
-      }
+      intake(std::move(*m), {}, /*unpackNow=*/false);
     }
-    return pendingDone();
+    return exchangeDone();
   }
 
   void finishPending(std::span<T> dst, bool add) {
-    // Drain whatever poll() did not get (blocking).  In kPeer mode nothing
-    // was stashed, so arrived_ walks the receive order exactly as the
-    // blocking drain would; in kArrival mode the index is ignored.
-    while (!pendingDone()) drainOnePending();
+    // Stash whatever poll() did not get, apply the local transfers, then
+    // unpack in plan order — bitwise identical to run()/runAdd().
+    drain({}, /*unpackNow=*/false);
     localPhase(pendingSrc_, dst, add);
-    // Unpack in plan order: copy unpacks commute (disjoint per-peer
-    // offsets), adds must apply in peer order — either way this is bitwise
-    // identical to the corresponding run()/runAdd().
     unpackStash(dst, add);
     inFlight_ = false;
     pendingSrc_ = {};
@@ -919,44 +854,24 @@ class Executor {
   /// Abandoned split-phase run (Pending destroyed without finish): consume
   /// the exchange's remaining messages so the mailbox and the executor's
   /// epoch state stay consistent, discard the data, keep the executor
-  /// reusable.  In aggregated mode the drain still splits and forwards
-  /// frames — node-mates depend on the leader relaying their segments even
-  /// when the leader's own exchange is abandoned.  Errors are swallowed —
-  /// this runs from a destructor, possibly unwinding a world abort.
+  /// reusable.  The drain still forwards frame segments — node-mates depend
+  /// on the leader relaying them even when the leader's own exchange is
+  /// abandoned.  Errors are swallowed — this runs from a destructor,
+  /// possibly unwinding a world abort.
   void cancelPending() noexcept {
     try {
-      while (!pendingDone()) drainOnePending();
+      drain({}, /*unpackNow=*/false);
     } catch (...) {
       // Aborted world or timeout: leave whatever arrived; the abort tears
       // the whole run down anyway.
     }
-    for (std::size_t k = 0; k < stash_.size(); ++k) {
-      if (stash_[k].capacity() > 0) recycle(std::move(stash_[k]));
-      stash_[k] = {};
-      stashOff_[k] = 0;
+    for (Stashed& s : stash_) {
+      if (s.payload.capacity() > 0) recycle(std::move(s.payload));
+      s = {};
     }
     inFlight_ = false;
     pendingSrc_ = {};
   }
-
-  void drainAdd(std::span<T> dst, int tag) {
-    ++runEpoch_;
-    // += does not commute across peers hitting the same offset, so take
-    // messages as they arrive but *apply* them in peer order: stash each
-    // payload in its plan's slot, then accumulate plan by plan.
-    for (std::size_t n = 0; n < sched_->recvs.size(); ++n) {
-      transport::Message m = nextMessage(n, tag);
-      stash_[slotFor(m)] = std::move(m.payload);
-    }
-    unpackStash(dst, /*add=*/true);
-  }
-
-  /// One framed message to a remote node (aggregated mode).
-  struct AggGroup {
-    int leader = 0;               // destination node's leader (local rank)
-    std::size_t frameBytes = 0;   // header + segments, fixed at bind
-    std::vector<std::size_t> planIdx;  // send plans packed, in peer order
-  };
 
   transport::Comm* comm_;
   std::shared_ptr<const Schedule> keepAlive_;
@@ -970,23 +885,19 @@ class Executor {
   LocalKernel localKernel_;
   std::uint64_t runEpoch_ = 0;
   std::vector<std::vector<std::byte>> freeBufs_;  // recycled payloads
-  std::vector<std::vector<std::byte>> stash_;     // runAdd deferral slots
-  std::vector<std::size_t> stashOff_;  // payload byte offset per stash slot
+  std::vector<Stashed> stash_;  // deferred-unpack slots, one per recv plan
   std::vector<T> localStage_;  // persistent Parti local-copy staging
 
-  // Node aggregation (node_agg.h), captured at bind.
-  bool agg_ = false;
-  std::vector<std::size_t> directSendIdx_;  // send plans to same-node peers
-  std::vector<AggGroup> aggGroups_;         // one frame per remote node
-  std::vector<int> directRecvPeers_;  // same-node sources, in plan order
-  std::vector<int> frameSrcs_;  // leader: inbound frame sources (global, sorted)
-  std::size_t aggExpected_ = 0;  // messages consumed per aggregated run
+  // The exchange (bindExchange).
+  bool aggregated_ = false;      // node-aggregated layout
+  std::vector<OutMsg> outbox_;   // messages one run sends, in send order
+  std::vector<int> sources_;     // one per message received, kPeer order
 
-  // Split-phase state (one run may be in flight at a time).
-  bool inFlight_ = false;
-  int pendingTag_ = 0;
+  // Per-run exchange state (one run may be in flight at a time).
+  bool inFlight_ = false;            // a split-phase run awaits finish
+  int tag_ = 0;                      // the exchange's tag
   std::span<const T> pendingSrc_{};  // captured by start, read at finish
-  std::size_t arrived_ = 0;          // messages stashed so far this run
+  std::size_t arrived_ = 0;          // messages consumed so far this run
   mutable std::optional<Footprint> footprint_;  // built on first use
 };
 

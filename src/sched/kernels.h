@@ -23,12 +23,10 @@
 // src/dst buffers behave identically.
 //
 // Dispatch decisions and kernel executions are counted per rank and
-// surfaced through the obs MetricsRegistry as kernel.* metrics.
-// setKernelDispatch(false) routes executors back to the pre-kernel
-// run-wise loops — the A/B switch the benches and differential tests use.
+// surfaced through the obs MetricsRegistry as kernel.* metrics.  These
+// kernels are the executor's only pack/unpack path.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -60,31 +58,15 @@ inline const char* kernelKindName(KernelKind k) {
 }
 
 namespace detail {
-inline std::atomic<bool>& kernelDispatchFlag() {
-  static std::atomic<bool> flag{true};
-  return flag;
-}
 /// Runs shorter than this on average flatten to an index list; at or above
 /// it the per-run loop already amortizes its dispatch overhead.
 inline constexpr layout::Index kShortRunAvg = 4;
-}  // namespace detail
 
-namespace detail {
 /// Prefetch distance for the index-list gather/scatter loops: far enough
 /// ahead to hide a cache miss behind ~16 iterations of 2-3ns each, near
 /// enough that the line is still resident when the loop reaches it.
 inline constexpr std::size_t kPrefetchAhead = 16;
 }  // namespace detail
-
-inline bool kernelDispatchEnabled() {
-  return detail::kernelDispatchFlag().load(std::memory_order_relaxed);
-}
-/// Process-wide A/B switch (like setDrainOrder): false restores the
-/// pre-kernel run-wise loops.  Set it outside World::run regions (or under
-/// a barrier) — it is read by every virtual processor.
-inline void setKernelDispatch(bool on) {
-  detail::kernelDispatchFlag().store(on, std::memory_order_relaxed);
-}
 
 /// Monotone per-rank kernel telemetry: how many plans compiled to each
 /// kernel at bind time, and how many kernel executions ran by kind.
@@ -224,7 +206,7 @@ struct PlanKernel {
 
 /// Gather `plan`'s source elements into `out` (plan.elementCount()
 /// elements), dispatched through the compiled kernel.  Element order — and
-/// therefore every result — is identical to packPlan.
+/// therefore every result — is the plan's expanded offset order.
 template <typename T>
 void packKernel(const PlanKernel& k, const OffsetPlan& plan,
                 std::span<const T> src, T* out) {

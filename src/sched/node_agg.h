@@ -1,4 +1,4 @@
-// Node-aggregated schedule execution: process-wide switch + wire format.
+// Node-aggregated schedule execution: the wire format.
 //
 // Flat execution sends one message per (rank, remote rank) pair, so under
 // one-NIC contention the inter-node message count grows with ranks-per-node
@@ -8,6 +8,8 @@
 // leader; the leader keeps its own segment and re-sends every other segment
 // to its same-node destination over the cheap intraNode link.  Each rank
 // therefore emits at most nodes-1 inter-node messages per schedule step.
+// transport::NetConfig::nodeAggregation selects the layout per world; an
+// Executor fixes it at bind()/rebind().
 //
 // Wire format (fixed, little-endian host layout; messages never leave the
 // process):
@@ -23,34 +25,16 @@
 // so element data stays suitably aligned for any scalar T with
 // alignof(T) <= 8.
 //
-// Determinism: the drain stashes every payload by source slot and unpacks
-// in plan (peer) order, so both run() and runAdd() results are bitwise
-// identical to flat execution under any delivery interleaving.
+// Determinism: the intake routes every payload to its source slot; copy
+// unpacks commute and accumulating unpacks apply in plan (peer) order, so
+// both run() and runAdd() results are bitwise identical to flat execution
+// under any delivery interleaving.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 
 namespace mc::sched {
-
-namespace detail {
-inline std::atomic<bool>& nodeAggregationFlag() {
-  static std::atomic<bool> flag{false};
-  return flag;
-}
-}  // namespace detail
-
-inline bool nodeAggregation() {
-  return detail::nodeAggregationFlag().load(std::memory_order_relaxed);
-}
-/// Process-wide switch, captured by Executor at bind()/rebind().  With it
-/// on, executors must be constructed and rebound *collectively* (every rank
-/// of the program together, in the same order): bind performs an intra-node
-/// exchange so each node leader learns which frames to expect.
-inline void setNodeAggregation(bool on) {
-  detail::nodeAggregationFlag().store(on, std::memory_order_relaxed);
-}
 
 /// First 8 bytes of every aggregated-mode message.
 struct AggMsgHeader {

@@ -49,7 +49,10 @@ struct WorldState {
   std::vector<int> localRankOf;  // global rank -> rank within program
   MailboxTable mail;
   NetworkModel net;
-  BufferPool pool;  // shared payload recycler (payloads cross threads)
+  /// Shared payload recycler (payloads cross threads).  Every rank's
+  /// acquire and release writes its lock and counters, so it starts on its
+  /// own cache line, off the read-mostly network model every message reads.
+  alignas(64) BufferPool pool;
   double recvTimeoutSeconds;
 
   WorldState(std::vector<ProgramInfo> progs, std::vector<int> progOf,
@@ -182,6 +185,9 @@ class Comm {
   const std::vector<int>& nodeLeaders() const { return nodeLeaders_; }
   /// Number of distinct physical nodes the program spans.
   int programNodes() const { return static_cast<int>(nodeLeaders_.size()); }
+  /// The world's network configuration (placement, link costs and the
+  /// messaging knobs executors and collectives read).
+  const NetConfig& netConfig() const { return world_->net.config(); }
 
   // --- virtual clock ------------------------------------------------------
   double now() const { return clock_; }
@@ -548,7 +554,7 @@ class Comm {
   /// node and packs more than one rank on some node (otherwise the flat
   /// algorithms already match the topology).
   bool hierarchicalOn() const {
-    return world_->net.config().hierarchicalCollectives &&
+    return netConfig().hierarchicalCollectives &&
            nodeLeaders_.size() > 1 &&
            static_cast<int>(nodeLeaders_.size()) < size();
   }

@@ -2,11 +2,7 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <type_traits>
 #include <vector>
-
-#include "util/error.h"
 
 namespace mc::transport {
 
@@ -23,20 +19,5 @@ struct Message {
 
   std::size_t size() const { return payload.size(); }
 };
-
-/// Typed view straight into a message payload — the zero-copy receive path:
-/// unpack reads the mailbox buffer in place instead of round-tripping
-/// through an intermediate std::vector<T>.  The view is valid while the
-/// Message (or a buffer moved out of it) is alive.  Payloads come from
-/// operator new, so alignment suffices for any trivially copyable T.
-template <typename T>
-std::span<const T> payloadView(const Message& m) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  MC_REQUIRE(m.payload.size() % sizeof(T) == 0,
-             "message size %zu not a multiple of element size %zu",
-             m.payload.size(), sizeof(T));
-  return {reinterpret_cast<const T*>(m.payload.data()),
-          m.payload.size() / sizeof(T)};
-}
 
 }  // namespace mc::transport

@@ -95,6 +95,14 @@ TEST(SetOfRegions, SerializationRoundTrip) {
 TEST(SetOfRegions, DeserializeRejectsGarbage) {
   std::vector<std::byte> junk(13, std::byte{0x5a});
   EXPECT_THROW(deserializeSet(junk), Error);
+  // One index region whose count does not fit the remaining bytes: huge
+  // and negative counts must fail validation, not the allocator.
+  for (const Index count : {Index{1} << 40, Index{-1}}) {
+    const Index words[] = {1, static_cast<Index>(Region::Kind::kIndices),
+                           count};
+    const auto blob = std::as_bytes(std::span<const Index>(words));
+    EXPECT_THROW(deserializeSet(blob), Error) << "count " << count;
+  }
 }
 
 TEST(Registry, BuiltinsRegistered) {

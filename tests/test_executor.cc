@@ -11,9 +11,9 @@
 
 #include "chaos/localize.h"
 #include "chaos/partition.h"
+#include "oracle/reference_executor.h"
 #include "parti/ghost.h"
 #include "sched/executor.h"
-#include "sched/reference_executor.h"
 #include "transport/world.h"
 
 namespace mc::sched {
@@ -120,7 +120,8 @@ TEST(Executor, AddAppliesInPeerOrderRegardlessOfArrival) {
 }
 
 TEST(Executor, PeerDrainModeProducesSameResults) {
-  setDrainOrder(DrainOrder::kPeer);
+  transport::WorldOptions peerOrder;
+  peerOrder.net.drainOrder = DrainOrder::kPeer;
   World::runSPMD(4, [](Comm& c) {
     const Schedule copyS = starSchedule(c.rank(), c.size(), /*overlap=*/false);
     const Schedule addS = starSchedule(c.rank(), c.size(), /*overlap=*/true);
@@ -143,8 +144,7 @@ TEST(Executor, PeerDrainModeProducesSameResults) {
     if (c.rank() == 0) {
       EXPECT_EQ(dst[0], (1e16 + 1.0) + -1e16);  // peer-order accumulation
     }
-  });
-  setDrainOrder(DrainOrder::kArrival);
+  }, peerOrder);
 }
 
 TEST(Executor, AliasedGhostFillMatchesReferenceExecutor) {

@@ -52,7 +52,7 @@ Instance makeRandomSource(int lib, Comm& c, Rng& rng) {
       arr->fillByPoint([&](const Point& p) { return valueOf(p[0] * cols + p[1]); });
       Instance inst{PartiAdapter::describe(*arr), SetOfRegions{}, {},
                     [arr] { return arr->raw(); },
-                    [arr] { return arr->gatherGlobal(); }, arr};
+                    [arr] { return arr->gatherGlobal(); }, arr, {}};
       // Split rows into two disjoint bands, strided sections within each.
       const Index mid = rows / 2;
       const auto addBand = [&](Index rLo, Index rHi) {
@@ -94,7 +94,7 @@ Instance makeRandomSource(int lib, Comm& c, Rng& rng) {
       arr->fillByPoint([&](const Point& p) { return valueOf(p[0] * cols + p[1]); });
       Instance inst{HpfAdapter::describe(*arr), SetOfRegions{}, {},
                     [arr] { return arr->raw(); },
-                    [arr] { return arr->gatherGlobal(); }, arr};
+                    [arr] { return arr->gatherGlobal(); }, arr, {}};
       const RegularSection s = RegularSection::of(
           {static_cast<Index>(rng.below(2)), static_cast<Index>(rng.below(3))},
           {rows - 1, cols - 1},
@@ -124,7 +124,7 @@ Instance makeRandomSource(int lib, Comm& c, Rng& rng) {
       arr->fillByGlobal(valueOf);
       Instance inst{ChaosAdapter::describe(*arr), SetOfRegions{}, {},
                     [arr] { return arr->raw(); },
-                    [arr] { return arr->gatherGlobal(); }, arr};
+                    [arr] { return arr->gatherGlobal(); }, arr, {}};
       auto ids = rng.permutation(static_cast<std::uint64_t>(n));
       const size_t count = 1 + rng.below(static_cast<std::uint64_t>(n));
       std::vector<Index> pick;
@@ -141,7 +141,7 @@ Instance makeRandomSource(int lib, Comm& c, Rng& rng) {
       coll->forEachOwned([](Index g, double& v) { v = valueOf(g); });
       Instance inst{TulipAdapter::describe(*coll), SetOfRegions{}, {},
                     [coll] { return coll->raw(); },
-                    [coll] { return coll->gatherGlobal(); }, coll};
+                    [coll] { return coll->gatherGlobal(); }, coll, {}};
       const Index stride = 1 + static_cast<Index>(rng.below(3));
       const Index lo = static_cast<Index>(rng.below(4));
       const Index hi = n - 1 - static_cast<Index>(rng.below(4));
@@ -165,7 +165,7 @@ Instance makeConformantDest(int lib, Comm& c, Rng& rng, Index n) {
       arr->fillByPoint([](const Point& p) { return valueOf(p[0]); });
       Instance inst{PartiAdapter::describe(*arr), SetOfRegions{}, {},
                     [arr] { return arr->raw(); },
-                    [arr] { return arr->gatherGlobal(); }, arr};
+                    [arr] { return arr->gatherGlobal(); }, arr, {}};
       inst.refill = [arr] {
         arr->fillByPoint([](const Point& p) { return valueOf(p[0]); });
       };
@@ -184,7 +184,7 @@ Instance makeConformantDest(int lib, Comm& c, Rng& rng, Index n) {
       arr->fillByPoint([](const Point& p) { return valueOf(p[0]); });
       Instance inst{HpfAdapter::describe(*arr), SetOfRegions{}, {},
                     [arr] { return arr->raw(); },
-                    [arr] { return arr->gatherGlobal(); }, arr};
+                    [arr] { return arr->gatherGlobal(); }, arr, {}};
       inst.refill = [arr] {
         arr->fillByPoint([](const Point& p) { return valueOf(p[0]); });
       };
@@ -203,7 +203,7 @@ Instance makeConformantDest(int lib, Comm& c, Rng& rng, Index n) {
       arr->fillByGlobal(valueOf);
       Instance inst{ChaosAdapter::describe(*arr), SetOfRegions{}, {},
                     [arr] { return arr->raw(); },
-                    [arr] { return arr->gatherGlobal(); }, arr};
+                    [arr] { return arr->gatherGlobal(); }, arr, {}};
       inst.refill = [arr] { arr->fillByGlobal(valueOf); };
       auto ids = rng.permutation(static_cast<std::uint64_t>(size));
       std::vector<Index> pick;
@@ -218,7 +218,7 @@ Instance makeConformantDest(int lib, Comm& c, Rng& rng, Index n) {
       coll->forEachOwned([](Index g, double& v) { v = valueOf(g); });
       Instance inst{TulipAdapter::describe(*coll), SetOfRegions{}, {},
                     [coll] { return coll->raw(); },
-                    [coll] { return coll->gatherGlobal(); }, coll};
+                    [coll] { return coll->gatherGlobal(); }, coll, {}};
       inst.refill = [coll] {
         coll->forEachOwned([](Index g, double& v) { v = valueOf(g); });
       };

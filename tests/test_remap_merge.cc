@@ -100,11 +100,11 @@ TEST(ScheduleMerge, OneMessagePerPeerForGroupedTransfers) {
     // Two disjoint transfers 0 -> 1 into different slots.
     sched::Schedule s1, s2;
     if (c.rank() == 0) {
-      s1.sends.push_back(sched::OffsetPlan{1, {0, 1}});
-      s2.sends.push_back(sched::OffsetPlan{1, {4, 5}});
+      s1.sends.push_back(sched::OffsetPlan{1, {0, 1}, {}});
+      s2.sends.push_back(sched::OffsetPlan{1, {4, 5}, {}});
     } else {
-      s1.recvs.push_back(sched::OffsetPlan{0, {0, 1}});
-      s2.recvs.push_back(sched::OffsetPlan{0, {6, 7}});
+      s1.recvs.push_back(sched::OffsetPlan{0, {0, 1}, {}});
+      s2.recvs.push_back(sched::OffsetPlan{0, {6, 7}, {}});
     }
     const std::vector<sched::Schedule> parts{s1, s2};
     const sched::Schedule merged = sched::merge(parts);
@@ -130,10 +130,10 @@ TEST(ScheduleMerge, EquivalentToSequentialExecution) {
     const int next = (c.rank() + 1) % c.size();
     const int prev = (c.rank() + c.size() - 1) % c.size();
     sched::Schedule s1, s2;
-    s1.sends.push_back(sched::OffsetPlan{next, {0}});
-    s1.recvs.push_back(sched::OffsetPlan{prev, {4}});
-    s2.sends.push_back(sched::OffsetPlan{next, {1, 2}});
-    s2.recvs.push_back(sched::OffsetPlan{prev, {5, 6}});
+    s1.sends.push_back(sched::OffsetPlan{next, {0}, {}});
+    s1.recvs.push_back(sched::OffsetPlan{prev, {4}, {}});
+    s2.sends.push_back(sched::OffsetPlan{next, {1, 2}, {}});
+    s2.recvs.push_back(sched::OffsetPlan{prev, {5, 6}, {}});
     std::vector<double> src{1.0 + c.rank(), 10.0 + c.rank(), 20.0 + c.rank(), 0};
     std::vector<double> seq(8, 0.0), mrg(8, 0.0);
     sched::execute<double>(c, s1, src, seq, c.nextUserTag());

@@ -13,10 +13,10 @@
 #include "chaos/localize.h"
 #include "chaos/partition.h"
 #include "obs/metrics.h"
+#include "oracle/reference_executor.h"
 #include "sched/executor.h"
 #include "sched/footprint.h"
 #include "sched/kernels.h"
-#include "sched/reference_executor.h"
 #include "transport/world.h"
 
 namespace mc::sched {
@@ -226,7 +226,7 @@ TEST(KernelExecutor, IrregularGatherMatchesReferenceBitwise) {
 }
 
 TEST(KernelExecutor, ScatterAddBitwiseDeterministicUnderBothDrainOrders) {
-  World::runSPMD(4, [](Comm& c) {
+  const auto body = [](Comm& c) {
     const Index n = 120;
     const auto mine = chaos::randomPartition(n, c.size(), c.rank(), 5);
     const auto table = chaos::TranslationTable::build(
@@ -245,25 +245,22 @@ TEST(KernelExecutor, ScatterAddBitwiseDeterministicUnderBothDrainOrders) {
 
     Executor<double> ex(c, loc.scatterAddSched);
     std::vector<double> owned(mine.size());
-    for (const DrainOrder order : {DrainOrder::kArrival, DrainOrder::kPeer}) {
-      c.barrier();
-      if (c.rank() == 0) setDrainOrder(order);
-      c.barrier();
-      for (int it = 0; it < 4; ++it) {
-        std::fill(owned.begin(), owned.end(), 0.125);
-        // Shuffle real arrival order across iterations.
-        if (c.rank() > 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(
-              ((c.rank() + it) % 3) * 3));
-        }
-        ex.runAdd(ghost, owned);
-        EXPECT_EQ(owned, ownedRef) << "iteration " << it;
+    for (int it = 0; it < 4; ++it) {
+      std::fill(owned.begin(), owned.end(), 0.125);
+      // Shuffle real arrival order across iterations.
+      if (c.rank() > 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(
+            ((c.rank() + it) % 3) * 3));
       }
+      ex.runAdd(ghost, owned);
+      EXPECT_EQ(owned, ownedRef) << "iteration " << it;
     }
-    c.barrier();
-    if (c.rank() == 0) setDrainOrder(DrainOrder::kArrival);
-    c.barrier();
-  });
+  };
+  for (const DrainOrder order : {DrainOrder::kArrival, DrainOrder::kPeer}) {
+    transport::WorldOptions options;
+    options.net.drainOrder = order;
+    World::runSPMD(4, body, options);
+  }
 }
 
 TEST(KernelExecutor, AliasedGhostFillGuardedByFootprint) {
@@ -307,37 +304,6 @@ TEST(KernelExecutor, AliasedGhostFillGuardedByFootprint) {
     Executor<double> ex(c, aliased);
     ex.run(buf, buf);  // aliased
     EXPECT_EQ(buf, expected);
-  });
-}
-
-TEST(KernelExecutor, DispatchToggleDoesNotChangeResults) {
-  World::runSPMD(4, [](Comm& c) {
-    const Index n = 128;
-    const auto mine = chaos::randomPartition(n, c.size(), c.rank(), 15);
-    const auto table = chaos::TranslationTable::build(
-        c, mine, n, chaos::TranslationTable::Storage::kReplicated);
-    chaos::Localized loc = irregularLocalized(c, table, n, 53);
-    loc.gatherSched.compress();
-    Executor<double> ex(c, loc.gatherSched);
-    std::vector<double> owned(mine.size());
-    for (size_t i = 0; i < owned.size(); ++i) {
-      owned[i] = 3.0 * c.rank() + 0.5 * static_cast<double>(i);
-    }
-    std::vector<double> withKernels(static_cast<size_t>(loc.ghostCount));
-    std::vector<double> without(withKernels);
-
-    c.barrier();
-    if (c.rank() == 0) setKernelDispatch(true);
-    c.barrier();
-    ex.run(owned, withKernels);
-    c.barrier();
-    if (c.rank() == 0) setKernelDispatch(false);
-    c.barrier();
-    ex.run(owned, without);
-    c.barrier();
-    if (c.rank() == 0) setKernelDispatch(true);
-    c.barrier();
-    EXPECT_EQ(withKernels, without);
   });
 }
 

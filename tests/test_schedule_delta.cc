@@ -359,28 +359,24 @@ TEST(ScheduleDelta, ReversedSchedulesAreNotPatchable) {
   });
 }
 
-// Execution equality under every drain-order x kernel-dispatch combination.
+// Execution equality under both drain orders.
 TEST(ScheduleDelta, ExecutionBitwiseUnderAllModes) {
   for (const auto order : {sched::DrainOrder::kArrival,
                            sched::DrainOrder::kPeer}) {
-    for (const bool kernels : {true, false}) {
-      sched::setDrainOrder(order);
-      sched::setKernelDispatch(kernels);
-      World::runSPMD(kProcs, [](Comm& c) {
-        Scenario s(c, 13u, 6);
-        const McSchedule old =
-            computeSchedule(c, s.oldSrc, s.srcSet, s.dst, s.dstSet);
-        const DistDelta delta = computeDelta(s.oldSrc, s.newSrc, s.srcSet);
-        const McSchedule patched = patchSchedule(c, old, delta, s.newSrc,
-                                                 s.srcSet, s.dst, s.dstSet);
-        const McSchedule fresh =
-            computeSchedule(c, s.newSrc, s.srcSet, s.dst, s.dstSet);
-        EXPECT_EQ(s.executed(c, patched), s.executed(c, fresh));
-      });
-    }
+    transport::WorldOptions options;
+    options.net.drainOrder = order;
+    World::runSPMD(kProcs, [](Comm& c) {
+      Scenario s(c, 13u, 6);
+      const McSchedule old =
+          computeSchedule(c, s.oldSrc, s.srcSet, s.dst, s.dstSet);
+      const DistDelta delta = computeDelta(s.oldSrc, s.newSrc, s.srcSet);
+      const McSchedule patched = patchSchedule(c, old, delta, s.newSrc,
+                                               s.srcSet, s.dst, s.dstSet);
+      const McSchedule fresh =
+          computeSchedule(c, s.newSrc, s.srcSet, s.dst, s.dstSet);
+      EXPECT_EQ(s.executed(c, patched), s.executed(c, fresh));
+    }, options);
   }
-  sched::setDrainOrder(sched::DrainOrder::kArrival);
-  sched::setKernelDispatch(true);
 }
 
 // The element-wise reference pipeline records the same provenance as the

@@ -1,7 +1,8 @@
 // Traffic invariants of schedule execution (paper Section 4.1.4): a
-// schedule ships at most one message per processor pair, N executions cost
-// exactly N times the traffic of one, and neither run compression nor cache
-// reuse changes what goes over the wire.
+// schedule ships at most one message per processor pair, carrying exactly
+// its plan's elements (no header) at every executor entry point, N
+// executions cost exactly N times the traffic of one, and neither run
+// compression nor cache reuse changes what goes over the wire.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -22,6 +23,7 @@ using layout::Point;
 using layout::RegularSection;
 using layout::Shape;
 using transport::Comm;
+using transport::ProgramSpec;
 using transport::World;
 
 /// Structural half of the invariant: plans are sorted by peer, peers are
@@ -72,36 +74,104 @@ Meshes makeMeshes(Comm& c) {
   return m;
 }
 
+/// The flat wire contract of one execution: one message per plan, each
+/// carrying exactly its plan's elements — a header leaking into a flat
+/// message fails the byte count.
+void expectFlatWireTraffic(const transport::TrafficStats& one,
+                           const sched::Schedule& plan) {
+  EXPECT_EQ(one.messagesSent, plan.sends.size());
+  EXPECT_EQ(one.messagesReceived, plan.recvs.size());
+  EXPECT_EQ(one.bytesSent, sizeof(double) * static_cast<std::uint64_t>(
+                                                plan.totalSendElements()));
+  EXPECT_EQ(one.bytesReceived, sizeof(double) * static_cast<std::uint64_t>(
+                                                    plan.totalRecvElements()));
+}
+
+/// Measures one execution of `move`, then kReps more: the first must meet
+/// the flat wire contract, the rest must cost exactly kReps times it.
+template <typename MoveFn>
+void expectNExecutionsCostNTimesOne(Comm& c, const sched::Schedule& plan,
+                                    MoveFn&& move) {
+  c.barrier();
+  c.resetStats();
+  move();
+  const auto one = c.stats();
+  expectFlatWireTraffic(one, plan);
+
+  // N further executions: exactly N times the traffic, no drift.
+  const int kReps = 5;
+  c.barrier();
+  c.resetStats();
+  for (int i = 0; i < kReps; ++i) move();
+  const auto many = c.stats();
+  EXPECT_EQ(many.messagesSent, kReps * one.messagesSent);
+  EXPECT_EQ(many.messagesReceived, kReps * one.messagesReceived);
+  EXPECT_EQ(many.bytesSent, kReps * one.bytesSent);
+  EXPECT_EQ(many.bytesReceived, kReps * one.bytesReceived);
+}
+
 TEST(ScheduleInvariants, NExecutionsCostExactlyNTimesOneExecution) {
   World::runSPMD(4, [](Comm& c) {
     Meshes m = makeMeshes(c);
     const McSchedule sched =
         computeSchedule(c, m.aObj, m.aSet, m.xObj, m.xSet);
     expectOneMessagePerPair(sched.plan, c.rank());
+    const std::span<const double> src = m.a->raw();
+    // Blocking and split-phase entry points put identical bytes on the wire.
+    expectNExecutionsCostNTimesOne(c, sched.plan, [&] {
+      dataMove<double>(c, sched, src, m.x->raw());
+    });
+    expectNExecutionsCostNTimesOne(c, sched.plan, [&] {
+      PendingMove<double> move = dataMoveBegin<double>(c, sched, src);
+      dataMoveEnd<double>(move, m.x->raw());
+    });
+  });
+}
 
-    // One execution, measured.
-    c.barrier();
-    c.resetStats();
-    dataMove<double>(c, sched, m.a->raw(), m.x->raw());
-    const auto one = c.stats();
-    EXPECT_EQ(one.messagesSent, sched.plan.sends.size());
-    EXPECT_EQ(one.messagesReceived, sched.plan.recvs.size());
-    EXPECT_EQ(one.bytesSent,
-              sizeof(double) *
-                  static_cast<std::uint64_t>(sched.plan.totalSendElements()));
-
-    // N further executions: exactly N times the traffic, no drift.
-    const int kReps = 5;
-    c.barrier();
-    c.resetStats();
-    for (int i = 0; i < kReps; ++i) {
-      dataMove<double>(c, sched, m.a->raw(), m.x->raw());
-    }
-    const auto many = c.stats();
-    EXPECT_EQ(many.messagesSent, kReps * one.messagesSent);
-    EXPECT_EQ(many.messagesReceived, kReps * one.messagesReceived);
-    EXPECT_EQ(many.bytesSent, kReps * one.bytesSent);
-    EXPECT_EQ(many.bytesReceived, kReps * one.bytesReceived);
+TEST(ScheduleInvariants, InterProgramHalvesCostExactlyNTimesOneExecution) {
+  constexpr Index kRows = 8, kCols = 8, kN = kRows * kCols;
+  World::run({
+      ProgramSpec{"regular", 3,
+                  [](Comm& c) {
+                    parti::BlockDistArray<double> a(
+                        c, Shape::of({kRows, kCols}), /*ghost=*/1);
+                    a.fillByPoint([](const Point& p) {
+                      return static_cast<double>(p[0] * kCols + p[1]);
+                    });
+                    SetOfRegions set;
+                    set.add(Region::section(
+                        RegularSection::box({0, 0}, {kRows - 1, kCols - 1})));
+                    const McSchedule send = computeScheduleSend(
+                        c, PartiAdapter::describe(a), set,
+                        /*remoteProgram=*/1, Method::kCooperation);
+                    expectNExecutionsCostNTimesOne(c, send.plan, [&] {
+                      dataMoveSend<double>(c, send, a.raw());
+                    });
+                  }},
+      ProgramSpec{"irregular", 2,
+                  [](Comm& c) {
+                    const auto mine =
+                        chaos::randomPartition(kN, c.size(), c.rank(), 5);
+                    auto table =
+                        std::make_shared<const chaos::TranslationTable>(
+                            chaos::TranslationTable::build(
+                                c, mine, kN,
+                                chaos::TranslationTable::Storage::
+                                    kDistributed));
+                    chaos::IrregArray<double> x(c, table, mine);
+                    SetOfRegions set;
+                    std::vector<Index> ids(static_cast<size_t>(kN));
+                    for (Index k = 0; k < kN; ++k) {
+                      ids[static_cast<size_t>(k)] = k;
+                    }
+                    set.add(Region::indices(ids));
+                    const McSchedule recv = computeScheduleRecv(
+                        c, ChaosAdapter::describe(x), set,
+                        /*remoteProgram=*/0, Method::kCooperation);
+                    expectNExecutionsCostNTimesOne(c, recv.plan, [&] {
+                      dataMoveRecv<double>(c, recv, x.raw());
+                    });
+                  }},
   });
 }
 

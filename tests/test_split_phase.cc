@@ -94,8 +94,13 @@ void staggeredSleep(int rank, int iteration) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
+transport::WorldOptions drainOptions(DrainOrder order) {
+  transport::WorldOptions options;
+  options.net.drainOrder = order;
+  return options;
+}
+
 void expectSplitMatchesRun(DrainOrder order) {
-  setDrainOrder(order);
   World::runSPMD(4, [order](Comm& c) {
     const Index srcN = 32;
     const Index dstN = static_cast<Index>(c.size()) * kMaxPerPair;
@@ -127,8 +132,7 @@ void expectSplitMatchesRun(DrainOrder order) {
                              << static_cast<int>(order);
       }
     }
-  });
-  setDrainOrder(DrainOrder::kArrival);
+  }, drainOptions(order));
 }
 
 TEST(SplitPhase, CopyMatchesRunBitwiseArrivalOrder) {
@@ -140,7 +144,6 @@ TEST(SplitPhase, CopyMatchesRunBitwisePeerOrder) {
 }
 
 void expectSplitAddMatchesRunAdd(DrainOrder order) {
-  setDrainOrder(order);
   // Star pattern, every peer hitting the SAME dst offsets with values whose
   // accumulation order is visible in the bits: ((0 + 1e16) + 1) + -1e16 == 0
   // but (0 + 1e16) + -1e16 + 1 == 1.  finishAdd must reproduce runAdd's
@@ -183,8 +186,7 @@ void expectSplitAddMatchesRunAdd(DrainOrder order) {
         EXPECT_EQ(got[0], (0.0 + 1e16 + 1.0) + -1e16) << "iteration " << it;
       }
     }
-  });
-  setDrainOrder(DrainOrder::kArrival);
+  }, drainOptions(order));
 }
 
 TEST(SplitPhase, AddMatchesRunAddBitwiseArrivalOrder) {

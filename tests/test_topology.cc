@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "sched/executor.h"
-#include "sched/node_agg.h"
 #include "transport/world.h"
 
 namespace mc {
@@ -25,20 +24,9 @@ using sched::Executor;
 using sched::OffsetPlan;
 using sched::Schedule;
 using transport::Comm;
-using transport::NetConfig;
+using transport::DrainOrder;
 using transport::World;
 using transport::WorldOptions;
-
-/// Restores the process-wide aggregation flag even when an assertion fires.
-struct AggFlagGuard {
-  explicit AggFlagGuard(bool on) { sched::setNodeAggregation(on); }
-  ~AggFlagGuard() { sched::setNodeAggregation(false); }
-};
-
-struct DrainOrderGuard {
-  explicit DrainOrderGuard(sched::DrainOrder o) { sched::setDrainOrder(o); }
-  ~DrainOrderGuard() { sched::setDrainOrder(sched::DrainOrder::kArrival); }
-};
 
 WorldOptions nodesOptions(int nodes, bool hierarchical = false,
                           bool contention = false) {
@@ -46,6 +34,14 @@ WorldOptions nodesOptions(int nodes, bool hierarchical = false,
   options.net.nodesPerProgram = {nodes};
   options.net.hierarchicalCollectives = hierarchical;
   options.net.contention = contention;
+  return options;
+}
+
+/// nodesOptions plus the executor's message layout.
+WorldOptions aggOptions(int nodes, bool aggregated, bool contention = false) {
+  WorldOptions options = nodesOptions(nodes, /*hierarchical=*/false,
+                                      contention);
+  options.net.nodeAggregation = aggregated;
   return options;
 }
 
@@ -267,11 +263,12 @@ void staggeredSleep(int rank, int iteration) {
 
 /// Runs the fuzzed schedule `iters` times through one executor and returns
 /// each rank's final dst bytes.
-std::vector<std::vector<double>> runFuzzWorld(unsigned seed, int nprocs,
-                                              int nodes, bool aggregated,
-                                              bool add, int iters) {
+std::vector<std::vector<double>> runFuzzWorld(
+    unsigned seed, int nprocs, int nodes, bool aggregated, bool add,
+    int iters, DrainOrder order = DrainOrder::kArrival) {
   std::vector<std::vector<double>> results(static_cast<size_t>(nprocs));
-  AggFlagGuard agg(aggregated);
+  WorldOptions options = aggOptions(nodes, aggregated);
+  options.net.drainOrder = order;
   World::runSPMD(
       nprocs,
       [&results, seed, add, iters](Comm& c) {
@@ -295,7 +292,7 @@ std::vector<std::vector<double>> runFuzzWorld(unsigned seed, int nprocs,
         }
         results[static_cast<size_t>(c.rank())] = dst;
       },
-      nodesOptions(nodes));
+      options);
   return results;
 }
 
@@ -311,30 +308,26 @@ void expectBitwiseEqual(const std::vector<std::vector<double>>& a,
 }
 
 TEST(Topology, AggregatedRunMatchesFlatBitwise) {
-  for (const auto order :
-       {sched::DrainOrder::kArrival, sched::DrainOrder::kPeer}) {
-    DrainOrderGuard guard(order);
+  for (const auto order : {DrainOrder::kArrival, DrainOrder::kPeer}) {
     for (unsigned seed : {1u, 2u, 3u}) {
       const auto flat = runFuzzWorld(seed, 8, 3, /*aggregated=*/false,
-                                     /*add=*/false, /*iters=*/4);
+                                     /*add=*/false, /*iters=*/4, order);
       const auto agg = runFuzzWorld(seed, 8, 3, /*aggregated=*/true,
-                                    /*add=*/false, /*iters=*/4);
+                                    /*add=*/false, /*iters=*/4, order);
       expectBitwiseEqual(flat, agg);
     }
   }
 }
 
 TEST(Topology, AggregatedRunAddMatchesFlatBitwise) {
-  for (const auto order :
-       {sched::DrainOrder::kArrival, sched::DrainOrder::kPeer}) {
-    DrainOrderGuard guard(order);
+  for (const auto order : {DrainOrder::kArrival, DrainOrder::kPeer}) {
     for (unsigned seed : {4u, 5u, 6u}) {
       // Overlapping receive offsets: float += only matches bitwise when
       // contributions apply in peer order on both paths.
       const auto flat = runFuzzWorld(seed, 8, 3, /*aggregated=*/false,
-                                     /*add=*/true, /*iters=*/4);
+                                     /*add=*/true, /*iters=*/4, order);
       const auto agg = runFuzzWorld(seed, 8, 3, /*aggregated=*/true,
-                                    /*add=*/true, /*iters=*/4);
+                                    /*add=*/true, /*iters=*/4, order);
       expectBitwiseEqual(flat, agg);
     }
   }
@@ -358,7 +351,6 @@ std::vector<std::vector<double>> runSplitPhaseWorld(unsigned seed,
                                                     bool aggregated) {
   const int kProcs = 8;
   std::vector<std::vector<double>> results(kProcs);
-  AggFlagGuard agg(aggregated);
   World::runSPMD(
       kProcs,
       [&results, seed](Comm& c) {
@@ -390,7 +382,7 @@ std::vector<std::vector<double>> runSplitPhaseWorld(unsigned seed,
         pending.finishAdd(dst);
         results[static_cast<size_t>(c.rank())] = dst;
       },
-      nodesOptions(3));
+      aggOptions(3, aggregated));
   return results;
 }
 
@@ -407,7 +399,6 @@ TEST(Topology, AggregatedInterNodeMessageInvariant) {
   constexpr int kProcs = 8;
   constexpr int kNodes = 2;
   for (bool aggregated : {false, true}) {
-    AggFlagGuard agg(aggregated);
     World::runSPMD(
         kProcs,
         [aggregated](Comm& c) {
@@ -465,14 +456,13 @@ TEST(Topology, AggregatedInterNodeMessageInvariant) {
             EXPECT_EQ(dst[base + 1], 1.0 * r);
           }
         },
-        nodesOptions(kNodes, /*hierarchical=*/false, /*contention=*/true));
+        aggOptions(kNodes, aggregated, /*contention=*/true));
   }
 }
 
 /// Rebinding an aggregated executor re-derives the node grouping (and the
 /// leader's expected-frame set) collectively.
 TEST(Topology, AggregatedRebindStaysCorrect) {
-  AggFlagGuard agg(true);
   World::runSPMD(
       6,
       [](Comm& c) {
@@ -492,15 +482,15 @@ TEST(Topology, AggregatedRebindStaysCorrect) {
         std::vector<double> dst2(dstLen2, 0.0);
         ex.run(src, dst2);
         // Oracle: fresh flat-equivalent executors produce the same bytes.
-        // (The aggregation flag is still on, so these are also aggregated —
-        // the point is the rebind path, exercised against fresh binds.)
+        // (The world aggregates, so these are also aggregated — the point
+        // is the rebind path, exercised against fresh binds.)
         Executor<double> ex2(c, s2);
         std::vector<double> dst2b(dstLen2, 0.0);
         ex2.run(src, dst2b);
         EXPECT_EQ(0, std::memcmp(dst2.data(), dst2b.data(),
                                  dst2.size() * sizeof(double)));
       },
-      nodesOptions(2));
+      aggOptions(2, /*aggregated=*/true));
 }
 
 }  // namespace

@@ -93,9 +93,9 @@ TEST(TransportExtra, ScheduleExecutorRejectsMismatchedPlans) {
                      [](Comm& c) {
                        sched::Schedule s;
                        if (c.rank() == 0) {
-                         s.sends.push_back(sched::OffsetPlan{1, {0, 1}});
+                         s.sends.push_back(sched::OffsetPlan{1, {0, 1}, {}});
                        } else {
-                         s.recvs.push_back(sched::OffsetPlan{0, {0, 1, 2}});
+                         s.recvs.push_back(sched::OffsetPlan{0, {0, 1, 2}, {}});
                        }
                        std::vector<double> buf(8, 0.0);
                        sched::execute<double>(c, s, buf, buf, 42);
@@ -108,10 +108,11 @@ TEST(TransportExtra, ExecuteAddAccumulates) {
   World::runSPMD(2, [](Comm& c) {
     sched::Schedule s;
     if (c.rank() == 0) {
-      s.sends.push_back(sched::OffsetPlan{1, {0, 2}});
+      s.sends.push_back(sched::OffsetPlan{1, {0, 2}, {}});
       s.localPairs.emplace_back(1, 3);
     } else {
-      s.recvs.push_back(sched::OffsetPlan{0, {1, 1}});  // both add to slot 1
+      // Both elements add to slot 1.
+      s.recvs.push_back(sched::OffsetPlan{0, {1, 1}, {}});
     }
     std::vector<double> src{10, 20, 30, 40};
     std::vector<double> dst{1, 1, 1, 1};
@@ -126,8 +127,8 @@ TEST(TransportExtra, ExecuteAddAccumulates) {
 
 TEST(TransportExtra, ReverseTwiceIsIdentity) {
   sched::Schedule s;
-  s.sends.push_back(sched::OffsetPlan{2, {5, 6, 7}});
-  s.recvs.push_back(sched::OffsetPlan{1, {9}});
+  s.sends.push_back(sched::OffsetPlan{2, {5, 6, 7}, {}});
+  s.recvs.push_back(sched::OffsetPlan{1, {9}, {}});
   s.localPairs.emplace_back(3, 4);
   const sched::Schedule rr = sched::reverse(sched::reverse(s));
   ASSERT_EQ(rr.sends.size(), 1u);

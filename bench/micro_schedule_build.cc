@@ -11,13 +11,14 @@
 //     regular side compresses, the irregular side stays per-element;
 //   * irregular -> irregular (chaos -> chaos, different partitions and a
 //     shuffled index set): the adversarial floor — runs degenerate to
-//     single elements; the run-native pipeline leans on the batched
-//     dereference cache, so repeat builds resolve locally while the
-//     element-wise reference re-asks the table's home processors each rep.
+//     single elements.
 //
-// Each case reports the cold (first) and warm (subsequent) build times
-// separately plus the localize.deref_cache hit/miss counters, so the
-// inspector-reuse win is visible next to the averaged build time.
+// The element-wise leg is the test-only reference builder
+// (tests/oracle/elementwise_builder.h).  Both legs reach ownership through
+// the same adapter calls, the Chaos dereference cache included, so the A/B
+// compares only the join pipelines.  Each case reports the cold (first) and
+// warm (subsequent) build times separately plus the localize.deref_cache
+// hit/miss counters, so what the cache buys on repeat builds stays visible.
 //
 // Emits BENCH_schedule_build.json (obs::BenchReport, mc-bench-v1) next to
 // the ascii table so the perf trajectory is machine-trackable.
@@ -34,6 +35,7 @@
 #include "core/adapters/parti_adapter.h"
 #include "core/schedule_builder.h"
 #include "obs/json.h"
+#include "oracle/elementwise_builder.h"
 #include "util/rng.h"
 
 using namespace mc;
@@ -91,26 +93,34 @@ std::shared_ptr<chaos::IrregArray<double>> makeIrreg(transport::Comm& c,
 }
 
 /// Runs kReps cooperation builds of (srcObj, srcSet) -> (dstObj, dstSet)
-/// under the current pipeline mode and reports time and peak table bytes.
+/// with the element-wise reference builder or the run-native one and
+/// reports time and peak table bytes.
 template <typename MakeFn>
 Measurement measure(bool elementwise, MakeFn&& make) {
-  const bool prev = core::testing::buildElementwiseForTest(elementwise);
   Measurement out;
   transport::World::runSPMD(kProcs, [&](transport::Comm& c) {
     auto [srcObj, srcSet, dstObj, dstSet, holder] = make(c);
+    std::size_t tableBytes = 0;
+    const auto build = [&] {
+      if (elementwise) {
+        (void)core::elementwise::computeSchedule(c, srcObj, srcSet, dstObj,
+                                                 dstSet,
+                                                 core::Method::kCooperation,
+                                                 &tableBytes);
+      } else {
+        (void)core::computeSchedule(c, srcObj, srcSet, dstObj, dstSet,
+                                    core::Method::kCooperation);
+        tableBytes = core::lastBuildStats().ownershipTableBytes;
+      }
+    };
     const chaos::DerefCacheStats d0 = chaos::derefCacheStats();
     bench::PhaseTimer timer(c);
-    (void)core::computeSchedule(c, srcObj, srcSet, dstObj, dstSet,
-                                core::Method::kCooperation);
+    build();
     const double cold = timer.lap();
-    for (int i = 1; i < kReps; ++i) {
-      (void)core::computeSchedule(c, srcObj, srcSet, dstObj, dstSet,
-                                  core::Method::kCooperation);
-    }
+    for (int i = 1; i < kReps; ++i) build();
     const double warm = timer.lap() / (kReps - 1);
     const chaos::DerefCacheStats d1 = chaos::derefCacheStats();
-    const double peak = c.allreduceMax(
-        static_cast<double>(core::lastBuildStats().ownershipTableBytes));
+    const double peak = c.allreduceMax(static_cast<double>(tableBytes));
     const double hits =
         c.allreduceSum(static_cast<double>(d1.hits - d0.hits));
     const double misses =
@@ -124,7 +134,6 @@ Measurement measure(bool elementwise, MakeFn&& make) {
       out.derefMisses = misses;
     }
   });
-  core::testing::buildElementwiseForTest(prev);
   return out;
 }
 

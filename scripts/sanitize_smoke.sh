@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # Builds a sanitizer preset and runs a slice of the test suite under it.
 #
-# Default preset is asan-ubsan with the schedule-cache / run-compression
-# suite (plus the randomized copy fuzzer).  Pass --preset=tsan to run the
-# ThreadSanitizer build instead; its default filter is the transport /
-# executor / split-phase suites, where the cross-thread mailbox traffic
-# lives.
+# The lists below are the one place the sanitized slices are defined; CI
+# calls this script without a filter.  The default preset is asan-ubsan:
+# the schedule builder and executor suites, the randomized copy fuzzer, and
+# every decoder of bytes that arrive from another program, a file or a
+# client (region sets, library descriptors, the duplication bundle,
+# snapshot blobs).  Pass --preset=tsan to run the ThreadSanitizer build
+# instead: the transport / executor / split-phase suites, where the
+# cross-thread mailbox traffic lives.
 #
-# Usage: scripts/sanitize_smoke.sh [--preset=asan-ubsan|tsan] [extra ctest -R regex]
+# Usage: scripts/sanitize_smoke.sh [--preset=asan-ubsan|tsan] [ctest -R regex]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,11 +23,11 @@ fi
 case "$PRESET" in
   asan-ubsan)
     BUILD_DIR=build-asan
-    DEFAULT_FILTER="test_run_compression|test_schedule_cache|test_schedule_invariants|test_fuzz_copy|test_localize_batch|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot"
+    DEFAULT_FILTER="test_run_compression|test_run_join|test_schedule_cache|test_schedule_invariants|test_executor|test_split_phase|test_fuzz_copy|test_obs|test_localize_batch|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot|test_core_regions|test_core_interprogram|test_adapter_contract"
     ;;
   tsan)
     BUILD_DIR=build-tsan
-    DEFAULT_FILTER="test_transport|test_transport_extra|test_executor|test_split_phase|test_localize_batch|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot"
+    DEFAULT_FILTER="test_transport|test_transport_extra|test_executor|test_split_phase|test_obs|test_localize_batch|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot"
     ;;
   *)
     echo "unknown preset: $PRESET (expected asan-ubsan or tsan)" >&2

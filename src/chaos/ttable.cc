@@ -372,6 +372,11 @@ TranslationTable TranslationTable::deserialize(
 
   MC_REQUIRE(t.globalSize_ > 0 && !t.localCounts_.empty(),
              "corrupt translation-table blob: empty table");
+  // Bounded so the home-block and slice arithmetic below cannot overflow.
+  MC_REQUIRE(static_cast<std::uint64_t>(t.globalSize_) <=
+                 blob::kMaxDecodedElements,
+             "corrupt translation-table blob: global size %lld",
+             static_cast<long long>(t.globalSize_));
   const int np = static_cast<int>(t.localCounts_.size());
   MC_REQUIRE(t.homeBlock_ == (t.globalSize_ + np - 1) / np,
              "corrupt translation-table blob: home block does not match the "
@@ -382,7 +387,9 @@ TranslationTable TranslationTable::deserialize(
              "corrupt translation-table blob: negative query cost");
   Index countTotal = 0;
   for (const Index c : t.localCounts_) {
-    MC_REQUIRE(c >= 0, "corrupt translation-table blob: negative count");
+    MC_REQUIRE(c >= 0 && c <= t.globalSize_ - countTotal,
+               "corrupt translation-table blob: counts exceed the global "
+               "size");
     countTotal += c;
   }
   MC_REQUIRE(countTotal == t.globalSize_,

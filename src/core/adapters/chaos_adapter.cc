@@ -1,9 +1,5 @@
 #include "core/adapters/chaos_adapter.h"
 
-#include <cstring>
-
-#include "core/schedule_builder.h"
-
 namespace mc::core {
 
 using chaos::ElementLoc;
@@ -98,14 +94,9 @@ std::vector<LinLoc> ChaosAdapter::enumerateOwned(const DistObject& obj,
     base += rn;
   }
 
-  // The production path resolves its slice through the batched per-rank
-  // dereference cache; the element-wise oracle pipeline keeps the uncached
-  // per-element dereference so the differential benches compare the real
-  // inspector costs.
+  // The slice resolves through the batched per-rank dereference cache.
   const std::vector<ElementLoc> locs =
-      testing::buildElementwiseEnabled()
-          ? table.dereference(comm, sliceGlobals)
-          : table.dereferenceCached(comm, sliceGlobals);
+      table.dereferenceCached(comm, sliceGlobals);
 
   // Route (lin, offset) to each element's owner.
   struct Rec {
@@ -147,35 +138,17 @@ std::vector<std::byte> ChaosAdapter::serializeDesc(
   const auto& table = obj.as<TranslationTable>();
   // Shipping a Chaos descriptor means shipping the whole table — the
   // O(array size) cost that makes inter-program duplication impractical.
-  const std::vector<ElementLoc> full = table.gatherFull(comm);
-  constexpr size_t kHeader = sizeof(Index) + sizeof(double);
-  std::vector<std::byte> out(kHeader + full.size() * sizeof(ElementLoc));
-  const Index nprocs = comm.size();
-  const double cost = table.modeledQueryCost();
-  std::memcpy(out.data(), &nprocs, sizeof(Index));
-  std::memcpy(out.data() + sizeof(Index), &cost, sizeof(double));
-  std::memcpy(out.data() + kHeader, full.data(),
-              full.size() * sizeof(ElementLoc));
-  return out;
+  return TranslationTable::replicatedFromEntries(
+             table.gatherFull(comm), comm.size(), table.modeledQueryCost())
+      .serialize();
 }
 
 DistObject ChaosAdapter::deserializeDesc(
     std::span<const std::byte> bytes) const {
-  constexpr size_t kHeader = sizeof(Index) + sizeof(double);
-  MC_REQUIRE(bytes.size() >= kHeader &&
-                 (bytes.size() - kHeader) % sizeof(ElementLoc) == 0,
-             "bad chaos descriptor");
-  Index nprocs = 0;
-  double cost = 0;
-  std::memcpy(&nprocs, bytes.data(), sizeof(Index));
-  std::memcpy(&cost, bytes.data() + sizeof(Index), sizeof(double));
-  std::vector<ElementLoc> entries((bytes.size() - kHeader) /
-                                  sizeof(ElementLoc));
-  std::memcpy(entries.data(), bytes.data() + kHeader,
-              bytes.size() - kHeader);
   auto table = std::make_shared<const TranslationTable>(
-      TranslationTable::replicatedFromEntries(
-          std::move(entries), static_cast<int>(nprocs), cost));
+      TranslationTable::deserialize(bytes));
+  MC_REQUIRE(table->storage() == TranslationTable::Storage::kReplicated,
+             "a shipped chaos descriptor must carry a replicated table");
   return DistObject("chaos", std::move(table));
 }
 

@@ -1,7 +1,5 @@
 #include "core/adapters/hpf_adapter.h"
 
-#include <cstring>
-
 #include "core/adapters/run_emitter.h"
 #include "core/adapters/section_range.h"
 #include "util/hash.h"
@@ -135,43 +133,17 @@ std::uint64_t HpfAdapter::localFingerprint(const DistObject& obj) const {
 
 std::vector<std::byte> HpfAdapter::serializeDesc(const DistObject& obj,
                                                  transport::Comm&) const {
-  const auto& dist = obj.as<hpfrt::HpfDist>();
-  const layout::Shape& shape = dist.globalShape();
-  std::vector<Index> words;
-  words.push_back(shape.rank);
-  for (int d = 0; d < shape.rank; ++d) words.push_back(shape[d]);
-  for (const hpfrt::DimDist& dd : dist.dims()) {
-    words.push_back(static_cast<Index>(dd.kind));
-    words.push_back(dd.procs);
-    words.push_back(dd.param);
-  }
-  std::vector<std::byte> out(words.size() * sizeof(Index));
-  std::memcpy(out.data(), words.data(), out.size());
+  std::vector<std::byte> out;
+  obj.as<hpfrt::HpfDist>().serialize(out);
   return out;
 }
 
 DistObject HpfAdapter::deserializeDesc(
     std::span<const std::byte> bytes) const {
-  MC_REQUIRE(bytes.size() % sizeof(Index) == 0, "bad hpf descriptor");
-  std::vector<Index> words(bytes.size() / sizeof(Index));
-  std::memcpy(words.data(), bytes.data(), bytes.size());
-  size_t pos = 0;
-  const int rank = static_cast<int>(words.at(pos++));
-  MC_REQUIRE(rank >= 1 && rank <= layout::kMaxRank, "bad hpf descriptor");
-  MC_REQUIRE(words.size() == 1 + 4 * static_cast<size_t>(rank),
-             "bad hpf descriptor");
-  layout::Shape shape;
-  shape.rank = rank;
-  for (int d = 0; d < rank; ++d) shape[d] = words.at(pos++);
-  std::vector<hpfrt::DimDist> dims;
-  for (int d = 0; d < rank; ++d) {
-    hpfrt::DimDist dd;
-    dd.kind = static_cast<hpfrt::DistKind>(words.at(pos++));
-    dd.procs = static_cast<int>(words.at(pos++));
-    dd.param = words.at(pos++);
-    dims.push_back(dd);
-  }
-  auto desc = std::make_shared<const hpfrt::HpfDist>(shape, std::move(dims));
+  blob::ByteReader r(bytes);
+  auto desc =
+      std::make_shared<const hpfrt::HpfDist>(hpfrt::HpfDist::deserialize(r));
+  r.requireEnd("hpf descriptor");
   return DistObject("hpf", std::move(desc));
 }
 

@@ -1,7 +1,5 @@
 #include "core/adapters/parti_adapter.h"
 
-#include <cstring>
-
 #include "core/adapters/run_emitter.h"
 #include "core/adapters/section_range.h"
 #include "util/hash.h"
@@ -130,36 +128,17 @@ std::uint64_t PartiAdapter::localFingerprint(const DistObject& obj) const {
 
 std::vector<std::byte> PartiAdapter::serializeDesc(const DistObject& obj,
                                                    transport::Comm&) const {
-  const auto& desc = obj.as<parti::PartiDesc>();
-  const layout::Shape& shape = desc.decomp.globalShape();
-  std::vector<Index> words;
-  words.push_back(shape.rank);
-  for (int d = 0; d < shape.rank; ++d) words.push_back(shape[d]);
-  for (int g : desc.decomp.grid()) words.push_back(g);
-  words.push_back(desc.ghost);
-  std::vector<std::byte> out(words.size() * sizeof(Index));
-  std::memcpy(out.data(), words.data(), out.size());
+  std::vector<std::byte> out;
+  obj.as<parti::PartiDesc>().serialize(out);
   return out;
 }
 
 DistObject PartiAdapter::deserializeDesc(
     std::span<const std::byte> bytes) const {
-  MC_REQUIRE(bytes.size() % sizeof(Index) == 0, "bad parti descriptor");
-  std::vector<Index> words(bytes.size() / sizeof(Index));
-  std::memcpy(words.data(), bytes.data(), bytes.size());
-  size_t pos = 0;
-  const int rank = static_cast<int>(words.at(pos++));
-  MC_REQUIRE(rank >= 1 && rank <= layout::kMaxRank, "bad parti descriptor");
-  MC_REQUIRE(words.size() == 2 + 2 * static_cast<size_t>(rank),
-             "bad parti descriptor");
-  layout::Shape shape;
-  shape.rank = rank;
-  for (int d = 0; d < rank; ++d) shape[d] = words.at(pos++);
-  std::vector<int> grid;
-  for (int d = 0; d < rank; ++d) grid.push_back(static_cast<int>(words.at(pos++)));
-  const int ghost = static_cast<int>(words.at(pos++));
+  blob::ByteReader r(bytes);
   auto desc = std::make_shared<const parti::PartiDesc>(
-      parti::PartiDesc{layout::BlockDecomp(shape, grid), ghost});
+      parti::PartiDesc::deserialize(r));
+  r.requireEnd("parti descriptor");
   return DistObject("parti", std::move(desc));
 }
 

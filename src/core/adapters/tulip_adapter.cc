@@ -1,7 +1,5 @@
 #include "core/adapters/tulip_adapter.h"
 
-#include <cstring>
-
 #include "core/adapters/run_emitter.h"
 #include "util/hash.h"
 
@@ -108,22 +106,17 @@ std::uint64_t TulipAdapter::localFingerprint(const DistObject& obj) const {
 
 std::vector<std::byte> TulipAdapter::serializeDesc(const DistObject& obj,
                                                    transport::Comm&) const {
-  const auto& desc = obj.as<tulip::TulipDesc>();
-  const Index words[3] = {desc.size, desc.nprocs,
-                          static_cast<Index>(desc.placement)};
-  std::vector<std::byte> out(sizeof(words));
-  std::memcpy(out.data(), words, sizeof(words));
+  std::vector<std::byte> out;
+  obj.as<tulip::TulipDesc>().serialize(out);
   return out;
 }
 
 DistObject TulipAdapter::deserializeDesc(
     std::span<const std::byte> bytes) const {
-  MC_REQUIRE(bytes.size() == 3 * sizeof(Index), "bad pc++ descriptor");
-  Index words[3];
-  std::memcpy(words, bytes.data(), sizeof(words));
+  blob::ByteReader r(bytes);
   auto desc = std::make_shared<const tulip::TulipDesc>(
-      tulip::TulipDesc{words[0], static_cast<int>(words[1]),
-                       static_cast<tulip::Placement>(words[2])});
+      tulip::TulipDesc::deserialize(r));
+  r.requireEnd("pc++ descriptor");
   return DistObject("pc++", std::move(desc));
 }
 

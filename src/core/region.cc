@@ -1,8 +1,9 @@
 #include "core/region.h"
 
 #include <cstdint>
-#include <cstring>
+#include <limits>
 
+#include "util/blob_io.h"
 #include "util/error.h"
 
 namespace mc::core {
@@ -76,51 +77,31 @@ Region::Kind SetOfRegions::kind() const {
   return regions_.front().kind();
 }
 
-namespace {
-
-void putIndex(std::vector<std::byte>& out, Index v) {
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
-}
-
-Index getIndex(std::span<const std::byte> bytes, size_t& pos) {
-  MC_REQUIRE(pos + sizeof(Index) <= bytes.size(), "truncated SetOfRegions");
-  Index v = 0;
-  std::memcpy(&v, bytes.data() + pos, sizeof(v));
-  pos += sizeof(v);
-  return v;
-}
-
-}  // namespace
-
 std::vector<std::byte> serializeSet(const SetOfRegions& set) {
   std::vector<std::byte> out;
-  putIndex(out, static_cast<Index>(set.regions().size()));
+  blob::putU64(out, set.regions().size());
   for (const Region& r : set.regions()) {
-    putIndex(out, static_cast<Index>(r.kind()));
+    blob::putU64(out, static_cast<std::uint64_t>(r.kind()));
     switch (r.kind()) {
       case Region::Kind::kSection: {
         const layout::RegularSection& s = r.asSection();
-        putIndex(out, s.rank);
+        blob::putU64(out, static_cast<std::uint64_t>(s.rank));
         for (int d = 0; d < s.rank; ++d) {
           const auto dd = static_cast<size_t>(d);
-          putIndex(out, s.lo[dd]);
-          putIndex(out, s.hi[dd]);
-          putIndex(out, s.stride[dd]);
+          blob::putU64(out, static_cast<std::uint64_t>(s.lo[dd]));
+          blob::putU64(out, static_cast<std::uint64_t>(s.hi[dd]));
+          blob::putU64(out, static_cast<std::uint64_t>(s.stride[dd]));
         }
         break;
       }
-      case Region::Kind::kIndices: {
-        const auto& idx = r.asIndices();
-        putIndex(out, static_cast<Index>(idx.size()));
-        for (Index g : idx) putIndex(out, g);
+      case Region::Kind::kIndices:
+        blob::putPods(out, r.asIndices());
         break;
-      }
       case Region::Kind::kRange: {
         const ElementRange& e = r.asRange();
-        putIndex(out, e.lo);
-        putIndex(out, e.hi);
-        putIndex(out, e.stride);
+        blob::putU64(out, static_cast<std::uint64_t>(e.lo));
+        blob::putU64(out, static_cast<std::uint64_t>(e.hi));
+        blob::putU64(out, static_cast<std::uint64_t>(e.stride));
         break;
       }
     }
@@ -128,53 +109,78 @@ std::vector<std::byte> serializeSet(const SetOfRegions& set) {
   return out;
 }
 
+namespace {
+
+constexpr Index kMaxIndex = std::numeric_limits<Index>::max();
+
+/// Element count of lo..hi:stride (hi inclusive), rejecting a stride <= 0
+/// and bounds whose difference (which numElements() computes as an Index)
+/// or count does not fit in Index.
+Index checkedCount(Index lo, Index hi, Index stride) {
+  MC_REQUIRE(stride > 0, "serialized SetOfRegions has stride %lld",
+             static_cast<long long>(stride));
+  if (hi < lo) return 0;
+  // hi >= lo, so the unsigned difference is exact.
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+  MC_REQUIRE(span < static_cast<std::uint64_t>(kMaxIndex),
+             "serialized SetOfRegions bounds [%lld, %lld] overflow Index",
+             static_cast<long long>(lo), static_cast<long long>(hi));
+  return static_cast<Index>(span) / stride + 1;
+}
+
+}  // namespace
+
 SetOfRegions deserializeSet(std::span<const std::byte> bytes) {
+  blob::ByteReader r(bytes);
   SetOfRegions set;
-  size_t pos = 0;
-  const Index nRegions = getIndex(bytes, pos);
-  for (Index i = 0; i < nRegions; ++i) {
-    const auto kind = static_cast<Region::Kind>(getIndex(bytes, pos));
+  // Every region carries at least its kind word.
+  const std::uint64_t nRegions = r.count(sizeof(std::uint64_t));
+  Index total = 0;
+  for (std::uint64_t i = 0; i < nRegions; ++i) {
+    const auto kind = static_cast<Region::Kind>(
+        r.u64In(0, static_cast<std::uint64_t>(Region::Kind::kRange),
+                "SetOfRegions region kind"));
+    Index n = 0;
     switch (kind) {
       case Region::Kind::kSection: {
         layout::RegularSection s;
-        s.rank = static_cast<int>(getIndex(bytes, pos));
-        MC_REQUIRE(s.rank >= 1 && s.rank <= layout::kMaxRank,
-                   "bad section rank in serialized SetOfRegions");
+        s.rank = static_cast<int>(
+            r.u64In(1, layout::kMaxRank, "SetOfRegions section rank"));
+        n = 1;
         for (int d = 0; d < s.rank; ++d) {
           const auto dd = static_cast<size_t>(d);
-          s.lo[dd] = getIndex(bytes, pos);
-          s.hi[dd] = getIndex(bytes, pos);
-          s.stride[dd] = getIndex(bytes, pos);
+          s.lo[dd] = static_cast<Index>(r.u64());
+          s.hi[dd] = static_cast<Index>(r.u64());
+          s.stride[dd] = static_cast<Index>(r.u64());
+          const Index c = checkedCount(s.lo[dd], s.hi[dd], s.stride[dd]);
+          MC_REQUIRE(c == 0 || n <= kMaxIndex / c,
+                     "serialized SetOfRegions section overflows Index");
+          n *= c;
         }
         set.add(Region::section(s));
         break;
       }
       case Region::Kind::kIndices: {
-        // The count arrives from another program: bound it by the bytes
-        // actually present before reserving anything.
-        const Index n = getIndex(bytes, pos);
-        MC_REQUIRE(n >= 0 && static_cast<std::uint64_t>(n) <=
-                                 (bytes.size() - pos) / sizeof(Index),
-                   "index count %lld exceeds serialized SetOfRegions",
-                   static_cast<long long>(n));
-        std::vector<Index> idx;
-        idx.reserve(static_cast<size_t>(n));
-        for (Index k = 0; k < n; ++k) idx.push_back(getIndex(bytes, pos));
+        std::vector<Index> idx = r.pods<Index>();
+        n = static_cast<Index>(idx.size());
         set.add(Region::indices(std::move(idx)));
         break;
       }
       case Region::Kind::kRange: {
-        const Index lo = getIndex(bytes, pos);
-        const Index hi = getIndex(bytes, pos);
-        const Index stride = getIndex(bytes, pos);
+        const auto lo = static_cast<Index>(r.u64());
+        const auto hi = static_cast<Index>(r.u64());
+        const auto stride = static_cast<Index>(r.u64());
+        n = checkedCount(lo, hi, stride);
         set.add(Region::range(lo, hi, stride));
         break;
       }
-      default:
-        MC_REQUIRE(false, "bad region kind in serialized SetOfRegions");
     }
+    MC_REQUIRE(n <= kMaxIndex - total,
+               "serialized SetOfRegions overflows Index");
+    total += n;
   }
-  MC_REQUIRE(pos == bytes.size(), "trailing bytes in serialized SetOfRegions");
+  r.requireEnd("serialized SetOfRegions");
   return set;
 }
 

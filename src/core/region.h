@@ -82,9 +82,15 @@ class SetOfRegions {
   std::vector<Region> regions_;
 };
 
-/// Wire formats for shipping sets between programs (used by the
-/// inter-program duplication method).
+/// Wire format for shipping sets between programs (used by the
+/// inter-program duplication method): the region count, then per region
+/// its kind and fields, every field one u64; an index list is a count plus
+/// raw Indexes.
 std::vector<std::byte> serializeSet(const SetOfRegions& set);
+/// Inverse of serializeSet.  The bytes come from another program: unknown
+/// region kinds, strides <= 0 and bounds whose element count overflows
+/// Index (per dimension, per section or summed over the set) throw
+/// mc::Error, so numElements() of a decoded set is always defined.
 SetOfRegions deserializeSet(std::span<const std::byte> bytes);
 
 }  // namespace mc::core

@@ -1,12 +1,12 @@
 #include "core/schedule_builder.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstring>
 
+#include "core/builder_internal.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "sched/kernels.h"
+#include "util/blob_io.h"
 
 namespace mc::core {
 
@@ -16,7 +16,6 @@ using sched::OffsetRun;
 
 namespace {
 
-std::atomic<bool> g_buildElementwise{false};
 thread_local BuildStats g_buildStats;
 thread_local PatchStats g_patchStats;
 // Monotone per-rank build telemetry for the obs registry (g_buildStats
@@ -96,73 +95,59 @@ void noteBuildDone() {
   g_kernelIndexList += g_buildStats.kernelIndexListPlans;
 }
 
-// ---------------------------------------------------------------------------
-// Wire formats.
-//
-// The cooperation method ships ownership information and marching orders
-// between processors.  All streams are run-length encoded with strides:
-// regular data produces long arithmetic runs (whole section rows), so the
-// shipped volume stays proportional to the number of *blocks*, not the
-// number of elements — matching the compact descriptors the original
-// Meta-Chaos shipped for regular sections.  Fully irregular data degrades
-// to count-1 runs, whose cost profile the paper's Chaos experiments show.
-//
-// Ownership runs ship as core::LinRun (the adapter inquiry type — the
-// sender is implied by the lane); both builder pipelines produce identical
-// streams, since the run-wise append helpers replicate the element-wise
-// coalescing greedy exactly.
-// ---------------------------------------------------------------------------
+}  // namespace
 
-/// A source processor's marching order: `count` elements packed from
-/// srcOff + k*srcStride going to dstOwner at dstOff + k*dstStride (the
-/// destination offsets matter only for processor-local transfers).  Carries
-/// the first linearization position so the same records double as the
-/// schedule's provenance stream (SendSeg) — lanes merge only across
-/// lin-contiguous records, which makes the greedy cut-invariant over any
-/// sub-stream and the recorded segment cut canonical.
-using SendRun = SendSeg;
-
-/// A destination processor's marching order: `count` elements from srcOwner
-/// unpacked into dstOff + k*dstStride.
-using RecvRun = RecvSeg;
+namespace detail {
 
 const LibraryAdapter& adapterFor(const DistObject& obj) {
   registerBuiltinAdapters();
   return Registry::instance().get(obj.library());
 }
 
-/// Cross-program personalized all-to-all.  Collective over *both* programs:
-/// each processor passes one buffer per remote rank and receives one from
-/// each.  Pairing relies on both programs making matching calls in order.
-template <typename T>
-std::vector<std::vector<T>> interAlltoall(
-    transport::Comm& comm, int remoteProgram,
-    const std::vector<std::vector<T>>& sendTo) {
-  const int tag = comm.nextInterTag(remoteProgram);
-  const int rp = comm.programInfo(remoteProgram).nprocs;
-  MC_REQUIRE(static_cast<int>(sendTo.size()) == rp,
-             "interAlltoall needs one lane per remote rank (%d), got %zu", rp,
-             sendTo.size());
-  for (int r = 0; r < rp; ++r) {
-    comm.sendTo(remoteProgram, r, tag, sendTo[static_cast<size_t>(r)]);
+void emitSend(std::vector<SendRun>& lane, Index lin, Index srcOff,
+              Index dstOff, Index dstOwner) {
+  if (!lane.empty()) {
+    SendRun& run = lane.back();
+    if (run.dstOwner == dstOwner && lin == run.lin + run.count) {
+      if (run.count == 1) {
+        run.srcStride = srcOff - run.srcOff;
+        run.dstStride = dstOff - run.dstOff;
+        ++run.count;
+        return;
+      }
+      if (srcOff == run.srcOff + run.count * run.srcStride &&
+          dstOff == run.dstOff + run.count * run.dstStride) {
+        ++run.count;
+        return;
+      }
+    }
   }
-  std::vector<std::vector<T>> out(static_cast<size_t>(rp));
-  for (int r = 0; r < rp; ++r) {
-    out[static_cast<size_t>(r)] = comm.recvFrom<T>(remoteProgram, r, tag);
-  }
-  return out;
+  lane.push_back(SendRun{lin, srcOff, dstOff, 1, 0, 0, dstOwner});
 }
 
-// ---------------------------------------------------------------------------
-// Shared run-wise emission helpers.
-//
-// Each replicates the corresponding element-wise greedy exactly (see
-// sched::appendOffsetRun for the argument): lanes come out bit-identical
-// no matter how the incoming element sequence is cut into runs.
-// ---------------------------------------------------------------------------
+void emitRecv(std::vector<RecvRun>& lane, Index lin, Index dstOff,
+              Index srcOwner) {
+  if (!lane.empty()) {
+    RecvRun& run = lane.back();
+    if (run.srcOwner == srcOwner && lin == run.lin + run.count) {
+      if (run.count == 1) {
+        run.dstStride = dstOff - run.dstOff;
+        ++run.count;
+        return;
+      }
+      if (dstOff == run.dstOff + run.count * run.dstStride) {
+        ++run.count;
+        return;
+      }
+    }
+  }
+  lane.push_back(RecvRun{lin, dstOff, 1, 0, srcOwner});
+}
 
-/// Extends `lane` with a whole marching-order run, byte-identical to
-/// emitting its elements one at a time through the element-wise emitSend.
+// The run-wise appenders replicate the emitSend/emitRecv greedy exactly
+// (see sched::appendOffsetRun for the argument): lanes come out
+// bit-identical no matter how the incoming element sequence is cut into
+// runs.
 void appendSendRun(std::vector<SendRun>& lane, SendRun run) {
   while (run.count > 0) {
     if (!lane.empty()) {
@@ -203,7 +188,6 @@ void appendSendRun(std::vector<SendRun>& lane, SendRun run) {
   }
 }
 
-/// Run-wise form of the element-wise emitRecv greedy.
 void appendRecvRun(std::vector<RecvRun>& lane, RecvRun run) {
   while (run.count > 0) {
     if (!lane.empty()) {
@@ -236,6 +220,86 @@ void appendRecvRun(std::vector<RecvRun>& lane, RecvRun run) {
   }
 }
 
+std::vector<std::vector<LinRun>> routeToChunks(const std::vector<LinLoc>& owned,
+                                               Index chunk, int nChunks) {
+  std::vector<std::vector<LinRun>> to(static_cast<size_t>(nChunks));
+  for (const LinLoc& ll : owned) {
+    appendLinElement(to[static_cast<size_t>(ll.lin / chunk)], ll.lin,
+                     ll.offset);
+  }
+  return to;
+}
+
+std::vector<std::byte> packRemoteBundle(const LibraryAdapter& lib,
+                                        const DistObject& obj,
+                                        const SetOfRegions& set,
+                                        transport::Comm& comm) {
+  std::vector<std::byte> out;
+  blob::putStr(out, lib.name());
+  blob::putBytes(out, lib.serializeDesc(obj, comm));
+  blob::putBytes(out, serializeSet(set));
+  return out;
+}
+
+std::pair<DistObject, SetOfRegions> unpackRemoteBundle(
+    std::span<const std::byte> bytes) {
+  blob::ByteReader r(bytes);
+  const std::string name = r.str();
+  const std::span<const std::byte> desc = r.bytes();
+  const std::span<const std::byte> set = r.bytes();
+  r.requireEnd("remote bundle");
+  registerBuiltinAdapters();
+  DistObject obj = Registry::instance().get(name).deserializeDesc(desc);
+  return {std::move(obj), deserializeSet(set)};
+}
+
+std::vector<std::byte> exchangeBlob(transport::Comm& comm, int remoteProgram,
+                                    const std::vector<std::byte>& mine) {
+  const int tag = comm.nextInterTag(remoteProgram);
+  std::vector<std::byte> theirs;
+  if (comm.rank() == 0) {
+    comm.sendBytesTo(remoteProgram, 0, tag, mine);
+    theirs = comm.recvMsgFrom(remoteProgram, 0, tag).payload;
+  }
+  comm.bcastBytes(theirs, 0);
+  return theirs;
+}
+
+void handshakeCount(transport::Comm& comm, int remoteProgram, Index n) {
+  const int tag = comm.nextInterTag(remoteProgram);
+  if (comm.rank() == 0) {
+    comm.sendValueTo(remoteProgram, 0, tag, n);
+    const Index other = comm.recvValueFrom<Index>(remoteProgram, 0, tag);
+    MC_REQUIRE(other == n,
+               "source and destination sets differ in size (%lld vs %lld)",
+               static_cast<long long>(n), static_cast<long long>(other));
+  }
+  comm.barrier();  // everyone learns that the check passed (or the world died)
+}
+
+}  // namespace detail
+
+using namespace detail;
+
+namespace {
+
+// ---------------------------------------------------------------------------
+// Wire formats.
+//
+// The cooperation method ships ownership information and marching orders
+// between processors.  All streams are run-length encoded with strides:
+// regular data produces long arithmetic runs (whole section rows), so the
+// shipped volume stays proportional to the number of *blocks*, not the
+// number of elements — matching the compact descriptors the original
+// Meta-Chaos shipped for regular sections.  Fully irregular data degrades
+// to count-1 runs, whose cost profile the paper's Chaos experiments show.
+//
+// Ownership runs ship as core::LinRun (the adapter inquiry type — the
+// sender is implied by the lane).  The run-wise append helpers replicate
+// the element-wise coalescing greedy exactly, so a stream's bytes do not
+// depend on how its elements were cut into runs.
+// ---------------------------------------------------------------------------
+
 /// Routes a processor's owned runs into per-chunk LinRun streams, splitting
 /// runs at chunk boundaries (runs never cross chunks on the wire).
 std::vector<std::vector<LinRun>> routeRunsToChunks(
@@ -255,26 +319,12 @@ std::vector<std::vector<LinRun>> routeRunsToChunks(
   return to;
 }
 
-/// Element-wise variant of routeRunsToChunks, used by the reference
-/// pipeline; produces identical streams for identical element sequences.
-std::vector<std::vector<LinRun>> routeToChunks(const std::vector<LinLoc>& owned,
-                                               Index chunk, int nChunks) {
-  std::vector<std::vector<LinRun>> to(static_cast<size_t>(nChunks));
-  for (const LinLoc& ll : owned) {
-    appendLinElement(to[static_cast<size_t>(ll.lin / chunk)], ll.lin,
-                     ll.offset);
-  }
-  return to;
-}
-
 // ---------------------------------------------------------------------------
 // Ownership tables.
 //
-// ChunkTable is the run-native form: a sorted interval table of
-// (positions, owner, offsets) runs covering the chunk exactly, filled
-// straight from LinRun streams without per-element expansion — O(runs)
-// memory.  ChunkInfo is the element-wise reference form kept behind
-// testing::buildElementwiseForTest — O(elements) memory.
+// ChunkTable is a sorted interval table of (positions, owner, offsets)
+// runs covering the chunk exactly, filled straight from LinRun streams
+// without per-element expansion — O(runs) memory.
 // ---------------------------------------------------------------------------
 
 /// One ownership run of a chunk: positions [lin, lin+count) owned by
@@ -400,106 +450,12 @@ Index offAt(const OwnedRun& r, Index pos) {
   return r.off + (pos - r.lin) * r.offStride;
 }
 
-/// One chunk's joined ownership table — the element-wise reference form.
-struct ChunkInfo {
-  Index lo = 0;
-  Index size = 0;
-  // at[k] = {owner, offset} for position lo + k; owner -1 = unset.
-  std::vector<int> owner;
-  std::vector<Index> offset;
-
-  explicit ChunkInfo(Index lo_, Index size_)
-      : lo(lo_),
-        size(size_),
-        owner(static_cast<size_t>(size_), -1),
-        offset(static_cast<size_t>(size_), 0) {}
-
-  void put(Index lin, int who, Index off, const char* side) {
-    MC_REQUIRE(lin >= lo && lin < lo + size,
-               "%s element at position %lld routed to the wrong chunk", side,
-               static_cast<long long>(lin));
-    const auto k = static_cast<size_t>(lin - lo);
-    MC_REQUIRE(owner[k] == -1, "%s linearization visits position %lld twice",
-               side, static_cast<long long>(lin));
-    owner[k] = who;
-    offset[k] = off;
-  }
-
-  void fillFromRuns(const std::vector<std::vector<LinRun>>& rows,
-                    const char* side) {
-    for (size_t sender = 0; sender < rows.size(); ++sender) {
-      for (const LinRun& run : rows[sender]) {
-        for (Index k = 0; k < run.count; ++k) {
-          put(run.lin + k, static_cast<int>(sender),
-              run.off + k * run.offStride, side);
-        }
-      }
-    }
-  }
-
-  void checkComplete(const char* side) const {
-    for (Index k = 0; k < size; ++k) {
-      MC_REQUIRE(owner[static_cast<size_t>(k)] != -1,
-                 "%s linearization skips position %lld", side,
-                 static_cast<long long>(lo + k));
-    }
-  }
-
-  std::size_t tableBytes() const {
-    return static_cast<size_t>(size) * (sizeof(int) + sizeof(Index));
-  }
-};
-
-/// Extends or starts a SendRun in `lane` (element-wise reference emitter).
-void emitSend(std::vector<SendRun>& lane, Index lin, Index srcOff,
-              Index dstOff, Index dstOwner) {
-  if (!lane.empty()) {
-    SendRun& run = lane.back();
-    if (run.dstOwner == dstOwner && lin == run.lin + run.count) {
-      if (run.count == 1) {
-        run.srcStride = srcOff - run.srcOff;
-        run.dstStride = dstOff - run.dstOff;
-        ++run.count;
-        return;
-      }
-      if (srcOff == run.srcOff + run.count * run.srcStride &&
-          dstOff == run.dstOff + run.count * run.dstStride) {
-        ++run.count;
-        return;
-      }
-    }
-  }
-  lane.push_back(SendRun{lin, srcOff, dstOff, 1, 0, 0, dstOwner});
-}
-
-/// Extends or starts a RecvRun in `lane` (element-wise reference emitter).
-void emitRecv(std::vector<RecvRun>& lane, Index lin, Index dstOff,
-              Index srcOwner) {
-  if (!lane.empty()) {
-    RecvRun& run = lane.back();
-    if (run.srcOwner == srcOwner && lin == run.lin + run.count) {
-      if (run.count == 1) {
-        run.dstStride = dstOff - run.dstOff;
-        ++run.count;
-        return;
-      }
-      if (dstOff == run.dstOff + run.count * run.dstStride) {
-        ++run.count;
-        return;
-      }
-    }
-  }
-  lane.push_back(RecvRun{lin, dstOff, 1, 0, srcOwner});
-}
-
 // ---------------------------------------------------------------------------
 // Plan assembly.
 //
-// The run-native assemblers turn SendRun/RecvRun rows into runs-first
-// OffsetPlans without ever expanding an offset list; the element-wise
-// reference assemblers expand into per-element offsets (the historical
-// form).  Rows arrive chunk-ordered, so per-peer lanes stay in
-// linearization order either way.
+// The assemblers turn SendRun/RecvRun rows into runs-first OffsetPlans
+// without ever expanding an offset list.  Rows arrive chunk-ordered, so
+// per-peer lanes stay in linearization order.
 // ---------------------------------------------------------------------------
 
 void assembleSendsRuns(const std::vector<std::vector<SendRun>>& rows, int me,
@@ -553,59 +509,6 @@ void assembleRecvsRuns(const std::vector<std::vector<RecvRun>>& rows,
   }
 }
 
-void assembleSendsElementwise(const std::vector<std::vector<SendRun>>& rows,
-                              int me, bool allowLocal, sched::Schedule& plan,
-                              std::vector<SendSeg>* segs = nullptr) {
-  std::vector<std::vector<Index>> byPeer;
-  for (const auto& row : rows) {
-    for (const SendRun& run : row) {
-      if (segs) appendSendRun(*segs, run);
-      if (allowLocal && run.dstOwner == me) {
-        for (Index k = 0; k < run.count; ++k) {
-          plan.localPairs.emplace_back(run.srcOff + k * run.srcStride,
-                                       run.dstOff + k * run.dstStride);
-        }
-        continue;
-      }
-      if (byPeer.size() <= static_cast<size_t>(run.dstOwner)) {
-        byPeer.resize(static_cast<size_t>(run.dstOwner) + 1);
-      }
-      auto& offsets = byPeer[static_cast<size_t>(run.dstOwner)];
-      for (Index k = 0; k < run.count; ++k) {
-        offsets.push_back(run.srcOff + k * run.srcStride);
-      }
-    }
-  }
-  for (size_t p = 0; p < byPeer.size(); ++p) {
-    if (byPeer[p].empty()) continue;
-    plan.sends.push_back(
-        sched::OffsetPlan{static_cast<int>(p), std::move(byPeer[p]), {}});
-  }
-}
-
-void assembleRecvsElementwise(const std::vector<std::vector<RecvRun>>& rows,
-                              sched::Schedule& plan,
-                              std::vector<RecvSeg>* segs = nullptr) {
-  std::vector<std::vector<Index>> byPeer;
-  for (const auto& row : rows) {
-    for (const RecvRun& run : row) {
-      if (segs) appendRecvRun(*segs, run);
-      if (byPeer.size() <= static_cast<size_t>(run.srcOwner)) {
-        byPeer.resize(static_cast<size_t>(run.srcOwner) + 1);
-      }
-      auto& offsets = byPeer[static_cast<size_t>(run.srcOwner)];
-      for (Index k = 0; k < run.count; ++k) {
-        offsets.push_back(run.dstOff + k * run.dstStride);
-      }
-    }
-  }
-  for (size_t p = 0; p < byPeer.size(); ++p) {
-    if (byPeer[p].empty()) continue;
-    plan.recvs.push_back(
-        sched::OffsetPlan{static_cast<int>(p), std::move(byPeer[p]), {}});
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Chunk ownership acquisition.
 // ---------------------------------------------------------------------------
@@ -646,32 +549,6 @@ ChunkTable chunkTableIntra(transport::Comm& comm, const LibraryAdapter& lib,
   comm.compute([&] { table.checkComplete(side); });
   g_buildStats.ownershipTableBytes += table.tableBytes();
   return table;
-}
-
-/// Element-wise reference form of chunkTableIntra.
-ChunkInfo chunkInfoIntra(transport::Comm& comm, const LibraryAdapter& lib,
-                         const DistObject& obj, const SetOfRegions& set,
-                         Index n, Index chunk, const char* side) {
-  const int me = comm.rank();
-  const Index lo = chunk * me;
-  const Index size = std::max<Index>(0, std::min(n, lo + chunk) - lo);
-  ChunkInfo info(lo, size);
-  if (lib.supportsLocalEnumeration(obj)) {
-    comm.compute([&] {
-      lib.enumerateRange(obj, set, lo, lo + size,
-                         [&](Index lin, int owner, Index off) {
-                           info.put(lin, owner, off, side);
-                         });
-    });
-  } else {
-    const std::vector<LinLoc> owned = lib.enumerateOwned(obj, set, comm);
-    auto rows = comm.alltoall(comm.computeValue(
-        [&] { return routeToChunks(owned, chunk, comm.size()); }));
-    comm.compute([&] { info.fillFromRuns(rows, side); });
-  }
-  comm.compute([&] { info.checkComplete(side); });
-  g_buildStats.ownershipTableBytes += info.tableBytes();
-  return info;
 }
 
 // ---------------------------------------------------------------------------
@@ -733,49 +610,6 @@ McSchedule buildIntraCooperation(transport::Comm& comm,
     assembleSendsRuns(mySends, me, /*allowLocal=*/true, out.plan,
                       &out.sendSegs);
     assembleRecvsRuns(myRecvs, out.plan, &out.recvSegs);
-  });
-  out.hasProvenance = true;
-  return out;
-}
-
-McSchedule buildIntraCooperationElementwise(
-    transport::Comm& comm, const LibraryAdapter& srcLib,
-    const DistObject& srcObj, const SetOfRegions& srcSet,
-    const LibraryAdapter& dstLib, const DistObject& dstObj,
-    const SetOfRegions& dstSet, Index n) {
-  McSchedule out;
-  out.numElements = n;
-  out.plan.bufferLocalCopies = false;
-  const int np = comm.size();
-  const int me = comm.rank();
-  const Index chunk = (n + np - 1) / np;
-
-  const ChunkInfo src =
-      chunkInfoIntra(comm, srcLib, srcObj, srcSet, n, chunk, "source");
-  const ChunkInfo dst =
-      chunkInfoIntra(comm, dstLib, dstObj, dstSet, n, chunk, "destination");
-
-  std::vector<std::vector<SendRun>> sendTo(static_cast<size_t>(np));
-  std::vector<std::vector<RecvRun>> recvTo(static_cast<size_t>(np));
-  comm.compute([&] {
-    for (Index k = 0; k < src.size; ++k) {
-      const auto kk = static_cast<size_t>(k);
-      const int sOwner = src.owner[kk];
-      const int dOwner = dst.owner[kk];
-      emitSend(sendTo[static_cast<size_t>(sOwner)], src.lo + k, src.offset[kk],
-               dst.offset[kk], dOwner);
-      if (dOwner != sOwner) {
-        emitRecv(recvTo[static_cast<size_t>(dOwner)], src.lo + k,
-                 dst.offset[kk], sOwner);
-      }
-    }
-  });
-  auto mySends = comm.alltoall(sendTo);
-  auto myRecvs = comm.alltoall(recvTo);
-  comm.compute([&] {
-    assembleSendsElementwise(mySends, me, /*allowLocal=*/true, out.plan,
-                             &out.sendSegs);
-    assembleRecvsElementwise(myRecvs, out.plan, &out.recvSegs);
   });
   out.hasProvenance = true;
   return out;
@@ -870,167 +704,15 @@ McSchedule buildIntraDuplication(transport::Comm& comm,
   return out;
 }
 
-McSchedule buildIntraDuplicationElementwise(
-    transport::Comm& comm, const LibraryAdapter& srcLib,
-    const DistObject& srcObj, const SetOfRegions& srcSet,
-    const LibraryAdapter& dstLib, const DistObject& dstObj,
-    const SetOfRegions& dstSet, Index n) {
-  MC_REQUIRE(srcLib.supportsLocalEnumeration(srcObj) &&
-                 dstLib.supportsLocalEnumeration(dstObj),
-             "the duplication method requires locally enumerable "
-             "descriptors on both sides; use cooperation instead");
-  McSchedule out;
-  out.numElements = n;
-  out.plan.bufferLocalCopies = false;
-  comm.advance(2.0 *
-               (srcLib.modeledElementDereferenceCost(srcObj) +
-                dstLib.modeledElementDereferenceCost(dstObj)) *
-               static_cast<double>(n) / comm.size());
-  const int me = comm.rank();
-  comm.compute([&] {
-    std::vector<int> srcOwner(static_cast<size_t>(n));
-    std::vector<Index> srcOff(static_cast<size_t>(n));
-    std::vector<int> dstOwner(static_cast<size_t>(n));
-    std::vector<Index> dstOff(static_cast<size_t>(n));
-    g_buildStats.ownershipTableBytes +=
-        2 * static_cast<size_t>(n) * (sizeof(int) + sizeof(Index));
-    srcLib.enumerateAll(srcObj, srcSet, [&](Index lin, int owner, Index off) {
-      srcOwner[static_cast<size_t>(lin)] = owner;
-      srcOff[static_cast<size_t>(lin)] = off;
-    });
-    dstLib.enumerateAll(dstObj, dstSet, [&](Index lin, int owner, Index off) {
-      dstOwner[static_cast<size_t>(lin)] = owner;
-      dstOff[static_cast<size_t>(lin)] = off;
-    });
-    std::vector<std::vector<Index>> sendBy;
-    std::vector<std::vector<Index>> recvBy;
-    for (Index lin = 0; lin < n; ++lin) {
-      const auto ll = static_cast<size_t>(lin);
-      const int s = srcOwner[ll];
-      const int d = dstOwner[ll];
-      if (s == me) {
-        emitSend(out.sendSegs, lin, srcOff[ll], dstOff[ll],
-                 static_cast<Index>(d));
-      } else if (d == me) {
-        emitRecv(out.recvSegs, lin, dstOff[ll], static_cast<Index>(s));
-      }
-      if (s == me && d == me) {
-        out.plan.localPairs.emplace_back(srcOff[ll], dstOff[ll]);
-      } else if (s == me) {
-        if (sendBy.size() <= static_cast<size_t>(d)) {
-          sendBy.resize(static_cast<size_t>(d) + 1);
-        }
-        sendBy[static_cast<size_t>(d)].push_back(srcOff[ll]);
-      } else if (d == me) {
-        if (recvBy.size() <= static_cast<size_t>(s)) {
-          recvBy.resize(static_cast<size_t>(s) + 1);
-        }
-        recvBy[static_cast<size_t>(s)].push_back(dstOff[ll]);
-      }
-    }
-    for (size_t p = 0; p < sendBy.size(); ++p) {
-      if (!sendBy[p].empty()) {
-        out.plan.sends.push_back(
-            sched::OffsetPlan{static_cast<int>(p), std::move(sendBy[p]), {}});
-      }
-    }
-    for (size_t p = 0; p < recvBy.size(); ++p) {
-      if (!recvBy[p].empty()) {
-        out.plan.recvs.push_back(
-            sched::OffsetPlan{static_cast<int>(p), std::move(recvBy[p]), {}});
-      }
-    }
-  });
-  out.hasProvenance = true;
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Inter-program builds
 // ---------------------------------------------------------------------------
-
-/// Wire bundle for the duplication method: library name + descriptor + set.
-std::vector<std::byte> packRemoteBundle(const LibraryAdapter& lib,
-                                        const DistObject& obj,
-                                        const SetOfRegions& set,
-                                        transport::Comm& comm) {
-  const std::string name = lib.name();
-  const std::vector<std::byte> desc = lib.serializeDesc(obj, comm);
-  const std::vector<std::byte> setBytes = serializeSet(set);
-  std::vector<std::byte> out;
-  auto putU64 = [&out](std::uint64_t v) {
-    const auto* p = reinterpret_cast<const std::byte*>(&v);
-    out.insert(out.end(), p, p + sizeof(v));
-  };
-  putU64(name.size());
-  const auto* np = reinterpret_cast<const std::byte*>(name.data());
-  out.insert(out.end(), np, np + name.size());
-  putU64(desc.size());
-  out.insert(out.end(), desc.begin(), desc.end());
-  putU64(setBytes.size());
-  out.insert(out.end(), setBytes.begin(), setBytes.end());
-  return out;
-}
-
-std::pair<DistObject, SetOfRegions> unpackRemoteBundle(
-    std::span<const std::byte> bytes) {
-  size_t pos = 0;
-  auto getU64 = [&]() {
-    MC_REQUIRE(pos + sizeof(std::uint64_t) <= bytes.size(),
-               "truncated remote bundle");
-    std::uint64_t v = 0;
-    std::memcpy(&v, bytes.data() + pos, sizeof(v));
-    pos += sizeof(v);
-    return v;
-  };
-  const std::uint64_t nameLen = getU64();
-  MC_REQUIRE(pos + nameLen <= bytes.size(), "truncated remote bundle");
-  std::string name(reinterpret_cast<const char*>(bytes.data() + pos), nameLen);
-  pos += nameLen;
-  const std::uint64_t descLen = getU64();
-  MC_REQUIRE(pos + descLen <= bytes.size(), "truncated remote bundle");
-  registerBuiltinAdapters();
-  const LibraryAdapter& lib = Registry::instance().get(name);
-  DistObject obj = lib.deserializeDesc(bytes.subspan(pos, descLen));
-  pos += descLen;
-  const std::uint64_t setLen = getU64();
-  MC_REQUIRE(pos + setLen == bytes.size(), "truncated remote bundle");
-  SetOfRegions set = deserializeSet(bytes.subspan(pos, setLen));
-  return {std::move(obj), std::move(set)};
-}
-
-/// Exchanges a byte blob with the remote program (rank 0 <-> rank 0, then
-/// broadcast within each program).  Collective over both programs.
-std::vector<std::byte> exchangeBlob(transport::Comm& comm, int remoteProgram,
-                                    const std::vector<std::byte>& mine) {
-  const int tag = comm.nextInterTag(remoteProgram);
-  std::vector<std::byte> theirs;
-  if (comm.rank() == 0) {
-    comm.sendBytesTo(remoteProgram, 0, tag, mine);
-    theirs = comm.recvMsgFrom(remoteProgram, 0, tag).payload;
-  }
-  comm.bcastBytes(theirs, 0);
-  return theirs;
-}
-
-/// Verifies both sides agree on the element count.
-void handshakeCount(transport::Comm& comm, int remoteProgram, Index n) {
-  const int tag = comm.nextInterTag(remoteProgram);
-  if (comm.rank() == 0) {
-    comm.sendValueTo(remoteProgram, 0, tag, n);
-    const Index other = comm.recvValueFrom<Index>(remoteProgram, 0, tag);
-    MC_REQUIRE(other == n,
-               "source and destination sets differ in size (%lld vs %lld)",
-               static_cast<long long>(n), static_cast<long long>(other));
-  }
-  comm.barrier();  // everyone learns that the check passed (or the world died)
-}
 
 McSchedule buildInterCooperationSend(transport::Comm& comm,
                                      const LibraryAdapter& srcLib,
                                      const DistObject& srcObj,
                                      const SetOfRegions& srcSet,
-                                     int remoteProgram, bool elementwise) {
+                                     int remoteProgram) {
   McSchedule out;
   out.remoteProgram = remoteProgram;
   out.isSender = true;
@@ -1044,30 +726,17 @@ McSchedule buildInterCooperationSend(transport::Comm& comm,
   // happens — compactly, thanks to the run encoding).
   const int pd = comm.programInfo(remoteProgram).nprocs;
   const Index chunk = (n + pd - 1) / pd;
-  std::vector<std::vector<LinRun>> srcInfoTo;
-  if (elementwise) {
-    const std::vector<LinLoc> srcOwned =
-        srcLib.enumerateOwned(srcObj, srcSet, comm);
-    srcInfoTo =
-        comm.computeValue([&] { return routeToChunks(srcOwned, chunk, pd); });
-  } else {
-    const std::vector<LinRun> srcOwned =
-        srcLib.enumerateOwnedRuns(srcObj, srcSet, comm);
-    srcInfoTo = comm.computeValue(
-        [&] { return routeRunsToChunks(srcOwned, chunk, pd); });
-  }
-  (void)interAlltoall(comm, remoteProgram, srcInfoTo);
+  const std::vector<LinRun> srcOwned =
+      srcLib.enumerateOwnedRuns(srcObj, srcSet, comm);
+  (void)interAlltoall(comm, remoteProgram, comm.computeValue([&] {
+                        return routeRunsToChunks(srcOwned, chunk, pd);
+                      }));
 
   // Receive my marching orders back.
   const std::vector<std::vector<SendRun>> empty(static_cast<size_t>(pd));
   auto mySends = interAlltoall(comm, remoteProgram, empty);
   comm.compute([&] {
-    if (elementwise) {
-      assembleSendsElementwise(mySends, comm.rank(), /*allowLocal=*/false,
-                               out.plan);
-    } else {
-      assembleSendsRuns(mySends, comm.rank(), /*allowLocal=*/false, out.plan);
-    }
+    assembleSendsRuns(mySends, comm.rank(), /*allowLocal=*/false, out.plan);
   });
   return out;
 }
@@ -1129,59 +798,11 @@ McSchedule buildInterCooperationRecv(transport::Comm& comm,
   return out;
 }
 
-McSchedule buildInterCooperationRecvElementwise(transport::Comm& comm,
-                                                const LibraryAdapter& dstLib,
-                                                const DistObject& dstObj,
-                                                const SetOfRegions& dstSet,
-                                                int remoteProgram) {
-  McSchedule out;
-  out.remoteProgram = remoteProgram;
-  out.isSender = false;
-  out.plan.bufferLocalCopies = false;
-  const Index n = dstSet.numElements();
-  out.numElements = n;
-  handshakeCount(comm, remoteProgram, n);
-
-  const int me = comm.rank();
-  const int np = comm.size();
-  const int ps = comm.programInfo(remoteProgram).nprocs;
-  const Index chunk = (n + np - 1) / np;
-
-  const std::vector<std::vector<LinRun>> emptyInfo(static_cast<size_t>(ps));
-  auto srcRows = interAlltoall(comm, remoteProgram, emptyInfo);
-  const Index lo = chunk * me;
-  const Index size = std::max<Index>(0, std::min(n, lo + chunk) - lo);
-  ChunkInfo src(lo, size);
-  comm.compute([&] {
-    src.fillFromRuns(srcRows, "source");
-    src.checkComplete("source");
-  });
-  g_buildStats.ownershipTableBytes += src.tableBytes();
-  const ChunkInfo dst =
-      chunkInfoIntra(comm, dstLib, dstObj, dstSet, n, chunk, "destination");
-
-  std::vector<std::vector<SendRun>> sendTo(static_cast<size_t>(ps));
-  std::vector<std::vector<RecvRun>> recvTo(static_cast<size_t>(np));
-  comm.compute([&] {
-    for (Index k = 0; k < size; ++k) {
-      const auto kk = static_cast<size_t>(k);
-      emitSend(sendTo[static_cast<size_t>(src.owner[kk])], lo + k,
-               src.offset[kk], dst.offset[kk], dst.owner[kk]);
-      emitRecv(recvTo[static_cast<size_t>(dst.owner[kk])], lo + k,
-               dst.offset[kk], src.owner[kk]);
-    }
-  });
-  (void)interAlltoall(comm, remoteProgram, sendTo);
-  auto myRecvs = comm.alltoall(recvTo);
-  comm.compute([&] { assembleRecvsElementwise(myRecvs, out.plan); });
-  return out;
-}
-
 McSchedule buildInterDuplication(transport::Comm& comm,
                                  const LibraryAdapter& myLib,
                                  const DistObject& myObj,
                                  const SetOfRegions& mySet, int remoteProgram,
-                                 bool isSender, bool elementwise) {
+                                 bool isSender) {
   MC_REQUIRE(myLib.supportsLocalEnumeration(myObj),
              "the duplication method requires locally enumerable "
              "descriptors; use cooperation instead");
@@ -1210,77 +831,37 @@ McSchedule buildInterDuplication(transport::Comm& comm,
                static_cast<double>(n) / comm.size());
 
   const int me = comm.rank();
-  if (!elementwise) {
-    comm.compute([&] {
-      ChunkTable my(0, n);
-      ChunkTable their(0, n);
-      myLib.enumerateRangeRuns(
-          myObj, mySet, 0, n,
-          [&](Index lin, int owner, Index off, Index count, Index offStride) {
-            my.append(lin, owner, off, count, offStride, "local");
-          });
-      remoteLib.enumerateRangeRuns(
-          remoteObj, remoteSet, 0, n,
-          [&](Index lin, int owner, Index off, Index count, Index offStride) {
-            their.append(lin, owner, off, count, offStride, "remote");
-          });
-      my.checkComplete("local");
-      their.checkComplete("remote");
-      g_buildStats.ownershipTableBytes += my.tableBytes() + their.tableBytes();
-      std::vector<std::vector<OffsetRun>> byPeer;
-      joinTables(my, their, [&](const OwnedRun& m, const OwnedRun& t,
-                                Index pos, Index count) {
-        if (m.owner != me) return;
-        if (byPeer.size() <= static_cast<size_t>(t.owner)) {
-          byPeer.resize(static_cast<size_t>(t.owner) + 1);
-        }
-        // Senders pack their own (source) offsets; receivers unpack into
-        // their own (destination) offsets.
-        sched::appendOffsetRun(byPeer[static_cast<size_t>(t.owner)],
-                               OffsetRun{offAt(m, pos), count, m.offStride});
-      });
-      for (size_t p = 0; p < byPeer.size(); ++p) {
-        if (byPeer[p].empty()) continue;
-        sched::OffsetPlan plan{static_cast<int>(p), {}, std::move(byPeer[p])};
-        if (isSender) {
-          out.plan.sends.push_back(std::move(plan));
-        } else {
-          out.plan.recvs.push_back(std::move(plan));
-        }
-      }
-    });
-    return out;
-  }
   comm.compute([&] {
-    std::vector<int> myOwner(static_cast<size_t>(n));
-    std::vector<Index> myOff(static_cast<size_t>(n));
-    std::vector<int> theirOwner(static_cast<size_t>(n));
-    std::vector<Index> theirOff(static_cast<size_t>(n));
-    g_buildStats.ownershipTableBytes +=
-        2 * static_cast<size_t>(n) * (sizeof(int) + sizeof(Index));
-    myLib.enumerateAll(myObj, mySet, [&](Index lin, int owner, Index off) {
-      myOwner[static_cast<size_t>(lin)] = owner;
-      myOff[static_cast<size_t>(lin)] = off;
-    });
-    remoteLib.enumerateAll(remoteObj, remoteSet,
-                           [&](Index lin, int owner, Index off) {
-                             theirOwner[static_cast<size_t>(lin)] = owner;
-                             theirOff[static_cast<size_t>(lin)] = off;
-                           });
-    std::vector<std::vector<Index>> byPeer;
-    for (Index lin = 0; lin < n; ++lin) {
-      const auto ll = static_cast<size_t>(lin);
-      if (myOwner[ll] != me) continue;
-      const int peer = theirOwner[ll];
-      if (byPeer.size() <= static_cast<size_t>(peer)) {
-        byPeer.resize(static_cast<size_t>(peer) + 1);
+    ChunkTable my(0, n);
+    ChunkTable their(0, n);
+    myLib.enumerateRangeRuns(
+        myObj, mySet, 0, n,
+        [&](Index lin, int owner, Index off, Index count, Index offStride) {
+          my.append(lin, owner, off, count, offStride, "local");
+        });
+    remoteLib.enumerateRangeRuns(
+        remoteObj, remoteSet, 0, n,
+        [&](Index lin, int owner, Index off, Index count, Index offStride) {
+          their.append(lin, owner, off, count, offStride, "remote");
+        });
+    my.checkComplete("local");
+    their.checkComplete("remote");
+    g_buildStats.ownershipTableBytes += my.tableBytes() + their.tableBytes();
+    std::vector<std::vector<OffsetRun>> byPeer;
+    joinTables(my, their, [&](const OwnedRun& m, const OwnedRun& t,
+                              Index pos, Index count) {
+      if (m.owner != me) return;
+      if (byPeer.size() <= static_cast<size_t>(t.owner)) {
+        byPeer.resize(static_cast<size_t>(t.owner) + 1);
       }
-      byPeer[static_cast<size_t>(peer)].push_back(myOff[ll]);
-      (void)theirOff;
-    }
+      // Senders pack their own (source) offsets; receivers unpack into
+      // their own (destination) offsets.
+      sched::appendOffsetRun(byPeer[static_cast<size_t>(t.owner)],
+                             OffsetRun{offAt(m, pos), count, m.offStride});
+    });
     for (size_t p = 0; p < byPeer.size(); ++p) {
       if (byPeer[p].empty()) continue;
-      sched::OffsetPlan plan{static_cast<int>(p), std::move(byPeer[p]), {}};
+      sched::OffsetPlan plan{static_cast<int>(p), {}, std::move(byPeer[p])};
       if (isSender) {
         out.plan.sends.push_back(std::move(plan));
       } else {
@@ -1465,21 +1046,12 @@ McSchedule computeSchedule(transport::Comm& comm, const DistObject& srcObj,
              "source and destination sets differ in size (%lld vs %lld)",
              static_cast<long long>(n),
              static_cast<long long>(dstSet.numElements()));
-  const bool elementwise = g_buildElementwise.load(std::memory_order_relaxed);
-  McSchedule out;
-  if (method == Method::kDuplication) {
-    out = elementwise
-              ? buildIntraDuplicationElementwise(comm, srcLib, srcObj, srcSet,
-                                                 dstLib, dstObj, dstSet, n)
-              : buildIntraDuplication(comm, srcLib, srcObj, srcSet, dstLib,
-                                      dstObj, dstSet, n);
-  } else {
-    out = elementwise
-              ? buildIntraCooperationElementwise(comm, srcLib, srcObj, srcSet,
-                                                 dstLib, dstObj, dstSet, n)
-              : buildIntraCooperation(comm, srcLib, srcObj, srcSet, dstLib,
-                                      dstObj, dstSet, n);
-  }
+  McSchedule out =
+      method == Method::kDuplication
+          ? buildIntraDuplication(comm, srcLib, srcObj, srcSet, dstLib, dstObj,
+                                  dstSet, n)
+          : buildIntraCooperation(comm, srcLib, srcObj, srcSet, dstLib, dstObj,
+                                  dstSet, n);
   recordKernelDispatch(out.plan);
   noteBuildDone();
   return out;
@@ -1493,13 +1065,12 @@ McSchedule computeScheduleSend(transport::Comm& comm, const DistObject& srcObj,
   g_buildStats = BuildStats{};
   const LibraryAdapter& srcLib = adapterFor(srcObj);
   srcLib.validate(srcObj, srcSet);
-  const bool elementwise = g_buildElementwise.load(std::memory_order_relaxed);
   McSchedule out =
       method == Method::kDuplication
           ? buildInterDuplication(comm, srcLib, srcObj, srcSet, remoteProgram,
-                                  /*isSender=*/true, elementwise)
+                                  /*isSender=*/true)
           : buildInterCooperationSend(comm, srcLib, srcObj, srcSet,
-                                      remoteProgram, elementwise);
+                                      remoteProgram);
   recordKernelDispatch(out.plan);
   noteBuildDone();
   return out;
@@ -1513,17 +1084,12 @@ McSchedule computeScheduleRecv(transport::Comm& comm, const DistObject& dstObj,
   g_buildStats = BuildStats{};
   const LibraryAdapter& dstLib = adapterFor(dstObj);
   dstLib.validate(dstObj, dstSet);
-  const bool elementwise = g_buildElementwise.load(std::memory_order_relaxed);
-  McSchedule out;
-  if (method == Method::kDuplication) {
-    out = buildInterDuplication(comm, dstLib, dstObj, dstSet, remoteProgram,
-                                /*isSender=*/false, elementwise);
-  } else {
-    out = elementwise ? buildInterCooperationRecvElementwise(
-                            comm, dstLib, dstObj, dstSet, remoteProgram)
-                      : buildInterCooperationRecv(comm, dstLib, dstObj,
-                                                  dstSet, remoteProgram);
-  }
+  McSchedule out =
+      method == Method::kDuplication
+          ? buildInterDuplication(comm, dstLib, dstObj, dstSet, remoteProgram,
+                                  /*isSender=*/false)
+          : buildInterCooperationRecv(comm, dstLib, dstObj, dstSet,
+                                      remoteProgram);
   recordKernelDispatch(out.plan);
   noteBuildDone();
   return out;
@@ -1789,14 +1355,5 @@ sched::Schedule buildRedistMove(transport::Comm& comm,
 const BuildStats& lastBuildStats() { return g_buildStats; }
 
 const PatchStats& lastPatchStats() { return g_patchStats; }
-
-namespace testing {
-bool buildElementwiseForTest(bool enable) {
-  return g_buildElementwise.exchange(enable, std::memory_order_relaxed);
-}
-bool buildElementwiseEnabled() {
-  return g_buildElementwise.load(std::memory_order_relaxed);
-}
-}  // namespace testing
 
 }  // namespace mc::core

@@ -162,9 +162,8 @@ sched::Schedule buildRedistMove(transport::Comm& comm,
 /// Telemetry from the last computeSchedule/computeScheduleSend/
 /// computeScheduleRecv call on this thread (each virtual processor is a
 /// thread, so the figures are per-rank): the bytes of ownership-table state
-/// the build materialized.  The run-native builder keeps this proportional
-/// to the number of runs; the element-wise reference path pays one entry
-/// per element.
+/// the build materialized.  The builder keeps this proportional to the
+/// number of ownership runs, not the number of elements.
 struct BuildStats {
   std::size_t ownershipTableBytes = 0;
   /// Built plans (sends + recvs) by the executor kernel each will dispatch
@@ -185,19 +184,5 @@ struct PatchStats {
   layout::Index elementsPatched = 0;  ///< delta positions re-derived
 };
 const PatchStats& lastPatchStats();
-
-namespace testing {
-/// Routes all schedule builds through the element-wise reference pipeline
-/// (per-element chunk tables and joins) instead of the run-native interval
-/// join.  Returns the previous setting.  The two pipelines produce
-/// bit-identical schedules; this hook exists for the differential tests
-/// and the build benchmark.  Set it outside World::run regions only — it
-/// is global, not per-rank.
-bool buildElementwiseForTest(bool enable);
-/// Whether the element-wise reference pipeline is currently selected.
-/// Production-path optimizations that must not leak into the oracle (e.g.
-/// the chaos dereference cache) consult this.
-bool buildElementwiseEnabled();
-}  // namespace testing
 
 }  // namespace mc::core

@@ -1,5 +1,7 @@
 #include "hpfrt/dist.h"
 
+#include <climits>
+
 #include "layout/block_decomp.h"
 
 namespace mc::hpfrt {
@@ -28,6 +30,36 @@ HpfDist HpfDist::blockEveryDim(Shape global, int nprocs) {
   dims.reserve(static_cast<size_t>(global.rank));
   for (int d = 0; d < global.rank; ++d) {
     dims.push_back(DimDist{DistKind::kBlock, grid[static_cast<size_t>(d)], 1});
+  }
+  return HpfDist(global, std::move(dims));
+}
+
+void HpfDist::serialize(std::vector<std::byte>& out) const {
+  blob::putShape(out, global_);
+  for (const DimDist& d : dims_) {
+    blob::putU64(out, static_cast<std::uint64_t>(d.kind));
+    blob::putU64(out, static_cast<std::uint64_t>(d.procs));
+    blob::putU64(out, static_cast<std::uint64_t>(d.param));
+  }
+}
+
+HpfDist HpfDist::deserialize(blob::ByteReader& r) {
+  const Shape global = blob::readShape(r);
+  std::vector<DimDist> dims;
+  std::uint64_t procs = 1;
+  for (int d = 0; d < global.rank; ++d) {
+    DimDist dd;
+    dd.kind = static_cast<DistKind>(
+        r.u64In(0, static_cast<std::uint64_t>(DistKind::kBlockCyclic),
+                "hpf distribution kind"));
+    dd.procs = static_cast<int>(r.u64In(1, INT_MAX, "hpf grid extent"));
+    // Both factors are at most INT_MAX, so the product cannot wrap.
+    procs *= static_cast<std::uint64_t>(dd.procs);
+    MC_REQUIRE(procs <= INT_MAX,
+               "hpf processor grid exceeds INT_MAX processors");
+    dd.param = static_cast<Index>(
+        r.u64In(1, blob::kMaxDecodedElements, "hpf block parameter"));
+    dims.push_back(dd);
   }
   return HpfDist(global, std::move(dims));
 }

@@ -15,6 +15,7 @@
 
 #include "layout/index.h"
 #include "layout/section.h"
+#include "util/blob_io.h"
 
 namespace mc::hpfrt {
 
@@ -37,6 +38,18 @@ class HpfDist {
 
   /// BLOCK in every dimension over a near-square grid (the common default).
   static HpfDist blockEveryDim(layout::Shape global, int nprocs);
+
+  /// Appends the distribution's wire form to `out`: the global shape, then
+  /// per dimension its kind, grid extent and block parameter, one u64 per
+  /// field.  The one codec for shipping a distribution to another program
+  /// and for snapshot blobs.
+  void serialize(std::vector<std::byte>& out) const;
+  /// Reads a distribution written by serialize().  The bytes may come from
+  /// another program or a file, so every field is validated before anything
+  /// is built: rank in [1, kMaxRank], extents >= 0, a known DistKind, grid
+  /// extents >= 1 with a product that fits in int, block parameter >= 1.
+  /// Malformed input throws mc::Error.
+  static HpfDist deserialize(blob::ByteReader& r);
 
   const layout::Shape& globalShape() const { return global_; }
   int rank() const { return global_.rank; }

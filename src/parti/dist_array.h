@@ -19,6 +19,7 @@
 
 #include "layout/block_decomp.h"
 #include "transport/comm.h"
+#include "util/blob_io.h"
 
 namespace mc::parti {
 
@@ -52,6 +53,17 @@ struct PartiAddr {
 struct PartiDesc {
   layout::BlockDecomp decomp;
   int ghost = 0;
+
+  /// Appends the descriptor's wire form to `out`: the global shape, the
+  /// processor grid and the ghost width, one u64 per field.  The one codec
+  /// for shipping a descriptor to another program and for snapshot blobs.
+  void serialize(std::vector<std::byte>& out) const;
+  /// Reads a descriptor written by serialize().  The bytes may come from
+  /// another program or a file, so every field is validated before anything
+  /// is built: rank in [1, kMaxRank], extents >= 0, grid extents >= 1 with
+  /// a product that fits in int, ghost width in [0, 2^20].  Malformed input
+  /// throws mc::Error.
+  static PartiDesc deserialize(blob::ByteReader& r);
 
   int ownerOf(const layout::Point& p) const { return decomp.ownerOf(p); }
 

@@ -3,7 +3,6 @@
 #include "layout/section_hash.h"
 #include "obs/metrics.h"
 #include "parti/ghost.h"
-#include "parti/section_copy.h"
 
 namespace mc::parti {
 
@@ -32,25 +31,6 @@ std::shared_ptr<const Schedule> cachedGhostSchedule(const PartiDesc& desc,
   h.pod(myProc);
   return partiScheduleCache().getOrBuild(h.digest(), [&] {
     auto built = std::make_shared<Schedule>(buildGhostSchedule(desc, myProc));
-    built->compress();
-    return built;
-  });
-}
-
-std::shared_ptr<const Schedule> cachedSectionCopySchedule(
-    const PartiDesc& srcDesc, const layout::RegularSection& srcSec,
-    const PartiDesc& dstDesc, const layout::RegularSection& dstSec,
-    int myProc) {
-  HashStream h;
-  h.str("parti-section-copy");
-  hashPartiDesc(h, srcDesc);
-  layout::hashSection(h, srcSec);
-  hashPartiDesc(h, dstDesc);
-  layout::hashSection(h, dstSec);
-  h.pod(myProc);
-  return partiScheduleCache().getOrBuild(h.digest(), [&] {
-    auto built = std::make_shared<Schedule>(
-        buildSectionCopySchedule(srcDesc, srcSec, dstDesc, dstSec, myProc));
     built->compress();
     return built;
   });

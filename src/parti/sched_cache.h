@@ -14,19 +14,12 @@
 
 namespace mc::parti {
 
-/// The calling rank's cache of Parti-built schedules; ghost fills and
-/// section copies share it (their keys are salted apart).
+/// The calling rank's cache of Parti-built schedules.
 sched::KeyedCache<Schedule>& partiScheduleCache();
 
 /// Cached buildGhostSchedule.
 std::shared_ptr<const Schedule> cachedGhostSchedule(const PartiDesc& desc,
                                                     int myProc);
-
-/// Cached buildSectionCopySchedule.
-std::shared_ptr<const Schedule> cachedSectionCopySchedule(
-    const PartiDesc& srcDesc, const layout::RegularSection& srcSec,
-    const PartiDesc& dstDesc, const layout::RegularSection& dstSec,
-    int myProc);
 
 /// Contribution of a Parti descriptor to a cache key.
 void hashPartiDesc(HashStream& h, const PartiDesc& desc);

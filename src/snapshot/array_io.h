@@ -25,7 +25,9 @@
 
 namespace mc::snapshot {
 
-inline constexpr std::uint32_t kArrayBlobVersion = 1;
+/// Payload layout version of the array blobs below.  Each blob's
+/// descriptor is written by its library's descriptor codec.
+inline constexpr std::uint32_t kArrayBlobVersion = 2;
 
 namespace detail {
 
@@ -55,28 +57,6 @@ void readShardHeader(blob::ByteReader& r, const transport::Comm& c,
              static_cast<unsigned long long>(rank), c.rank());
 }
 
-inline void putShape(std::vector<std::byte>& out, const layout::Shape& s) {
-  blob::putU64(out, static_cast<std::uint64_t>(s.rank));
-  for (int d = 0; d < s.rank; ++d) {
-    blob::putU64(out, static_cast<std::uint64_t>(s[d]));
-  }
-}
-
-inline layout::Shape readShape(blob::ByteReader& r, const char* what) {
-  const std::uint64_t rank = r.u64();
-  MC_REQUIRE(rank >= 1 && rank <= layout::kMaxRank,
-             "%s blob has shape rank %llu (supported: 1..%d)", what,
-             static_cast<unsigned long long>(rank), layout::kMaxRank);
-  layout::Shape s;
-  s.rank = static_cast<int>(rank);
-  for (int d = 0; d < s.rank; ++d) {
-    const layout::Index e = static_cast<layout::Index>(r.u64());
-    MC_REQUIRE(e >= 0, "%s blob has a negative extent", what);
-    s[d] = e;
-  }
-  return s;
-}
-
 template <typename T>
 void copyShard(std::vector<T>&& shard, std::span<T> dst, const char* what) {
   MC_REQUIRE(shard.size() == dst.size(),
@@ -96,9 +76,7 @@ template <typename T>
 std::vector<std::byte> serializeArray(const parti::BlockDistArray<T>& a) {
   std::vector<std::byte> payload;
   detail::putShardHeader<T>(payload, a.comm());
-  detail::putShape(payload, a.globalShape());
-  blob::putPods(payload, a.decomp().grid());
-  blob::putU64(payload, static_cast<std::uint64_t>(a.ghost()));
+  a.desc().serialize(payload);
   const std::span<const T> raw = a.raw();
   blob::putPods(payload, std::vector<T>(raw.begin(), raw.end()));
   return blob::frame(blob::kPartiArray, kArrayBlobVersion, payload);
@@ -112,31 +90,22 @@ parti::BlockDistArray<T> deserializePartiArray(
              "unknown parti-array blob version %u", v.kindVersion);
   blob::ByteReader r(v.payload);
   detail::readShardHeader<T>(r, comm, "parti array");
-  const layout::Shape global = detail::readShape(r, "parti array");
-  const std::vector<int> grid = r.pods<int>();
-  const std::uint64_t ghost = r.u64();
-  MC_REQUIRE(ghost <= 1u << 20, "parti array blob: implausible ghost width");
+  parti::PartiDesc desc = parti::PartiDesc::deserialize(r);
   std::vector<T> shard = r.pods<T>();
   r.requireEnd("parti array blob");
-  // BlockDecomp's constructor re-validates grid shape vs. nprocs.
-  parti::BlockDistArray<T> a(comm, layout::BlockDecomp(global, grid),
-                             static_cast<int>(ghost));
+  // The array constructor re-validates the grid against the program size.
+  parti::BlockDistArray<T> a(comm, std::move(desc.decomp), desc.ghost);
   detail::copyShard(std::move(shard), a.raw(), "parti array");
   return a;
 }
 
 // --- HPF runtime ------------------------------------------------------------
 
-static_assert(sizeof(hpfrt::DimDist) ==
-                  2 * sizeof(int) + sizeof(layout::Index),
-              "DimDist must be padding-free to serialize as a raw lane");
-
 template <typename T>
 std::vector<std::byte> serializeArray(const hpfrt::HpfArray<T>& a) {
   std::vector<std::byte> payload;
   detail::putShardHeader<T>(payload, a.comm());
-  detail::putShape(payload, a.globalShape());
-  blob::putPods(payload, a.dist().dims());
+  a.dist().serialize(payload);
   const std::span<const T> raw = a.raw();
   blob::putPods(payload, std::vector<T>(raw.begin(), raw.end()));
   return blob::frame(blob::kHpfArray, kArrayBlobVersion, payload);
@@ -150,19 +119,11 @@ hpfrt::HpfArray<T> deserializeHpfArray(transport::Comm& comm,
              "unknown hpf-array blob version %u", v.kindVersion);
   blob::ByteReader r(v.payload);
   detail::readShardHeader<T>(r, comm, "hpf array");
-  const layout::Shape global = detail::readShape(r, "hpf array");
-  const std::vector<hpfrt::DimDist> dims = r.pods<hpfrt::DimDist>();
-  for (const hpfrt::DimDist& d : dims) {
-    MC_REQUIRE(d.kind >= hpfrt::DistKind::kBlock &&
-                   d.kind <= hpfrt::DistKind::kBlockCyclic,
-               "hpf array blob: unknown distribution kind");
-    MC_REQUIRE(d.procs >= 1 && d.param >= 1,
-               "hpf array blob: corrupt dimension distribution");
-  }
+  hpfrt::HpfDist dist = hpfrt::HpfDist::deserialize(r);
   std::vector<T> shard = r.pods<T>();
   r.requireEnd("hpf array blob");
-  // HpfDist's constructor re-validates dims vs. the global shape.
-  hpfrt::HpfArray<T> a(comm, hpfrt::HpfDist(global, dims));
+  // The array constructor re-validates the grid against the program size.
+  hpfrt::HpfArray<T> a(comm, std::move(dist));
   detail::copyShard(std::move(shard), a.raw(), "hpf array");
   return a;
 }
@@ -173,8 +134,7 @@ template <typename T>
 std::vector<std::byte> serializeArray(const tulip::Collection<T>& a) {
   std::vector<std::byte> payload;
   detail::putShardHeader<T>(payload, a.comm());
-  blob::putU64(payload, static_cast<std::uint64_t>(a.size()));
-  blob::putU64(payload, static_cast<std::uint64_t>(a.desc().placement));
+  a.desc().serialize(payload);
   const std::span<const T> raw = a.raw();
   blob::putPods(payload, std::vector<T>(raw.begin(), raw.end()));
   return blob::frame(blob::kTulipCollection, kArrayBlobVersion, payload);
@@ -188,15 +148,14 @@ tulip::Collection<T> deserializeTulipCollection(
              "unknown tulip-collection blob version %u", v.kindVersion);
   blob::ByteReader r(v.payload);
   detail::readShardHeader<T>(r, comm, "tulip collection");
-  const layout::Index size = static_cast<layout::Index>(r.u64());
-  MC_REQUIRE(size >= 0, "tulip collection blob: negative size");
-  const std::uint64_t placement = r.u64();
-  MC_REQUIRE(placement <= 1,
-             "tulip collection blob: unknown placement tag");
+  const tulip::TulipDesc desc = tulip::TulipDesc::deserialize(r);
+  MC_REQUIRE(desc.nprocs == comm.size(),
+             "tulip collection blob describes %d processes, this program "
+             "has %d",
+             desc.nprocs, comm.size());
   std::vector<T> shard = r.pods<T>();
   r.requireEnd("tulip collection blob");
-  tulip::Collection<T> a(comm, size,
-                         static_cast<tulip::Placement>(placement));
+  tulip::Collection<T> a(comm, desc.size, desc.placement);
   detail::copyShard(std::move(shard), a.raw(), "tulip collection");
   return a;
 }

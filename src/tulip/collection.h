@@ -10,11 +10,13 @@
 // surface Meta-Chaos needs (owner, local offset, element enumeration).
 #pragma once
 
+#include <climits>
 #include <span>
 #include <vector>
 
 #include "layout/index.h"
 #include "transport/comm.h"
+#include "util/blob_io.h"
 
 namespace mc::tulip {
 
@@ -25,6 +27,29 @@ struct TulipDesc {
   layout::Index size = 0;
   int nprocs = 1;
   Placement placement = Placement::kBlock;
+
+  /// Appends the descriptor's wire form to `out`: size, processor count and
+  /// placement, one u64 each.  The one codec for shipping a descriptor to
+  /// another program and for snapshot blobs.
+  void serialize(std::vector<std::byte>& out) const {
+    blob::putU64(out, static_cast<std::uint64_t>(size));
+    blob::putU64(out, static_cast<std::uint64_t>(nprocs));
+    blob::putU64(out, static_cast<std::uint64_t>(placement));
+  }
+
+  /// Reads a descriptor written by serialize().  The bytes may come from
+  /// another program or a file: the size must lie in
+  /// [0, blob::kMaxDecodedElements], the processor count in [1, INT_MAX]
+  /// and the placement must be known; malformed input throws mc::Error.
+  static TulipDesc deserialize(blob::ByteReader& r) {
+    TulipDesc d;
+    d.size = static_cast<layout::Index>(
+        r.u64In(0, blob::kMaxDecodedElements, "tulip collection size"));
+    d.nprocs = static_cast<int>(r.u64In(1, INT_MAX, "tulip processor count"));
+    d.placement = static_cast<Placement>(r.u64In(
+        0, static_cast<std::uint64_t>(Placement::kCyclic), "tulip placement"));
+    return d;
+  }
 
   int ownerOf(layout::Index e) const {
     MC_REQUIRE(e >= 0 && e < size);

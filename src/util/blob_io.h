@@ -27,6 +27,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -188,6 +189,15 @@ inline void putStr(std::vector<std::byte>& out, std::string_view s) {
   if (!s.empty()) std::memcpy(out.data() + pos, s.data(), s.size());
 }
 
+/// An array shape: the rank, then one u64 per extent.  Read back with
+/// readShape.
+inline void putShape(std::vector<std::byte>& out, const layout::Shape& s) {
+  putU64(out, static_cast<std::uint64_t>(s.rank));
+  for (int d = 0; d < s.rank; ++d) {
+    putU64(out, static_cast<std::uint64_t>(s[d]));
+  }
+}
+
 // --- hardened payload reader ------------------------------------------------
 
 class ByteReader {
@@ -201,6 +211,18 @@ class ByteReader {
     std::uint64_t v = 0;
     std::memcpy(&v, data_.data() + pos_, sizeof(v));
     pos_ += sizeof(v);
+    return v;
+  }
+
+  /// Reads a u64 field that must lie in [lo, hi]; `what` names the field in
+  /// the error.  A negative value written through putU64 reads back above
+  /// INT64_MAX, so any range whose hi is at most INT64_MAX rejects it.
+  std::uint64_t u64In(std::uint64_t lo, std::uint64_t hi, const char* what) {
+    const std::uint64_t v = u64();
+    MC_REQUIRE(v >= lo && v <= hi, "%s %llu is outside [%llu, %llu]", what,
+               static_cast<unsigned long long>(v),
+               static_cast<unsigned long long>(lo),
+               static_cast<unsigned long long>(hi));
     return v;
   }
 
@@ -253,5 +275,29 @@ class ByteReader {
   std::span<const std::byte> data_;
   std::size_t pos_ = 0;
 };
+
+/// Largest element count a decoded shape or collection may have: block
+/// arithmetic such as (extent + procs - 1) / procs, with procs an int, then
+/// cannot overflow layout::Index.
+inline constexpr std::uint64_t kMaxDecodedElements =
+    static_cast<std::uint64_t>(std::numeric_limits<layout::Index>::max()) -
+    static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+
+/// Reads a shape written by putShape: the rank must lie in
+/// [1, layout::kMaxRank] and the element count must not exceed
+/// kMaxDecodedElements.
+inline layout::Shape readShape(ByteReader& r) {
+  layout::Shape s;
+  s.rank = static_cast<int>(r.u64In(1, layout::kMaxRank, "shape rank"));
+  std::uint64_t elements = 1;
+  for (int d = 0; d < s.rank; ++d) {
+    const std::uint64_t e = r.u64In(0, kMaxDecodedElements, "shape extent");
+    MC_REQUIRE(e == 0 || elements <= kMaxDecodedElements / e,
+               "shape has more elements than an Index can count");
+    elements *= e;
+    s[d] = static_cast<layout::Index>(e);
+  }
+  return s;
+}
 
 }  // namespace mc::blob

@@ -1,6 +1,7 @@
 // Contract tests every library adapter must satisfy: enumerateAll /
 // enumerateRange / enumerateOwned consistency, descriptor round-trips
-// preserving enumeration, and modeled-cost accounting.
+// preserving enumeration, descriptor decoders surviving byte-level fuzz,
+// and modeled-cost accounting.
 #include <gtest/gtest.h>
 
 #include "chaos/partition.h"
@@ -10,6 +11,7 @@
 #include "core/adapters/tulip_adapter.h"
 #include "core/registry.h"
 #include "core/schedule_builder.h"
+#include "fuzz_decoder.h"
 #include "transport/world.h"
 
 namespace mc::core {
@@ -154,6 +156,21 @@ TEST_P(AdapterContractP, DescriptorRoundTripPreservesEnumeration) {
       b.emplace_back(owner, off);
     });
     EXPECT_EQ(a, b);
+  });
+}
+
+// A shipped descriptor decodes or throws mc::Error for every prefix and
+// byte flip (the Chaos table travels framed, so flips fail its checksum).
+TEST_P(AdapterContractP, DescriptorDecoderSurvivesFuzz) {
+  World::runSPMD(4, [&](Comm& c) {
+    registerBuiltinAdapters();
+    const Fixture f = makeFixture(GetParam(), c);
+    const LibraryAdapter& lib = Registry::instance().get(f.obj.library());
+    const std::vector<std::byte> bytes = lib.serializeDesc(f.obj, c);
+    if (c.rank() != 0) return;
+    fuzzDecoder(bytes, [&](std::span<const std::byte> d) {
+      (void)lib.localFingerprint(lib.deserializeDesc(d));
+    });
   });
 }
 

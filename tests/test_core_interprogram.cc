@@ -6,7 +6,10 @@
 #include "core/adapters/chaos_adapter.h"
 #include "core/adapters/hpf_adapter.h"
 #include "core/adapters/parti_adapter.h"
+#include "core/adapters/tulip_adapter.h"
+#include "core/builder_internal.h"
 #include "core/data_move.h"
+#include "fuzz_decoder.h"
 #include "hpfrt/matvec.h"
 #include "transport/world.h"
 
@@ -296,6 +299,49 @@ TEST(InterProgram, MismatchedSizesAbort) {
             return o;
           }()),
       Error);
+}
+
+// The duplication bundle (library name, descriptor, set) arrives from the
+// other program: for every library it decodes or throws mc::Error for every
+// prefix and byte flip, and the decoded set's element count is defined.
+TEST(InterProgram, RemoteBundleDecoderSurvivesFuzz) {
+  World::runSPMD(2, [](Comm& c) {
+    parti::BlockDistArray<double> pa(c, Shape::of({6, 5}), 1);
+    hpfrt::HpfArray<double> ha(
+        c, hpfrt::HpfDist::blockEveryDim(Shape::of({6, 5}), c.size()));
+    tulip::Collection<double> coll(c, 30, tulip::Placement::kCyclic);
+    const Index n = 30;
+    const auto mine = chaos::randomPartition(n, c.size(), c.rank(), 9);
+    auto table = std::make_shared<const chaos::TranslationTable>(
+        chaos::TranslationTable::build(
+            c, mine, n, chaos::TranslationTable::Storage::kDistributed));
+    chaos::IrregArray<double> irreg(c, table, mine);
+
+    const SetOfRegions section(
+        Region::section(RegularSection::of({0, 1}, {5, 4}, {2, 1})));
+    std::vector<Index> ids;
+    for (Index k = 0; k < n; k += 3) ids.push_back((k * 7) % n);
+    const SetOfRegions indices(Region::indices(ids));
+    const SetOfRegions range(Region::range(1, 28, 3));
+    const std::pair<DistObject, const SetOfRegions*> cases[] = {
+        {PartiAdapter::describe(pa), &section},
+        {HpfAdapter::describe(ha), &section},
+        {ChaosAdapter::describe(irreg), &indices},
+        {TulipAdapter::describe(coll), &range},
+    };
+    for (const auto& [obj, set] : cases) {
+      const std::vector<std::byte> bundle = detail::packRemoteBundle(
+          detail::adapterFor(obj), obj, *set, c);
+      if (c.rank() != 0) continue;
+      SCOPED_TRACE(obj.library());
+      const auto [back, backSet] = detail::unpackRemoteBundle(bundle);
+      EXPECT_EQ(back.library(), obj.library());
+      EXPECT_EQ(backSet.numElements(), set->numElements());
+      fuzzDecoder(bundle, [](std::span<const std::byte> bytes) {
+        EXPECT_GE(detail::unpackRemoteBundle(bytes).second.numElements(), 0);
+      });
+    }
+  });
 }
 
 }  // namespace

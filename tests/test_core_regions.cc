@@ -2,12 +2,16 @@
 // and adapter inquiry functions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "chaos/partition.h"
 #include "core/adapters/chaos_adapter.h"
 #include "core/adapters/hpf_adapter.h"
 #include "core/adapters/parti_adapter.h"
 #include "core/adapters/tulip_adapter.h"
 #include "core/registry.h"
+#include "fuzz_decoder.h"
 #include "transport/world.h"
 
 namespace mc::core {
@@ -80,7 +84,14 @@ TEST(SetOfRegions, SerializationRoundTrip) {
   {
     SetOfRegions set;
     set.add(Region::indices({7, 1, 4}));
-    const SetOfRegions back = deserializeSet(serializeSet(set));
+    const std::vector<std::byte> bytes = serializeSet(set);
+    // The wire form another program reads: one 8-byte word per field.
+    const Index words[] = {1, static_cast<Index>(Region::Kind::kIndices), 3,
+                           7, 1, 4};
+    const auto expect = std::as_bytes(std::span<const Index>(words));
+    EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), expect.begin(),
+                           expect.end()));
+    const SetOfRegions back = deserializeSet(bytes);
     EXPECT_EQ(back.regions()[0].asIndices(), (std::vector<Index>{7, 1, 4}));
   }
   {
@@ -103,6 +114,74 @@ TEST(SetOfRegions, DeserializeRejectsGarbage) {
     const auto blob = std::as_bytes(std::span<const Index>(words));
     EXPECT_THROW(deserializeSet(blob), Error) << "count " << count;
   }
+  constexpr Index kSection = static_cast<Index>(Region::Kind::kSection);
+  constexpr Index kRange = static_cast<Index>(Region::Kind::kRange);
+  constexpr Index kMin = std::numeric_limits<Index>::min();
+  constexpr Index kMax = std::numeric_limits<Index>::max();
+  // Each blob must fail at decode: accepted, it would make numElements()
+  // divide by zero or overflow.  Words: region count, kind, then fields.
+  const std::vector<std::vector<Index>> bad = {
+      {1, 3, 0, 0, 0},                 // unknown region kind
+      {1, kSection, 1, 0, 9, 0},       // section stride 0
+      {1, kSection, 1, 0, 9, -2},      // negative section stride
+      {1, kSection, 1, kMin, 9, 1},    // lo = INT64_MIN: hi - lo overflows
+      {1, kSection, 2, 0, kMax - 1, 1, 0, 3, 1},  // rows x cols overflows
+      {1, kRange, 0, 9, 0},            // range stride 0
+      {1, kRange, kMin, kMax, 1},      // range count overflows
+      {2, kRange, 0, kMax - 1, 1, kRange, 0, kMax - 1, 1},  // sum overflows
+  };
+  for (const std::vector<Index>& words : bad) {
+    const auto blob = std::as_bytes(std::span<const Index>(words));
+    EXPECT_THROW(deserializeSet(blob), Error)
+        << "blob of " << words.size() << " words";
+  }
+}
+
+// A set decodes or throws mc::Error for every prefix and byte flip, and a
+// decoded set's element count is always defined.
+TEST(SetOfRegions, DecoderSurvivesFuzz) {
+  SetOfRegions sections;
+  sections.add(Region::section(RegularSection::of({1, 2}, {9, 8}, {2, 3})));
+  sections.add(Region::section(RegularSection::box({0, 0}, {3, 3})));
+  SetOfRegions indices;
+  indices.add(Region::indices({7, 1, 4}));
+  indices.add(Region::indices({}));
+  SetOfRegions ranges;
+  ranges.add(Region::range(3, 30, 4));
+  ranges.add(Region::range(0, 9));
+  for (const SetOfRegions* set : {&sections, &indices, &ranges}) {
+    fuzzDecoder(serializeSet(*set), [](std::span<const std::byte> bytes) {
+      EXPECT_GE(deserializeSet(bytes).numElements(), 0);
+    });
+  }
+}
+
+// Malformed library descriptors from another program must fail at decode,
+// not at the first ownership query (where some would divide by zero).
+TEST(DescriptorCodec, RejectsMalformedDescriptors) {
+  registerBuiltinAdapters();
+  const auto expectRejected = [](const char* library,
+                                 const std::vector<Index>& words) {
+    const auto blob = std::as_bytes(std::span<const Index>(words));
+    EXPECT_THROW(Registry::instance().get(library).deserializeDesc(blob),
+                 Error)
+        << library << " descriptor of " << words.size() << " words";
+  };
+  // pC++: size, processor count, placement.
+  expectRejected("pc++", {10, 0, 0});   // no processors
+  expectRejected("pc++", {10, 2, 9});   // unknown placement
+  expectRejected("pc++", {-1, 2, 0});   // negative size
+  // HPF: rank, extents, then per dimension kind, processors, block size.
+  expectRejected("hpf", {1, 10, 7, 1, 1});    // unknown DistKind
+  expectRejected("hpf", {1, -5, 0, 1, 1});    // negative extent
+  expectRejected("hpf", {1, 10, 2, 1, 0});    // CYCLIC(0)
+  expectRejected("hpf", {2, 10, 10, 0, 1 << 16, 1, 0, 1 << 16, 1});
+  // Parti: rank, extents, grid, ghost width.
+  expectRejected("parti", {0, 0});               // rank 0
+  expectRejected("parti", {1, -3, 1, 0});        // negative extent
+  expectRejected("parti", {1, 12, 0, 0});        // empty grid axis
+  expectRejected("parti", {1, 12, 2, -1});       // negative ghost width
+  expectRejected("parti", {2, 8, 8, 1 << 16, 1 << 16, 0});  // grid overflow
 }
 
 TEST(Registry, BuiltinsRegistered) {

@@ -1,14 +1,14 @@
 // Differential property suite for the run-native schedule builder.
 //
-// The Meta-Chaos builder has two pipelines: the run-native interval join
-// (default) and the element-wise reference path kept behind
-// core::testing::buildElementwiseForTest.  They must produce bitwise
-// identical schedules — same peers, same element order, and (after
-// compressing the element-wise plans) the exact same run lists — for every
-// ordered library pair, both build methods, intra- and inter-program, and
-// for adversarial irregular index sets (stride-0 fan-out, descending runs,
-// singletons straddling chunk boundaries).  Also checks the adapter
-// run-enumeration contract: expanded run streams equal the element streams.
+// The Meta-Chaos builder's run-native interval join is checked against the
+// element-wise reference builder (tests/oracle/elementwise_builder.h).
+// They must produce bitwise identical schedules — same peers, same element
+// order, and (after compressing the element-wise plans) the exact same run
+// lists — for every ordered library pair, both build methods, intra- and
+// inter-program, and for adversarial irregular index sets (stride-0
+// fan-out, descending runs, singletons straddling chunk boundaries).  Also
+// checks the adapter run-enumeration contract: expanded run streams equal
+// the element streams.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -20,6 +20,7 @@
 #include "core/adapters/parti_adapter.h"
 #include "core/adapters/tulip_adapter.h"
 #include "core/data_move.h"
+#include "oracle/elementwise_builder.h"
 #include "transport/world.h"
 #include "util/rng.h"
 
@@ -196,18 +197,22 @@ struct PairCase {
   Method method;
 };
 
+/// Builds with the element-wise oracle when `oracle` is set, else with the
+/// run-native builder.
 std::vector<sched::Schedule> buildIntraPlans(const PairCase& tc, int np,
-                                             bool elementwise) {
-  const bool prev = testing::buildElementwiseForTest(elementwise);
+                                             bool oracle) {
   std::vector<sched::Schedule> plans(static_cast<size_t>(np));
   World::runSPMD(np, [&](Comm& c) {
     const bool chaosReplicated = tc.method == Method::kDuplication;
     Instance src = makeInstance(tc.src, c, chaosReplicated);
     Instance dst = makeInstance(tc.dst, c, chaosReplicated);
     plans[static_cast<size_t>(c.rank())] =
-        computeSchedule(c, src.obj, src.set, dst.obj, dst.set, tc.method).plan;
+        (oracle ? elementwise::computeSchedule(c, src.obj, src.set, dst.obj,
+                                               dst.set, tc.method)
+                : computeSchedule(c, src.obj, src.set, dst.obj, dst.set,
+                                  tc.method))
+            .plan;
   });
-  testing::buildElementwiseForTest(prev);
   return plans;
 }
 
@@ -216,8 +221,8 @@ class RunJoinDifferentialP : public ::testing::TestWithParam<PairCase> {};
 TEST_P(RunJoinDifferentialP, RunNativeMatchesElementwise) {
   const PairCase tc = GetParam();
   constexpr int kProcs = 4;
-  const auto elem = buildIntraPlans(tc, kProcs, /*elementwise=*/true);
-  const auto run = buildIntraPlans(tc, kProcs, /*elementwise=*/false);
+  const auto elem = buildIntraPlans(tc, kProcs, /*oracle=*/true);
+  const auto run = buildIntraPlans(tc, kProcs, /*oracle=*/false);
   for (int r = 0; r < kProcs; ++r) {
     SCOPED_TRACE(std::string(libName(tc.src)) + "->" + libName(tc.dst) +
                  " rank " + std::to_string(r));
@@ -253,8 +258,8 @@ struct InterPlans {
   std::vector<sched::Schedule> recvSide;
 };
 
-InterPlans buildInterPlans(Method method, bool elementwise) {
-  const bool prev = testing::buildElementwiseForTest(elementwise);
+/// Both programs build with the element-wise oracle when `oracle` is set.
+InterPlans buildInterPlans(Method method, bool oracle) {
   constexpr Index kRows = 8, kCols = 8;
   const Index n = kRows * kCols;
   InterPlans out{std::vector<sched::Schedule>(2),
@@ -267,9 +272,13 @@ InterPlans buildInterPlans(Method method, bool elementwise) {
                      SetOfRegions set;
                      set.add(Region::section(
                          RegularSection::box({0, 0}, {kRows - 1, kCols - 1})));
+                     const DistObject obj = PartiAdapter::describe(a);
                      out.sendSide[static_cast<size_t>(c.rank())] =
-                         computeScheduleSend(c, PartiAdapter::describe(a), set,
-                                             /*remoteProgram=*/1, method)
+                         (oracle ? elementwise::computeScheduleSend(
+                                       c, obj, set, /*remoteProgram=*/1, method)
+                                 : computeScheduleSend(c, obj, set,
+                                                       /*remoteProgram=*/1,
+                                                       method))
                              .plan;
                    }},
        ProgramSpec{"pirreg", 2, [&](Comm& c) {
@@ -290,19 +299,22 @@ InterPlans buildInterPlans(Method method, bool elementwise) {
                        ids[static_cast<size_t>(k)] = k;
                      }
                      set.add(Region::indices(ids));
+                     const DistObject obj = ChaosAdapter::describe(x);
                      out.recvSide[static_cast<size_t>(c.rank())] =
-                         computeScheduleRecv(c, ChaosAdapter::describe(x), set,
-                                             /*remoteProgram=*/0, method)
+                         (oracle ? elementwise::computeScheduleRecv(
+                                       c, obj, set, /*remoteProgram=*/0, method)
+                                 : computeScheduleRecv(c, obj, set,
+                                                       /*remoteProgram=*/0,
+                                                       method))
                              .plan;
                    }}});
-  testing::buildElementwiseForTest(prev);
   return out;
 }
 
 TEST(RunJoinInterProgram, RunNativeMatchesElementwise) {
   for (Method m : {Method::kCooperation, Method::kDuplication}) {
-    const InterPlans elem = buildInterPlans(m, /*elementwise=*/true);
-    const InterPlans run = buildInterPlans(m, /*elementwise=*/false);
+    const InterPlans elem = buildInterPlans(m, /*oracle=*/true);
+    const InterPlans run = buildInterPlans(m, /*oracle=*/false);
     for (size_t r = 0; r < 2; ++r) {
       SCOPED_TRACE(std::string(m == Method::kCooperation ? "coop" : "dup") +
                    " rank " + std::to_string(r));
@@ -357,8 +369,7 @@ TEST(RunJoinFuzz, AdversarialChaosIndexSets) {
           static_cast<Index>(dstPerm[static_cast<size_t>(k)]);
     }
 
-    auto build = [&](bool elementwise) {
-      const bool prev = testing::buildElementwiseForTest(elementwise);
+    auto build = [&](bool oracle) {
       std::vector<sched::Schedule> plans(kProcs);
       std::vector<double> gathered;
       World::runSPMD(kProcs, [&](Comm& c) {
@@ -382,19 +393,21 @@ TEST(RunJoinFuzz, AdversarialChaosIndexSets) {
         srcSet.add(Region::indices(srcIds));
         dstSet.add(Region::indices(dstIds));
         const McSchedule sched =
-            computeSchedule(c, ChaosAdapter::describe(src), srcSet,
-                            ChaosAdapter::describe(dst), dstSet);
+            oracle ? elementwise::computeSchedule(
+                         c, ChaosAdapter::describe(src), srcSet,
+                         ChaosAdapter::describe(dst), dstSet)
+                   : computeSchedule(c, ChaosAdapter::describe(src), srcSet,
+                                     ChaosAdapter::describe(dst), dstSet);
         plans[static_cast<size_t>(c.rank())] = sched.plan;
         dataMove<double>(c, sched, src.raw(), dst.raw());
         if (c.rank() == 0) gathered = dst.gatherGlobal();
         else (void)dst.gatherGlobal();
       });
-      testing::buildElementwiseForTest(prev);
       return std::make_pair(std::move(plans), std::move(gathered));
     };
 
-    const auto elem = build(/*elementwise=*/true);
-    const auto run = build(/*elementwise=*/false);
+    const auto elem = build(/*oracle=*/true);
+    const auto run = build(/*oracle=*/false);
     for (int r = 0; r < kProcs; ++r) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " rank " +
                    std::to_string(r));

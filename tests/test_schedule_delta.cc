@@ -18,6 +18,7 @@
 #include "core/schedule_cache.h"
 #include "hpfrt/hpf_array.h"
 #include "layout/dist_delta.h"
+#include "oracle/elementwise_builder.h"
 #include "transport/world.h"
 
 namespace mc::core {
@@ -379,25 +380,25 @@ TEST(ScheduleDelta, ExecutionBitwiseUnderAllModes) {
   }
 }
 
-// The element-wise reference pipeline records the same provenance as the
+// The element-wise reference builder records the same provenance as the
 // run-native one (both re-coalesce through the same canonical greedy).
 TEST(ScheduleDelta, ElementwiseProvenanceParity) {
   std::vector<McSchedule> runNative(kProcs);
-  std::vector<McSchedule> elementwise(kProcs);
-  const auto build = [](std::vector<McSchedule>& out) {
+  std::vector<McSchedule> reference(kProcs);
+  const auto build = [](std::vector<McSchedule>& out, bool oracle) {
     World::runSPMD(kProcs, [&](Comm& c) {
       Scenario s(c, 17u, 4);
       out[static_cast<std::size_t>(c.rank())] =
-          computeSchedule(c, s.oldSrc, s.srcSet, s.dst, s.dstSet);
+          oracle ? elementwise::computeSchedule(c, s.oldSrc, s.srcSet, s.dst,
+                                                s.dstSet)
+                 : computeSchedule(c, s.oldSrc, s.srcSet, s.dst, s.dstSet);
     });
   };
-  build(runNative);
-  const bool prev = testing::buildElementwiseForTest(true);
-  build(elementwise);
-  testing::buildElementwiseForTest(prev);
+  build(runNative, /*oracle=*/false);
+  build(reference, /*oracle=*/true);
   for (int r = 0; r < kProcs; ++r) {
     const McSchedule& a = runNative[static_cast<std::size_t>(r)];
-    const McSchedule& b = elementwise[static_cast<std::size_t>(r)];
+    const McSchedule& b = reference[static_cast<std::size_t>(r)];
     // Provenance is identical bit for bit; the plans agree element-wise
     // (the reference pipeline emits expanded offsets, not runs).
     EXPECT_EQ(a.sendSegs, b.sendSegs);

@@ -19,6 +19,7 @@
 
 #include "chaos/partition.h"
 #include "core/schedule_cache.h"
+#include "fuzz_decoder.h"
 #include "sched/serialize.h"
 #include "server/client_session.h"
 #include "server/compute_server.h"
@@ -68,30 +69,6 @@ core::McSchedule sampleMcSchedule(int salt) {
   s.sendSegs.push_back(core::SendSeg{salt, 1, 2, 3, 4, 5, 6});
   s.recvSegs.push_back(core::RecvSeg{7, 8, 9, 10, salt});
   return s;
-}
-
-/// Every strict prefix of `blob` must be rejected with mc::Error — the
-/// reader clamps every count against the bytes that remain, so truncation
-/// can never crash or trigger a huge allocation.
-template <typename ReadFn>
-void expectEveryPrefixRejected(const std::vector<std::byte>& blob,
-                               ReadFn&& read) {
-  for (std::size_t keep = 0; keep < blob.size(); ++keep) {
-    EXPECT_THROW(read(std::span<const std::byte>(blob.data(), keep)), Error)
-        << "kept " << keep << " of " << blob.size() << " bytes";
-  }
-}
-
-/// Every single-byte corruption must be rejected too (the frame covers the
-/// header with field checks and the payload with a checksum).
-template <typename ReadFn>
-void expectEveryByteFlipRejected(const std::vector<std::byte>& blob,
-                                 ReadFn&& read) {
-  for (std::size_t at = 0; at < blob.size(); ++at) {
-    std::vector<std::byte> bad = blob;
-    bad[at] ^= std::byte{0x40};
-    EXPECT_THROW(read(bad), Error) << "flipped byte " << at;
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@
 # client (region sets, library descriptors, the duplication bundle,
 # snapshot blobs).  Pass --preset=tsan to run the ThreadSanitizer build
 # instead: the transport / executor / split-phase suites, where the
-# cross-thread mailbox traffic lives.
+# cross-thread mailbox traffic lives, and the schedule cache, whose
+# inter-program hit/miss agreement crosses program threads.
 #
 # Usage: scripts/sanitize_smoke.sh [--preset=asan-ubsan|tsan] [ctest -R regex]
 set -euo pipefail
@@ -27,7 +28,7 @@ case "$PRESET" in
     ;;
   tsan)
     BUILD_DIR=build-tsan
-    DEFAULT_FILTER="test_transport|test_transport_extra|test_executor|test_split_phase|test_obs|test_localize_batch|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot"
+    DEFAULT_FILTER="test_transport|test_transport_extra|test_executor|test_split_phase|test_obs|test_schedule_cache|test_localize_batch|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot"
     ;;
   *)
     echo "unknown preset: $PRESET (expected asan-ubsan or tsan)" >&2

@@ -48,39 +48,4 @@ sched::Schedule buildIrregCopySchedule(transport::Comm& comm,
   return out;
 }
 
-sched::KeyedCache<sched::Schedule>& chaosScheduleCache() {
-  thread_local sched::KeyedCache<sched::Schedule> cache;
-  return cache;
-}
-
-std::shared_ptr<const sched::Schedule> cachedIrregCopySchedule(
-    transport::Comm& comm, const TranslationTable& dstTable,
-    std::span<const Index> mySrcOffsets, std::span<const Index> dstGlobals) {
-  HashStream h;
-  h.str("chaos-irreg-copy");
-  h.pod(comm.program());
-  h.pod(comm.size());
-  h.pod(dstTable.localFingerprint());
-  h.podSpan(mySrcOffsets);
-  h.podSpan(dstGlobals);
-  const auto key = h.digest();
-
-  sched::KeyedCache<sched::Schedule>& cache = chaosScheduleCache();
-  std::shared_ptr<const sched::Schedule> local = cache.peek(key);
-  // The build dereferences the translation table collectively, so all
-  // ranks must agree to skip it: AND-reduce the local hit bit.
-  const int hit = comm.allreduceValue(
-      local != nullptr ? 1 : 0, [](int a, int b) { return a < b ? a : b; });
-  if (hit != 0) {
-    cache.noteHit(key);
-    return local;
-  }
-  cache.noteMiss();
-  auto built = std::make_shared<sched::Schedule>(
-      buildIrregCopySchedule(comm, dstTable, mySrcOffsets, dstGlobals));
-  built->compress();
-  cache.insert(key, built);
-  return built;
-}
-
 }  // namespace mc::chaos

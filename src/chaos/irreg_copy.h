@@ -21,7 +21,6 @@
 
 #include "chaos/ttable.h"
 #include "sched/schedule.h"
-#include "sched/schedule_cache.h"
 
 namespace mc::chaos {
 
@@ -31,21 +30,6 @@ sched::Schedule buildIrregCopySchedule(
     transport::Comm& comm, const TranslationTable& dstTable,
     std::span<const layout::Index> mySrcOffsets,
     std::span<const layout::Index> dstGlobals);
-
-/// Cached buildIrregCopySchedule.  Still collective: the build communicates
-/// (the translation-table dereference), so the ranks first agree whether
-/// *everyone* holds a cached copy — an allreduce of the local hit bit —
-/// and rebuild together otherwise.  Keys cover the table's local shard,
-/// this rank's mapping slice, and the program topology; cached schedules
-/// come back run-compressed.
-std::shared_ptr<const sched::Schedule> cachedIrregCopySchedule(
-    transport::Comm& comm, const TranslationTable& dstTable,
-    std::span<const layout::Index> mySrcOffsets,
-    std::span<const layout::Index> dstGlobals);
-
-/// The calling rank's cache behind cachedIrregCopySchedule (counters for
-/// tests and benches).
-sched::KeyedCache<sched::Schedule>& chaosScheduleCache();
 
 /// Chaos-style executor: like sched::execute but with the extra internal
 /// staging copy and extra indirection pass of the real library.  Collective.

@@ -25,66 +25,4 @@ void copyRegions(transport::Comm& comm, const DistObject& srcObj,
   dataMove<T>(comm, *sched, src, dst);
 }
 
-/// Inter-program cached copy, source half; the destination program must
-/// concurrently call copyRegionsRecv.  Collective over both programs.
-template <typename T>
-void copyRegionsSend(transport::Comm& comm, const DistObject& srcObj,
-                     const SetOfRegions& srcSet, std::span<const T> src,
-                     int remoteProgram, Method method = Method::kCooperation,
-                     ScheduleCache* cache = nullptr) {
-  ScheduleCache& c = cache != nullptr ? *cache : defaultScheduleCache();
-  const auto sched =
-      c.getOrBuildSend(comm, srcObj, srcSet, remoteProgram, method);
-  dataMoveSend<T>(comm, *sched, src);
-}
-
-/// Inter-program cached copy, destination half.
-template <typename T>
-void copyRegionsRecv(transport::Comm& comm, const DistObject& dstObj,
-                     const SetOfRegions& dstSet, std::span<T> dst,
-                     int remoteProgram, Method method = Method::kCooperation,
-                     ScheduleCache* cache = nullptr) {
-  ScheduleCache& c = cache != nullptr ? *cache : defaultScheduleCache();
-  const auto sched =
-      c.getOrBuildRecv(comm, dstObj, dstSet, remoteProgram, method);
-  dataMoveRecv<T>(comm, *sched, dst);
-}
-
-/// A persistent intra-program region copier: resolves the schedule through
-/// the cache once at construction and keeps a sched::Executor bound to it,
-/// so a loop calling copy() every iteration reuses both the schedule and
-/// the executor's message buffers (zero transport payload copies or
-/// allocations in steady state) — copyRegions amortizes only the build.
-template <typename T>
-class RegionCopier {
- public:
-  RegionCopier(transport::Comm& comm, const DistObject& srcObj,
-               const SetOfRegions& srcSet, const DistObject& dstObj,
-               const SetOfRegions& dstSet,
-               Method method = Method::kCooperation,
-               ScheduleCache* cache = nullptr)
-      : exec_(comm,
-              planOf(comm, srcObj, srcSet, dstObj, dstSet, method, cache)) {}
-
-  /// One collective copy under the bound schedule.
-  void copy(std::span<const T> src, std::span<T> dst) { exec_.run(src, dst); }
-
- private:
-  static std::shared_ptr<const sched::Schedule> planOf(
-      transport::Comm& comm, const DistObject& srcObj,
-      const SetOfRegions& srcSet, const DistObject& dstObj,
-      const SetOfRegions& dstSet, Method method, ScheduleCache* cache) {
-    ScheduleCache& c = cache != nullptr ? *cache : defaultScheduleCache();
-    std::shared_ptr<const McSchedule> sched =
-        c.getOrBuild(comm, srcObj, srcSet, dstObj, dstSet, method);
-    MC_REQUIRE(sched->remoteProgram < 0,
-               "RegionCopier is intra-program; use copyRegionsSend/Recv");
-    // Aliasing share: the executor keeps the whole McSchedule alive while
-    // pointing at its plan.
-    return std::shared_ptr<const sched::Schedule>(sched, &sched->plan);
-  }
-
-  sched::Executor<T> exec_;
-};
-
 }  // namespace mc::core

@@ -39,37 +39,64 @@ void hashRegion(HashStream& h, const Region& r) {
   }
 }
 
-/// All processors of the program (and, when `remoteProgram` >= 0, of the
-/// remote program too) agree whether every participant has a cached copy.
-bool agreeOnHit(transport::Comm& comm, int remoteProgram, bool localHit) {
-  int hit = static_cast<int>(
-      comm.allreduceValue(localHit ? 1 : 0,
-                          [](int a, int b) { return a < b ? a : b; }));
-  if (remoteProgram >= 0) {
-    // Exchange the program-wide bit rank0 <-> rank0, then broadcast.
-    const int tag = comm.nextInterTag(remoteProgram);
-    if (comm.rank() == 0) {
-      comm.sendValueTo(remoteProgram, 0, tag, hit);
-      const int theirs = comm.recvValueFrom<int>(remoteProgram, 0, tag);
-      hit = hit < theirs ? hit : theirs;
-    }
-    hit = comm.bcastValue(hit, 0);
+using Key = HashStream::Digest;
+
+/// One rank's share of a lookup's vote and, reduced, its program's.
+struct Vote {
+  Key identity;        // sum over ranks of hash(rank, key), word-wise
+  Key held;            // the identity every voter's entry carries, if `hit`
+  std::uint64_t hit;   // every voter holds an entry, all carrying `held`
+};
+
+/// What every participant of a lookup decides together.
+struct Decision {
+  Key identity;        // the configuration's identity; a build stores it
+  std::uint64_t hit;   // every participant's entry carries `identity`
+};
+
+Vote combine(const Vote& a, const Vote& b) {
+  return Vote{{a.identity[0] + b.identity[0], a.identity[1] + b.identity[1]},
+              a.held,
+              a.hit & b.hit & static_cast<std::uint64_t>(a.held == b.held)};
+}
+
+/// The collective vote of one lookup: an allreduce over the program and,
+/// for an inter-program half (`remoteProgram` >= 0), a rank-0 exchange of
+/// the two programs' votes plus a bcast of the joint decision — the
+/// messages a bare hit bit needs.  `held` is the identity of this rank's
+/// entry, or null when it has none.
+Decision agree(transport::Comm& comm, int remoteProgram, bool sender,
+               const Key& key, const Key* held) {
+  HashStream mine;
+  mine.pod(comm.rank());
+  mine.pod(key);
+  const Vote v = comm.allreduceValue(
+      Vote{mine.digest(), held != nullptr ? *held : Key{},
+           held != nullptr ? 1u : 0u},
+      combine);
+  if (remoteProgram < 0) {
+    return Decision{v.identity,
+                    v.hit & static_cast<std::uint64_t>(v.held == v.identity)};
   }
-  return hit != 0;
+  Decision d{};
+  const int tag = comm.nextInterTag(remoteProgram);
+  if (comm.rank() == 0) {
+    comm.sendValueTo(remoteProgram, 0, tag, v);
+    const Vote theirs = comm.recvValueFrom<Vote>(remoteProgram, 0, tag);
+    HashStream joint;  // the sending program's identity first
+    joint.pod(sender ? v.identity : theirs.identity);
+    joint.pod(sender ? theirs.identity : v.identity);
+    d.identity = joint.digest();
+    d.hit = v.hit & theirs.hit &
+            static_cast<std::uint64_t>(v.held == d.identity &&
+                                       theirs.held == d.identity);
+  }
+  return comm.bcastValue(d, 0);
 }
 
-std::shared_ptr<const McSchedule> compressed(McSchedule sched) {
-  sched.plan.compress();
-  // Cached schedules keep only the run form; the expanded offsets would
-  // double the resident footprint for no executor benefit.
-  sched.plan.releaseExpandedForms();
-  return std::make_shared<const McSchedule>(std::move(sched));
-}
-
-HashStream::Digest intraKey(transport::Comm& comm, const DistObject& srcObj,
-                            const SetOfRegions& srcSet,
-                            const DistObject& dstObj,
-                            const SetOfRegions& dstSet, Method method) {
+Key intraKey(transport::Comm& comm, const DistObject& srcObj,
+             const SetOfRegions& srcSet, const DistObject& dstObj,
+             const SetOfRegions& dstSet, Method method) {
   HashStream h;
   h.str("intra");
   h.pod(method);
@@ -91,22 +118,47 @@ void hashScheduleSide(HashStream& h, const DistObject& obj,
   for (const Region& r : set.regions()) hashRegion(h, r);
 }
 
+template <typename Build>
+std::shared_ptr<const McSchedule> ScheduleCache::lookup(
+    transport::Comm& comm, int remoteProgram, bool sender,
+    std::initializer_list<Key> keys, Build&& build) {
+  const Key* found = nullptr;
+  std::shared_ptr<const Entry> local;
+  for (const Key& key : keys) {
+    local = cache_.peek(key);
+    if (local != nullptr) {
+      found = &key;
+      break;
+    }
+  }
+  const Decision d =
+      agree(comm, remoteProgram, sender, *keys.begin(),
+            local != nullptr ? &local->identity : nullptr);
+  if (d.hit != 0) {
+    cache_.noteHit(*found);
+    return std::shared_ptr<const McSchedule>(local, &local->schedule);
+  }
+  cache_.noteMiss();
+  McSchedule built = std::forward<Build>(build)();
+  built.plan.compress();
+  // Cached schedules keep only the run form; the expanded offsets would
+  // double the resident footprint for no executor benefit.
+  built.plan.releaseExpandedForms();
+  auto entry =
+      std::make_shared<const Entry>(Entry{d.identity, std::move(built)});
+  for (const Key& key : keys) cache_.insert(key, entry);
+  return std::shared_ptr<const McSchedule>(entry, &entry->schedule);
+}
+
 std::shared_ptr<const McSchedule> ScheduleCache::getOrBuild(
     transport::Comm& comm, const DistObject& srcObj,
     const SetOfRegions& srcSet, const DistObject& dstObj,
     const SetOfRegions& dstSet, Method method) {
-  const auto key = intraKey(comm, srcObj, srcSet, dstObj, dstSet, method);
-
-  std::shared_ptr<const McSchedule> local = cache_.peek(key);
-  if (agreeOnHit(comm, /*remoteProgram=*/-1, local != nullptr)) {
-    cache_.noteHit(key);
-    return local;
-  }
-  cache_.noteMiss();
-  auto built =
-      compressed(computeSchedule(comm, srcObj, srcSet, dstObj, dstSet, method));
-  cache_.insert(key, built);
-  return built;
+  return lookup(
+      comm, /*remoteProgram=*/-1, /*sender=*/false,
+      {intraKey(comm, srcObj, srcSet, dstObj, dstSet, method)}, [&] {
+        return computeSchedule(comm, srcObj, srcSet, dstObj, dstSet, method);
+      });
 }
 
 std::shared_ptr<const McSchedule> ScheduleCache::getOrPatch(
@@ -115,151 +167,70 @@ std::shared_ptr<const McSchedule> ScheduleCache::getOrPatch(
     const DistObject& oldDstObj, const DistObject& newDstObj,
     const SetOfRegions& dstSet, const layout::DistDelta& delta,
     Method method) {
-  const auto oldKey =
+  const Key oldKey =
       intraKey(comm, oldSrcObj, srcSet, oldDstObj, dstSet, method);
-  const auto newKey =
+  const Key newKey =
       intraKey(comm, newSrcObj, srcSet, newDstObj, dstSet, method);
-  // Delta-secondary key: a rank that cannot fingerprint the *new*
-  // descriptors cheaply (or whose fingerprints churn) still hits when the
-  // same (old schedule, delta) pair recurs.
+  // Delta-secondary key: the same (old schedule, delta) pair.  The vote
+  // still demands an entry built for the new distributions.
   HashStream dh;
   dh.str("patch");
   dh.pod(oldKey);
   dh.pod(delta.fingerprint());
-  const auto deltaKey = dh.digest();
-
-  std::shared_ptr<const McSchedule> local = cache_.peek(newKey);
-  const bool viaNewKey = local != nullptr;
-  if (!local) local = cache_.peek(deltaKey);
-  if (agreeOnHit(comm, /*remoteProgram=*/-1, local != nullptr)) {
-    cache_.noteHit(viaNewKey ? newKey : deltaKey);
-    return local;
-  }
-  cache_.noteMiss();
-
-  // Patch only when *every* rank holds a patchable old schedule — the
-  // fallback is a collective build, so the choice must be uniform.
-  std::shared_ptr<const McSchedule> old = cache_.peek(oldKey);
-  const bool canPatch =
-      old != nullptr && patchableSchedule(*old, newSrcObj, newDstObj);
-  if (agreeOnHit(comm, /*remoteProgram=*/-1, canPatch)) {
-    ++patches_;
-    auto patched = compressed(patchSchedule(comm, *old, delta, newSrcObj,
-                                            srcSet, newDstObj, dstSet));
-    cache_.insert(newKey, patched);
-    cache_.insert(deltaKey, patched);
-    return patched;
-  }
-  ++patchFallbacks_;
-  auto built = compressed(
-      computeSchedule(comm, newSrcObj, srcSet, newDstObj, dstSet, method));
-  cache_.insert(newKey, built);
-  cache_.insert(deltaKey, built);
-  return built;
+  return lookup(comm, /*remoteProgram=*/-1, /*sender=*/false,
+                {newKey, dh.digest()}, [&] {
+    // Patch only when *every* rank holds a patchable old schedule built for
+    // the old distributions — the fallback is a collective build, so the
+    // choice must be uniform.
+    const std::shared_ptr<const Entry> old = cache_.peek(oldKey);
+    const bool patchable =
+        old != nullptr &&
+        patchableSchedule(old->schedule, newSrcObj, newDstObj);
+    if (agree(comm, /*remoteProgram=*/-1, /*sender=*/false, oldKey,
+              patchable ? &old->identity : nullptr)
+            .hit != 0) {
+      ++patches_;
+      return patchSchedule(comm, old->schedule, delta, newSrcObj, srcSet,
+                           newDstObj, dstSet);
+    }
+    ++patchFallbacks_;
+    return computeSchedule(comm, newSrcObj, srcSet, newDstObj, dstSet,
+                           method);
+  });
 }
 
-std::shared_ptr<const McSchedule> ScheduleCache::getOrBuildSend(
-    transport::Comm& comm, const DistObject& srcObj,
-    const SetOfRegions& srcSet, int remoteProgram, Method method) {
+std::shared_ptr<const McSchedule> ScheduleCache::getOrBuildHalf(
+    transport::Comm& comm, int remoteProgram, bool sender,
+    const DistObject& obj, const SetOfRegions& set, const Key* remoteLayout,
+    Method method) {
+  // The identity-keyed halves hash both program ids; the layout-keyed ones
+  // hash the remote side's layout digest instead, so a schedule built
+  // against client program 3 serves client program 57 with the same layout
+  // (the executor retargets plan peers via globalRankOf at bind).
   HashStream h;
-  h.str("send");
-  h.pod(method);
-  h.pod(comm.program());
-  h.pod(comm.size());
-  h.pod(remoteProgram);
-  h.pod(comm.programInfo(remoteProgram).nprocs);
-  hashScheduleSide(h, srcObj, srcSet);
-  const auto key = h.digest();
-
-  std::shared_ptr<const McSchedule> local = cache_.peek(key);
-  if (agreeOnHit(comm, remoteProgram, local != nullptr)) {
-    cache_.noteHit(key);
-    return local;
-  }
-  cache_.noteMiss();
-  auto built = compressed(
-      computeScheduleSend(comm, srcObj, srcSet, remoteProgram, method));
-  cache_.insert(key, built);
-  return built;
-}
-
-std::shared_ptr<const McSchedule> ScheduleCache::getOrBuildRecv(
-    transport::Comm& comm, const DistObject& dstObj,
-    const SetOfRegions& dstSet, int remoteProgram, Method method) {
-  HashStream h;
-  h.str("recv");
-  h.pod(method);
-  h.pod(comm.program());
-  h.pod(comm.size());
-  h.pod(remoteProgram);
-  h.pod(comm.programInfo(remoteProgram).nprocs);
-  hashScheduleSide(h, dstObj, dstSet);
-  const auto key = h.digest();
-
-  std::shared_ptr<const McSchedule> local = cache_.peek(key);
-  if (agreeOnHit(comm, remoteProgram, local != nullptr)) {
-    cache_.noteHit(key);
-    return local;
-  }
-  cache_.noteMiss();
-  auto built = compressed(
-      computeScheduleRecv(comm, dstObj, dstSet, remoteProgram, method));
-  cache_.insert(key, built);
-  return built;
-}
-
-std::shared_ptr<const McSchedule> ScheduleCache::getOrBuildSendByLayout(
-    transport::Comm& comm, const DistObject& srcObj,
-    const SetOfRegions& srcSet, int remoteProgram,
-    const HashStream::Digest& remoteLayout, Method method) {
-  // Program identities (local and remote) are deliberately absent from the
-  // key: only the two layouts and the topology widths matter, so a schedule
-  // built against client program 3 serves client program 57 with the same
-  // layout.  The executor retargets plan peers via globalRankOf at bind.
-  HashStream h;
-  h.str("send_layout");
+  h.str(sender ? "send" : "recv");
   h.pod(method);
   h.pod(comm.size());
   h.pod(comm.programInfo(remoteProgram).nprocs);
-  h.pod(remoteLayout);
-  hashScheduleSide(h, srcObj, srcSet);
-  const auto key = h.digest();
-
-  std::shared_ptr<const McSchedule> local = cache_.peek(key);
-  if (agreeOnHit(comm, remoteProgram, local != nullptr)) {
-    cache_.noteHit(key);
-    return local;
+  if (remoteLayout != nullptr) {
+    h.str("layout");
+    h.pod(*remoteLayout);
+  } else {
+    h.pod(comm.program());
+    h.pod(remoteProgram);
   }
-  cache_.noteMiss();
-  auto built = compressed(
-      computeScheduleSend(comm, srcObj, srcSet, remoteProgram, method));
-  cache_.insert(key, built);
-  return built;
+  hashScheduleSide(h, obj, set);
+  return lookup(comm, remoteProgram, sender, {h.digest()}, [&] {
+    return sender ? computeScheduleSend(comm, obj, set, remoteProgram, method)
+                  : computeScheduleRecv(comm, obj, set, remoteProgram, method);
+  });
 }
 
-std::shared_ptr<const McSchedule> ScheduleCache::getOrBuildRecvByLayout(
-    transport::Comm& comm, const DistObject& dstObj,
-    const SetOfRegions& dstSet, int remoteProgram,
-    const HashStream::Digest& remoteLayout, Method method) {
-  HashStream h;
-  h.str("recv_layout");
-  h.pod(method);
-  h.pod(comm.size());
-  h.pod(comm.programInfo(remoteProgram).nprocs);
-  h.pod(remoteLayout);
-  hashScheduleSide(h, dstObj, dstSet);
-  const auto key = h.digest();
-
-  std::shared_ptr<const McSchedule> local = cache_.peek(key);
-  if (agreeOnHit(comm, remoteProgram, local != nullptr)) {
-    cache_.noteHit(key);
-    return local;
-  }
-  cache_.noteMiss();
-  auto built = compressed(
-      computeScheduleRecv(comm, dstObj, dstSet, remoteProgram, method));
-  cache_.insert(key, built);
-  return built;
+void ScheduleCache::insertEntry(const HashStream::Digest& key,
+                                const HashStream::Digest& identity,
+                                McSchedule schedule) {
+  cache_.insert(key, std::make_shared<const Entry>(
+                         Entry{identity, std::move(schedule)}));
 }
 
 HashStream::Digest scheduleSideDigest(const DistObject& obj,

@@ -1,52 +1,6 @@
 #include "hpfrt/redistribute.h"
 
-#include "layout/section_hash.h"
-#include "obs/metrics.h"
-
 namespace mc::hpfrt {
-
-sched::KeyedCache<sched::Schedule>& hpfScheduleCache() {
-  thread_local sched::KeyedCache<sched::Schedule> cache;
-  thread_local bool registered = [] {
-    obs::registerCacheMetrics(obs::threadRegistry(), "hpf.sched_cache",
-                              cache);
-    return true;
-  }();
-  (void)registered;
-  return cache;
-}
-
-namespace {
-
-void hashHpfDist(HashStream& h, const HpfDist& dist) {
-  layout::hashShape(h, dist.globalShape());
-  for (const DimDist& dd : dist.dims()) {
-    h.pod(static_cast<int>(dd.kind));
-    h.pod(dd.procs);
-    h.pod(dd.param);
-  }
-}
-
-}  // namespace
-
-std::shared_ptr<const sched::Schedule> cachedRedistSchedule(
-    const HpfDist& srcDist, const layout::RegularSection& srcSec,
-    const HpfDist& dstDist, const layout::RegularSection& dstSec,
-    int myProc) {
-  HashStream h;
-  h.str("hpf-redist");
-  hashHpfDist(h, srcDist);
-  layout::hashSection(h, srcSec);
-  hashHpfDist(h, dstDist);
-  layout::hashSection(h, dstSec);
-  h.pod(myProc);
-  return hpfScheduleCache().getOrBuild(h.digest(), [&] {
-    auto built = std::make_shared<sched::Schedule>(
-        buildRedistSchedule(srcDist, srcSec, dstDist, dstSec, myProc));
-    built->compress();
-    return built;
-  });
-}
 
 sched::Schedule buildRedistSchedule(const HpfDist& srcDist,
                                     const layout::RegularSection& srcSec,

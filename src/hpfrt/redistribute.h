@@ -10,7 +10,6 @@
 
 #include "hpfrt/hpf_array.h"
 #include "sched/executor.h"
-#include "sched/schedule_cache.h"
 
 namespace mc::hpfrt {
 
@@ -23,18 +22,6 @@ sched::Schedule buildRedistSchedule(const HpfDist& srcDist,
                                     const layout::RegularSection& dstSec,
                                     int myProc);
 
-/// Cached buildRedistSchedule: keyed on both distributions and sections,
-/// per virtual processor.  The build is communication-free, so every rank
-/// hits or misses in lockstep and no agreement round is needed.  Cached
-/// schedules come back run-compressed.
-std::shared_ptr<const sched::Schedule> cachedRedistSchedule(
-    const HpfDist& srcDist, const layout::RegularSection& srcSec,
-    const HpfDist& dstDist, const layout::RegularSection& dstSec, int myProc);
-
-/// The calling rank's cache behind cachedRedistSchedule (exposed so tests
-/// and benches can read its hit/miss/eviction counters).
-sched::KeyedCache<sched::Schedule>& hpfScheduleCache();
-
 /// Executes the redistribution (collective).
 template <typename T>
 void redistribute(const sched::Schedule& sched, const HpfArray<T>& src,
@@ -46,37 +33,14 @@ void redistribute(const sched::Schedule& sched, const HpfArray<T>& src,
 
 /// HPF array-section assignment, dst[dstSec] = src[srcSec], in one call —
 /// the runtime operation behind `A(1:50, 10:60) = B(50:99, 50:100)`.
-/// The schedule comes from the rank's cache, so repeating the same
-/// assignment (e.g. once per time step) pays the build exactly once.
+/// One-shot: builds and executes; a loop repeating the same assignment
+/// keeps buildRedistSchedule's result and calls redistribute.
 template <typename T>
 void sectionAssign(const HpfArray<T>& src, const layout::RegularSection& srcSec,
                    HpfArray<T>& dst, const layout::RegularSection& dstSec) {
-  const auto sched = cachedRedistSchedule(src.dist(), srcSec, dst.dist(),
-                                          dstSec, src.comm().rank());
-  redistribute(*sched, src, dst);
+  redistribute(buildRedistSchedule(src.dist(), srcSec, dst.dist(), dstSec,
+                                   src.comm().rank()),
+               src, dst);
 }
-
-/// A persistent section-assignment executor: binds once to the cached
-/// redistribution schedule for (src, srcSec) -> (dst, dstSec) and reuses
-/// its message buffers across assign() calls — the form a time-step loop
-/// repeating the same assignment should hold.
-template <typename T>
-class SectionAssigner {
- public:
-  SectionAssigner(const HpfArray<T>& src, const layout::RegularSection& srcSec,
-                  HpfArray<T>& dst, const layout::RegularSection& dstSec)
-      : src_(&src),
-        dst_(&dst),
-        exec_(src.comm(), cachedRedistSchedule(src.dist(), srcSec, dst.dist(),
-                                               dstSec, src.comm().rank())) {}
-
-  /// One collective assignment, dst[dstSec] = src[srcSec].
-  void assign() { exec_.run(src_->raw(), dst_->raw()); }
-
- private:
-  const HpfArray<T>* src_;
-  HpfArray<T>* dst_;
-  sched::Executor<T> exec_;
-};
 
 }  // namespace mc::hpfrt

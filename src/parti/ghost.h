@@ -8,8 +8,9 @@
 // time-step, as in Loop 1 of the paper's Figure 1 code.
 #pragma once
 
+#include <memory>
+
 #include "parti/dist_array.h"
-#include "parti/sched_cache.h"
 #include "parti/schedule.h"
 
 namespace mc::parti {
@@ -32,18 +33,16 @@ void exchangeGhosts(BlockDistArray<T>& array, const Schedule& sched) {
   execute<T>(array.comm(), sched, array.raw(), array.raw(), tag);
 }
 
-/// A persistent ghost-fill executor for one array: shares the rank's cached
-/// ghost schedule and keeps a bound sched::Executor across exchanges, so
-/// steady-state fills reuse their message buffers (zero transport payload
-/// copies or allocations per step).  The array must outlive the exchanger
-/// and keep its distribution.
+/// A persistent ghost-fill executor for one array: builds the array's ghost
+/// schedule once (run-compressed, no communication) and keeps a bound
+/// sched::Executor across exchanges, so steady-state fills reuse their
+/// message buffers (zero transport payload copies or allocations per
+/// step).  The array must outlive the exchanger and keep its distribution.
 template <typename T>
 class GhostExchanger {
  public:
   explicit GhostExchanger(BlockDistArray<T>& array)
-      : array_(&array),
-        exec_(array.comm(),
-              cachedGhostSchedule(array.desc(), array.comm().rank())) {}
+      : array_(&array), exec_(array.comm(), compressedSchedule(array)) {}
 
   /// One collective ghost fill (src and dst alias the array's storage).
   void exchange() { exec_.run(array_->raw(), array_->raw()); }
@@ -59,6 +58,13 @@ class GhostExchanger {
   Executor<T>& executor() { return exec_; }
 
  private:
+  static std::shared_ptr<const Schedule> compressedSchedule(
+      const BlockDistArray<T>& array) {
+    auto sched = std::make_shared<Schedule>(buildGhostSchedule(array));
+    sched->compress();
+    return sched;
+  }
+
   BlockDistArray<T>* array_;
   Executor<T> exec_;
 };

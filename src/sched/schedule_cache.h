@@ -12,9 +12,9 @@
 //
 // The cache itself is a per-virtual-processor (per-thread) structure with no
 // locking: in the SPMD model every rank builds and caches its own halves of
-// each schedule.  Whether all ranks agree on hit-vs-miss is the *caller's*
-// concern — builds that communicate must agree collectively before
-// consulting the cache (see core::ScheduleCache).
+// each schedule.  Whether all ranks agree on hit-vs-miss, and hold halves of
+// the same build, is the *caller's* concern: core::ScheduleCache, the one
+// user, votes collectively before every lookup.
 #pragma once
 
 #include <cstdint>
@@ -102,16 +102,6 @@ class KeyedCache {
     lru_.push_front(Entry{key, std::move(value)});
     map_.emplace(key, lru_.begin());
     ++stats_.insertions;
-  }
-
-  /// find-or-build convenience for builds that need no cross-processor
-  /// agreement (purely local schedule constructions).
-  template <typename F>
-  std::shared_ptr<const V> getOrBuild(const Key& key, F&& build) {
-    if (auto hit = find(key)) return hit;
-    std::shared_ptr<const V> value = std::forward<F>(build)();
-    insert(key, value);
-    return value;
   }
 
   const CacheStats& stats() const { return stats_; }

@@ -15,7 +15,8 @@ namespace mc::snapshot {
 
 namespace {
 
-constexpr std::uint32_t kSnapshotVersion = 1;
+// Version 2: every schedule-cache entry carries its build identity.
+constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// Cumulative per-rank counters behind the snapshot.* obs metrics.
 struct Counters {
@@ -132,20 +133,17 @@ Report snapshotSave(transport::Comm& comm, const std::string& dir) {
   blob::putU64(payload, static_cast<std::uint64_t>(comm.rank()));
 
   core::ScheduleCache& cache = core::defaultScheduleCache();
-  std::vector<std::pair<HashStream::Digest, std::vector<std::byte>>> entries;
-  entries.reserve(cache.size());
-  cache.forEachEntryOldestFirst(
-      [&](const HashStream::Digest& key,
-          const std::shared_ptr<const core::McSchedule>& value) {
-        entries.emplace_back(key, snapshot::serializeMcSchedule(*value));
-      });
-  blob::putU64(payload, entries.size());
-  for (const auto& [key, bytes] : entries) {
+  blob::putU64(payload, cache.size());
+  cache.forEachEntryOldestFirst([&](const HashStream::Digest& key,
+                                    const HashStream::Digest& identity,
+                                    const core::McSchedule& value) {
     blob::putU64(payload, key[0]);
     blob::putU64(payload, key[1]);
-    blob::putBytes(payload, bytes);
-  }
-  rep.cacheEntries = entries.size();
+    blob::putU64(payload, identity[0]);
+    blob::putU64(payload, identity[1]);
+    blob::putBytes(payload, snapshot::serializeMcSchedule(value));
+  });
+  rep.cacheEntries = cache.size();
 
   const auto& sections = snapshot::threadSections().sections();
   blob::putU64(payload, sections.size());
@@ -261,13 +259,14 @@ Report snapshotRestore(transport::Comm& comm, const std::string& dir) {
              "snapshot body was saved by a different rank");
 
   core::ScheduleCache& cache = core::defaultScheduleCache();
-  // Each entry is at least key (16 bytes) + blob length prefix (8 bytes).
-  const std::uint64_t n = r.count(3 * sizeof(std::uint64_t));
+  // Each entry is at least key + identity (32 bytes) + blob length prefix
+  // (8 bytes).
+  const std::uint64_t n = r.count(5 * sizeof(std::uint64_t));
   for (std::uint64_t i = 0; i < n; ++i) {
-    HashStream::Digest key{r.u64(), r.u64()};
-    core::McSchedule s = snapshot::deserializeMcSchedule(r.bytes());
-    cache.insertEntry(
-        key, std::make_shared<const core::McSchedule>(std::move(s)));
+    const HashStream::Digest key{r.u64(), r.u64()};
+    const HashStream::Digest identity{r.u64(), r.u64()};
+    cache.insertEntry(key, identity,
+                      snapshot::deserializeMcSchedule(r.bytes()));
   }
   rep.cacheEntries = n;
   // Collective entry-count agreement: descriptor fingerprints are

@@ -13,7 +13,8 @@
 // concatenated frames —
 //
 //   frame(kSnapshotBody)      rank tag, schedule-cache entries (key +
-//                             framed McSchedule), named sections
+//                             build identity + framed McSchedule), named
+//                             sections
 //   frame(kSnapshotManifest)  program size + every rank's body digest
 //
 // The manifest is identical in every rank's file (it is allgathered before

@@ -3,7 +3,6 @@
 #include "core/adapters/chaos_adapter.h"
 #include "core/adapters/parti_adapter.h"
 #include "core/schedule_cache.h"
-#include "parti/sched_cache.h"
 
 namespace mc::workloads {
 
@@ -54,12 +53,9 @@ CoupledMesh::CoupledMesh(transport::Comm& comm,
 }
 
 void CoupledMesh::buildRegularInspector() {
-  comm_->compute([&] {
-    ghostSched_ = parti::cachedGhostSchedule(a_->desc(), comm_->rank());
-  });
-  // The exchanger re-fetches the same cached schedule and binds the
-  // persistent split-phase executor the steady-state sweeps run on.
-  ghosts_.emplace(*a_);
+  // The exchanger builds the ghost schedule (no communication) and binds
+  // the persistent split-phase executor the steady-state sweeps run on.
+  comm_->compute([&] { ghosts_.emplace(*a_); });
 }
 
 void CoupledMesh::buildIrregularInspector() {
@@ -128,29 +124,11 @@ void CoupledMesh::buildChaosCopySchedules() {
     dstGlobals.push_back(
         mapping_.irreg[static_cast<size_t>(regMine[i])]);
   }
-  chRegToIrreg_ =
-      chaos::cachedIrregCopySchedule(*comm_, *table_, srcOffsets, dstGlobals);
-  // irreg -> reg: my mapping entries are the irregular points I own; the
-  // destination is the regular mesh via its new translation table.
-  std::vector<Index> irrOffsets;
-  std::vector<Index> regGlobals;
-  const auto myGlobals = x_->myGlobals();
-  // Invert the interface: irregular point irreg[k] maps to regular point k.
-  std::vector<Index> regOf(static_cast<size_t>(meshPoints()));
-  comm_->compute([&] {
-    for (Index k = 0; k < meshPoints(); ++k) {
-      regOf[static_cast<size_t>(mapping_.irreg[static_cast<size_t>(k)])] = k;
-    }
-  });
-  irrOffsets.reserve(myGlobals.size());
-  regGlobals.reserve(myGlobals.size());
-  for (size_t i = 0; i < myGlobals.size(); ++i) {
-    irrOffsets.push_back(static_cast<Index>(i));
-    regGlobals.push_back(regOf[static_cast<size_t>(myGlobals[i])]);
-  }
-  (void)irrOffsets;
-  (void)regGlobals;
-  // The copy back reuses the reversed schedule — one dereference pass in
+  auto regToIrreg = std::make_shared<sched::Schedule>(
+      chaos::buildIrregCopySchedule(*comm_, *table_, srcOffsets, dstGlobals));
+  regToIrreg->compress();
+  chRegToIrreg_ = std::move(regToIrreg);
+  // irreg -> reg reuses the reversed schedule — one dereference pass in
   // total, which is why the paper finds the Chaos build and the Meta-Chaos
   // cooperation build "very similar" in cost.
   chIrregToReg_ =

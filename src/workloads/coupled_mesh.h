@@ -94,12 +94,12 @@ class CoupledMesh {
   std::vector<layout::Index> myIa_, myIb_;  // my slice of the edge arrays
   meshgen::InterfaceMapping mapping_;       // full remap (replicated)
 
-  // Inspector products.  Schedules are shared_ptrs into the per-rank
-  // schedule caches: rebuilding an inspector with unchanged inputs is a
-  // cache hit that hands back the same (run-compressed) schedule.
-  std::shared_ptr<const parti::Schedule> ghostSched_;
-  // Persistent split-phase ghost executor: steady-state sweeps overlap the
-  // halo traffic with the interior update and recycle message buffers.
+  // Inspector products, built once and kept for the run.  The Meta-Chaos
+  // copy schedules come from the rank's core::ScheduleCache (rebuilding
+  // with unchanged inputs is a hit that hands back the same run-compressed
+  // schedule).  The ghost schedule lives in its exchanger, whose persistent
+  // split-phase executor lets steady-state sweeps overlap the halo traffic
+  // with the interior update and recycle message buffers.
   std::optional<parti::GhostExchanger<double>> ghosts_;
   std::optional<chaos::EdgeSweep<double>> edgeSweep_;
   std::shared_ptr<const core::McSchedule> mcRegToIrreg_;

@@ -177,7 +177,14 @@ TEST(Executor, SteadyStateHasZeroCopiesAndZeroAllocations) {
     a.fillByPoint([](const layout::Point& p) {
       return static_cast<double>(p[0] - p[1]);
     });
+    // The exchanger builds its ghost schedule from the replicated
+    // descriptor alone — no messages — and keeps it run-compressed.
+    c.barrier();
+    c.resetStats();
     parti::GhostExchanger<double> ex(a);
+    EXPECT_EQ(c.stats().messagesSent, 0u);
+    EXPECT_EQ(c.stats().bytesSent, 0u);
+    EXPECT_TRUE(ex.schedule().compressed());
     ex.exchange();  // warmup: allocates the send buffers once
 
     c.resetStats();

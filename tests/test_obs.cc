@@ -305,7 +305,8 @@ TEST(Accounting, CacheEpochDiffSeparatesLegs) {
 
   const sched::CacheStats before = cache.stats();
   // "Cached" leg: 1 miss + 3 hits.
-  (void)cache.getOrBuild(k1.digest(), [] { return std::make_shared<int>(7); });
+  EXPECT_EQ(cache.find(k1.digest()), nullptr);
+  cache.insert(k1.digest(), std::make_shared<int>(7));
   for (int i = 0; i < 3; ++i) EXPECT_NE(cache.find(k1.digest()), nullptr);
   const sched::CacheStats afterLeg = cache.stats();
   // "Prep" for the next leg: one more hit that must NOT count above.

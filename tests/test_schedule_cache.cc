@@ -1,10 +1,12 @@
 // The schedule cache: identical rebuilds hit, any key ingredient change
 // misses, LRU eviction respects capacity, cached schedules move bytes
-// exactly like freshly built ones for every adapter pair, and the MC_* API
-// surfaces the counters.
+// exactly like freshly built ones for every adapter pair, the MC_* API
+// surfaces the counters, and a hit never combines entries from different
+// builds.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <numeric>
 
 #include "chaos/partition.h"
 #include "core/adapters/chaos_adapter.h"
@@ -14,8 +16,6 @@
 #include "core/copy_regions.h"
 #include "core/mc_api.h"
 #include "core/schedule_cache.h"
-#include "hpfrt/redistribute.h"
-#include "parti/sched_cache.h"
 #include "transport/world.h"
 
 namespace mc::core {
@@ -448,38 +448,170 @@ TEST(ScheduleCache, McApiSurfacesCounters) {
   });
 }
 
-TEST(ScheduleCache, LibraryCachesHitOnRebuild) {
-  World::runSPMD(2, [](Comm& c) {
-    // Parti ghost + section-copy cache.
-    parti::partiScheduleCache().clear();
-    parti::partiScheduleCache().resetStats();
-    parti::PartiDesc desc{layout::BlockDecomp(Shape::of({8, 8}), {c.size(), 1}),
-                          1};
-    const auto g1 = parti::cachedGhostSchedule(desc, c.rank());
-    const auto g2 = parti::cachedGhostSchedule(desc, c.rank());
-    EXPECT_EQ(g1.get(), g2.get());
-    EXPECT_TRUE(g1->compressed());
-    EXPECT_EQ(parti::partiScheduleCache().stats().hits, 1u);
+// ---------------------------------------------------------------------------
+// Stale hits.  A rank's key covers only the state that rank holds, so one
+// configuration's build can overwrite the entry of a rank whose key did not
+// change while the other ranks keep the previous configuration's entries.
+// A hit must therefore require every participant's entry to come from a
+// build of the *current* configuration; in each case below, a hit that
+// only checked that every rank holds an entry would combine two builds.
 
-    // HPF redistribution cache via sectionAssign.
-    hpfrt::hpfScheduleCache().clear();
-    hpfrt::hpfScheduleCache().resetStats();
-    hpfrt::HpfArray<double> a(
-        c, hpfrt::HpfDist(Shape::of({24}),
-                          {hpfrt::DimDist{hpfrt::DistKind::kBlock, c.size(), 1}}));
-    hpfrt::HpfArray<double> b(
-        c, hpfrt::HpfDist(Shape::of({24}),
-                          {hpfrt::DimDist{hpfrt::DistKind::kCyclic, c.size(), 1}}));
-    a.fillByPoint([](const Point& p) { return valueOf(p[0]); });
-    const RegularSection whole = RegularSection::box({0}, {23});
-    hpfrt::sectionAssign(a, whole, b, whole);
-    hpfrt::sectionAssign(a, whole, b, whole);
-    EXPECT_EQ(hpfrt::hpfScheduleCache().stats().misses, 1u);
-    EXPECT_EQ(hpfrt::hpfScheduleCache().stats().hits, 1u);
-    const auto got = b.gatherGlobal();
-    for (Index g = 0; g < 24; ++g) {
-      EXPECT_DOUBLE_EQ(got[static_cast<size_t>(g)], valueOf(g));
+hpfrt::HpfArray<double> cyclicHpf(Comm& c, Index n) {
+  hpfrt::HpfArray<double> a(
+      c, hpfrt::HpfDist(Shape::of({n}), {hpfrt::DimDist{
+                                            hpfrt::DistKind::kCyclic,
+                                            c.size(), 1}}));
+  a.fillByPoint([](const Point& p) { return valueOf(p[0]); });
+  return a;
+}
+
+SetOfRegions wholeSection(Index lo, Index hi) {
+  SetOfRegions set;
+  set.add(Region::section(RegularSection::box({lo}, {hi})));
+  return set;
+}
+
+SetOfRegions allIndices(Index n) {
+  std::vector<Index> ids(static_cast<size_t>(n));
+  std::iota(ids.begin(), ids.end(), Index{0});
+  SetOfRegions set;
+  set.add(Region::indices(ids));
+  return set;
+}
+
+/// A Chaos array over `n` globals holding `mine` in this local order.
+std::shared_ptr<chaos::IrregArray<double>> chaosArray(
+    Comm& c, Index n, chaos::TranslationTable::Storage storage,
+    const std::vector<Index>& mine) {
+  auto table = std::make_shared<const chaos::TranslationTable>(
+      chaos::TranslationTable::build(c, mine, n, storage));
+  auto arr = std::make_shared<chaos::IrregArray<double>>(c, table, mine);
+  arr->fillByGlobal([](Index) { return -1.0; });
+  return arr;
+}
+
+void expectCopied(const std::vector<double>& got, Index n) {
+  for (Index g = 0; g < n; ++g) {
+    EXPECT_EQ(got[static_cast<size_t>(g)], valueOf(g)) << "global " << g;
+  }
+}
+
+TEST(ScheduleCache, UnchangedShardDoesNotRevivePreviousBuild) {
+  // HPF CYCLIC [0..29] -> Chaos indices(0..29) over a distributed table.
+  // X: rank g/10 owns g.  Y: X with the owners of 12 and 21 swapped.
+  // Rank 0's shard is the same under both, so Y's build replaces rank 0's
+  // X entry while ranks 1-2 keep theirs; going back to X must rebuild.
+  constexpr Index n = 30;
+  World::runSPMD(3, [](Comm& c) {
+    const hpfrt::HpfArray<double> src = cyclicHpf(c, n);
+    const SetOfRegions srcSet = wholeSection(0, n - 1);
+    const SetOfRegions dstSet = allIndices(n);
+    ScheduleCache cache;
+    for (const bool swapped : {false, true, false, false}) {
+      std::vector<Index> mine;
+      for (Index g = 0; g < n; ++g) {
+        int owner = static_cast<int>(g / 10);
+        if (swapped && g == 12) owner = 2;
+        if (swapped && g == 21) owner = 1;
+        if (owner == c.rank()) mine.push_back(g);
+      }
+      auto dst = chaosArray(c, n, chaos::TranslationTable::Storage::kDistributed,
+                            mine);
+      const auto sched = cache.getOrBuild(c, HpfAdapter::describe(src),
+                                          srcSet, ChaosAdapter::describe(*dst),
+                                          dstSet);
+      dataMove<double>(c, *sched, src.raw(), dst->raw());
+      expectCopied(dst->gatherGlobal(), n);
     }
+    // X, Y and X again miss; the unchanged fourth lookup hits.
+    EXPECT_EQ(cache.stats().misses, 3u);
+    EXPECT_EQ(cache.stats().hits, 1u);
+  });
+}
+
+TEST(ScheduleCache, InterProgramHalfHitsOnlyWithItsPartnersBuild) {
+  // Program A sends HPF CYCLIC [0..9] every round; program B receives into
+  // [0..9], [10..19], [0..9], [0..9] of an HPF BLOCK array of 20.  A's key
+  // never changes, so round 2 replaces A's entry; round 3 must not pair it
+  // with B's round-1 entry.
+  const int kA = 0, kB = 1;
+  const std::vector<Index> rounds = {0, 10, 0, 0};  // B's section start
+  auto aMain = [&](Comm& c) {
+    const hpfrt::HpfArray<double> x = cyclicHpf(c, 10);
+    const SetOfRegions set = wholeSection(0, 9);
+    ScheduleCache cache;
+    for (size_t round = 0; round < rounds.size(); ++round) {
+      const auto s =
+          cache.getOrBuildSend(c, HpfAdapter::describe(x), set, kB);
+      dataMoveSend<double>(c, *s, x.raw());
+    }
+    EXPECT_EQ(cache.stats().misses, 3u);
+    EXPECT_EQ(cache.stats().hits, 1u);
+  };
+  auto bMain = [&](Comm& c) {
+    hpfrt::HpfArray<double> y(
+        c, hpfrt::HpfDist(Shape::of({20}), {hpfrt::DimDist{
+                                               hpfrt::DistKind::kBlock,
+                                               c.size(), 1}}));
+    ScheduleCache cache;
+    for (const Index lo : rounds) {
+      y.fillByPoint([](const Point&) { return -1.0; });
+      const auto s = cache.getOrBuildRecv(c, HpfAdapter::describe(y),
+                                          wholeSection(lo, lo + 9), kA);
+      dataMoveRecv<double>(c, *s, y.raw());
+      const auto got = y.gatherGlobal();
+      for (Index g = 0; g < 20; ++g) {
+        const double want = g >= lo && g < lo + 10 ? valueOf(g - lo) : -1.0;
+        EXPECT_EQ(got[static_cast<size_t>(g)], want)
+            << "round from " << lo << ", global " << g;
+      }
+    }
+    EXPECT_EQ(cache.stats().misses, 3u);
+    EXPECT_EQ(cache.stats().hits, 1u);
+  };
+  World::run({ProgramSpec{"a", 2, aMain}, ProgramSpec{"b", 2, bMain}});
+}
+
+TEST(ScheduleCache, PatchDeltaKeyServesOnlyItsOwnTarget) {
+  // HPF CYCLIC [0..29] -> Chaos indices(0..29), replicated table.  From X
+  // (rank g/10 owns g), patch to Y1 (global 19 appended on rank 2), then
+  // from X again to Y2 (19 appended on rank 0) with the same delta.  The
+  // delta key names only *which* positions migrated, so it must not hand
+  // Y1's schedule to Y2.
+  constexpr Index n = 30;
+  World::runSPMD(3, [](Comm& c) {
+    const hpfrt::HpfArray<double> src = cyclicHpf(c, n);
+    const DistObject srcObj = HpfAdapter::describe(src);
+    const SetOfRegions srcSet = wholeSection(0, n - 1);
+    const SetOfRegions dstSet = allIndices(n);
+    const auto with19On = [&](int owner19) {
+      std::vector<Index> mine;
+      for (Index g = 0; g < n; ++g) {
+        if (g != 19 && g / 10 == c.rank()) mine.push_back(g);
+      }
+      if (owner19 == c.rank()) mine.push_back(19);
+      return chaosArray(c, n, chaos::TranslationTable::Storage::kReplicated,
+                        mine);
+    };
+    const auto x = with19On(1);  // X: 19 is last on rank 1 either way
+    ScheduleCache cache;
+    (void)cache.getOrBuild(c, srcObj, srcSet, ChaosAdapter::describe(*x),
+                           dstSet);
+    const std::vector<Index> migrated = {19};
+    const layout::DistDelta delta = deltaFromMigratedIndices(dstSet, migrated);
+    for (const int owner19 : {2, 0, 0}) {
+      const auto y = with19On(owner19);
+      const auto sched = cache.getOrPatch(c, srcObj, srcObj, srcSet,
+                                          ChaosAdapter::describe(*x),
+                                          ChaosAdapter::describe(*y), dstSet,
+                                          delta);
+      dataMove<double>(c, *sched, src.raw(), y->raw());
+      expectCopied(y->gatherGlobal(), n);
+    }
+    // Y1 and Y2 are patched from X; the repeated Y2 hits.
+    EXPECT_EQ(cache.patches(), 2u);
+    EXPECT_EQ(cache.patchFallbacks(), 0u);
+    EXPECT_EQ(cache.stats().hits, 1u);
   });
 }
 

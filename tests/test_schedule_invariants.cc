@@ -12,7 +12,6 @@
 #include "core/adapters/parti_adapter.h"
 #include "core/data_move.h"
 #include "core/schedule_cache.h"
-#include "parti/sched_cache.h"
 #include "transport/world.h"
 
 namespace mc::core {
@@ -229,18 +228,6 @@ TEST(ScheduleInvariants, CacheHitAvoidsBuildTraffic) {
     const double missBytes = sumBytes(missTraffic);
     const double hitBytes = sumBytes(hitTraffic);
     EXPECT_LT(hitBytes, missBytes);
-
-    // Pure-local caches (analytic descriptors) hit with zero traffic.
-    parti::partiScheduleCache().clear();
-    parti::partiScheduleCache().resetStats();
-    (void)parti::cachedGhostSchedule(m.a->desc(), c.rank());
-    c.barrier();
-    c.resetStats();
-    const auto g = parti::cachedGhostSchedule(m.a->desc(), c.rank());
-    EXPECT_EQ(c.stats().messagesSent, 0u);
-    EXPECT_EQ(c.stats().bytesSent, 0u);
-    EXPECT_NE(g, nullptr);
-    EXPECT_EQ(parti::partiScheduleCache().stats().hits, 1u);
   });
 }
 

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "chaos/partition.h"
@@ -312,9 +313,11 @@ TEST(ArrayBlob, WrongProgramSizeAndWrongTypeRejected) {
 TEST(Snapshot, SaveRestoreRoundTripsCacheAndSections) {
   const std::filesystem::path dir = tmpDir("roundtrip");
   const int nprocs = 2;
-  // What each rank's cache held at save time, as canonical bytes.
-  std::vector<std::vector<std::pair<HashStream::Digest,
-                                    std::vector<std::byte>>>> saved(nprocs);
+  // What each rank's cache held at save time: key, build identity and
+  // canonical schedule bytes.
+  using SavedEntry = std::tuple<HashStream::Digest, HashStream::Digest,
+                                std::vector<std::byte>>;
+  std::vector<std::vector<SavedEntry>> saved(nprocs);
   std::vector<std::vector<std::byte>> sectionBytes(nprocs);
 
   World::runSPMD(nprocs, [&](Comm& c) {
@@ -323,14 +326,15 @@ TEST(Snapshot, SaveRestoreRoundTripsCacheAndSections) {
     for (int k = 0; k < 3; ++k) {
       const HashStream::Digest key{
           static_cast<std::uint64_t>(100 * c.rank() + k), 7};
-      cache.insertEntry(key, std::make_shared<const core::McSchedule>(
-                                 sampleMcSchedule(c.rank() * 10 + k)));
+      const HashStream::Digest identity{static_cast<std::uint64_t>(k), 11};
+      cache.insertEntry(key, identity, sampleMcSchedule(c.rank() * 10 + k));
     }
-    cache.forEachEntryOldestFirst(
-        [&](const HashStream::Digest& key,
-            const std::shared_ptr<const core::McSchedule>& v) {
-          saved[c.rank()].emplace_back(key, snapshot::serializeMcSchedule(*v));
-        });
+    cache.forEachEntryOldestFirst([&](const HashStream::Digest& key,
+                                      const HashStream::Digest& identity,
+                                      const core::McSchedule& v) {
+      saved[c.rank()].emplace_back(key, identity,
+                                   snapshot::serializeMcSchedule(v));
+    });
     std::vector<std::byte> bytes;
     blob::putStr(bytes, "rank " + std::to_string(c.rank()) + " state");
     sectionBytes[c.rank()] = bytes;
@@ -363,13 +367,13 @@ TEST(Snapshot, SaveRestoreRoundTripsCacheAndSections) {
     const snapshot::Report rep = snapshotRestore(c, dir.string());
     EXPECT_EQ(rep.cacheEntries, 3u);
     EXPECT_EQ(rep.sections, 1u);
-    // Same entries, same canonical bytes, same LRU order.
-    std::vector<std::pair<HashStream::Digest, std::vector<std::byte>>> got;
-    cache.forEachEntryOldestFirst(
-        [&](const HashStream::Digest& key,
-            const std::shared_ptr<const core::McSchedule>& v) {
-          got.emplace_back(key, snapshot::serializeMcSchedule(*v));
-        });
+    // Same entries, identities and canonical bytes, same LRU order.
+    std::vector<SavedEntry> got;
+    cache.forEachEntryOldestFirst([&](const HashStream::Digest& key,
+                                      const HashStream::Digest& identity,
+                                      const core::McSchedule& v) {
+      got.emplace_back(key, identity, snapshot::serializeMcSchedule(v));
+    });
     EXPECT_EQ(got, saved[c.rank()]);
     // Restored entries count as insertions, never as hits.
     EXPECT_EQ(cache.stats().hits, 0u);
@@ -409,7 +413,7 @@ TEST(Snapshot, MixedGenerationsFailTheManifestAgreement) {
     World::runSPMD(2, [&](Comm& c) {
       core::defaultScheduleCache().insertEntry(
           HashStream::Digest{static_cast<std::uint64_t>(gen + 1), 0},
-          std::make_shared<const core::McSchedule>(sampleMcSchedule(gen)));
+          HashStream::Digest{1, 2}, sampleMcSchedule(gen));
       snapshotSave(c, (gen == 0 ? dirA : dirB).string());
     });
   }
@@ -432,8 +436,8 @@ TEST(Snapshot, TruncatedOrCorruptFileFailsLoudly) {
   const std::filesystem::path dir = tmpDir("truncate");
   World::runSPMD(2, [&](Comm& c) {
     core::defaultScheduleCache().insertEntry(
-        HashStream::Digest{9, 9},
-        std::make_shared<const core::McSchedule>(sampleMcSchedule(0)));
+        HashStream::Digest{9, 9}, HashStream::Digest{1, 2},
+        sampleMcSchedule(0));
     snapshotSave(c, dir.string());
   });
   const std::filesystem::path victim = dir / "rank0.mcsnap";

@@ -6,10 +6,15 @@
 # the schedule builder and executor suites, the randomized copy fuzzer, and
 # every decoder of bytes that arrive from another program, a file or a
 # client (region sets, library descriptors, the duplication bundle,
-# snapshot blobs).  Pass --preset=tsan to run the ThreadSanitizer build
-# instead: the transport / executor / split-phase suites, where the
-# cross-thread mailbox traffic lives, and the schedule cache, whose
-# inter-program hit/miss agreement crosses program threads.
+# snapshot blobs), and every suite whose schedules keep the executor their
+# first dataMove* call binds (the core copy, MC_* API and workload suites).
+# Pass --preset=tsan to run the ThreadSanitizer build instead: the
+# transport / executor / split-phase suites, where the cross-thread mailbox
+# traffic lives, the schedule cache, whose inter-program hit/miss agreement
+# crosses program threads, and the suites whose schedules keep a bound
+# executor — per-rank mutable state inside shared, cached schedules (two
+# MC_ComputeSched handles share one cached schedule, copyRegions fetches one
+# from the rank's cache, CoupledMesh steps two).
 #
 # Usage: scripts/sanitize_smoke.sh [--preset=asan-ubsan|tsan] [ctest -R regex]
 set -euo pipefail
@@ -24,11 +29,11 @@ fi
 case "$PRESET" in
   asan-ubsan)
     BUILD_DIR=build-asan
-    DEFAULT_FILTER="test_run_compression|test_run_join|test_schedule_cache|test_schedule_invariants|test_executor|test_split_phase|test_fuzz_copy|test_obs|test_localize_batch|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot|test_core_regions|test_core_interprogram|test_adapter_contract"
+    DEFAULT_FILTER="test_run_compression|test_run_join|test_schedule_cache|test_schedule_invariants|test_executor|test_split_phase|test_fuzz_copy|test_obs|test_localize_batch|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot|test_core_regions|test_core_interprogram|test_adapter_contract|test_core_copy|test_mc_api|test_workloads"
     ;;
   tsan)
     BUILD_DIR=build-tsan
-    DEFAULT_FILTER="test_transport|test_transport_extra|test_executor|test_split_phase|test_obs|test_schedule_cache|test_localize_batch|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot"
+    DEFAULT_FILTER="test_transport|test_transport_extra|test_executor|test_split_phase|test_obs|test_schedule_cache|test_localize_batch|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot|test_core_copy|test_mc_api|test_workloads|test_schedule_invariants"
     ;;
   *)
     echo "unknown preset: $PRESET (expected asan-ubsan or tsan)" >&2

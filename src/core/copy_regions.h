@@ -2,10 +2,12 @@
 //
 // copyRegions is the "just move the data" entry point: it looks the
 // schedule up in the calling rank's ScheduleCache (building and caching it
-// on the first call) and executes it.  A time-step loop can therefore call
-// copyRegions every iteration and still pay the schedule build exactly
-// once — the amortization pattern the paper's Figure 15 break-even analysis
-// assumes, without the call site hand-managing schedule lifetimes.
+// on the first call) and executes it through dataMove, which keeps the
+// executor it binds with the cached schedule.  A time-step loop can
+// therefore call copyRegions every iteration and still pay the schedule
+// build and the executor bind exactly once — the amortization pattern the
+// paper's Figure 15 break-even analysis assumes, without the call site
+// hand-managing schedule lifetimes.
 #pragma once
 
 #include "core/data_move.h"

@@ -18,15 +18,18 @@
 //                       rest and unpacks.  Results are bitwise identical
 //                       to dataMove.
 //
-// All three are collective over the program(s) involved: every processor
+// All of them are collective over the program(s) involved: every processor
 // must call them, even processors with nothing to transfer, so that
 // inter-program tag counters stay paired.
 //
-// All three are one-shot conveniences over sched::Executor; a time-step
-// loop moving data every iteration should instead bind an Executor to the
-// schedule once (Executor for dataMove, Executor::sender / ::receiver for
-// the inter-program halves) and run it per step, keeping its persistent
-// pack buffers.
+// Bind once: dataMove, dataMoveSend and dataMoveRecv bind a sched::Executor
+// to the schedule's plan on their first call and keep it in the schedule
+// (McSchedule::executor); every later call with the same element type and
+// Comm runs on it, with its compiled kernels and recycled payload buffers.
+// A time-step loop therefore pays the bind once, like the build.
+// dataMoveBegin binds its own executor per call instead, because several
+// split-phase moves of one schedule may be in flight at once and each
+// needs its own exchange state.
 #pragma once
 
 #include <memory>
@@ -43,13 +46,17 @@ void dataMove(transport::Comm& comm, const McSchedule& sched,
   MC_REQUIRE(sched.remoteProgram < 0,
              "inter-program schedules need dataMoveSend/dataMoveRecv");
   const int tag = comm.nextUserTag();
-  sched::execute<T>(comm, sched.plan, src, dst, tag);
+  sched.executor
+      .get<sched::Executor<T>>(
+          comm, [&] { return sched::Executor<T>(comm, sched.plan); })
+      .run(src, dst, tag);
 }
 
-/// A split-phase dataMove in flight: owns the bound executor plus the
-/// pending handle.  Move-only.  Call finish(dst) (or dataMoveEnd) exactly
-/// once; a PendingMove dropped without finishing cancels cleanly (drains
-/// and discards the exchange's messages).  The schedule must outlive the
+/// A split-phase dataMove in flight: owns the executor it binds (one per
+/// move, so moves of one schedule can overlap) plus the pending handle.
+/// Move-only.  Call finish(dst) (or dataMoveEnd) exactly once; a
+/// PendingMove dropped without finishing cancels cleanly (drains and
+/// discards the exchange's messages).  The schedule must outlive the
 /// PendingMove.
 template <typename T>
 class PendingMove {
@@ -96,7 +103,12 @@ void dataMoveSend(transport::Comm& comm, const McSchedule& sched,
   MC_REQUIRE(sched.remoteProgram >= 0 && sched.isSender,
              "dataMoveSend needs the sending half of an inter-program "
              "schedule");
-  sched::Executor<T>::sender(comm, sched.plan, sched.remoteProgram)
+  sched.executor
+      .get<sched::Executor<T>>(comm,
+                               [&] {
+                                 return sched::Executor<T>::sender(
+                                     comm, sched.plan, sched.remoteProgram);
+                               })
       .runSend(src);
 }
 
@@ -106,7 +118,12 @@ void dataMoveRecv(transport::Comm& comm, const McSchedule& sched,
   MC_REQUIRE(sched.remoteProgram >= 0 && !sched.isSender,
              "dataMoveRecv needs the receiving half of an inter-program "
              "schedule");
-  sched::Executor<T>::receiver(comm, sched.plan, sched.remoteProgram)
+  sched.executor
+      .get<sched::Executor<T>>(comm,
+                               [&] {
+                                 return sched::Executor<T>::receiver(
+                                     comm, sched.plan, sched.remoteProgram);
+                               })
       .runRecv(dst);
 }
 

@@ -31,6 +31,7 @@
 #include "core/adapter.h"
 #include "core/registry.h"
 #include "layout/dist_delta.h"
+#include "sched/executor_slot.h"
 #include "sched/schedule.h"
 
 namespace mc::core {
@@ -68,6 +69,13 @@ struct RecvSeg {
 /// source buffer; recvs' offsets index the local destination buffer; local
 /// pairs (intra-program only) copy directly — Meta-Chaos never stages local
 /// transfers through an intermediate buffer (Section 5.3).
+///
+/// The contract sched::Executor already has: a plan does not change once
+/// it has been executed, and only the rank that holds a schedule executes
+/// it.  dataMove, dataMoveSend and dataMoveRecv bind an executor to the
+/// plan on their first call and keep it in `executor`, so every later call
+/// with the same element type and Comm runs without binding again.  A
+/// copied, moved or assigned schedule starts with an empty slot.
 struct McSchedule {
   sched::Schedule plan;
   layout::Index numElements = 0;
@@ -81,6 +89,8 @@ struct McSchedule {
   bool hasProvenance = false;
   std::vector<SendSeg> sendSegs;
   std::vector<RecvSeg> recvSegs;
+  /// The executor bound to `plan` by the first dataMove* call (see above).
+  mutable sched::ExecutorSlot executor;
 };
 
 /// Intra-program build: both data structures live in the calling program.

@@ -153,12 +153,16 @@ class Executor {
 
   /// One schedule execution: pack + send, local copies, drain + unpack.
   /// Collective over the program; `tag` must match across it.  `src` and
-  /// `dst` may alias (ghost fills).
+  /// `dst` may alias (ghost fills).  Every run entry point throws mc::Error,
+  /// before touching either buffer, when a span is shorter than the bound
+  /// plan's offsets reach.
   void run(std::span<const T> src, std::span<T> dst, int tag) {
     MC_REQUIRE(remoteProgram_ < 0,
                "inter-program executor: use runSend / runRecv");
     MC_REQUIRE(!inFlight_,
                "split-phase run in flight: finish() it before run()");
+    requireSrc(src);
+    requireDst(dst);
     sendPhase(src, tag);
     localPhase(src, dst, /*add=*/false);
     openExchange(tag);
@@ -176,6 +180,8 @@ class Executor {
                "inter-program executor: use runSend / runRecv");
     MC_REQUIRE(!inFlight_,
                "split-phase run in flight: finish() it before runAdd()");
+    requireSrc(src);
+    requireDst(dst);
     sendPhase(src, tag);
     localPhase(src, dst, /*add=*/true);
     openExchange(tag);
@@ -224,6 +230,7 @@ class Executor {
     /// payloads.  Result is bitwise identical to run(src, dst, tag).
     void finish(std::span<T> dst) {
       requireActive();
+      ex_->requireDst(dst);
       Executor* ex = ex_;
       ex_ = nullptr;
       ex->finishPending(dst, /*add=*/false);
@@ -232,6 +239,7 @@ class Executor {
     /// Accumulating finish; bitwise identical to runAdd(src, dst, tag).
     void finishAdd(std::span<T> dst) {
       requireActive();
+      ex_->requireDst(dst);
       Executor* ex = ex_;
       ex_ = nullptr;
       ex->finishPending(dst, /*add=*/true);
@@ -259,6 +267,7 @@ class Executor {
                "inter-program executor: use runSend / runRecv");
     MC_REQUIRE(!inFlight_,
                "split-phase run already in flight: finish() it first");
+    requireSrc(src);
     sendPhase(src, tag);
     openExchange(tag);
     inFlight_ = true;
@@ -283,12 +292,14 @@ class Executor {
   /// matching receiver executor.  Collective over both programs.
   void runSend(std::span<const T> src) {
     MC_REQUIRE(remoteProgram_ >= 0, "intra-program executor: use run");
+    requireSrc(src);
     sendPhase(src, comm_->nextInterTag(remoteProgram_));
   }
 
   /// Receiver half.
   void runRecv(std::span<T> dst) {
     MC_REQUIRE(remoteProgram_ >= 0, "intra-program executor: use run");
+    requireDst(dst);
     openExchange(comm_->nextInterTag(remoteProgram_));
     drain(dst, /*unpackNow=*/true);
   }
@@ -394,6 +405,29 @@ class Executor {
     compileLane(sched_->recvs, old != nullptr ? &old->recvs : nullptr,
                 oldRecv, recvKernels_);
     localKernel_ = LocalKernel::compile(*sched_);
+    srcExtent_ = localKernel_.srcExtent;
+    for (const PlanKernel& k : sendKernels_) {
+      srcExtent_ = std::max(srcExtent_, k.extent);
+    }
+    dstExtent_ = localKernel_.dstExtent;
+    for (const PlanKernel& k : recvKernels_) {
+      dstExtent_ = std::max(dstExtent_, k.extent);
+    }
+  }
+
+  /// The bounds check of every run entry point: one compare against the
+  /// extents the kernels recorded at bind.
+  void requireSrc(std::span<const T> src) const {
+    MC_REQUIRE(static_cast<layout::Index>(src.size()) >= srcExtent_,
+               "source span of %zu elements is shorter than the schedule's "
+               "source extent %lld",
+               src.size(), static_cast<long long>(srcExtent_));
+  }
+  void requireDst(std::span<const T> dst) const {
+    MC_REQUIRE(static_cast<layout::Index>(dst.size()) >= dstExtent_,
+               "destination span of %zu elements is shorter than the "
+               "schedule's destination extent %lld",
+               dst.size(), static_cast<long long>(dstExtent_));
   }
 
   /// Compiles one lane of plan kernels, carrying over the old compiled
@@ -883,6 +917,9 @@ class Executor {
   std::vector<PlanKernel> sendKernels_;     // compiled at bind, per plan
   std::vector<PlanKernel> recvKernels_;
   LocalKernel localKernel_;
+  // The span lengths the kernels need, fixed at bind (requireSrc/Dst).
+  layout::Index srcExtent_ = 0;
+  layout::Index dstExtent_ = 0;
   std::uint64_t runEpoch_ = 0;
   std::vector<std::vector<std::byte>> freeBufs_;  // recycled payloads
   std::vector<Stashed> stash_;  // deferred-unpack slots, one per recv plan
@@ -906,8 +943,11 @@ class Executor {
 /// Collective; `tag` must match across the program (comm.nextUserTag()).
 /// `src` and `dst` may alias (e.g. a ghost fill within one buffer).
 ///
-/// One-shot convenience over Executor — loops should bind an Executor once
-/// and run() it per step to keep its persistent buffers.
+/// Who binds when: execute and executeAdd bind a fresh Executor per call,
+/// for a bare Schedule run once (chaos::remap, hpfrt::redistribute).  A
+/// core::McSchedule keeps the executor its first dataMove* call binds, and
+/// library loops (parti::GhostExchanger, chaos::EdgeSweep, the compute
+/// server's sessions) hold their own Executor for the schedule's lifetime.
 template <typename T>
 void execute(transport::Comm& comm, const Schedule& sched,
              std::span<const T> src, std::span<T> dst, int tag) {

@@ -27,9 +27,11 @@
 // kernels are the executor's only pack/unpack path.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -135,25 +137,42 @@ inline KernelKind classifyPlan(const OffsetPlan& plan) {
                                     : KernelKind::kRunList;
 }
 
+/// One past the largest offset of a `count`-element run from `start` by
+/// `stride`; 0 for an empty run.
+inline layout::Index runExtent(layout::Index start, layout::Index count,
+                               layout::Index stride) {
+  if (count <= 0) return 0;
+  return std::max(start, start + (count - 1) * stride) + 1;
+}
+
+/// True when `off` fits the 32-bit index streams.
+inline bool fitsIndex32(layout::Index off) {
+  return static_cast<std::uint64_t>(off) <= UINT32_MAX;
+}
+
 /// A compiled pack/unpack kernel for one OffsetPlan.  Compiled once at
 /// Executor bind; the plan must outlive the kernel (the executor already
 /// requires the schedule to outlive it).
 struct PlanKernel {
   KernelKind kind = KernelKind::kRunList;
   OffsetRun run{};  // kContiguous / kStrided
-  /// kIndexList offsets expanded from the plan's runs.  Empty when the
-  /// plan itself carries the offset list (uncompressed plans), in which
-  /// case the kernel reads plan.offsets directly.
-  std::vector<layout::Index> ownedIndices;
-  /// Narrowed copy of the kIndexList offsets.  Index is 64-bit but local
-  /// offsets in any real schedule fit 32; the narrow stream halves the
-  /// index bytes the gather/scatter loops pull through the cache.  Empty
-  /// when some offset does not fit (the wide loops take over).
+  /// One past the plan's largest offset: the shortest buffer a pack or
+  /// unpack through this kernel may be given.
+  layout::Index extent = 0;
+  /// The kIndexList offsets, narrowed to 32 bits.  Index is 64-bit but
+  /// local offsets in any real schedule fit 32; the narrow stream halves
+  /// the index bytes the gather/scatter loops pull through the cache.
+  /// Empty when some offset does not fit (the wide loops take over).
   std::vector<std::uint32_t> idx32;
+  /// The wide kIndexList offsets expanded from the plan's runs, kept only
+  /// when idx32 is empty.  An uncompressed plan's wide list is
+  /// plan.offsets itself.
+  std::vector<layout::Index> ownedIndices;
 
   static PlanKernel compile(const OffsetPlan& plan) {
     PlanKernel k;
     k.kind = classifyPlan(plan);
+    k.extent = planExtent(plan);
     KernelStats& s = kernelStats();
     switch (k.kind) {
       case KernelKind::kEmpty:
@@ -170,12 +189,15 @@ struct PlanKernel {
         ++s.dispatchRunList;
         break;
       case KernelKind::kIndexList: {
-        if (!plan.runs.empty()) {
-          k.ownedIndices =
-              expandOffsets(std::span<const OffsetRun>(plan.runs));
+        if (plan.runs.empty()) {
+          k.idx32 = narrowIndices(plan.offsets);
+        } else {
+          k.idx32 = narrowRuns(plan.runs, plan.elementCount());
+          if (k.idx32.empty()) {
+            k.ownedIndices =
+                expandOffsets(std::span<const OffsetRun>(plan.runs));
+          }
         }
-        const std::span<const layout::Index> idx = k.indices(plan);
-        k.idx32 = narrowIndices(idx);
         ++s.dispatchIndexList;
         break;
       }
@@ -183,22 +205,49 @@ struct PlanKernel {
     return k;
   }
 
-  /// The flattened offset list of a kIndexList kernel (wide form).
+  /// The wide offset list a kIndexList kernel reads when idx32 is empty.
   std::span<const layout::Index> indices(const OffsetPlan& plan) const {
     return ownedIndices.empty() ? std::span<const layout::Index>(plan.offsets)
                                 : std::span<const layout::Index>(ownedIndices);
+  }
+
+  static layout::Index planExtent(const OffsetPlan& plan) {
+    layout::Index extent = 0;
+    if (plan.runs.empty()) {
+      for (const layout::Index off : plan.offsets) {
+        extent = std::max(extent, off + 1);
+      }
+    }
+    for (const OffsetRun& r : plan.runs) {
+      extent = std::max(extent, runExtent(r.start, r.count, r.stride));
+    }
+    return extent;
   }
 
   /// Offsets narrowed to 32 bits, or empty when any is out of range.
   static std::vector<std::uint32_t> narrowIndices(
       std::span<const layout::Index> idx) {
     std::vector<std::uint32_t> out;
-    for (const layout::Index off : idx) {
-      if (off < 0 || off > static_cast<layout::Index>(UINT32_MAX)) return {};
-    }
     out.reserve(idx.size());
     for (const layout::Index off : idx) {
+      if (!fitsIndex32(off)) return {};
       out.push_back(static_cast<std::uint32_t>(off));
+    }
+    return out;
+  }
+
+  /// The runs' offsets expanded straight into 32 bits in one pass, or
+  /// empty when any is out of range.
+  static std::vector<std::uint32_t> narrowRuns(
+      const std::vector<OffsetRun>& runs, layout::Index count) {
+    std::vector<std::uint32_t> out;
+    out.reserve(static_cast<std::size_t>(count));
+    for (const OffsetRun& r : runs) {
+      for (layout::Index i = 0; i < r.count; ++i) {
+        const layout::Index off = r.start + i * r.stride;
+        if (!fitsIndex32(off)) return {};
+        out.push_back(static_cast<std::uint32_t>(off));
+      }
     }
     return out;
   }
@@ -366,12 +415,20 @@ void unpackAddKernel(const PlanKernel& k, const OffsetPlan& plan,
 /// (the executor's existing local paths).
 struct LocalKernel {
   KernelKind kind = KernelKind::kRunList;
-  std::vector<layout::Index> srcIdx, dstIdx;  // kIndexList (wide fallback)
-  std::vector<std::uint32_t> srcIdx32, dstIdx32;  // narrow fast path
+  /// One past the largest source / destination offset of the local
+  /// transfers, whatever the kind.
+  layout::Index srcExtent = 0, dstExtent = 0;
+  std::vector<std::uint32_t> srcIdx32, dstIdx32;  // kIndexList
+  /// Wide kIndexList offsets, kept only when the narrow streams are empty.
+  std::vector<layout::Index> srcIdx, dstIdx;
 
   static LocalKernel compile(const Schedule& sched) {
     LocalKernel k;
     if (sched.localRuns.empty()) {
+      for (const auto& [from, to] : sched.localPairs) {
+        k.srcExtent = std::max(k.srcExtent, from + 1);
+        k.dstExtent = std::max(k.dstExtent, to + 1);
+      }
       // Uncompressed local pairs: the executor's element-wise paths are
       // already branch-free; leave them alone.
       k.kind = sched.localPairs.empty() ? KernelKind::kEmpty
@@ -382,6 +439,10 @@ struct LocalKernel {
     bool flattenable = true;
     for (const LocalRun& run : sched.localRuns) {
       total += run.count;
+      k.srcExtent = std::max(k.srcExtent,
+                             runExtent(run.src, run.count, run.srcStride));
+      k.dstExtent = std::max(k.dstExtent,
+                             runExtent(run.dst, run.count, run.dstStride));
       // A memmove-eligible run (both strides 1, count > 1) has
       // read-all-then-write semantics that element order cannot reproduce
       // under aliasing; keep the run-wise path for schedules carrying one.
@@ -401,24 +462,34 @@ struct LocalKernel {
       return k;
     }
     k.kind = KernelKind::kIndexList;
-    k.srcIdx.reserve(static_cast<size_t>(total));
-    k.dstIdx.reserve(static_cast<size_t>(total));
-    for (const LocalRun& run : sched.localRuns) {
-      for (layout::Index i = 0; i < run.count; ++i) {
-        k.srcIdx.push_back(run.src + i * run.srcStride);
-        k.dstIdx.push_back(run.dst + i * run.dstStride);
-      }
-    }
-    k.srcIdx32 =
-        PlanKernel::narrowIndices(std::span<const layout::Index>(k.srcIdx));
-    k.dstIdx32 =
-        PlanKernel::narrowIndices(std::span<const layout::Index>(k.dstIdx));
-    if (k.srcIdx32.empty() || k.dstIdx32.empty()) {
-      k.srcIdx32.clear();
-      k.dstIdx32.clear();
+    if (!flatten(sched.localRuns, total, k.srcIdx32, k.dstIdx32)) {
+      k.srcIdx32 = std::vector<std::uint32_t>();
+      k.dstIdx32 = std::vector<std::uint32_t>();
+      flatten(sched.localRuns, total, k.srcIdx, k.dstIdx);
     }
     ++kernelStats().dispatchIndexList;
     return k;
+  }
+
+  /// Expands `runs` into the (src, dst) offset streams in one pass; false
+  /// (with the streams partly filled) when an offset does not fit `I`.
+  template <typename I>
+  static bool flatten(const std::vector<LocalRun>& runs, layout::Index total,
+                      std::vector<I>& src, std::vector<I>& dst) {
+    src.reserve(static_cast<size_t>(total));
+    dst.reserve(static_cast<size_t>(total));
+    for (const LocalRun& run : runs) {
+      for (layout::Index i = 0; i < run.count; ++i) {
+        const layout::Index s = run.src + i * run.srcStride;
+        const layout::Index d = run.dst + i * run.dstStride;
+        if constexpr (std::is_same_v<I, std::uint32_t>) {
+          if (!fitsIndex32(s) || !fitsIndex32(d)) return false;
+        }
+        src.push_back(static_cast<I>(s));
+        dst.push_back(static_cast<I>(d));
+      }
+    }
+    return true;
   }
 
   /// Direct local copies in element order (== copyLocalRuns for the runs

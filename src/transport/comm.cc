@@ -8,8 +8,15 @@
 
 namespace mc::transport {
 
+namespace {
+std::uint64_t nextCommId() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+}  // namespace
+
 Comm::Comm(WorldState* world, int globalRank)
-    : world_(world), globalRank_(globalRank) {
+    : world_(world), id_(nextCommId()), globalRank_(globalRank) {
   MC_REQUIRE(world != nullptr);
   MC_REQUIRE(globalRank >= 0 &&
              globalRank < static_cast<int>(world->programOf.size()));

@@ -153,6 +153,9 @@ class Comm {
     return world_->programs.at(static_cast<size_t>(p));
   }
   int globalRank() const { return globalRank_; }
+  /// Process-wide unique id of this handle.  Unlike the handle's address,
+  /// a later world's handle never reuses it.
+  std::uint64_t id() const { return id_; }
   int worldSize() const {
     return static_cast<int>(world_->programOf.size());
   }
@@ -653,6 +656,7 @@ class Comm {
   static constexpr int kUserTagRange = 1 << 18;
 
   WorldState* world_;
+  std::uint64_t id_;
   int globalRank_;
   int program_;
   int localRank_;

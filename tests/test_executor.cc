@@ -1,16 +1,22 @@
 // sched::Executor: arrival-order drain correctness and determinism, the
 // zero-copy / zero-allocation steady state, aliased ghost fills, the
-// DrainOrder::kPeer debug mode, and the inter-program halves.  The old
-// peer-ordered copy-per-step executors live on as sched::reference and
-// serve as the oracle throughout.
+// DrainOrder::kPeer debug mode, the inter-program halves, the span checks
+// of every run entry point, and the executor an McSchedule keeps across
+// dataMove* calls.  The old peer-ordered copy-per-step executors live on as
+// sched::reference and serve as the oracle throughout.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "chaos/localize.h"
 #include "chaos/partition.h"
+#include "core/adapters/chaos_adapter.h"
+#include "core/adapters/parti_adapter.h"
+#include "core/data_move.h"
+#include "obs/metrics.h"
 #include "oracle/reference_executor.h"
 #include "parti/ghost.h"
 #include "sched/executor.h"
@@ -302,6 +308,341 @@ TEST(Executor, InterProgramHalvesMoveDataAndStayPaired) {
                 EXPECT_EQ(dst[static_cast<size_t>(i)],
                           1000.0 * round + 10.0 * aRank + lane * kN + i)
                     << "round " << round;
+              }
+            }
+          }},
+  });
+}
+
+// --- span checks ------------------------------------------------------------
+
+TEST(Executor, EveryRunEntryPointRejectsShortSpans) {
+  // Rank 0 receives kPerPeer elements from each other rank into a
+  // 3 * kPerPeer destination; one element short must throw before any
+  // write, on every entry point that takes the destination.
+  const auto shortDst = [](Comm& c) {
+    return std::vector<double>(c.rank() == 0 ? 3 * kPerPeer - 1 : 0);
+  };
+  EXPECT_THROW(World::runSPMD(4,
+                              [&](Comm& c) {
+                                const Schedule s = starSchedule(
+                                    c.rank(), c.size(), /*overlap=*/false);
+                                Executor<double> ex(c, s);
+                                std::vector<double> src(kPerPeer, 1.0);
+                                std::vector<double> dst = shortDst(c);
+                                ex.run(src, dst);
+                              }),
+               Error);
+  EXPECT_THROW(World::runSPMD(4,
+                              [&](Comm& c) {
+                                const Schedule s = starSchedule(
+                                    c.rank(), c.size(), /*overlap=*/false);
+                                Executor<double> ex(c, s);
+                                std::vector<double> src(kPerPeer, 1.0);
+                                std::vector<double> dst = shortDst(c);
+                                ex.runAdd(src, dst);
+                              }),
+               Error);
+  EXPECT_THROW(World::runSPMD(4,
+                              [&](Comm& c) {
+                                const Schedule s = starSchedule(
+                                    c.rank(), c.size(), /*overlap=*/false);
+                                Executor<double> ex(c, s);
+                                std::vector<double> src(kPerPeer, 1.0);
+                                std::vector<double> dst = shortDst(c);
+                                auto pending = ex.start(src);
+                                pending.finish(dst);
+                              }),
+               Error);
+  // A short source throws before the senders post anything.
+  EXPECT_THROW(World::runSPMD(4,
+                              [&](Comm& c) {
+                                const Schedule s = starSchedule(
+                                    c.rank(), c.size(), /*overlap=*/false);
+                                Executor<double> ex(c, s);
+                                std::vector<double> src(kPerPeer - 1, 1.0);
+                                std::vector<double> dst(3 * kPerPeer);
+                                ex.run(src, dst);
+                              }),
+               Error);
+  // The inter-program halves: a1 sends 4 elements to b0, whose receive
+  // plan reaches offset 3.
+  const auto halves = [](Index srcLen, Index dstLen) {
+    Schedule send;
+    send.sends.push_back(OffsetPlan{0, {0, 1, 2, 3}, {}});
+    Schedule recv;
+    recv.recvs.push_back(OffsetPlan{0, {0, 1, 2, 3}, {}});
+    World::run({
+        transport::ProgramSpec{
+            "a", 1,
+            [&](Comm& c) {
+              std::vector<double> src(static_cast<size_t>(srcLen), 1.0);
+              Executor<double>::sender(c, send, /*prog=*/1).runSend(src);
+            }},
+        transport::ProgramSpec{
+            "b", 1,
+            [&](Comm& c) {
+              std::vector<double> dst(static_cast<size_t>(dstLen));
+              Executor<double>::receiver(c, recv, /*prog=*/0).runRecv(dst);
+            }},
+    });
+  };
+  EXPECT_NO_THROW(halves(4, 4));
+  EXPECT_THROW(halves(3, 4), Error);
+  EXPECT_THROW(halves(4, 3), Error);
+}
+
+// --- the executor an McSchedule keeps --------------------------------------
+
+/// The sum of every registry counter whose name starts with `prefix`.
+double sumOf(const obs::Snapshot& d, const std::string& prefix) {
+  double sum = 0.0;
+  for (const auto& [name, v] : d.values) {
+    if (name.rfind(prefix, 0) == 0) sum += v;
+  }
+  return sum;
+}
+
+/// Kernels this rank compiled while `fn` ran.
+template <typename F>
+double dispatchesDuring(F&& fn) {
+  const obs::Snapshot before = obs::threadRegistry().snapshot();
+  fn();
+  return sumOf(obs::threadRegistry().snapshot() - before, "kernel.dispatch.");
+}
+
+/// The reg->irreg coupling of the paper's Figure 1 on a 16x16 grid: a
+/// Multiblock Parti array copied onto a Chaos array under a permuted
+/// numbering, run-compressed as the schedule cache stores it.  Every
+/// element of the Chaos array is written.
+struct MeshPair {
+  std::unique_ptr<parti::BlockDistArray<double>> a;
+  std::unique_ptr<chaos::IrregArray<double>> x;
+  core::McSchedule fwd;  // a -> x
+};
+
+MeshPair meshPair(Comm& c) {
+  constexpr Index kSide = 16, kN = kSide * kSide;
+  MeshPair m;
+  m.a = std::make_unique<parti::BlockDistArray<double>>(
+      c, layout::Shape::of({kSide, kSide}), /*ghost=*/1);
+  const auto mine = chaos::randomPartition(kN, c.size(), c.rank(), 7);
+  auto table = std::make_shared<const chaos::TranslationTable>(
+      chaos::TranslationTable::build(
+          c, mine, kN, chaos::TranslationTable::Storage::kDistributed));
+  m.x = std::make_unique<chaos::IrregArray<double>>(c, table, mine);
+  core::SetOfRegions regSet;
+  regSet.add(core::Region::section(
+      layout::RegularSection::box({0, 0}, {kSide - 1, kSide - 1})));
+  std::vector<Index> ids(static_cast<size_t>(kN));
+  for (Index k = 0; k < kN; ++k) ids[static_cast<size_t>(k)] = (k * 37) % kN;
+  core::SetOfRegions irregSet;
+  irregSet.add(core::Region::indices(ids));
+  m.fwd = core::computeSchedule(c, core::PartiAdapter::describe(*m.a), regSet,
+                                core::ChaosAdapter::describe(*m.x), irregSet);
+  m.fwd.plan.compress();
+  return m;
+}
+
+template <typename T>
+std::vector<T> sourceValues(std::size_t n, int rank, int call) {
+  std::vector<T> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<T>(1000 * call + 100 * rank) + static_cast<T>(i) +
+           static_cast<T>(0.25);
+  }
+  return v;
+}
+
+/// One dataMove of `s` from fresh source values, checked bitwise against
+/// the reference executor; returns the kernel dispatches it made.
+template <typename T>
+double checkedMove(Comm& c, const core::McSchedule& s, std::size_t srcN,
+                   std::size_t dstN, int call) {
+  const std::vector<T> src = sourceValues<T>(srcN, c.rank(), call);
+  std::vector<T> want(dstN, T(-1)), got(dstN, T(-1));
+  reference::execute<T>(c, s.plan, src, want, c.nextUserTag());
+  const double dispatches =
+      dispatchesDuring([&] { core::dataMove<T>(c, s, src, got); });
+  EXPECT_EQ(got, want) << "call " << call;
+  return dispatches;
+}
+
+TEST(BoundExecutor, DataMoveCompilesKernelsOnEachSchedulesFirstCallOnly) {
+  World::runSPMD(4, [](Comm& c) {
+    ensureKernelMetrics();
+    MeshPair m = meshPair(c);
+    const core::McSchedule rev = core::reverseSchedule(m.fwd);
+    const std::size_t aN = m.a->raw().size(), xN = m.x->raw().size();
+    double firstExec[2] = {0.0, 0.0};
+    transport::TrafficStats firstTraffic[2];
+    for (int call = 0; call < 10; ++call) {
+      for (int dir = 0; dir < 2; ++dir) {
+        const core::McSchedule& s = dir == 0 ? m.fwd : rev;
+        const std::vector<double> src =
+            sourceValues<double>(dir == 0 ? aN : xN, c.rank(), call);
+        const std::size_t dstN = dir == 0 ? xN : aN;
+        std::vector<double> want(dstN, -1.0), got(dstN, -1.0);
+        reference::execute<double>(c, s.plan, src, want, c.nextUserTag());
+        const obs::Snapshot before = obs::threadRegistry().snapshot();
+        const transport::TrafficStats t0 = c.stats();
+        core::dataMove<double>(c, s, src, got);
+        const transport::TrafficStats t = c.stats() - t0;
+        const obs::Snapshot d = obs::threadRegistry().snapshot() - before;
+
+        EXPECT_EQ(got, want) << "call " << call << " dir " << dir;
+        const double dispatch = sumOf(d, "kernel.dispatch.");
+        const double exec = sumOf(d, "kernel.exec.");
+        EXPECT_GT(exec, 0.0);
+        if (call == 0) {
+          EXPECT_GT(dispatch, 0.0) << "dir " << dir;
+          firstExec[dir] = exec;
+          firstTraffic[dir] = t;
+          EXPECT_EQ(t.messagesSent, s.plan.sends.size());
+          EXPECT_EQ(t.bytesSent, static_cast<std::uint64_t>(
+                                     s.plan.totalSendElements()) *
+                                     sizeof(double));
+        } else {
+          EXPECT_EQ(dispatch, 0.0) << "call " << call << " dir " << dir;
+          EXPECT_EQ(exec, firstExec[dir]) << "call " << call;
+          EXPECT_EQ(t.messagesSent, firstTraffic[dir].messagesSent);
+          EXPECT_EQ(t.bytesSent, firstTraffic[dir].bytesSent);
+          EXPECT_EQ(t.messagesReceived, firstTraffic[dir].messagesReceived);
+          EXPECT_EQ(t.bytesReceived, firstTraffic[dir].bytesReceived);
+        }
+      }
+    }
+  });
+}
+
+TEST(BoundExecutor, SymmetricScheduleStopsAllocating) {
+  World::runSPMD(4, [](Comm& c) {
+    parti::BlockDistArray<double> a(c, layout::Shape::of({8, 8}), /*ghost=*/1);
+    a.fillByPoint([](const layout::Point& p) {
+      return static_cast<double>(p[0] * 8 + p[1]);
+    });
+    // A ghost fill sends each peer as many elements as it receives from
+    // it, so every received payload is one of the next call's send buffers.
+    core::McSchedule ghosts;
+    ghosts.plan = parti::buildGhostSchedule(a);
+    ASSERT_FALSE(ghosts.plan.sends.empty());
+    for (int call = 0; call < 10; ++call) {
+      const transport::TrafficStats t0 = c.stats();
+      core::dataMove<double>(c, ghosts, a.raw(), a.raw());
+      const transport::TrafficStats t = c.stats() - t0;
+      if (call >= 2) {
+        EXPECT_EQ(t.allocations, 0u) << "call " << call;
+        EXPECT_EQ(t.bytesCopied, 0u) << "call " << call;
+      }
+    }
+  });
+}
+
+TEST(BoundExecutor, CopiesAndMovesBindAfreshAndElementTypesRebind) {
+  World::runSPMD(4, [](Comm& c) {
+    ensureKernelMetrics();
+    MeshPair m = meshPair(c);
+    const std::size_t aN = m.a->raw().size(), xN = m.x->raw().size();
+    const auto fwdMove = [&](const core::McSchedule& s, int call) {
+      return checkedMove<double>(c, s, aN, xN, call);
+    };
+    EXPECT_GT(fwdMove(m.fwd, 0), 0.0);
+    EXPECT_EQ(fwdMove(m.fwd, 1), 0.0);
+
+    core::McSchedule copied = m.fwd;
+    EXPECT_GT(fwdMove(copied, 2), 0.0);
+    EXPECT_EQ(fwdMove(copied, 3), 0.0);
+    EXPECT_EQ(fwdMove(m.fwd, 4), 0.0);  // the original keeps its own
+
+    core::McSchedule moved = std::move(copied);
+    EXPECT_GT(fwdMove(moved, 5), 0.0);
+    EXPECT_EQ(fwdMove(moved, 6), 0.0);
+
+    // Bound to the reverse plan, then assigned the forward one: the
+    // reverse executor must not run the forward plan.
+    core::McSchedule assigned = core::reverseSchedule(m.fwd);
+    EXPECT_GT(checkedMove<double>(c, assigned, xN, aN, 7), 0.0);
+    assigned = m.fwd;
+    EXPECT_GT(fwdMove(assigned, 8), 0.0);
+    EXPECT_EQ(fwdMove(assigned, 9), 0.0);
+
+    // Another element type rebinds, and so does the way back.
+    EXPECT_GT(checkedMove<float>(c, m.fwd, aN, xN, 10), 0.0);
+    EXPECT_EQ(checkedMove<float>(c, m.fwd, aN, xN, 11), 0.0);
+    EXPECT_GT(fwdMove(m.fwd, 12), 0.0);
+  });
+}
+
+TEST(BoundExecutor, ShortDestinationSpanThrowsInsteadOfWritingPastIt) {
+  EXPECT_THROW(World::runSPMD(4,
+                              [](Comm& c) {
+                                MeshPair m = meshPair(c);
+                                const std::span<double> x = m.x->raw();
+                                ASSERT_FALSE(x.empty());
+                                core::dataMove<double>(
+                                    c, m.fwd, m.a->raw(),
+                                    x.first(x.size() - 1));
+                              }),
+               Error);
+}
+
+TEST(BoundExecutor, InterProgramHalvesCompileKernelsOncePerSide) {
+  constexpr Index kRows = 8, kCols = 8, kN = kRows * kCols;
+  constexpr int kCalls = 5;
+  World::run({
+      transport::ProgramSpec{
+          "regular", 3,
+          [](Comm& c) {
+            ensureKernelMetrics();
+            parti::BlockDistArray<double> a(
+                c, layout::Shape::of({kRows, kCols}), /*ghost=*/1);
+            core::SetOfRegions set;
+            set.add(core::Region::section(
+                layout::RegularSection::box({0, 0}, {kRows - 1, kCols - 1})));
+            const core::McSchedule send = core::computeScheduleSend(
+                c, core::PartiAdapter::describe(a), set, /*remoteProgram=*/1);
+            for (int call = 0; call < kCalls; ++call) {
+              a.fillByPoint([&](const layout::Point& p) {
+                return static_cast<double>(1000 * call + p[0] * kCols + p[1]);
+              });
+              const double dispatch = dispatchesDuring(
+                  [&] { core::dataMoveSend<double>(c, send, a.raw()); });
+              if (call == 0) {
+                EXPECT_EQ(dispatch > 0.0, !send.plan.sends.empty());
+              } else {
+                EXPECT_EQ(dispatch, 0.0) << "call " << call;
+              }
+            }
+          }},
+      transport::ProgramSpec{
+          "irregular", 2,
+          [](Comm& c) {
+            ensureKernelMetrics();
+            const auto mine = chaos::randomPartition(kN, c.size(), c.rank(), 5);
+            auto table = std::make_shared<const chaos::TranslationTable>(
+                chaos::TranslationTable::build(
+                    c, mine, kN,
+                    chaos::TranslationTable::Storage::kDistributed));
+            chaos::IrregArray<double> x(c, table, mine);
+            core::SetOfRegions set;
+            std::vector<Index> ids(static_cast<size_t>(kN));
+            for (Index k = 0; k < kN; ++k) ids[static_cast<size_t>(k)] = k;
+            set.add(core::Region::indices(ids));
+            const core::McSchedule recv = core::computeScheduleRecv(
+                c, core::ChaosAdapter::describe(x), set, /*remoteProgram=*/0);
+            const std::span<const Index> globals = x.myGlobals();
+            for (int call = 0; call < kCalls; ++call) {
+              const double dispatch = dispatchesDuring(
+                  [&] { core::dataMoveRecv<double>(c, recv, x.raw()); });
+              if (call == 0) {
+                EXPECT_EQ(dispatch > 0.0, !recv.plan.recvs.empty());
+              } else {
+                EXPECT_EQ(dispatch, 0.0) << "call " << call;
+              }
+              for (std::size_t i = 0; i < globals.size(); ++i) {
+                EXPECT_EQ(x.raw()[i],
+                          static_cast<double>(1000 * call + globals[i]))
+                    << "call " << call;
               }
             }
           }},

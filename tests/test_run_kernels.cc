@@ -184,6 +184,69 @@ TEST(LocalKernel, FlattenGateKeepsMemmoveRunsRunwise) {
   EXPECT_EQ(dst, want);
 }
 
+TEST(PlanKernel, FittingOffsetsKeepOnlyTheNarrowStream) {
+  // Many short runs flatten to an index list, held as 32 bits only.
+  const OffsetPlan plan = planFromRuns({OffsetRun{0, 2, 1}, OffsetRun{7, 2, 1},
+                                        OffsetRun{3, 2, 1},
+                                        OffsetRun{12, 2, -1}});
+  const PlanKernel k = PlanKernel::compile(plan);
+  ASSERT_EQ(k.kind, KernelKind::kIndexList);
+  EXPECT_TRUE(k.ownedIndices.empty());
+  EXPECT_EQ(k.idx32,
+            (std::vector<std::uint32_t>{0, 1, 7, 8, 3, 4, 12, 11}));
+  EXPECT_EQ(k.extent, 13);
+  // An uncompressed plan narrows its own offset list.
+  const PlanKernel flat =
+      PlanKernel::compile(planFromOffsets({5, 0, 9}, false));
+  EXPECT_TRUE(flat.ownedIndices.empty());
+  EXPECT_EQ(flat.idx32, (std::vector<std::uint32_t>{5, 0, 9}));
+  EXPECT_EQ(flat.extent, 10);
+  // Local transfers likewise.
+  Schedule local;
+  local.localRuns = {LocalRun{0, 9, 1, 1, 1}, LocalRun{4, 2, 2, 3, 1},
+                     LocalRun{7, 20, 2, 1, -1}};
+  const LocalKernel lk = LocalKernel::compile(local);
+  ASSERT_EQ(lk.kind, KernelKind::kIndexList);
+  EXPECT_TRUE(lk.srcIdx.empty());
+  EXPECT_TRUE(lk.dstIdx.empty());
+  EXPECT_EQ(lk.srcIdx32, (std::vector<std::uint32_t>{0, 4, 7, 7, 8}));
+  EXPECT_EQ(lk.dstIdx32, (std::vector<std::uint32_t>{9, 2, 3, 20, 19}));
+  EXPECT_EQ(lk.srcExtent, 9);
+  EXPECT_EQ(lk.dstExtent, 21);
+}
+
+TEST(PlanKernel, OffsetBeyond32BitsKeepsOnlyTheWideList) {
+  // Compiled but never executed: no test can allocate such a buffer.
+  const Index big = Index{1} << 32;
+  const OffsetPlan plan = planFromRuns(
+      {OffsetRun{0, 2, 1}, OffsetRun{big, 1, 0}, OffsetRun{5, 1, 0}});
+  const PlanKernel k = PlanKernel::compile(plan);
+  ASSERT_EQ(k.kind, KernelKind::kIndexList);
+  EXPECT_TRUE(k.idx32.empty());
+  const std::span<const Index> wide = k.indices(plan);
+  EXPECT_EQ(std::vector<Index>(wide.begin(), wide.end()),
+            plan.expandedOffsets());
+  EXPECT_EQ(k.extent, big + 1);
+
+  const OffsetPlan flatPlan = planFromOffsets({3, big, 1}, false);
+  const PlanKernel flat = PlanKernel::compile(flatPlan);
+  EXPECT_TRUE(flat.idx32.empty());
+  EXPECT_TRUE(flat.ownedIndices.empty());
+  const std::span<const Index> flatWide = flat.indices(flatPlan);
+  EXPECT_EQ(std::vector<Index>(flatWide.begin(), flatWide.end()),
+            flatPlan.expandedOffsets());
+
+  Schedule local;
+  local.localRuns = {LocalRun{0, big, 1, 1, 1}, LocalRun{2, 3, 1, 1, 1}};
+  const LocalKernel lk = LocalKernel::compile(local);
+  ASSERT_EQ(lk.kind, KernelKind::kIndexList);
+  EXPECT_TRUE(lk.srcIdx32.empty());
+  EXPECT_TRUE(lk.dstIdx32.empty());
+  EXPECT_EQ(lk.srcIdx, (std::vector<Index>{0, 2}));
+  EXPECT_EQ(lk.dstIdx, (std::vector<Index>{big, 3}));
+  EXPECT_EQ(lk.dstExtent, big + 1);
+}
+
 // --- executor-level differentials ------------------------------------------
 
 /// An irregular gather schedule from a real localize run: every rank

@@ -6,8 +6,10 @@
 # the schedule builder and executor suites, the randomized copy fuzzer, and
 # every decoder of bytes that arrive from another program, a file or a
 # client (region sets, library descriptors, the duplication bundle,
-# snapshot blobs), and every suite whose schedules keep the executor their
-# first dataMove* call binds (the core copy, MC_* API and workload suites).
+# snapshot blobs), every suite whose schedules keep the executor their
+# first dataMove* call binds (the core copy, MC_* API and workload suites),
+# and the RCB partitioner's suite (its in-place cut selection against the
+# whole-tree oracle).
 # Pass --preset=tsan to run the ThreadSanitizer build instead: the
 # transport / executor / split-phase suites, where the cross-thread mailbox
 # traffic lives, the schedule cache, whose inter-program hit/miss agreement
@@ -29,7 +31,7 @@ fi
 case "$PRESET" in
   asan-ubsan)
     BUILD_DIR=build-asan
-    DEFAULT_FILTER="test_run_compression|test_run_join|test_schedule_cache|test_schedule_invariants|test_executor|test_split_phase|test_fuzz_copy|test_obs|test_localize_batch|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot|test_core_regions|test_core_interprogram|test_adapter_contract|test_core_copy|test_mc_api|test_workloads"
+    DEFAULT_FILTER="test_run_compression|test_run_join|test_schedule_cache|test_schedule_invariants|test_executor|test_split_phase|test_fuzz_copy|test_obs|test_localize_batch|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot|test_core_regions|test_core_interprogram|test_adapter_contract|test_core_copy|test_mc_api|test_workloads|test_rcb"
     ;;
   tsan)
     BUILD_DIR=build-tsan

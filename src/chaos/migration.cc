@@ -1,6 +1,7 @@
 #include "chaos/migration.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace mc::chaos {
 
@@ -79,26 +80,27 @@ std::vector<Index> migratedGlobals(transport::Comm& comm,
 
 std::vector<Index> stableRemapOrder(std::span<const Index> oldMine,
                                     std::span<const Index> newMineAnyOrder) {
-  std::vector<Index> oldSorted(oldMine.begin(), oldMine.end());
-  std::sort(oldSorted.begin(), oldSorted.end());
-  std::vector<Index> newSorted(newMineAnyOrder.begin(),
-                               newMineAnyOrder.end());
-  std::sort(newSorted.begin(), newSorted.end());
-  const auto inOld = [&](Index g) {
-    return std::binary_search(oldSorted.begin(), oldSorted.end(), g);
+  const auto sorted = [](std::span<const Index> v) {
+    std::vector<Index> out(v.begin(), v.end());
+    if (!std::is_sorted(out.begin(), out.end())) {
+      std::sort(out.begin(), out.end());
+    }
+    return out;
   };
-  const auto inNew = [&](Index g) {
-    return std::binary_search(newSorted.begin(), newSorted.end(), g);
-  };
-  std::vector<Index> arrivals;
-  for (const Index g : newSorted) {
-    if (!inOld(g)) arrivals.push_back(g);
-  }
+  const std::vector<Index> oldSorted = sorted(oldMine);
+  const std::vector<Index> newSorted = sorted(newMineAnyOrder);
+  // One merge each: the points that arrive and the (usually few) that
+  // leave, both ascending.
+  std::vector<Index> arrivals, departures;
+  std::set_difference(newSorted.begin(), newSorted.end(), oldSorted.begin(),
+                      oldSorted.end(), std::back_inserter(arrivals));
+  std::set_difference(oldSorted.begin(), oldSorted.end(), newSorted.begin(),
+                      newSorted.end(), std::back_inserter(departures));
   std::vector<Index> out;
   out.reserve(newSorted.size());
   std::size_t a = 0;
   for (const Index g : oldMine) {
-    if (inNew(g)) {
+    if (!std::binary_search(departures.begin(), departures.end(), g)) {
       out.push_back(g);  // survivor keeps its slot
     } else if (a < arrivals.size()) {
       out.push_back(arrivals[a++]);  // departure's slot reused in place
@@ -106,7 +108,8 @@ std::vector<Index> stableRemapOrder(std::span<const Index> oldMine,
     // else: the assignment shrank past this slot; later survivors shift
     // left — unavoidable without holes in the local buffer.
   }
-  for (; a < arrivals.size(); ++a) out.push_back(arrivals[a]);
+  out.insert(out.end(), arrivals.begin() + static_cast<std::ptrdiff_t>(a),
+             arrivals.end());
   return out;
 }
 

@@ -39,7 +39,10 @@ std::vector<layout::Index> migratedGlobals(transport::Comm& comm,
 /// old one: surviving elements keep their old slots, arrivals fill the
 /// departures' slots in place (ascending), extras append, and when the
 /// assignment shrinks the tail compacts.  The result is a permutation of
-/// `newMineAnyOrder`.  Local (no communication).
+/// `newMineAnyOrder`.  Both inputs are duplicate-free.  Local (no
+/// communication): two sorts (skipped for already-ascending input, which
+/// is what the partitioners emit), one set difference each way, and a pass
+/// over the old slots that searches only the departures.
 std::vector<layout::Index> stableRemapOrder(
     std::span<const layout::Index> oldMine,
     std::span<const layout::Index> newMineAnyOrder);

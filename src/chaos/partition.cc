@@ -45,60 +45,55 @@ std::vector<Index> randomPartition(Index n, int nprocs, int rank,
   return out;
 }
 
-namespace {
-
-using layout::Index;
-
-/// Assigns ranks [rankLo, rankLo+nparts) to `ids`, cutting along the wider
-/// axis.  `ids` is reordered freely; `ownerOf` receives the result.
-void rcbSplit(std::vector<Index>& ids, std::span<const double> x,
-              std::span<const double> y, int rankLo, int nparts,
-              std::vector<int>& ownerOf) {
-  if (nparts == 1) {
-    for (Index g : ids) ownerOf[static_cast<size_t>(g)] = rankLo;
-    return;
-  }
-  double xMin = std::numeric_limits<double>::infinity(), xMax = -xMin;
-  double yMin = xMin, yMax = -xMin;
-  for (Index g : ids) {
-    const auto gg = static_cast<size_t>(g);
-    xMin = std::min(xMin, x[gg]);
-    xMax = std::max(xMax, x[gg]);
-    yMin = std::min(yMin, y[gg]);
-    yMax = std::max(yMax, y[gg]);
-  }
-  const bool cutX = (xMax - xMin) >= (yMax - yMin);
-  // Deterministic order: sort by cut coordinate, ties by global index.
-  std::sort(ids.begin(), ids.end(), [&](Index a, Index b) {
-    const double ca = cutX ? x[static_cast<size_t>(a)] : y[static_cast<size_t>(a)];
-    const double cb = cutX ? x[static_cast<size_t>(b)] : y[static_cast<size_t>(b)];
-    return ca != cb ? ca < cb : a < b;
-  });
-  const int leftParts = nparts / 2;
-  const size_t leftCount =
-      ids.size() * static_cast<size_t>(leftParts) / static_cast<size_t>(nparts);
-  std::vector<Index> left(ids.begin(), ids.begin() + static_cast<long>(leftCount));
-  std::vector<Index> right(ids.begin() + static_cast<long>(leftCount), ids.end());
-  rcbSplit(left, x, y, rankLo, leftParts, ownerOf);
-  rcbSplit(right, x, y, rankLo + leftParts, nparts - leftParts, ownerOf);
-}
-
-}  // namespace
-
 std::vector<Index> rcbPartition(std::span<const double> x,
                                 std::span<const double> y, int nprocs,
                                 int rank) {
   MC_REQUIRE(x.size() == y.size(), "coordinate arrays differ in length");
   MC_REQUIRE(nprocs > 0 && rank >= 0 && rank < nprocs);
-  const auto n = static_cast<Index>(x.size());
-  std::vector<Index> ids(static_cast<size_t>(n));
-  for (Index g = 0; g < n; ++g) ids[static_cast<size_t>(g)] = g;
-  std::vector<int> ownerOf(static_cast<size_t>(n), -1);
-  if (n > 0) rcbSplit(ids, x, y, 0, nprocs, ownerOf);
-  std::vector<Index> mine;
-  for (Index g = 0; g < n; ++g) {
-    if (ownerOf[static_cast<size_t>(g)] == rank) mine.push_back(g);
+  std::vector<Index> ids(x.size());
+  for (std::size_t g = 0; g < ids.size(); ++g) ids[g] = static_cast<Index>(g);
+  // Walk the one branch of the cut tree that holds `rank`: [lo, hi) is the
+  // point set of the part of ranks [rankLo, rankLo + nparts).
+  auto lo = ids.begin();
+  auto hi = ids.end();
+  int rankLo = 0;
+  int nparts = nprocs;
+  while (nparts > 1) {
+    double xMin = std::numeric_limits<double>::infinity(), xMax = -xMin;
+    double yMin = xMin, yMax = -xMin;
+    for (auto it = lo; it != hi; ++it) {
+      const auto g = static_cast<std::size_t>(*it);
+      xMin = std::min(xMin, x[g]);
+      xMax = std::max(xMax, x[g]);
+      yMin = std::min(yMin, y[g]);
+      yMax = std::max(yMax, y[g]);
+    }
+    // Cut along the wider axis.  (coordinate, global index) is a strict
+    // total order, so the left part is the same set of points whichever
+    // order the range is in.
+    const std::span<const double> c =
+        (xMax - xMin) >= (yMax - yMin) ? x : y;
+    const int leftParts = nparts / 2;
+    const auto leftCount = static_cast<std::ptrdiff_t>(
+        static_cast<std::size_t>(hi - lo) * static_cast<std::size_t>(leftParts) /
+        static_cast<std::size_t>(nparts));
+    const auto cut = lo + leftCount;
+    std::nth_element(lo, cut, hi, [c](Index a, Index b) {
+      const double ca = c[static_cast<std::size_t>(a)];
+      const double cb = c[static_cast<std::size_t>(b)];
+      return ca != cb ? ca < cb : a < b;
+    });
+    if (rank < rankLo + leftParts) {
+      hi = cut;
+      nparts = leftParts;
+    } else {
+      lo = cut;
+      rankLo += leftParts;
+      nparts -= leftParts;
+    }
   }
+  std::vector<Index> mine(lo, hi);
+  std::sort(mine.begin(), mine.end());
   return mine;
 }
 

@@ -37,6 +37,12 @@ std::vector<layout::Index> randomPartition(layout::Index n, int nprocs,
 /// Chaos applications feed the runtime with (the runtime itself is
 /// partitioner-agnostic — any owner assignment works).  Deterministic; no
 /// communication; local order is ascending global index.
+///
+/// Every rank runs this over all n points, so it computes only its own
+/// part: each level selects its cut with std::nth_element under the
+/// (coordinate, global index) order and descends into the branch that holds
+/// `rank`.  Cost: O(n + n/2 + ...) = O(n) for the cuts along that one
+/// branch, plus sorting the kept leaf, O((n/P) log(n/P)).
 std::vector<layout::Index> rcbPartition(std::span<const double> x,
                                         std::span<const double> y, int nprocs,
                                         int rank);

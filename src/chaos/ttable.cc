@@ -111,6 +111,7 @@ TranslationTable TranslationTable::build(
                  static_cast<long long>(sliceLo + s));
     }
   }
+  t.computeFingerprint();
   return t;
 }
 
@@ -132,6 +133,7 @@ TranslationTable TranslationTable::replicatedFromEntries(
     ++t.localCounts_[static_cast<size_t>(loc.proc)];
   }
   t.entries_ = std::move(entries);
+  t.computeFingerprint();
   return t;
 }
 
@@ -308,7 +310,7 @@ std::vector<ElementLoc> TranslationTable::gatherFull(
   return full;
 }
 
-std::uint64_t TranslationTable::localFingerprint() const {
+void TranslationTable::computeFingerprint() {
   HashStream h;
   h.pod(static_cast<int>(storage_));
   h.pod(globalSize_);
@@ -322,7 +324,7 @@ std::uint64_t TranslationTable::localFingerprint() const {
     h.pod(e.proc);
     h.pod(e.offset);
   }
-  return h.digest()[0];
+  fingerprint_ = h.digest()[0];
 }
 
 std::vector<std::byte> TranslationTable::serialize() const {
@@ -422,6 +424,7 @@ TranslationTable TranslationTable::deserialize(
   }
   // Uid remint rule (see header): never reuse the saved identity.
   t.uid_ = nextTableUid();
+  t.computeFingerprint();
   return t;
 }
 

@@ -124,11 +124,18 @@ class TranslationTable {
   /// policy, the global extent, and this processor's entry shard.  For a
   /// distributed table no single processor can fingerprint the whole
   /// mapping; callers that key caches on this value must combine the
-  /// per-processor digests collectively (the schedule cache does).
-  std::uint64_t localFingerprint() const;
+  /// per-processor digests collectively (the schedule cache does).  A table
+  /// never changes after construction, so every factory (build,
+  /// replicatedFromEntries, deserialize) computes the digest once and this
+  /// returns it: a schedule-cache key costs O(1) per table, not O(shard).
+  std::uint64_t localFingerprint() const { return fingerprint_; }
 
  private:
   TranslationTable() = default;
+
+  /// Hashes the locally held state into fingerprint_; every factory calls
+  /// it last.
+  void computeFingerprint();
 
   Storage storage_ = Storage::kReplicated;
   layout::Index globalSize_ = 0;
@@ -140,6 +147,7 @@ class TranslationTable {
   int myRank_ = 0;
   double modeledQueryCost_ = 0.0;
   std::uint64_t uid_ = 0;
+  std::uint64_t fingerprint_ = 0;
 };
 
 }  // namespace mc::chaos

@@ -21,6 +21,9 @@ Region Region::indices(std::vector<Index> idx) {
   Region r;
   r.kind_ = Kind::kIndices;
   r.indices_ = std::move(idx);
+  HashStream h;
+  h.podSpan(std::span<const Index>(r.indices_));
+  r.indicesDigest_ = h.digest();
   return r;
 }
 
@@ -53,6 +56,11 @@ const layout::RegularSection& Region::asSection() const {
 const std::vector<Index>& Region::asIndices() const {
   MC_REQUIRE(kind_ == Kind::kIndices, "region is not an index region");
   return indices_;
+}
+
+const HashStream::Digest& Region::indicesDigest() const {
+  MC_REQUIRE(kind_ == Kind::kIndices, "region is not an index region");
+  return indicesDigest_;
 }
 
 const ElementRange& Region::asRange() const {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "layout/section.h"
+#include "util/hash.h"
 
 namespace mc::core {
 
@@ -53,11 +54,16 @@ class Region {
   const layout::RegularSection& asSection() const;
   const std::vector<layout::Index>& asIndices() const;
   const ElementRange& asRange() const;
+  /// Digest of an index region's list, computed once by indices(): the
+  /// list never changes afterwards, so schedule-cache keys feed this
+  /// instead of re-hashing the list on every lookup.
+  const HashStream::Digest& indicesDigest() const;
 
  private:
   Kind kind_ = Kind::kSection;
   layout::RegularSection section_{};
   std::vector<layout::Index> indices_;
+  HashStream::Digest indicesDigest_{};
   ElementRange range_{};
 };
 

@@ -27,7 +27,7 @@ void hashRegion(HashStream& h, const Region& r) {
       break;
     }
     case Region::Kind::kIndices:
-      h.podSpan(std::span<const layout::Index>(r.asIndices()));
+      h.pod(r.indicesDigest());  // hashed once, when the region was built
       break;
     case Region::Kind::kRange: {
       const ElementRange& e = r.asRange();

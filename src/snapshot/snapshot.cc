@@ -16,7 +16,9 @@ namespace mc::snapshot {
 namespace {
 
 // Version 2: every schedule-cache entry carries its build identity.
-constexpr std::uint32_t kSnapshotVersion = 2;
+// Version 3: an index region enters cache keys as the digest of its list,
+// so version-2 keys could never hit again and are refused.
+constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Cumulative per-rank counters behind the snapshot.* obs metrics.
 struct Counters {

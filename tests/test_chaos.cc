@@ -3,8 +3,10 @@
 // Figure-1 edge sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
+#include <span>
 
 #include "chaos/irreg_array.h"
 #include "chaos/irreg_copy.h"
@@ -13,6 +15,7 @@
 #include "chaos/partition.h"
 #include "chaos/ttable.h"
 #include "transport/world.h"
+#include "util/hash.h"
 
 namespace mc::chaos {
 namespace {
@@ -176,6 +179,77 @@ TEST(TTable, DereferenceEmptyQuery) {
         c, mine, 8, TranslationTable::Storage::kDistributed);
     EXPECT_TRUE(t.dereference(c, {}).empty());
   });
+}
+
+/// The fingerprint recipe, recomputed from a table's public state: storage
+/// policy, extents, owner counts, rank, query cost and the held entry
+/// shard.  Every factory's stored digest must keep exactly these bits.
+std::uint64_t recipeFingerprint(const TranslationTable& t, int nprocs,
+                                int rank, std::span<const ElementLoc> shard) {
+  HashStream h;
+  h.pod(static_cast<int>(t.storage()));
+  h.pod(t.globalSize());
+  h.pod((t.globalSize() + nprocs - 1) / nprocs);
+  std::vector<Index> counts;
+  for (int p = 0; p < nprocs; ++p) counts.push_back(t.localCount(p));
+  h.podSpan(std::span<const Index>(counts));
+  h.pod(rank);
+  h.pod(t.modeledQueryCost());
+  h.pod(shard.size());
+  for (const ElementLoc& e : shard) {
+    h.pod(e.proc);
+    h.pod(e.offset);
+  }
+  return h.digest()[0];
+}
+
+TEST(TTable, FingerprintIsFixedAtConstructionWithUnchangedBits) {
+  World::runSPMD(3, [](Comm& c) {
+    const Index n = 40;
+    const auto mine = randomPartition(n, c.size(), c.rank(), 9);
+    for (const auto storage : {TranslationTable::Storage::kReplicated,
+                               TranslationTable::Storage::kDistributed}) {
+      const auto a = TranslationTable::build(c, mine, n, storage, 1.5e-5);
+      const auto b = TranslationTable::build(c, mine, n, storage, 1.5e-5);
+      // Two separately built identical tables: equal digests, distinct
+      // identities.
+      EXPECT_EQ(a.localFingerprint(), b.localFingerprint());
+      EXPECT_NE(a.uid(), b.uid());
+      // The digest survives serialize/deserialize (which remints the uid).
+      const auto back = TranslationTable::deserialize(a.serialize());
+      EXPECT_EQ(back.localFingerprint(), a.localFingerprint());
+      // And it is the recipe's value over the shard this rank holds.
+      const std::vector<ElementLoc> full = a.gatherFull(c);
+      std::span<const ElementLoc> shard(full);
+      if (storage == TranslationTable::Storage::kDistributed) {
+        const Index block = (n + c.size() - 1) / c.size();
+        const Index lo = std::min(n, block * c.rank());
+        shard = shard.subspan(static_cast<std::size_t>(lo),
+                              static_cast<std::size_t>(
+                                  std::min(n, lo + block) - lo));
+      }
+      EXPECT_EQ(a.localFingerprint(),
+                recipeFingerprint(a, c.size(), c.rank(), shard));
+    }
+    // Another assignment gives another replicated table and digest.
+    const auto a = TranslationTable::build(
+        c, mine, n, TranslationTable::Storage::kReplicated, 1.5e-5);
+    const auto other = TranslationTable::build(
+        c, randomPartition(n, c.size(), c.rank(), 10), n,
+        TranslationTable::Storage::kReplicated, 1.5e-5);
+    EXPECT_NE(other.localFingerprint(), a.localFingerprint());
+  });
+  // The third factory: a table rebuilt from a shipped entry list.
+  std::vector<ElementLoc> entries;
+  std::vector<Index> next(3, 0);
+  for (Index g = 0; g < 20; ++g) {
+    const auto p = static_cast<std::size_t>((g * 7) % 3);
+    entries.push_back(ElementLoc{static_cast<int>(p), next[p]++});
+  }
+  const auto t = TranslationTable::replicatedFromEntries(entries, 3, 2e-6);
+  EXPECT_EQ(t.localFingerprint(), recipeFingerprint(t, 3, 0, entries));
+  EXPECT_EQ(TranslationTable::deserialize(t.serialize()).localFingerprint(),
+            t.localFingerprint());
 }
 
 // --- irregular arrays -------------------------------------------------------

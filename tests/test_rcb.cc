@@ -1,16 +1,20 @@
 // Tests for the recursive-coordinate-bisection partitioner and mesh
 // coordinates, including an end-to-end edge sweep over an RCB-partitioned
 // unstructured mesh (the realistic Chaos usage: a geometric partitioner
-// feeds the runtime).
+// feeds the runtime) and a differential check of the one-branch
+// partitioner against the whole-tree oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "chaos/irregular_loop.h"
 #include "chaos/partition.h"
 #include "meshgen/meshgen.h"
+#include "oracle/repartition_oracle.h"
 #include "transport/world.h"
+#include "util/rng.h"
 
 namespace mc::chaos {
 namespace {
@@ -164,6 +168,95 @@ TEST(Rcb, EdgeSweepOverRcbPartitionMatchesOracle) {
       EXPECT_NEAR(got[static_cast<size_t>(v)], ys[static_cast<size_t>(v)], 1e-9);
     }
   });
+}
+
+// ---------------------------------------------------------------------------
+// Differential: the one-branch rcbPartition against the whole-tree oracle.
+
+struct Cloud {
+  std::string name;
+  std::vector<double> x, y;
+};
+
+/// A side x side grid of points, each jittered by up to `jitter` in both
+/// axes and sheared so row r shifts right by shear * r / side (the
+/// adaptive_remap workload's cloud).
+Cloud shearedGrid(Index side, double jitter, double shear,
+                  std::uint64_t seed) {
+  Cloud c;
+  c.name = std::to_string(side) + "^2 jitter " + std::to_string(jitter) +
+           " shear " + std::to_string(shear) + " seed " +
+           std::to_string(seed);
+  Rng rng(seed);
+  for (Index g = 0; g < side * side; ++g) {
+    const double row = static_cast<double>(g / side) + jitter * rng.uniform();
+    const double col = static_cast<double>(g % side) + jitter * rng.uniform();
+    c.x.push_back(col + shear * (row / static_cast<double>(side)));
+    c.y.push_back(row);
+  }
+  return c;
+}
+
+/// Checks every (parts, rank) pair of one cloud for parts in 1..9; returns
+/// the number of pairs compared.
+int expectMatchesOracle(const Cloud& c) {
+  int compared = 0;
+  for (int np = 1; np <= 9; ++np) {
+    const std::vector<int> owner = oracle::rcbOwners(c.x, c.y, np);
+    std::vector<std::vector<Index>> expect(static_cast<std::size_t>(np));
+    for (std::size_t g = 0; g < owner.size(); ++g) {
+      expect[static_cast<std::size_t>(owner[g])].push_back(
+          static_cast<Index>(g));
+    }
+    for (int r = 0; r < np; ++r) {
+      EXPECT_EQ(rcbPartition(c.x, c.y, np, r),
+                expect[static_cast<std::size_t>(r)])
+          << c.name << ", " << np << " parts, rank " << r;
+      ++compared;
+    }
+  }
+  return compared;
+}
+
+TEST(RcbOracle, JitteredAndShearedCloudsMatchTheWholeTree) {
+  int compared = 0;
+  for (const Index side : {Index{128}, Index{512}}) {
+    compared += expectMatchesOracle(shearedGrid(side, 0.5, 0.0, 1));
+    compared += expectMatchesOracle(shearedGrid(side, 0.5, 27.0, 2));
+  }
+  compared += expectMatchesOracle(shearedGrid(128, 0.5, 63.0, 3));
+  compared += expectMatchesOracle(shearedGrid(128, 0.25, 200.0, 4));
+  EXPECT_EQ(compared, 6 * 45);
+}
+
+TEST(RcbOracle, LatticeTiesAndDuplicateCoordinatesMatchTheWholeTree) {
+  // Exact lattices: whole columns and rows tie on the cut coordinate, so
+  // the global index decides every cut; the square one also ties the
+  // axis choice (equal extents cut along x).
+  expectMatchesOracle(shearedGrid(64, 0.0, 0.0, 1));
+  expectMatchesOracle(shearedGrid(37, 0.0, 0.0, 1));
+  expectMatchesOracle(shearedGrid(40, 0.0, 12.0, 1));
+  // Heavy duplicates: 2,000 points on a 3 x 2 set of coordinates, and
+  // 500 copies of one point.
+  Cloud dup{"3x2 duplicates", {}, {}};
+  for (Index g = 0; g < 2000; ++g) {
+    dup.x.push_back(static_cast<double>(g % 3));
+    dup.y.push_back(static_cast<double>((g * 7 / 5) % 2));
+  }
+  expectMatchesOracle(dup);
+  Cloud same{"one point 500 times", std::vector<double>(500, 1.25),
+             std::vector<double>(500, -3.5)};
+  expectMatchesOracle(same);
+}
+
+TEST(RcbOracle, FewerPointsThanPartsMatchTheWholeTree) {
+  for (Index n = 0; n <= 8; ++n) {
+    Cloud c = shearedGrid(3, 0.5, 1.0, 5);
+    c.x.resize(static_cast<std::size_t>(n));
+    c.y.resize(static_cast<std::size_t>(n));
+    c.name = std::to_string(n) + " points";
+    expectMatchesOracle(c);
+  }
 }
 
 TEST(GridCoordinates, InverseOfPermutation) {

@@ -265,6 +265,34 @@ TEST(ScheduleCache, AnyKeyIngredientChangeMisses) {
   });
 }
 
+TEST(ScheduleCache, EqualIndexRegionsAndTablesHitAndOneChangedIndexMisses) {
+  // Index regions and translation tables digest their contents once, when
+  // they are constructed, and keys feed those digests: separately built
+  // equal regions over a separately built equal table hit, and changing
+  // one index misses.
+  World::runSPMD(3, [](Comm& c) {
+    ScheduleCache cache;
+    Instance src = makeHpf(c);
+    Instance dst = makeChaos(c, /*replicated=*/true);
+    (void)cache.getOrBuild(c, src.obj, src.set, dst.obj, dst.set);
+
+    Instance twin = makeChaos(c, /*replicated=*/true);
+    SetOfRegions equal;
+    equal.add(Region::indices(std::vector<Index>(dst.setGlobalIds)));
+    (void)cache.getOrBuild(c, src.obj, src.set, twin.obj, equal);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().misses, 1u);
+
+    std::vector<Index> changed = dst.setGlobalIds;
+    changed.back() = 9;  // (3k+1) mod 20 never yields 9
+    SetOfRegions oneOff;
+    oneOff.add(Region::indices(changed));
+    (void)cache.getOrBuild(c, src.obj, src.set, twin.obj, oneOff);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().misses, 2u);
+  });
+}
+
 TEST(ScheduleCache, EvictionRespectsCapacity) {
   World::runSPMD(2, [](Comm& c) {
     ScheduleCache cache(/*capacity=*/1);

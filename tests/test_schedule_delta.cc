@@ -8,6 +8,7 @@
 // dereference cache's selective retarget across a remap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "chaos/migration.h"
@@ -19,7 +20,9 @@
 #include "hpfrt/hpf_array.h"
 #include "layout/dist_delta.h"
 #include "oracle/elementwise_builder.h"
+#include "oracle/repartition_oracle.h"
 #include "transport/world.h"
+#include "util/rng.h"
 
 namespace mc::core {
 namespace {
@@ -124,6 +127,88 @@ TEST(Migration, StableRemapOrderShrinkCompacts) {
   const std::vector<Index> newAny = {7, 4};
   const auto out = chaos::stableRemapOrder(oldMine, newAny);
   EXPECT_EQ(out, (std::vector<Index>{4, 7}));
+}
+
+TEST(Migration, StableRemapOrderMatchesOracleAcrossChainedEpochs) {
+  // The adaptive loop: a jittered 64^2 cloud shears a little each epoch,
+  // RCB reassigns it, and each rank re-orders against its previous order.
+  // Every third epoch hands the raw assignment over shuffled.
+  const Index side = 64;
+  const int np = 4;
+  Rng rng(7);
+  std::vector<double> jx, jy;
+  for (Index g = 0; g < side * side; ++g) {
+    jx.push_back(0.5 * rng.uniform());
+    jy.push_back(0.5 * rng.uniform());
+  }
+  const auto cloud = [&](double shear, std::vector<double>& x,
+                         std::vector<double>& y) {
+    x.clear();
+    y.clear();
+    for (Index g = 0; g < side * side; ++g) {
+      const auto i = static_cast<std::size_t>(g);
+      const double row = static_cast<double>(g / side) + jy[i];
+      x.push_back(static_cast<double>(g % side) + jx[i] +
+                  shear * (row / static_cast<double>(side)));
+      y.push_back(row);
+    }
+  };
+  std::vector<double> x, y;
+  cloud(18.0, x, y);
+  std::vector<std::vector<Index>> cur;
+  for (int r = 0; r < np; ++r) cur.push_back(chaos::rcbPartition(x, y, np, r));
+  std::size_t moved = 0;
+  for (int epoch = 1; epoch <= 40; ++epoch) {
+    cloud(18.0 + 1.5 * epoch, x, y);
+    for (int r = 0; r < np; ++r) {
+      std::vector<Index> raw = chaos::rcbPartition(x, y, np, r);
+      if (epoch % 3 == 0) rng.shuffle(raw);
+      auto& lane = cur[static_cast<std::size_t>(r)];
+      const std::vector<Index> got = chaos::stableRemapOrder(lane, raw);
+      ASSERT_EQ(got, chaos::oracle::stableRemapOrder(lane, raw))
+          << "epoch " << epoch << " rank " << r;
+      for (std::size_t i = 0; i < std::min(got.size(), lane.size()); ++i) {
+        moved += got[i] != lane[i] ? 1 : 0;
+      }
+      lane = got;
+    }
+  }
+  EXPECT_GT(moved, 0u);  // the drift really moved points
+}
+
+TEST(Migration, StableRemapOrderMatchesOracleOnRandomGrowAndShrink) {
+  Rng rng(11);
+  for (int trial = 0; trial < 200; ++trial) {
+    const Index universe = 1 + static_cast<Index>(rng.below(400));
+    std::vector<Index> all(static_cast<std::size_t>(universe));
+    std::iota(all.begin(), all.end(), Index{0});
+    rng.shuffle(all);
+    // Old: a random subset in random local order.  New: keep a random
+    // share of it and add a random number of outsiders, so the
+    // assignment grows, shrinks, empties or is replaced outright.
+    const auto oldCount = static_cast<std::size_t>(
+        rng.below(static_cast<std::uint64_t>(universe) + 1));
+    std::vector<Index> oldMine(all.begin(),
+                               all.begin() + static_cast<long>(oldCount));
+    const std::uint64_t keepPct = rng.below(101);
+    std::vector<Index> newMine;
+    for (const Index g : oldMine) {
+      if (rng.below(100) < keepPct) newMine.push_back(g);
+    }
+    const std::size_t outsiders = all.size() - oldCount;
+    const auto add = static_cast<std::size_t>(rng.below(outsiders + 1));
+    newMine.insert(newMine.end(), all.begin() + static_cast<long>(oldCount),
+                   all.begin() + static_cast<long>(oldCount + add));
+    if (trial % 2 == 0) {
+      rng.shuffle(newMine);
+    } else {
+      std::sort(newMine.begin(), newMine.end());
+    }
+    EXPECT_EQ(chaos::stableRemapOrder(oldMine, newMine),
+              chaos::oracle::stableRemapOrder(oldMine, newMine))
+        << "trial " << trial << ": " << oldMine.size() << " -> "
+        << newMine.size();
+  }
 }
 
 // ---------------------------------------------------------------------------

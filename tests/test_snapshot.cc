@@ -4,9 +4,9 @@
 // serializer round trips (McSchedule, translation tables, all four
 // libraries' arrays), snapshot save/restore with LRU-order preservation,
 // the loud agreement failures (wrong program size, mixed save generations,
-// truncated files, section mismatches), and the kill-and-restart
-// differential: a warm-started server must reproduce a cold run bitwise
-// with zero inspector builds.
+// truncated files, section mismatches, an older snapshot version), and the
+// kill-and-restart differential: a warm-started server must reproduce a
+// cold run bitwise with zero inspector builds.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -468,6 +468,52 @@ TEST(Snapshot, TruncatedOrCorruptFileFailsLoudly) {
   EXPECT_THROW(
       World::runSPMD(2, [&](Comm& c) { snapshotRestore(c, dir.string()); }),
       Error);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Snapshot, VersionTwoBodyIsRefused) {
+  // Version 3 changed how index regions enter cache keys, so a version-2
+  // snapshot's entries could never hit again; restore refuses the body
+  // instead of loading them silently.
+  const std::filesystem::path dir = tmpDir("version2");
+  World::runSPMD(2, [&](Comm& c) {
+    core::defaultScheduleCache().insertEntry(
+        HashStream::Digest{3, 4}, HashStream::Digest{1, 2},
+        sampleMcSchedule(c.rank()));
+    snapshotSave(c, dir.string());
+  });
+  for (int r = 0; r < 2; ++r) {
+    const std::filesystem::path file =
+        dir / ("rank" + std::to_string(r) + ".mcsnap");
+    std::vector<std::byte> bytes;
+    {
+      std::ifstream in(file, std::ios::binary);
+      std::vector<char> raw((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+      bytes.resize(raw.size());
+      std::memcpy(bytes.data(), raw.data(), raw.size());
+    }
+    // Re-frame the same body payload as version 2; keep the manifest.
+    std::size_t bodySize = 0;
+    const blob::FrameView body =
+        blob::unframe(bytes, blob::kSnapshotBody, &bodySize);
+    ASSERT_EQ(body.kindVersion, 3u);
+    std::vector<std::byte> old =
+        blob::frame(blob::kSnapshotBody, 2, body.payload);
+    old.insert(old.end(), bytes.begin() + static_cast<long>(bodySize),
+               bytes.end());
+    std::ofstream out(file, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(old.data()),
+              static_cast<std::streamsize>(old.size()));
+  }
+  try {
+    World::runSPMD(2, [&](Comm& c) { snapshotRestore(c, dir.string()); });
+    ADD_FAILURE() << "a version-2 snapshot was restored";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown snapshot version"),
+              std::string::npos)
+        << e.what();
+  }
   std::filesystem::remove_all(dir);
 }
 

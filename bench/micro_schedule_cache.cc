@@ -84,7 +84,7 @@ double wallNow() {
 int main() {
   // --- Part 1: rebuild-per-copy vs cached-per-copy (virtual clock) --------
   double tRebuild = 0, tCached = 0, tExecOnly = 0;
-  sched::CacheStats cachedLeg, prepLeg;
+  core::CacheStats cachedLeg, prepLeg;
   transport::World::runSPMD(kProcs, [&](transport::Comm& c) {
     Setup s(c);
     bench::PhaseTimer timer(c);
@@ -101,20 +101,20 @@ int main() {
     // are attributed by epoch diff so the executor-only leg's prep below
     // cannot leak into this leg's hit count.
     core::ScheduleCache cache;
-    const sched::CacheStats beforeCached = cache.stats();
+    const core::CacheStats beforeCached = cache.stats();
     for (int i = 0; i < kReps; ++i) {
       core::copyRegions<double>(c, s.aObj, s.aSet, s.a.raw(), s.xObj, s.xSet,
                                 s.x->raw(), core::Method::kCooperation,
                                 &cache);
     }
-    const sched::CacheStats afterCached = cache.stats();
+    const core::CacheStats afterCached = cache.stats();
     const double t2 = timer.lap();
 
     // Floor: executor only, schedule in hand (what a hit costs minus the
     // agreement round).  The getOrBuild is prep — its cache hit belongs to
     // this leg, not the cached loop above.
     const auto sched = cache.getOrBuild(c, s.aObj, s.aSet, s.xObj, s.xSet);
-    const sched::CacheStats afterPrep = cache.stats();
+    const core::CacheStats afterPrep = cache.stats();
     timer.lap();
     for (int i = 0; i < kReps; ++i) {
       core::dataMove<double>(c, *sched, s.a.raw(), s.x->raw());

@@ -118,35 +118,33 @@ void hashScheduleSide(HashStream& h, const DistObject& obj,
   for (const Region& r : set.regions()) hashRegion(h, r);
 }
 
+ScheduleCache::ScheduleCache(std::size_t capacity) : capacity_(capacity) {
+  MC_REQUIRE(capacity > 0, "cache capacity must be positive");
+}
+
 template <typename Build>
 std::shared_ptr<const McSchedule> ScheduleCache::lookup(
-    transport::Comm& comm, int remoteProgram, bool sender,
-    std::initializer_list<Key> keys, Build&& build) {
-  const Key* found = nullptr;
-  std::shared_ptr<const Entry> local;
-  for (const Key& key : keys) {
-    local = cache_.peek(key);
-    if (local != nullptr) {
-      found = &key;
-      break;
-    }
-  }
-  const Decision d =
-      agree(comm, remoteProgram, sender, *keys.begin(),
-            local != nullptr ? &local->identity : nullptr);
+    transport::Comm& comm, int remoteProgram, bool sender, const Key& key,
+    Build&& build) {
+  const auto it = map_.find(key);
+  const Entry* local = it == map_.end() ? nullptr : it->second->entry.get();
+  const Decision d = agree(comm, remoteProgram, sender, key,
+                           local != nullptr ? &local->identity : nullptr);
+  std::shared_ptr<const Entry> entry;
   if (d.hit != 0) {
-    cache_.noteHit(*found);
-    return std::shared_ptr<const McSchedule>(local, &local->schedule);
+    lru_.splice(lru_.begin(), lru_, it->second);
+    ++stats_.hits;
+    entry = it->second->entry;
+  } else {
+    ++stats_.misses;
+    McSchedule built = std::forward<Build>(build)();
+    built.plan.compress();
+    // Cached schedules keep only the run form; the expanded offsets would
+    // double the resident footprint for no executor benefit.
+    built.plan.releaseExpandedForms();
+    entry = std::make_shared<const Entry>(Entry{d.identity, std::move(built)});
+    insert(key, entry);
   }
-  cache_.noteMiss();
-  McSchedule built = std::forward<Build>(build)();
-  built.plan.compress();
-  // Cached schedules keep only the run form; the expanded offsets would
-  // double the resident footprint for no executor benefit.
-  built.plan.releaseExpandedForms();
-  auto entry =
-      std::make_shared<const Entry>(Entry{d.identity, std::move(built)});
-  for (const Key& key : keys) cache_.insert(key, entry);
   return std::shared_ptr<const McSchedule>(entry, &entry->schedule);
 }
 
@@ -156,7 +154,7 @@ std::shared_ptr<const McSchedule> ScheduleCache::getOrBuild(
     const SetOfRegions& dstSet, Method method) {
   return lookup(
       comm, /*remoteProgram=*/-1, /*sender=*/false,
-      {intraKey(comm, srcObj, srcSet, dstObj, dstSet, method)}, [&] {
+      intraKey(comm, srcObj, srcSet, dstObj, dstSet, method), [&] {
         return computeSchedule(comm, srcObj, srcSet, dstObj, dstSet, method);
       });
 }
@@ -171,18 +169,11 @@ std::shared_ptr<const McSchedule> ScheduleCache::getOrPatch(
       intraKey(comm, oldSrcObj, srcSet, oldDstObj, dstSet, method);
   const Key newKey =
       intraKey(comm, newSrcObj, srcSet, newDstObj, dstSet, method);
-  // Delta-secondary key: the same (old schedule, delta) pair.  The vote
-  // still demands an entry built for the new distributions.
-  HashStream dh;
-  dh.str("patch");
-  dh.pod(oldKey);
-  dh.pod(delta.fingerprint());
-  return lookup(comm, /*remoteProgram=*/-1, /*sender=*/false,
-                {newKey, dh.digest()}, [&] {
+  return lookup(comm, /*remoteProgram=*/-1, /*sender=*/false, newKey, [&] {
     // Patch only when *every* rank holds a patchable old schedule built for
     // the old distributions — the fallback is a collective build, so the
     // choice must be uniform.
-    const std::shared_ptr<const Entry> old = cache_.peek(oldKey);
+    const Entry* old = peek(oldKey);
     const bool patchable =
         old != nullptr &&
         patchableSchedule(old->schedule, newSrcObj, newDstObj);
@@ -201,26 +192,16 @@ std::shared_ptr<const McSchedule> ScheduleCache::getOrPatch(
 
 std::shared_ptr<const McSchedule> ScheduleCache::getOrBuildHalf(
     transport::Comm& comm, int remoteProgram, bool sender,
-    const DistObject& obj, const SetOfRegions& set, const Key* remoteLayout,
-    Method method) {
-  // The identity-keyed halves hash both program ids; the layout-keyed ones
-  // hash the remote side's layout digest instead, so a schedule built
-  // against client program 3 serves client program 57 with the same layout
-  // (the executor retargets plan peers via globalRankOf at bind).
+    const DistObject& obj, const SetOfRegions& set, Method method) {
   HashStream h;
   h.str(sender ? "send" : "recv");
   h.pod(method);
   h.pod(comm.size());
   h.pod(comm.programInfo(remoteProgram).nprocs);
-  if (remoteLayout != nullptr) {
-    h.str("layout");
-    h.pod(*remoteLayout);
-  } else {
-    h.pod(comm.program());
-    h.pod(remoteProgram);
-  }
+  h.pod(comm.program());
+  h.pod(remoteProgram);
   hashScheduleSide(h, obj, set);
-  return lookup(comm, remoteProgram, sender, {h.digest()}, [&] {
+  return lookup(comm, remoteProgram, sender, h.digest(), [&] {
     return sender ? computeScheduleSend(comm, obj, set, remoteProgram, method)
                   : computeScheduleRecv(comm, obj, set, remoteProgram, method);
   });
@@ -229,8 +210,40 @@ std::shared_ptr<const McSchedule> ScheduleCache::getOrBuildHalf(
 void ScheduleCache::insertEntry(const HashStream::Digest& key,
                                 const HashStream::Digest& identity,
                                 McSchedule schedule) {
-  cache_.insert(key, std::make_shared<const Entry>(
-                         Entry{identity, std::move(schedule)}));
+  insert(key, std::make_shared<const Entry>(
+                  Entry{identity, std::move(schedule)}));
+}
+
+void ScheduleCache::setCapacity(std::size_t capacity) {
+  MC_REQUIRE(capacity > 0, "cache capacity must be positive");
+  capacity_ = capacity;
+  evictOverCapacity();
+}
+
+const ScheduleCache::Entry* ScheduleCache::peek(const Key& key) const {
+  const auto it = map_.find(key);
+  return it == map_.end() ? nullptr : it->second->entry.get();
+}
+
+void ScheduleCache::insert(const Key& key, std::shared_ptr<const Entry> entry) {
+  ++stats_.insertions;
+  const auto it = map_.find(key);
+  if (it != map_.end()) {
+    it->second->entry = std::move(entry);
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return;
+  }
+  lru_.push_front(Slot{key, std::move(entry)});
+  map_.emplace(key, lru_.begin());
+  evictOverCapacity();
+}
+
+void ScheduleCache::evictOverCapacity() {
+  while (map_.size() > capacity_) {
+    map_.erase(lru_.back().key);
+    lru_.pop_back();
+    ++stats_.evictions;
+  }
 }
 
 HashStream::Digest scheduleSideDigest(const DistObject& obj,

@@ -26,22 +26,47 @@
 //
 // The cache is per virtual processor (each rank caches its own schedule
 // halves); defaultScheduleCache() hands every rank its own instance, the
-// way the MC_* API keeps per-rank handle tables.
+// way the MC_* API keeps per-rank handle tables.  Each instance is an LRU
+// of at most capacity() entries, every entry reachable by exactly one key;
+// cached schedules are shared_ptr-owned, so a schedule a caller holds stays
+// valid after its entry is evicted.
 #pragma once
 
-#include <initializer_list>
+#include <cstdint>
+#include <list>
+#include <memory>
+#include <unordered_map>
 #include <utility>
 
 #include "core/schedule_builder.h"
-#include "sched/schedule_cache.h"
+#include "util/hash.h"
 
 namespace mc::core {
 
-using sched::CacheStats;
+/// Counters mirroring the shape of transport::TrafficStats.
+struct CacheStats {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t insertions = 0;
+  std::uint64_t evictions = 0;
+};
+
+/// Epoch snapshot/diff, like transport::TrafficStats: the cache activity of
+/// a code region is `after - before` — multi-case benches attribute hits
+/// and misses to the right case without resetting the cumulative counters.
+inline CacheStats operator-(const CacheStats& a, const CacheStats& b) {
+  CacheStats d;
+  d.hits = a.hits - b.hits;
+  d.misses = a.misses - b.misses;
+  d.insertions = a.insertions - b.insertions;
+  d.evictions = a.evictions - b.evictions;
+  return d;
+}
 
 class ScheduleCache {
  public:
-  explicit ScheduleCache(std::size_t capacity = 64) : cache_(capacity) {}
+  /// Keeps at most `capacity` schedules (see DESIGN.md §8 for the default).
+  explicit ScheduleCache(std::size_t capacity = 32);
 
   /// Cached computeSchedule (intra-program).  Collective over the program.
   std::shared_ptr<const McSchedule> getOrBuild(
@@ -57,49 +82,23 @@ class ScheduleCache {
       const SetOfRegions& srcSet, int remoteProgram,
       Method method = Method::kCooperation) {
     return getOrBuildHalf(comm, remoteProgram, /*sender=*/true, srcObj,
-                          srcSet, nullptr, method);
+                          srcSet, method);
   }
   std::shared_ptr<const McSchedule> getOrBuildRecv(
       transport::Comm& comm, const DistObject& dstObj,
       const SetOfRegions& dstSet, int remoteProgram,
       Method method = Method::kCooperation) {
     return getOrBuildHalf(comm, remoteProgram, /*sender=*/false, dstObj,
-                          dstSet, nullptr, method);
-  }
-
-  /// Layout-keyed inter-program halves for cross-client sharing: the key
-  /// hashes the *remote side's layout fingerprint digest* instead of the
-  /// remote program's identity, so the Nth client program presenting a
-  /// layout some earlier client already built against hits regardless of
-  /// its program id.  `remoteProgram` still names the peer for the
-  /// collective hit/miss agreement and the build itself — it just does not
-  /// enter the key.  Collective over both programs, paired like the
-  /// identity-keyed forms.
-  std::shared_ptr<const McSchedule> getOrBuildSendByLayout(
-      transport::Comm& comm, const DistObject& srcObj,
-      const SetOfRegions& srcSet, int remoteProgram,
-      const HashStream::Digest& remoteLayout,
-      Method method = Method::kCooperation) {
-    return getOrBuildHalf(comm, remoteProgram, /*sender=*/true, srcObj,
-                          srcSet, &remoteLayout, method);
-  }
-  std::shared_ptr<const McSchedule> getOrBuildRecvByLayout(
-      transport::Comm& comm, const DistObject& dstObj,
-      const SetOfRegions& dstSet, int remoteProgram,
-      const HashStream::Digest& remoteLayout,
-      Method method = Method::kCooperation) {
-    return getOrBuildHalf(comm, remoteProgram, /*sender=*/false, dstObj,
-                          dstSet, &remoteLayout, method);
+                          dstSet, method);
   }
 
   /// Cached schedule across a repartitioning.  Looks up the new
-  /// distributions' key, then a delta-secondary key (old key + delta
-  /// fingerprint); either hits only when every rank's entry was built for
-  /// the new distributions.  On miss, patches the cached old schedule
+  /// distributions' key, which hits only when every rank's entry was built
+  /// for the new distributions.  On miss, patches the cached old schedule
   /// against `delta` instead of rebuilding from scratch when every rank
   /// holds a patchable copy built for the old distributions, else falls
-  /// back to a full collective build.  The result is inserted under both
-  /// keys.  Collective over the program.
+  /// back to a full collective build.  The result is inserted under the new
+  /// distributions' key.  Collective over the program.
   std::shared_ptr<const McSchedule> getOrPatch(
       transport::Comm& comm, const DistObject& oldSrcObj,
       const DistObject& newSrcObj, const SetOfRegions& srcSet,
@@ -109,29 +108,33 @@ class ScheduleCache {
 
   /// Snapshot hooks (snapshot/snapshot.cc): visit every entry oldest-first
   /// as fn(key, identity, schedule) (so a restore that insertEntry()s
-  /// sequentially reproduces the LRU order), and insert a restored entry
-  /// under its saved key and build identity.  Restored insertions count as
-  /// insertions, not hits — the hit counters keep meaning "a build was
-  /// avoided *during this run*".
+  /// sequentially reproduces the LRU order and, over capacity, evicts the
+  /// oldest entries first), and insert a restored entry under its saved key
+  /// and build identity.  Restored insertions count as insertions, not
+  /// hits — the hit counters keep meaning "a build was avoided *during this
+  /// run*".
   template <typename F>
   void forEachEntryOldestFirst(F&& fn) const {
-    cache_.forEachOldestFirst(
-        [&](const Key& key, const std::shared_ptr<const Entry>& e) {
-          fn(key, e->identity, e->schedule);
-        });
+    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+      fn(it->key, it->entry->identity, it->entry->schedule);
+    }
   }
   void insertEntry(const HashStream::Digest& key,
                    const HashStream::Digest& identity, McSchedule schedule);
 
-  const CacheStats& stats() const { return cache_.stats(); }
+  const CacheStats& stats() const { return stats_; }
   /// Repartitionings served by patchSchedule vs. by a full rebuild.
   std::uint64_t patches() const { return patches_; }
   std::uint64_t patchFallbacks() const { return patchFallbacks_; }
-  void resetStats() { cache_.resetStats(); }
-  std::size_t size() const { return cache_.size(); }
-  std::size_t capacity() const { return cache_.capacity(); }
-  void setCapacity(std::size_t capacity) { cache_.setCapacity(capacity); }
-  void clear() { cache_.clear(); }
+  void resetStats() { stats_ = CacheStats{}; }
+  std::size_t size() const { return map_.size(); }
+  std::size_t capacity() const { return capacity_; }
+  /// Changes the capacity, evicting least recently used entries down to it.
+  void setCapacity(std::size_t capacity);
+  void clear() {
+    map_.clear();
+    lru_.clear();
+  }
 
  private:
   using Key = HashStream::Digest;
@@ -141,24 +144,41 @@ class ScheduleCache {
     Key identity;
     McSchedule schedule;
   };
+  /// One LRU position: the entry's only key, and the entry.
+  struct Slot {
+    Key key;
+    std::shared_ptr<const Entry> entry;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const {
+      return static_cast<std::size_t>(k[0]);
+    }
+  };
 
-  /// The four inter-program halves: one key builder, one build.
+  /// The two inter-program halves: one key builder, one build.
   std::shared_ptr<const McSchedule> getOrBuildHalf(
       transport::Comm& comm, int remoteProgram, bool sender,
-      const DistObject& obj, const SetOfRegions& set,
-      const HashStream::Digest* remoteLayout, Method method);
+      const DistObject& obj, const SetOfRegions& set, Method method);
 
-  /// The one lookup path: peek `keys` in order, vote, then return the hit
-  /// or build(), run-compress and insert the result under every key.  The
-  /// identity comes from the first key.  `remoteProgram` < 0 for
-  /// intra-program lookups; otherwise `sender` says which half this is.
+  /// The one lookup path: find `key`, vote, then return the hit (making it
+  /// the most recently used entry) or build(), run-compress and insert the
+  /// result under `key`.  `remoteProgram` < 0 for intra-program lookups;
+  /// otherwise `sender` says which half this is.
   template <typename Build>
   std::shared_ptr<const McSchedule> lookup(transport::Comm& comm,
                                            int remoteProgram, bool sender,
-                                           std::initializer_list<Key> keys,
-                                           Build&& build);
+                                           const Key& key, Build&& build);
 
-  sched::KeyedCache<Entry> cache_;
+  /// The entry under `key`, or null; touches neither stats nor LRU order.
+  const Entry* peek(const Key& key) const;
+  /// Inserts or replaces the entry under `key` as the most recently used.
+  void insert(const Key& key, std::shared_ptr<const Entry> entry);
+  void evictOverCapacity();
+
+  std::size_t capacity_;
+  std::list<Slot> lru_;  // front = most recently used
+  std::unordered_map<Key, std::list<Slot>::iterator, KeyHash> map_;
+  CacheStats stats_;
   std::uint64_t patches_ = 0;
   std::uint64_t patchFallbacks_ = 0;
 };
@@ -174,7 +194,7 @@ void hashScheduleSide(HashStream& h, const DistObject& obj,
                       const SetOfRegions& set);
 
 /// The side digest as a value — the "layout fingerprint" a client presents
-/// to the compute server and the *ByLayout lookups key on.  Note the
+/// to the compute server, whose rank 0 decides sharing by it.  Note the
 /// adapter fingerprint inside is rank-local: a program canonicalizes by
 /// broadcasting rank 0's digest before using it as a shared identity.
 HashStream::Digest scheduleSideDigest(const DistObject& obj,

@@ -115,66 +115,13 @@ class MatvecEngine {
   }
 
   /// y = A * x (collective); see matvec() below for the shape contract.
+  /// A batch of one.
   void multiply(const HpfArray<T>& A, const HpfArray<T>& x, HpfArray<T>& y) {
-    transport::Comm& comm = *comm_;
     MC_REQUIRE(A.globalShape().rank == 2 && x.globalShape().rank == 1 &&
                y.globalShape().rank == 1);
     MC_REQUIRE(A.globalShape()[1] == n_ && x.globalShape()[0] == n_ &&
                y.globalShape()[0] == A.globalShape()[0]);
-    MC_REQUIRE(A.dist().dims()[1].procs == 1,
-               "matvec requires a (BLOCK, *) matrix distribution");
-    const layout::Shape localA = A.dist().localShape(comm.rank());
-    const layout::Index myRows = localA[0];
-    const std::span<const T> a = A.raw();
-    const std::span<const T> xo = x.raw();
-    const std::span<T> out = y.raw();
-    MC_REQUIRE(static_cast<layout::Index>(out.size()) == myRows,
-               "y's distribution does not match A's row distribution");
-    if (!exec_) exec_.emplace(comm, sched_);
-    full_.resize(static_cast<size_t>(n_));
-
-    // Phase 1: start the operand exchange, then the partial product over
-    // the owned columns (their x values are already on hand), polling the
-    // exchange between row chunks so arrived blocks are consumed under the
-    // compute.
-    auto pending = exec_->start(x.raw());
-    // Owned-column partial product riding under the in-flight exchange.
-    obs::ScopedSpan ownedSpan(obs::phase::kCompute);
-    constexpr layout::Index kRowChunk = 32;
-    for (layout::Index r0 = 0; r0 < myRows; r0 += kRowChunk) {
-      const layout::Index r1 = std::min(myRows, r0 + kRowChunk);
-      comm.compute([&] {
-        for (layout::Index r = r0; r < r1; ++r) {
-          T acc{};
-          const size_t rowBase = static_cast<size_t>(r * n_);
-          for (const auto& [g, off] : ownCols_) {
-            acc += a[rowBase + static_cast<size_t>(g)] *
-                   xo[static_cast<size_t>(off)];
-          }
-          out[static_cast<size_t>(r)] = acc;
-        }
-      });
-      pending.poll();
-    }
-    ownedSpan.end();
-    pending.finish(full_);
-
-    // Phase 2: the remote columns, in ascending column order —
-    // deterministic regardless of arrival order.
-    obs::ScopedSpan remoteSpan(obs::phase::kCompute);
-    comm.compute([&] {
-      for (layout::Index r = 0; r < myRows; ++r) {
-        T acc = out[static_cast<size_t>(r)];
-        const size_t rowBase = static_cast<size_t>(r * n_);
-        for (const auto& [lo, hi] : remoteRanges_) {
-          for (layout::Index c = lo; c < hi; ++c) {
-            acc += a[rowBase + static_cast<size_t>(c)] *
-                   full_[static_cast<size_t>(c)];
-          }
-        }
-        out[static_cast<size_t>(r)] = acc;
-      }
-    });
+    multiplyBatch(A, x.raw(), y.raw(), 1);
   }
 
   /// Batched multiply: y_j = A * x_j for k operand vectors, `xs` holding
@@ -183,12 +130,13 @@ class MatvecEngine {
   /// The operand assembly is ONE fused exchange (sched::batchReplicate):
   /// each peer pair still exchanges a single message, now carrying all k
   /// blocks — a batch of compatible requests costs one exchange's latency.
-  /// Per (row, vector) the accumulation order is exactly multiply()'s
-  /// (owned columns in pack order, then remote ranges ascending), so every
-  /// y_j is bitwise identical to a multiply() on x_j alone, for any k and
-  /// any batch composition.  `pollHook`, when given, runs between row
-  /// chunks — the compute server polls the *next* staged batch's receives
-  /// there, so batch k+1's operand blocks drain under batch k's compute.
+  /// Per (row, vector) the accumulation starts from zero, adds the owned
+  /// columns in ascending global order, then the remote columns in
+  /// ascending order, so every y_j is bitwise identical to a multiply() on
+  /// x_j alone, for any k and any batch composition.  `pollHook`, when
+  /// given, runs between row chunks — the compute server polls the *next*
+  /// staged batch's receives there, so batch k+1's operand blocks drain
+  /// under batch k's compute.
   void multiplyBatch(const HpfArray<T>& A, std::span<const T> xs,
                      std::span<T> ys, int k,
                      const std::function<void()>& pollHook = {}) {
@@ -282,10 +230,6 @@ class MatvecEngine {
   sched::Schedule sched_;  // operand-block exchange (no local transfers)
   std::vector<std::pair<layout::Index, layout::Index>> ownCols_;  // (global, off)
   std::vector<std::pair<layout::Index, layout::Index>> remoteRanges_;  // [lo,hi)
-  // Bound lazily on the first multiply; do not move an engine after that
-  // (the executor points into sched_).
-  std::optional<sched::Executor<T>> exec_;
-  std::vector<T> full_;  // assembled operand (owned range unused)
   layout::Index localLen_ = 0;  // operand elements owned by this rank
   std::map<int, std::unique_ptr<BatchExec>> batchExecs_;  // by batch size
   std::vector<T> fullBatch_;  // k assembled operands, back to back

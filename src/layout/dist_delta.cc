@@ -60,15 +60,6 @@ bool DistDelta::contains(Index pos) const {
   return it != iv_.begin() && pos < std::prev(it)->hi;
 }
 
-HashStream::Digest DistDelta::fingerprint() const {
-  ensureNormalized();
-  HashStream h;
-  h.str("mc-dist-delta");
-  h.pod(static_cast<Index>(iv_.size()));
-  h.podSpan(std::span<const LinInterval>(iv_));
-  return h.digest();
-}
-
 void DistDelta::ensureNormalized() const {
   if (!dirty_) return;
   std::sort(iv_.begin(), iv_.end(),

@@ -52,10 +52,6 @@ class DistDelta {
   /// True when `pos` lies inside a migrated interval.
   bool contains(Index pos) const;
 
-  /// Content fingerprint of the normalized interval set — the cache key
-  /// ingredient for delta-keyed schedule lookups.
-  HashStream::Digest fingerprint() const;
-
  private:
   void ensureNormalized() const;
 

@@ -9,7 +9,6 @@
 
 namespace mc::parti {
 
-using sched::DrainOrder;
 using sched::Executor;
 using sched::OffsetPlan;
 using sched::Schedule;

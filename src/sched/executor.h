@@ -31,15 +31,11 @@
 // offset), so the drain stashes payloads and applies them in peer order —
 // results stay bitwise identical under any delivery interleaving.
 //
-// NetConfig::drainOrder = DrainOrder::kPeer is a debug knob restoring
-// peer-ordered receives; data results are identical, only the virtual-clock
-// interleaving (and wall time) differ.
-//
 // One exchange, two message layouts.  Bind fixes the messages one run sends
-// and the sources it receives from (in kPeer order); every run walks those
-// lists through one send loop, one receive function and one intake.  The
-// flat layout sends one headerless message per send plan and routes each
-// arrival by its transport envelope.  The node-aggregated layout
+// and the number it receives; every run walks the outbox through one send
+// loop and drains that many arrivals through one receive function and one
+// intake.  The flat layout sends one headerless message per send plan and
+// routes each arrival by its transport envelope.  The node-aggregated layout
 // (NetConfig::nodeAggregation, intra-program only; wire format in
 // node_agg.h) sends one header-tagged message per same-node plan plus one
 // framed message per remote node, whose leader relays the other ranks'
@@ -80,9 +76,6 @@
 #include "transport/comm.h"
 
 namespace mc::sched {
-
-/// How run() consumes its receives; set per world in NetConfig::drainOrder.
-using transport::DrainOrder;
 
 template <typename T>
 class Executor {
@@ -211,9 +204,7 @@ class Executor {
 
     /// Opportunistic non-blocking drain: consumes every message that has
     /// already arrived (stashing the payload — unpacking waits for finish),
-    /// then returns true when all receives are in.  A no-op under
-    /// DrainOrder::kPeer, whose virtual clocks must stay independent of
-    /// wall-clock arrival.
+    /// then returns true when all receives are in.
     bool poll() {
       requireActive();
       return ex_->pollPending();
@@ -367,10 +358,6 @@ class Executor {
     return remoteProgram_ >= 0 ? remoteProgram_ : comm_->program();
   }
 
-  bool peerOrder() const {
-    return comm_->netConfig().drainOrder == DrainOrder::kPeer;
-  }
-
   /// Fills all bind-time state for sched_.  When `old` (plus its compiled
   /// kernels) is given, plans identical to the old schedule's plan for the
   /// same peer reuse the already-compiled kernel instead of recompiling —
@@ -485,23 +472,21 @@ class Executor {
 
   // --- the exchange, fixed at bind ------------------------------------------
 
-  /// Fixes the two lists every run walks: the messages it sends (outbox_)
-  /// and the sources it receives from, in DrainOrder::kPeer order
-  /// (sources_, whose size is the messages one run consumes).  With
-  /// intake(), the only code that tells the flat layout from the
-  /// node-aggregated one.  Aggregated binds are collective over the
-  /// program: each node leader learns which frames to expect through an
-  /// intra-node exchange.
+  /// Fixes what every run exchanges: the messages it sends (outbox_) and
+  /// the number it receives (expected_).  With intake(), the only code that
+  /// tells the flat layout from the node-aggregated one.  Aggregated binds
+  /// are collective over the program: each node leader learns which frames
+  /// to expect through an intra-node exchange.
   void bindExchange(bool aggregated) {
     aggregated_ = aggregated;
     outbox_.clear();
-    sources_.clear();
+    expected_ = 0;
     if (!aggregated_) {
       for (std::size_t i = 0; i < sched_->sends.size(); ++i) {
         outbox_.push_back(OutMsg{sched_->sends[i].peer, 0, {}, {}});
         addPart(outbox_.back(), i, {});
       }
-      for (const OffsetPlan& p : sched_->recvs) sources_.push_back(p.peer);
+      expected_ = sched_->recvs.size();
       return;
     }
     MC_REQUIRE(alignof(T) <= 8,
@@ -549,9 +534,8 @@ class Executor {
     // order, so the two streams never cross.
     std::vector<std::int32_t> myRemote;
     for (const RecvSlot& s : slots_) {
-      const int srcLocal = comm_->localRankOfGlobal(s.srcGlobal);
-      if (comm_->nodeOfRank(srcLocal) == myNode) {
-        sources_.push_back(srcLocal);
+      if (comm_->nodeOfRank(comm_->localRankOfGlobal(s.srcGlobal)) == myNode) {
+        ++expected_;
       } else {
         myRemote.push_back(s.srcGlobal);
       }
@@ -559,7 +543,7 @@ class Executor {
     const int tag = comm_->nextUserTag();
     if (!comm_->isNodeLeader()) {
       comm_->send(comm_->nodeLeader(), tag, myRemote);
-      sources_.insert(sources_.end(), myRemote.size(), comm_->nodeLeader());
+      expected_ += myRemote.size();
       return;
     }
     std::vector<std::int32_t> frameSrcs = myRemote;
@@ -570,11 +554,8 @@ class Executor {
       frameSrcs.insert(frameSrcs.end(), theirs.begin(), theirs.end());
     }
     std::sort(frameSrcs.begin(), frameSrcs.end());
-    frameSrcs.erase(std::unique(frameSrcs.begin(), frameSrcs.end()),
-                    frameSrcs.end());
-    for (const std::int32_t g : frameSrcs) {
-      sources_.push_back(comm_->localRankOfGlobal(g));
-    }
+    expected_ += static_cast<std::size_t>(
+        std::unique(frameSrcs.begin(), frameSrcs.end()) - frameSrcs.begin());
   }
 
   // --- send side ------------------------------------------------------------
@@ -709,19 +690,12 @@ class Executor {
     arrived_ = 0;
   }
 
-  bool exchangeDone() const { return arrived_ == sources_.size(); }
+  bool exchangeDone() const { return arrived_ == expected_; }
 
-  /// The exchange's next message (blocking): from the bind-time source list
-  /// under DrainOrder::kPeer, otherwise whichever peer-program message
+  /// The exchange's next message (blocking): whichever peer-program message
   /// arrives first.
   transport::Message nextMessage() {
     obs::ScopedSpan span(obs::phase::kRecvWait);
-    if (peerOrder()) {
-      const int src = sources_[arrived_];
-      return remoteProgram_ >= 0
-                 ? comm_->recvMsgFrom(remoteProgram_, src, tag_)
-                 : comm_->recvMsg(src, tag_);
-    }
     return comm_->recvMsgAnyOf(peerProgram(), tag_);
   }
 
@@ -859,13 +833,6 @@ class Executor {
   // --- split-phase internals ------------------------------------------------
 
   bool pollPending() {
-    if (peerOrder()) {
-      // kPeer is the deterministic-clock debug mode: consuming messages at
-      // wall-clock-dependent moments would reorder the virtual-clock max
-      // arithmetic, so the opportunistic drain is disabled and every
-      // receive happens in finish, in peer order.
-      return exchangeDone();
-    }
     while (!exchangeDone()) {
       std::optional<transport::Message> m =
           comm_->tryRecvMsgAnyOf(peerProgram(), tag_);
@@ -928,7 +895,7 @@ class Executor {
   // The exchange (bindExchange).
   bool aggregated_ = false;      // node-aggregated layout
   std::vector<OutMsg> outbox_;   // messages one run sends, in send order
-  std::vector<int> sources_;     // one per message received, kPeer order
+  std::size_t expected_ = 0;     // messages one run receives
 
   // Per-run exchange state (one run may be in flight at a time).
   bool inFlight_ = false;            // a split-phase run awaits finish

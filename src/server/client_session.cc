@@ -91,10 +91,14 @@ struct ClientSession::Impl {
 
     if (ack.cached == 0) {
       // First client with this layout: collective build paired with the
-      // server's getOrBuildRecvByLayout, then upload the serialized send
-      // half so later tenants skip their inspector entirely.
-      xSendKeepAlive = core::defaultScheduleCache().getOrBuildSend(
+      // server's receive half, then upload the serialized send half so
+      // later tenants skip their inspector entirely.
+      core::McSchedule built = core::computeScheduleSend(
           c, core::PartiAdapter::describe(x), vSet, server, cfg.method);
+      built.plan.compress();
+      built.plan.releaseExpandedForms();
+      xSendKeepAlive =
+          std::make_shared<const core::McSchedule>(std::move(built));
       xPlan = std::shared_ptr<const sched::Schedule>(
           xSendKeepAlive, &xSendKeepAlive->plan);
       c.sendBytesTo(server, 0, kControlTag,

@@ -47,7 +47,6 @@ struct Command {
   int matrixId = 0;
   int method = 0;
   int count = 0;  // kCmdStage: batch occupancy
-  std::uint64_t clientXDigest[2] = {0, 0};
   long long members[kMaxBatch] = {0};  // kCmdStage: batched session ids
 };
 static_assert(std::is_trivially_copyable_v<Command>);
@@ -73,9 +72,9 @@ struct ComputeServer::Impl {
   hpfrt::MatvecEngine<double> engine;
   layout::Index localLen;
 
-  /// One attached layout: the server's receive half (cache-shared), plus
-  /// the reversed send half for results.  Indexed by slot; identical on
-  /// every rank.
+  /// One attached layout: the server's receive half, built once for the
+  /// slot, plus the reversed send half for results.  Indexed by slot;
+  /// identical on every rank.
   struct LayoutEntry {
     std::shared_ptr<const core::McSchedule> xRecv;
     std::shared_ptr<const sched::Schedule> xPlan;  // alias into xRecv
@@ -177,15 +176,18 @@ struct ComputeServer::Impl {
 
   void handleAttach(const Command& cmd) {
     if (cmd.cached == 0) {
-      // First sighting of this layout: collective inspector paired with
-      // the client's build, keyed on the layout fingerprints (not the
-      // program id) so the entry serves every later client program.
+      // First sighting of this layout (rank 0's slot map decided):
+      // collective inspector paired with the client's build.  The layout
+      // entry keeps the receive half for every later client program
+      // presenting the same layout.
       MC_REQUIRE(cmd.layoutSlot == static_cast<int>(layouts.size()));
-      const HashStream::Digest d{cmd.clientXDigest[0], cmd.clientXDigest[1]};
-      LayoutEntry e;
-      e.xRecv = core::defaultScheduleCache().getOrBuildRecvByLayout(
-          c, core::HpfAdapter::describe(x), vSet, cmd.client, d,
+      core::McSchedule built = core::computeScheduleRecv(
+          c, core::HpfAdapter::describe(x), vSet, cmd.client,
           static_cast<core::Method>(cmd.method));
+      built.plan.compress();
+      built.plan.releaseExpandedForms();
+      LayoutEntry e;
+      e.xRecv = std::make_shared<const core::McSchedule>(std::move(built));
       e.xPlan = std::shared_ptr<const sched::Schedule>(e.xRecv,
                                                        &e.xRecv->plan);
       e.yPlan = std::make_shared<const sched::Schedule>(
@@ -333,8 +335,6 @@ struct ComputeServer::Impl {
     cmd.needMatrix = needMatrix ? 1 : 0;
     cmd.matrixId = msg.matrixId;
     cmd.method = msg.method;
-    cmd.clientXDigest[0] = msg.xDigest[0];
-    cmd.clientXDigest[1] = msg.xDigest[1];
     issue(cmd);
 
     if (!cached) {

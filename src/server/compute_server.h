@@ -10,14 +10,14 @@
 // operand receives are staged before batch k's multiply starts, so its
 // messages drain underneath the compute.
 //
-// Cross-client schedule sharing: the server keys its ScheduleCache lookups
-// on the (client layout fingerprint, server layout fingerprint) pair
-// rather than session or program identity
-// (ScheduleCache::getOrBuildRecvByLayout), and additionally archives the
-// *client-side* send halves in serialized form.  The Nth client presenting
-// a layout some earlier client already attached with pays zero inspector
-// cost: the server hits its cache, and the client downloads the serialized
-// send schedule instead of running a collective build.
+// Cross-client schedule sharing: server rank 0 maps each client layout
+// fingerprint (with the client's width and build method) to a layout slot
+// rather than to a session or program identity.  A slot keeps the
+// server's receive half and archives the *client-side* send halves in
+// serialized form.  The Nth client presenting a layout some earlier client
+// already attached with pays zero inspector cost: the server reuses the
+// slot's receive half, and the client downloads the serialized send
+// schedule instead of running a collective build.
 //
 // Every server rank constructs one ComputeServer and calls run();
 // rank 0 additionally runs the control plane, broadcasting each decision

@@ -202,11 +202,6 @@ Message Comm::recvMsgAnyOf(int prog, int tag) {
                          info.firstGlobalRank + info.nprocs - 1, tag);
 }
 
-std::optional<Message> Comm::tryRecvMsg(int src, int tag) {
-  const int srcGlobal = globalRankOf(program_, src);
-  return tryRecvGlobalRange(srcGlobal, srcGlobal, tag);
-}
-
 std::optional<Message> Comm::tryRecvMsgAnyOf(int prog, int tag) {
   const ProgramInfo& info = programInfo(prog);
   return tryRecvGlobalRange(info.firstGlobalRank,
@@ -238,12 +233,6 @@ std::optional<Message> Comm::tryRecvMsgAnyOfPrograms(int progLo, int progHi,
   const ProgramInfo& hi = programInfo(progHi);
   return tryRecvGlobalRange(lo.firstGlobalRank,
                             hi.firstGlobalRank + hi.nprocs - 1, tag);
-}
-
-bool Comm::probeAnyOf(int prog, int tag) {
-  const ProgramInfo& info = programInfo(prog);
-  return world_->mail.probeRange(globalRank_, info.firstGlobalRank,
-                                 info.firstGlobalRank + info.nprocs - 1, tag);
 }
 
 void Comm::sendBytesTo(int prog, int rankInProg, int tag,
@@ -533,16 +522,6 @@ std::vector<std::byte> Comm::allgatherFlat(std::span<const std::byte> mine) {
   }
   bcastBytes(flat, root);
   return flat;
-}
-
-std::vector<std::vector<std::byte>> Comm::allgatherBytes(
-    std::span<const std::byte> mine) {
-  const std::vector<std::byte> flat = allgatherFlat(mine);
-  std::vector<std::vector<std::byte>> out(static_cast<size_t>(size()));
-  forEachFlatRow(flat, [&](int r, std::span<const std::byte> row) {
-    out[static_cast<size_t>(r)].assign(row.begin(), row.end());
-  });
-  return out;
 }
 
 std::vector<std::vector<std::byte>> Comm::alltoallImpl(

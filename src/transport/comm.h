@@ -257,19 +257,14 @@ class Comm {
   /// traffic from other programs can never be stolen.  This is the
   /// arrival-order drain primitive of sched::Executor.
   Message recvMsgAnyOf(int prog, int tag);
-  /// Non-blocking recvMsg: returns the queued matching message, or nullopt
-  /// without blocking.  A returned message pays the usual receive clock
-  /// charges and counts toward messagesDrainedEarly.
-  std::optional<Message> tryRecvMsg(int src, int tag);
   /// Non-blocking recvMsgAnyOf — the opportunistic drain primitive of the
-  /// split-phase executor (Pending::poll()).
+  /// split-phase executor (Pending::poll()).  Returns the queued matching
+  /// message, or nullopt without blocking; a returned message pays the
+  /// usual receive clock charges and counts toward messagesDrainedEarly.
   std::optional<Message> tryRecvMsgAnyOf(int prog, int tag);
   /// Non-blocking probe (MPI_Iprobe-like): true when a matching message is
   /// already queued.  Does not consume the message or advance the clock.
   bool probe(int src, int tag);
-  /// Probe matching any rank of program `prog` (the probe analogue of
-  /// recvMsgAnyOf, scoped to that program's global-rank range).
-  bool probeAnyOf(int prog, int tag);
   /// Blocking receive matching any rank of any program in [progLo, progHi]
   /// (a contiguous program span) with tag `tag`.  Built on the same
   /// MailboxTable::receiveRange rank-range scoping as recvMsgAnyOf — this
@@ -334,24 +329,6 @@ class Comm {
     }
     return unpackVector<T>(m);
   }
-  /// Receives directly into caller storage: one memcpy, no intermediate
-  /// vector, and the payload buffer recycles through the pool.  The message
-  /// must carry exactly out.size_bytes() bytes.  Returns the source rank.
-  template <typename T>
-  int recvInto(int src, int tag, std::span<T> out) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    Message m = recvMsg(src, tag);
-    MC_REQUIRE(m.payload.size() == out.size_bytes(),
-               "recvInto size mismatch: message %zu bytes, buffer %zu",
-               m.payload.size(), out.size_bytes());
-    if (!m.payload.empty()) {
-      std::memcpy(out.data(), m.payload.data(), m.payload.size());
-      stats_.bytesCopied += m.payload.size();
-    }
-    const int r = world_->localRankOf[static_cast<size_t>(m.srcGlobal)];
-    releasePayload(std::move(m.payload));
-    return r;
-  }
   template <typename T>
   T recvValue(int src, int tag) {
     std::vector<T> v = recv<T>(src, tag);
@@ -400,10 +377,6 @@ class Comm {
   std::vector<std::vector<std::byte>> gatherBytes(
       std::span<const std::byte> mine, int root);
 
-  /// gatherBytes + bcast: every rank gets all buffers.
-  std::vector<std::vector<std::byte>> allgatherBytes(
-      std::span<const std::byte> mine);
-
   /// Personalized all-to-all: sendTo[r] goes to rank r; returns recvFrom[r].
   /// Both loops walk peers in the pairwise rotation (me + i) % size(), so
   /// under contention no single low rank's NIC serializes every sender.
@@ -436,9 +409,8 @@ class Comm {
   std::vector<std::vector<T>> allgather(std::span<const T> mine) {
     static_assert(std::is_trivially_copyable_v<T>);
     // Parse typed rows straight out of the size-prefixed flat buffer —
-    // one copy per row, instead of the byte-rows round trip (flat -> byte
-    // rows -> typed rows) the generic allgatherBytes + typedBuffers pair
-    // would pay.
+    // one copy per row, instead of a byte-rows round trip (flat -> byte
+    // rows -> typed rows).
     const std::vector<std::byte> flat = allgatherFlat(std::as_bytes(mine));
     std::vector<std::vector<T>> out(static_cast<size_t>(size()));
     forEachFlatRow(flat, [&](int r, std::span<const std::byte> row) {
@@ -619,7 +591,7 @@ class Comm {
     return out;
   }
 
-  /// The single gather + flatten behind allgatherBytes / allgather<T>:
+  /// The single gather + flatten behind allgather<T>:
   /// every rank ends up with [u64 size][bytes] per rank, in rank order.
   std::vector<std::byte> allgatherFlat(std::span<const std::byte> mine);
   /// Walks the rows of an allgatherFlat buffer: fn(rank, row bytes).

@@ -56,12 +56,6 @@ NetParams atmParams();
 /// Same-node (shared memory) defaults.
 NetParams intraNodeParams();
 
-/// How schedule executors (sched::Executor) consume their receives.
-enum class DrainOrder {
-  kArrival,  // any-source within the peer program, routed by sender rank
-  kPeer,     // fixed peer order (debug: fully deterministic virtual clocks)
-};
-
 /// Placement, link-class and messaging configuration for a transport world.
 /// Every rank of the world reads the same values for the world's lifetime.
 struct NetConfig {
@@ -80,10 +74,6 @@ struct NetConfig {
   /// intra-node fan-out.  Data results are bitwise identical to the flat
   /// algorithms (rank-ordered merges); only the modeled clocks change.
   bool hierarchicalCollectives = false;
-  /// Receive order of schedule executors.  kPeer is the debug mode: it
-  /// restores fixed peer-order receives so virtual clocks do not depend on
-  /// delivery interleaving; data results are identical in both modes.
-  DrainOrder drainOrder = DrainOrder::kArrival;
   /// When true, intra-program schedule executors send one framed message
   /// per remote node, which that node's leader relays to the destination
   /// ranks over intraNode links (sched/node_agg.h).  Results are bitwise

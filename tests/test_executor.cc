@@ -1,8 +1,7 @@
 // sched::Executor: arrival-order drain correctness and determinism, the
 // zero-copy / zero-allocation steady state, aliased ghost fills, the
-// DrainOrder::kPeer debug mode, the inter-program halves, the span checks
-// of every run entry point, and the executor an McSchedule keeps across
-// dataMove* calls.  The old peer-ordered copy-per-step executors live on as
+// inter-program halves, the span checks of every run entry point, and the
+// executor an McSchedule keeps across dataMove* calls.  The old peer-ordered copy-per-step executors live on as
 // sched::reference and serve as the oracle throughout.
 #include <gtest/gtest.h>
 
@@ -123,34 +122,6 @@ TEST(Executor, AddAppliesInPeerOrderRegardlessOfArrival) {
       }
     }
   });
-}
-
-TEST(Executor, PeerDrainModeProducesSameResults) {
-  transport::WorldOptions peerOrder;
-  peerOrder.net.drainOrder = DrainOrder::kPeer;
-  World::runSPMD(4, [](Comm& c) {
-    const Schedule copyS = starSchedule(c.rank(), c.size(), /*overlap=*/false);
-    const Schedule addS = starSchedule(c.rank(), c.size(), /*overlap=*/true);
-    Executor<double> copyEx(c, copyS);
-    Executor<double> addEx(c, addS);
-    std::vector<double> src(kPerPeer, 1e16), dst(3 * kPerPeer, 0.0);
-    if (c.rank() == 2) std::fill(src.begin(), src.end(), 1.0);
-    if (c.rank() == 3) std::fill(src.begin(), src.end(), -1e16);
-    c.resetStats();
-    copyEx.run(src, dst);
-    EXPECT_EQ(c.stats().messagesSent, copyS.sends.size());
-    EXPECT_EQ(c.stats().messagesReceived, copyS.recvs.size());
-    if (c.rank() == 0) {
-      EXPECT_EQ(dst[0], 1e16);
-      EXPECT_EQ(dst[kPerPeer], 1.0);
-      EXPECT_EQ(dst[2 * kPerPeer], -1e16);
-    }
-    std::fill(dst.begin(), dst.end(), 0.0);
-    addEx.runAdd(src, dst);
-    if (c.rank() == 0) {
-      EXPECT_EQ(dst[0], (1e16 + 1.0) + -1e16);  // peer-order accumulation
-    }
-  }, peerOrder);
 }
 
 TEST(Executor, AliasedGhostFillMatchesReferenceExecutor) {

@@ -12,13 +12,15 @@
 #include <memory>
 #include <vector>
 
+#include "core/adapters/parti_adapter.h"
+#include "core/schedule_cache.h"
 #include "obs/aggregate.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "parti/dist_array.h"
 #include "sched/executor.h"
-#include "sched/schedule_cache.h"
 #include "transport/world.h"
 #include "util/error.h"
 #include "util/stats.h"
@@ -298,28 +300,32 @@ TEST(Accounting, TrafficEpochDiffIsolatesACase) {
 // CacheStats attribution: the bug fixed in bench/micro_schedule_cache — a
 // leg that reads cumulative counters claims the next leg's prep hit.
 TEST(Accounting, CacheEpochDiffSeparatesLegs) {
-  sched::KeyedCache<int> cache;
-  HashStream k1, k2;
-  k1.str("key1");
-  k2.str("key2");
+  World::runSPMD(2, [](Comm& c) {
+    parti::BlockDistArray<double> a(c, layout::Shape::of({8, 8}), 0);
+    parti::BlockDistArray<double> b(c, layout::Shape::of({8, 8}), 0);
+    core::SetOfRegions set;
+    set.add(core::Region::section(
+        layout::RegularSection::box({0, 0}, {7, 7})));
+    const core::DistObject src = core::PartiAdapter::describe(a);
+    const core::DistObject dst = core::PartiAdapter::describe(b);
+    core::ScheduleCache cache;
 
-  const sched::CacheStats before = cache.stats();
-  // "Cached" leg: 1 miss + 3 hits.
-  EXPECT_EQ(cache.find(k1.digest()), nullptr);
-  cache.insert(k1.digest(), std::make_shared<int>(7));
-  for (int i = 0; i < 3; ++i) EXPECT_NE(cache.find(k1.digest()), nullptr);
-  const sched::CacheStats afterLeg = cache.stats();
-  // "Prep" for the next leg: one more hit that must NOT count above.
-  EXPECT_NE(cache.find(k1.digest()), nullptr);
-  const sched::CacheStats afterPrep = cache.stats();
+    const core::CacheStats before = cache.stats();
+    // "Cached" leg: 1 miss + 3 hits.
+    for (int i = 0; i < 4; ++i) (void)cache.getOrBuild(c, src, set, dst, set);
+    const core::CacheStats afterLeg = cache.stats();
+    // "Prep" for the next leg: one more hit that must NOT count above.
+    (void)cache.getOrBuild(c, src, set, dst, set);
+    const core::CacheStats afterPrep = cache.stats();
 
-  const sched::CacheStats leg = afterLeg - before;
-  EXPECT_EQ(leg.hits, 3u);
-  EXPECT_EQ(leg.misses, 1u);
-  EXPECT_EQ(leg.insertions, 1u);
-  const sched::CacheStats prep = afterPrep - afterLeg;
-  EXPECT_EQ(prep.hits, 1u);
-  EXPECT_EQ(prep.misses, 0u);
+    const core::CacheStats leg = afterLeg - before;
+    EXPECT_EQ(leg.hits, 3u);
+    EXPECT_EQ(leg.misses, 1u);
+    EXPECT_EQ(leg.insertions, 1u);
+    const core::CacheStats prep = afterPrep - afterLeg;
+    EXPECT_EQ(prep.hits, 1u);
+    EXPECT_EQ(prep.misses, 0u);
+  });
 }
 
 // The executor registers transport.* counters through the Comm: snapshots

@@ -3,7 +3,7 @@
 // element-wise oracle and to the sched::reference executors on randomized
 // (start,count,stride) runs — including stride 0, stride 1, and negative
 // strides — with aliased src/dst buffers guarded by Footprint, and with
-// float `+=` staying bitwise deterministic under both DrainOrder modes.
+// float `+=` staying bitwise deterministic under shuffled arrival.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -288,8 +288,8 @@ TEST(KernelExecutor, IrregularGatherMatchesReferenceBitwise) {
   });
 }
 
-TEST(KernelExecutor, ScatterAddBitwiseDeterministicUnderBothDrainOrders) {
-  const auto body = [](Comm& c) {
+TEST(KernelExecutor, ScatterAddBitwiseDeterministicUnderShuffledArrival) {
+  World::runSPMD(4, [](Comm& c) {
     const Index n = 120;
     const auto mine = chaos::randomPartition(n, c.size(), c.rank(), 5);
     const auto table = chaos::TranslationTable::build(
@@ -318,12 +318,7 @@ TEST(KernelExecutor, ScatterAddBitwiseDeterministicUnderBothDrainOrders) {
       ex.runAdd(ghost, owned);
       EXPECT_EQ(owned, ownedRef) << "iteration " << it;
     }
-  };
-  for (const DrainOrder order : {DrainOrder::kArrival, DrainOrder::kPeer}) {
-    transport::WorldOptions options;
-    options.net.drainOrder = order;
-    World::runSPMD(4, body, options);
-  }
+  });
 }
 
 TEST(KernelExecutor, AliasedGhostFillGuardedByFootprint) {

@@ -1,8 +1,9 @@
-// The schedule cache: identical rebuilds hit, any key ingredient change
-// misses, LRU eviction respects capacity, cached schedules move bytes
-// exactly like freshly built ones for every adapter pair, the MC_* API
-// surfaces the counters, and a hit never combines entries from different
-// builds.
+// The schedule cache: its LRU bookkeeping, identical rebuilds hit, any key
+// ingredient change misses, LRU eviction respects capacity, cached
+// schedules move bytes exactly like freshly built ones for every adapter
+// pair, the MC_* API surfaces the counters, a hit never combines entries
+// from different builds, and a rank whose cache diverged drags every
+// participant of both programs into one rebuild.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -16,6 +17,7 @@
 #include "core/copy_regions.h"
 #include "core/mc_api.h"
 #include "core/schedule_cache.h"
+#include "sched/serialize.h"
 #include "transport/world.h"
 
 namespace mc::core {
@@ -30,68 +32,70 @@ using transport::ProgramSpec;
 using transport::World;
 
 // ---------------------------------------------------------------------------
-// KeyedCache unit tests (no world needed).
+// LRU bookkeeping through the snapshot hooks (no world needed).
 
-sched::KeyedCache<int>::Key keyOf(int salt) {
+using Key = HashStream::Digest;
+
+Key keyOf(int salt) {
   HashStream h;
   h.pod(salt);
   return h.digest();
 }
 
-TEST(KeyedCache, FindCountsHitsAndMisses) {
-  sched::KeyedCache<int> cache(4);
-  EXPECT_EQ(cache.find(keyOf(1)), nullptr);
-  cache.insert(keyOf(1), std::make_shared<int>(10));
-  const auto hit = cache.find(keyOf(1));
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(*hit, 10);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().insertions, 1u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
+McSchedule scheduleOf(Index numElements) {
+  McSchedule s;
+  s.numElements = numElements;
+  return s;
 }
 
-TEST(KeyedCache, PeekDoesNotTouchStatsOrOrder) {
-  sched::KeyedCache<int> cache(2);
-  cache.insert(keyOf(1), std::make_shared<int>(1));
-  cache.insert(keyOf(2), std::make_shared<int>(2));
-  EXPECT_NE(cache.peek(keyOf(1)), nullptr);
-  EXPECT_EQ(cache.peek(keyOf(3)), nullptr);
+std::vector<Key> keysOldestFirst(const ScheduleCache& cache) {
+  std::vector<Key> keys;
+  cache.forEachEntryOldestFirst(
+      [&](const Key& key, const Key&, const McSchedule&) {
+        keys.push_back(key);
+      });
+  return keys;
+}
+
+TEST(ScheduleCache, VisitingEntriesLeavesStatsAndOrderAlone) {
+  ScheduleCache cache(2);
+  cache.insertEntry(keyOf(1), keyOf(10), scheduleOf(1));
+  cache.insertEntry(keyOf(2), keyOf(20), scheduleOf(2));
+  const std::vector<Key> order = {keyOf(1), keyOf(2)};
+  EXPECT_EQ(keysOldestFirst(cache), order);
+  EXPECT_EQ(keysOldestFirst(cache), order);
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_EQ(cache.stats().insertions, 2u);
 }
 
-TEST(KeyedCache, LruEvictionRespectsCapacity) {
-  sched::KeyedCache<int> cache(2);
-  cache.insert(keyOf(1), std::make_shared<int>(1));
-  cache.insert(keyOf(2), std::make_shared<int>(2));
-  // Touch 1 so 2 becomes the LRU victim.
-  EXPECT_NE(cache.find(keyOf(1)), nullptr);
-  cache.insert(keyOf(3), std::make_shared<int>(3));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_NE(cache.peek(keyOf(1)), nullptr);
-  EXPECT_EQ(cache.peek(keyOf(2)), nullptr);  // evicted
-  EXPECT_NE(cache.peek(keyOf(3)), nullptr);
-}
-
-TEST(KeyedCache, SetCapacityEvictsDown) {
-  sched::KeyedCache<int> cache(8);
-  for (int i = 0; i < 6; ++i) cache.insert(keyOf(i), std::make_shared<int>(i));
+TEST(ScheduleCache, SetCapacityEvictsDown) {
+  ScheduleCache cache(8);
+  for (int i = 0; i < 6; ++i) {
+    cache.insertEntry(keyOf(i), keyOf(i), scheduleOf(i));
+  }
   cache.setCapacity(2);
   EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.capacity(), 2u);
   EXPECT_EQ(cache.stats().evictions, 4u);
   // The two most recently inserted survive.
-  EXPECT_NE(cache.peek(keyOf(4)), nullptr);
-  EXPECT_NE(cache.peek(keyOf(5)), nullptr);
+  EXPECT_EQ(keysOldestFirst(cache), (std::vector<Key>{keyOf(4), keyOf(5)}));
 }
 
-TEST(KeyedCache, InsertReplacesUnderSameKey) {
-  sched::KeyedCache<int> cache(2);
-  cache.insert(keyOf(1), std::make_shared<int>(1));
-  cache.insert(keyOf(1), std::make_shared<int>(99));
+TEST(ScheduleCache, InsertEntryReplacesUnderSameKey) {
+  ScheduleCache cache(2);
+  cache.insertEntry(keyOf(1), keyOf(10), scheduleOf(1));
+  cache.insertEntry(keyOf(1), keyOf(11), scheduleOf(99));
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(*cache.peek(keyOf(1)), 99);
+  int visited = 0;
+  cache.forEachEntryOldestFirst(
+      [&](const Key& key, const Key& identity, const McSchedule& s) {
+        ++visited;
+        EXPECT_EQ(key, keyOf(1));
+        EXPECT_EQ(identity, keyOf(11));
+        EXPECT_EQ(s.numElements, 99);
+      });
+  EXPECT_EQ(visited, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -228,6 +232,8 @@ TEST(ScheduleCache, IdenticalRebuildHitsAndSharesTheSchedule) {
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().insertions, 1u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+    EXPECT_EQ(cache.size(), 1u);
     EXPECT_TRUE(first->plan.compressed());
   });
 }
@@ -309,6 +315,34 @@ TEST(ScheduleCache, EvictionRespectsCapacity) {
     (void)cache.getOrBuild(c, src.obj, src.set, dst.obj, dst.set);
     EXPECT_EQ(cache.stats().misses, 3u);
     EXPECT_EQ(cache.stats().hits, 0u);
+  });
+}
+
+TEST(ScheduleCache, HitMakesTheEntryMostRecentlyUsed) {
+  World::runSPMD(2, [](Comm& c) {
+    ScheduleCache cache(/*capacity=*/2);
+    Instance src = makeParti(c);
+    Instance dst = makeTulip(c);
+    SetOfRegions setB, setC;
+    setB.add(Region::range(4, 34, 2));
+    setC.add(Region::range(5, 35, 2));
+
+    (void)cache.getOrBuild(c, src.obj, src.set, dst.obj, dst.set);
+    (void)cache.getOrBuild(c, src.obj, src.set, dst.obj, setB);
+    const std::vector<Key> ab = keysOldestFirst(cache);
+    ASSERT_EQ(ab.size(), 2u);
+    // Touch A so B becomes the LRU victim.
+    (void)cache.getOrBuild(c, src.obj, src.set, dst.obj, dst.set);
+    EXPECT_EQ(keysOldestFirst(cache), (std::vector<Key>{ab[1], ab[0]}));
+    (void)cache.getOrBuild(c, src.obj, src.set, dst.obj, setC);
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    const std::vector<Key> ac = keysOldestFirst(cache);
+    ASSERT_EQ(ac.size(), 2u);
+    EXPECT_EQ(ac[0], ab[0]);  // A survives, B was evicted
+    EXPECT_NE(ac[1], ab[1]);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().misses, 3u);
   });
 }
 
@@ -598,6 +632,60 @@ TEST(ScheduleCache, InterProgramHalfHitsOnlyWithItsPartnersBuild) {
     EXPECT_EQ(cache.stats().hits, 1u);
   };
   World::run({ProgramSpec{"a", 2, aMain}, ProgramSpec{"b", 2, bMain}});
+}
+
+TEST(ScheduleCache, InterProgramLookupAgreesUnderMixedCacheState) {
+  // When one rank's cache diverges (here: the receiver's rank 0 clears it
+  // between two lookups), every participant of both programs must rebuild
+  // together instead of deadlocking half-hit, and the rebuild must
+  // reproduce byte-identical plans on both sides.
+  const Index n = 24;
+  std::vector<std::vector<std::byte>> firstPlan(2), secondPlan(2);
+  auto senderMain = [&](Comm& c) {
+    parti::BlockDistArray<double> x(
+        c, layout::BlockDecomp(Shape::of({n}), {c.size()}), 0);
+    x.fillByPoint([](const Point& p) { return valueOf(p[0]); });
+    const SetOfRegions set = wholeSection(0, n - 1);
+    ScheduleCache cache(8);
+    const auto s1 =
+        cache.getOrBuildSend(c, PartiAdapter::describe(x), set, 1);
+    if (c.rank() == 0) firstPlan[0] = sched::serializeSchedule(s1->plan);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    // The receiver's rank 0 forgot its entry: the vote must drag this
+    // (locally hitting) side into the rebuild.
+    const auto s2 =
+        cache.getOrBuildSend(c, PartiAdapter::describe(x), set, 1);
+    if (c.rank() == 0) secondPlan[0] = sched::serializeSchedule(s2->plan);
+    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(cache.stats().hits, 0u);
+    // The rebuilt schedule still moves the data.
+    dataMoveSend<double>(c, *s2, x.raw());
+  };
+  auto receiverMain = [&](Comm& c) {
+    parti::BlockDistArray<double> y(
+        c, layout::BlockDecomp(Shape::of({n}), {c.size()}), 0);
+    const SetOfRegions set = wholeSection(0, n - 1);
+    ScheduleCache cache(8);
+    const auto r1 =
+        cache.getOrBuildRecv(c, PartiAdapter::describe(y), set, 0);
+    if (c.rank() == 0) {
+      firstPlan[1] = sched::serializeSchedule(r1->plan);
+      cache.clear();  // diverge: this rank alone forgets the entry
+    }
+    const auto r2 =
+        cache.getOrBuildRecv(c, PartiAdapter::describe(y), set, 0);
+    if (c.rank() == 0) secondPlan[1] = sched::serializeSchedule(r2->plan);
+    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(cache.stats().hits, 0u);
+    dataMoveRecv<double>(c, *r2, y.raw());
+    expectCopied(y.gatherGlobal(), n);
+  };
+  World::run({ProgramSpec{"sender", 2, senderMain},
+              ProgramSpec{"receiver", 2, receiverMain}});
+  EXPECT_FALSE(firstPlan[0].empty());
+  EXPECT_FALSE(firstPlan[1].empty());
+  EXPECT_EQ(firstPlan[0], secondPlan[0]);
+  EXPECT_EQ(firstPlan[1], secondPlan[1]);
 }
 
 TEST(ScheduleCache, PatchDeltaKeyServesOnlyItsOwnTarget) {

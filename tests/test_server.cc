@@ -113,7 +113,9 @@ TEST(BatchReplicate, ShiftsEachCopyByTheStride) {
 }
 
 // ---------------------------------------------------------------------------
-// MatvecEngine::multiplyBatch is bitwise multiply(), per vector.
+// MatvecEngine::multiplyBatch: a k-vector batch is bitwise k single-vector
+// batches (multiply() is one), and both equal a serial sum in the engine's
+// documented column order (owned columns ascending, then the rest).
 
 TEST(MultiplyBatch, BitIdenticalToSingleMultiplies) {
   const Index n = 24;
@@ -129,30 +131,40 @@ TEST(MultiplyBatch, BitIdenticalToSingleMultiplies) {
     hpfrt::MatvecEngine<double> engine(x);
     const Index localLen = engine.operandLocalLen();
     const Index myRows = A.dist().localShape(c.rank())[0];
+    std::vector<bool> owned(static_cast<std::size_t>(n), false);
+    x.dist().forEachOwned(c.rank(), [&](const Point& p, Index) {
+      owned[static_cast<std::size_t>(p[0])] = true;
+    });
 
     std::vector<double> xs(static_cast<std::size_t>(k * localLen));
-    std::vector<double> ref(static_cast<std::size_t>(k * myRows));
+    std::vector<double> singles(static_cast<std::size_t>(k * myRows));
+    std::vector<double> serial(static_cast<std::size_t>(k * myRows));
+    const std::span<const double> a = A.raw();
     for (int j = 0; j < k; ++j) {
       x.fillByPoint([&](const Point& p) { return vectorEntry(p[0], j); });
       std::memcpy(xs.data() + static_cast<std::size_t>(j * localLen),
                   x.raw().data(), sizeof(double) * x.raw().size());
       engine.multiply(A, x, y);
-      std::memcpy(ref.data() + static_cast<std::size_t>(j * myRows),
+      std::memcpy(singles.data() + static_cast<std::size_t>(j * myRows),
                   y.raw().data(), sizeof(double) * y.raw().size());
+      for (Index r = 0; r < myRows; ++r) {
+        double acc = 0.0;
+        for (const bool ownedPass : {true, false}) {
+          for (Index col = 0; col < n; ++col) {
+            if (owned[static_cast<std::size_t>(col)] != ownedPass) continue;
+            acc += a[static_cast<std::size_t>(r * n + col)] *
+                   vectorEntry(col, j);
+          }
+        }
+        serial[static_cast<std::size_t>(j * myRows + r)] = acc;
+      }
     }
 
     std::vector<double> ys(static_cast<std::size_t>(k * myRows), -1.0);
     engine.multiplyBatch(A, xs, ys, k);
     for (std::size_t i = 0; i < ys.size(); ++i) {
-      if (ys[i] != ref[i]) mismatches.fetch_add(1);  // exact, not NEAR
-    }
-    // k=1 through the batch path matches too.
-    std::vector<double> y1(static_cast<std::size_t>(myRows), -1.0);
-    engine.multiplyBatch(
-        A, std::span<const double>(xs.data(), static_cast<std::size_t>(localLen)),
-        y1, 1);
-    for (std::size_t i = 0; i < y1.size(); ++i) {
-      if (y1[i] != ref[i]) mismatches.fetch_add(1);
+      // Exact, not NEAR.
+      if (ys[i] != singles[i] || ys[i] != serial[i]) mismatches.fetch_add(1);
     }
   });
   EXPECT_EQ(mismatches.load(), 0);

@@ -1,21 +1,14 @@
 // Cross-client schedule sharing: the second client presenting a layout the
 // server has already seen must pay ZERO inspector cost (asserted via the
-// build.count counter on the client's own thread), distinct fingerprints
-// must not false-share, and the layout-keyed cache lookups must keep
-// hit/miss agreement across both programs even when one rank's cache state
-// diverges.
+// build.count counter on the client's own thread), and distinct
+// fingerprints must not false-share.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <vector>
 
-#include "core/adapters/parti_adapter.h"
-#include "core/schedule_cache.h"
 #include "obs/metrics.h"
-#include "parti/dist_array.h"
-#include "sched/executor.h"
-#include "sched/serialize.h"
 #include "server/client_session.h"
 #include "server/compute_server.h"
 #include "server/protocol.h"
@@ -26,8 +19,6 @@ namespace {
 
 using layout::Index;
 using layout::Point;
-using layout::RegularSection;
-using layout::Shape;
 using transport::Comm;
 using transport::ProgramSpec;
 using transport::World;
@@ -144,98 +135,6 @@ TEST(ScheduleSharing, DistinctFingerprintsDoNotFalseShare) {
   EXPECT_EQ(out.stats.schedShareHits, 0u);
   EXPECT_EQ(out.stats.schedShareMisses, 2u);
   EXPECT_LE(out.stats.maxSharingDegree, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// The ByLayout lookups must keep collective hit/miss agreement: when one
-// rank's cache diverges (here: cleared mid-run), every participant of both
-// programs must rebuild together instead of deadlocking half-hit.
-
-TEST(ScheduleSharing, ByLayoutLookupAgreesUnderMixedCacheState) {
-  const Index n = 24;
-  std::atomic<int> bad{0};
-  std::vector<std::vector<std::byte>> firstPlan(2), secondPlan(2);
-  World::run(
-      {ProgramSpec{"sender", 2, [&](Comm& c) {
-         parti::BlockDistArray<double> x(
-             c, layout::BlockDecomp(Shape::of({n}), {c.size()}), 0);
-         x.fillByPoint([](const Point& p) {
-           return 1.5 * static_cast<double>(p[0]) + 1.0;
-         });
-         core::SetOfRegions vSet;
-         vSet.add(core::Region::section(RegularSection::box({0}, {n - 1})));
-         HashStream::Digest mine = core::scheduleSideDigest(
-             core::PartiAdapter::describe(x), vSet);
-         mine = c.bcastValue(mine, 0);
-         HashStream::Digest remote{};
-         if (c.rank() == 0) {
-           c.sendValueTo(1, 0, kControlTag, mine);
-           remote = c.recvValueFrom<HashStream::Digest>(1, 0, kControlTag);
-         }
-         remote = c.bcastValue(remote, 0);
-
-         core::ScheduleCache cache(8);
-         const auto s1 = cache.getOrBuildSendByLayout(
-             c, core::PartiAdapter::describe(x), vSet, 1, remote);
-         if (c.rank() == 0) {
-           firstPlan[0] = sched::serializeSchedule(s1->plan);
-         }
-         EXPECT_EQ(cache.stats().misses, 1u);
-         // Round 2: the receiver's rank 0 cleared its cache; agreement
-         // must drag this (locally hitting) side into the rebuild.
-         const auto s2 = cache.getOrBuildSendByLayout(
-             c, core::PartiAdapter::describe(x), vSet, 1, remote);
-         if (c.rank() == 0) {
-           secondPlan[0] = sched::serializeSchedule(s2->plan);
-         }
-         EXPECT_EQ(cache.stats().misses, 2u);
-         EXPECT_EQ(cache.stats().hits, 0u);
-         // The rebuilt schedule still moves the data.
-         auto plan = std::shared_ptr<const sched::Schedule>(s2, &s2->plan);
-         sched::Executor<double>::sender(c, plan, 1).runSend(x.raw());
-       }},
-       ProgramSpec{"receiver", 2, [&](Comm& c) {
-         parti::BlockDistArray<double> y(
-             c, layout::BlockDecomp(Shape::of({n}), {c.size()}), 0);
-         core::SetOfRegions vSet;
-         vSet.add(core::Region::section(RegularSection::box({0}, {n - 1})));
-         HashStream::Digest mine = core::scheduleSideDigest(
-             core::PartiAdapter::describe(y), vSet);
-         mine = c.bcastValue(mine, 0);
-         HashStream::Digest remote{};
-         if (c.rank() == 0) {
-           remote = c.recvValueFrom<HashStream::Digest>(0, 0, kControlTag);
-           c.sendValueTo(0, 0, kControlTag, mine);
-         }
-         remote = c.bcastValue(remote, 0);
-
-         core::ScheduleCache cache(8);
-         const auto r1 = cache.getOrBuildRecvByLayout(
-             c, core::PartiAdapter::describe(y), vSet, 0, remote);
-         if (c.rank() == 0) {
-           firstPlan[1] = sched::serializeSchedule(r1->plan);
-           cache.clear();  // diverge: this rank alone forgets the entry
-         }
-         const auto r2 = cache.getOrBuildRecvByLayout(
-             c, core::PartiAdapter::describe(y), vSet, 0, remote);
-         if (c.rank() == 0) {
-           secondPlan[1] = sched::serializeSchedule(r2->plan);
-         }
-         EXPECT_EQ(cache.stats().hits, 0u);
-         auto plan = std::shared_ptr<const sched::Schedule>(r2, &r2->plan);
-         sched::Executor<double>::receiver(c, plan, 0).runRecv(y.raw());
-         const std::vector<double> got = y.gatherGlobal();
-         for (Index i = 0; i < n; ++i) {
-           const double w = 1.5 * static_cast<double>(i) + 1.0;
-           if (got[static_cast<std::size_t>(i)] != w) bad.fetch_add(1);
-         }
-       }}});
-  EXPECT_EQ(bad.load(), 0);
-  // The forced rebuild reproduced byte-identical plans on both sides.
-  EXPECT_EQ(firstPlan[0], secondPlan[0]);
-  EXPECT_EQ(firstPlan[1], secondPlan[1]);
-  EXPECT_FALSE(firstPlan[0].empty());
-  EXPECT_FALSE(firstPlan[1].empty());
 }
 
 }  // namespace

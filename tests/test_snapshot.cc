@@ -2,7 +2,8 @@
 // fuzz (every strict prefix and every single-byte corruption of a framed
 // blob must throw mc::Error — never crash, never over-allocate), per-
 // serializer round trips (McSchedule, translation tables, all four
-// libraries' arrays), snapshot save/restore with LRU-order preservation,
+// libraries' arrays), snapshot save/restore with LRU-order preservation
+// and one saved entry per cached schedule (a patched one included),
 // the loud agreement failures (wrong program size, mixed save generations,
 // truncated files, section mismatches, an older snapshot version), and the
 // kill-and-restart differential: a warm-started server must reproduce a
@@ -18,7 +19,11 @@
 #include <tuple>
 #include <vector>
 
+#include "chaos/irreg_array.h"
 #include "chaos/partition.h"
+#include "core/adapters/chaos_adapter.h"
+#include "core/adapters/hpf_adapter.h"
+#include "core/data_move.h"
 #include "core/schedule_cache.h"
 #include "fuzz_decoder.h"
 #include "sched/serialize.h"
@@ -381,6 +386,90 @@ TEST(Snapshot, SaveRestoreRoundTripsCacheAndSections) {
   });
   for (int r = 0; r < nprocs; ++r) EXPECT_EQ(sectionRestored[r], 1);
   std::filesystem::remove_all(dir);
+}
+
+TEST(Snapshot, PatchedScheduleIsSavedOnceAndHitsAfterRestore) {
+  // HPF CYCLIC [0..29] -> Chaos indices(0..29) over a replicated table.
+  // X: rank g/10 owns g; Y: global 19 moves to rank 2.  The cache holds X
+  // (built) and Y (patched from X), one entry each, so the snapshot saves
+  // two schedules and the restored Y moves the same bits as the original.
+  const std::filesystem::path dir = tmpDir("patched");
+  constexpr Index n = 30;
+  const auto setUp = [&](Comm& c, int owner19) {
+    std::vector<Index> mine;
+    for (Index g = 0; g < n; ++g) {
+      if (g != 19 && g / 10 == c.rank()) mine.push_back(g);
+    }
+    if (owner19 == c.rank()) mine.push_back(19);
+    auto table = std::make_shared<const chaos::TranslationTable>(
+        chaos::TranslationTable::build(
+            c, mine, n, chaos::TranslationTable::Storage::kReplicated));
+    return std::make_shared<chaos::IrregArray<double>>(c, table, mine);
+  };
+  const auto cyclic = [&](Comm& c) {
+    hpfrt::HpfArray<double> a(
+        c, hpfrt::HpfDist(Shape::of({n}), {hpfrt::DimDist{
+                                              hpfrt::DistKind::kCyclic,
+                                              c.size(), 1}}));
+    a.fillByPoint(
+        [](const Point& p) { return 0.5 + static_cast<double>(p[0]); });
+    return a;
+  };
+  core::SetOfRegions srcSet, dstSet;
+  srcSet.add(core::Region::section(
+      layout::RegularSection::box({0}, {n - 1})));
+  std::vector<Index> all(static_cast<std::size_t>(n));
+  for (Index g = 0; g < n; ++g) all[static_cast<std::size_t>(g)] = g;
+  dstSet.add(core::Region::indices(all));
+  std::vector<double> before, after;
+
+  World::runSPMD(3, [&](Comm& c) {
+    const hpfrt::HpfArray<double> src = cyclic(c);
+    const auto x = setUp(c, 1);
+    const auto y = setUp(c, 2);
+    const core::DistObject srcObj = core::HpfAdapter::describe(src);
+    core::ScheduleCache& cache = core::defaultScheduleCache();
+    (void)cache.getOrBuild(c, srcObj, srcSet,
+                           core::ChaosAdapter::describe(*x), dstSet);
+    const std::vector<Index> migrated = {19};
+    const auto sched = cache.getOrPatch(
+        c, srcObj, srcObj, srcSet, core::ChaosAdapter::describe(*x),
+        core::ChaosAdapter::describe(*y), dstSet,
+        core::deltaFromMigratedIndices(dstSet, migrated));
+    EXPECT_EQ(cache.patches(), 1u);
+    y->fillByGlobal([](Index) { return -1.0; });
+    core::dataMove<double>(c, *sched, src.raw(), y->raw());
+    const std::vector<double> got = y->gatherGlobal();
+    if (c.rank() == 0) before = got;
+    EXPECT_EQ(snapshotSave(c, dir.string()).cacheEntries, 2u);
+  });
+
+  World::runSPMD(3, [&](Comm& c) {
+    const hpfrt::HpfArray<double> src = cyclic(c);
+    const auto y = setUp(c, 2);
+    EXPECT_EQ(snapshotRestore(c, dir.string()).cacheEntries, 2u);
+    core::ScheduleCache& cache = core::defaultScheduleCache();
+    const auto sched =
+        cache.getOrBuild(c, core::HpfAdapter::describe(src), srcSet,
+                         core::ChaosAdapter::describe(*y), dstSet);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().misses, 0u);
+    y->fillByGlobal([](Index) { return -1.0; });
+    core::dataMove<double>(c, *sched, src.raw(), y->raw());
+    const std::vector<double> got = y->gatherGlobal();
+    if (c.rank() == 0) after = got;
+  });
+  std::filesystem::remove_all(dir);
+
+  ASSERT_EQ(before.size(), static_cast<std::size_t>(n));
+  for (Index g = 0; g < n; ++g) {
+    EXPECT_EQ(before[static_cast<std::size_t>(g)],
+              0.5 + static_cast<double>(g));
+  }
+  ASSERT_EQ(after.size(), before.size());
+  EXPECT_EQ(std::memcmp(after.data(), before.data(),
+                        before.size() * sizeof(double)),
+            0);
 }
 
 TEST(Snapshot, WrongProgramSizeFailsLoudly) {

@@ -1,6 +1,6 @@
 // Split-phase schedule execution (Executor::start / Pending): differential
-// equivalence against run()/runAdd() — bitwise, under shuffled delivery, in
-// both DrainOrder modes — plus the misuse contract (second start throws,
+// equivalence against run()/runAdd() — bitwise, under shuffled delivery —
+// plus the misuse contract (second start throws,
 // dropped Pending cancels cleanly), footprint classification against brute
 // force, the steady-state zero-allocation invariant, the new traffic
 // counters, and the core-level dataMoveBegin/dataMoveEnd wrappers.
@@ -94,14 +94,8 @@ void staggeredSleep(int rank, int iteration) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-transport::WorldOptions drainOptions(DrainOrder order) {
-  transport::WorldOptions options;
-  options.net.drainOrder = order;
-  return options;
-}
-
-void expectSplitMatchesRun(DrainOrder order) {
-  World::runSPMD(4, [order](Comm& c) {
+TEST(SplitPhase, CopyMatchesRunBitwiseArrivalOrder) {
+  World::runSPMD(4, [](Comm& c) {
     const Index srcN = 32;
     const Index dstN = static_cast<Index>(c.size()) * kMaxPerPair;
     for (unsigned seed = 1; seed <= 5; ++seed) {
@@ -121,29 +115,19 @@ void expectSplitMatchesRun(DrainOrder order) {
         runEx.run(src, want);
         staggeredSleep(c.rank(), it + 1);
         auto pending = splitEx.start(src);
-        // Interleave "caller compute" with opportunistic polls; in kPeer
-        // mode poll is a deliberate no-op and everything drains in finish.
+        // Interleave "caller compute" with opportunistic polls.
         for (int spin = 0; spin < 3; ++spin) {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
           pending.poll();
         }
         pending.finish(got);
-        EXPECT_EQ(want, got) << "seed " << seed << " it " << it << " order "
-                             << static_cast<int>(order);
+        EXPECT_EQ(want, got) << "seed " << seed << " it " << it;
       }
     }
-  }, drainOptions(order));
+  });
 }
 
-TEST(SplitPhase, CopyMatchesRunBitwiseArrivalOrder) {
-  expectSplitMatchesRun(DrainOrder::kArrival);
-}
-
-TEST(SplitPhase, CopyMatchesRunBitwisePeerOrder) {
-  expectSplitMatchesRun(DrainOrder::kPeer);
-}
-
-void expectSplitAddMatchesRunAdd(DrainOrder order) {
+TEST(SplitPhase, AddMatchesRunAddBitwiseArrivalOrder) {
   // Star pattern, every peer hitting the SAME dst offsets with values whose
   // accumulation order is visible in the bits: ((0 + 1e16) + 1) + -1e16 == 0
   // but (0 + 1e16) + -1e16 + 1 == 1.  finishAdd must reproduce runAdd's
@@ -186,15 +170,7 @@ void expectSplitAddMatchesRunAdd(DrainOrder order) {
         EXPECT_EQ(got[0], (0.0 + 1e16 + 1.0) + -1e16) << "iteration " << it;
       }
     }
-  }, drainOptions(order));
-}
-
-TEST(SplitPhase, AddMatchesRunAddBitwiseArrivalOrder) {
-  expectSplitAddMatchesRunAdd(DrainOrder::kArrival);
-}
-
-TEST(SplitPhase, AddMatchesRunAddBitwisePeerOrder) {
-  expectSplitAddMatchesRunAdd(DrainOrder::kPeer);
+  });
 }
 
 TEST(SplitPhase, SecondStartBeforeFinishThrows) {

@@ -24,7 +24,6 @@ using sched::Executor;
 using sched::OffsetPlan;
 using sched::Schedule;
 using transport::Comm;
-using transport::DrainOrder;
 using transport::World;
 using transport::WorldOptions;
 
@@ -265,10 +264,8 @@ void staggeredSleep(int rank, int iteration) {
 /// each rank's final dst bytes.
 std::vector<std::vector<double>> runFuzzWorld(
     unsigned seed, int nprocs, int nodes, bool aggregated, bool add,
-    int iters, DrainOrder order = DrainOrder::kArrival) {
+    int iters) {
   std::vector<std::vector<double>> results(static_cast<size_t>(nprocs));
-  WorldOptions options = aggOptions(nodes, aggregated);
-  options.net.drainOrder = order;
   World::runSPMD(
       nprocs,
       [&results, seed, add, iters](Comm& c) {
@@ -292,7 +289,7 @@ std::vector<std::vector<double>> runFuzzWorld(
         }
         results[static_cast<size_t>(c.rank())] = dst;
       },
-      options);
+      aggOptions(nodes, aggregated));
   return results;
 }
 
@@ -308,28 +305,24 @@ void expectBitwiseEqual(const std::vector<std::vector<double>>& a,
 }
 
 TEST(Topology, AggregatedRunMatchesFlatBitwise) {
-  for (const auto order : {DrainOrder::kArrival, DrainOrder::kPeer}) {
-    for (unsigned seed : {1u, 2u, 3u}) {
-      const auto flat = runFuzzWorld(seed, 8, 3, /*aggregated=*/false,
-                                     /*add=*/false, /*iters=*/4, order);
-      const auto agg = runFuzzWorld(seed, 8, 3, /*aggregated=*/true,
-                                    /*add=*/false, /*iters=*/4, order);
-      expectBitwiseEqual(flat, agg);
-    }
+  for (unsigned seed : {1u, 2u, 3u}) {
+    const auto flat = runFuzzWorld(seed, 8, 3, /*aggregated=*/false,
+                                   /*add=*/false, /*iters=*/4);
+    const auto agg = runFuzzWorld(seed, 8, 3, /*aggregated=*/true,
+                                  /*add=*/false, /*iters=*/4);
+    expectBitwiseEqual(flat, agg);
   }
 }
 
 TEST(Topology, AggregatedRunAddMatchesFlatBitwise) {
-  for (const auto order : {DrainOrder::kArrival, DrainOrder::kPeer}) {
-    for (unsigned seed : {4u, 5u, 6u}) {
-      // Overlapping receive offsets: float += only matches bitwise when
-      // contributions apply in peer order on both paths.
-      const auto flat = runFuzzWorld(seed, 8, 3, /*aggregated=*/false,
-                                     /*add=*/true, /*iters=*/4, order);
-      const auto agg = runFuzzWorld(seed, 8, 3, /*aggregated=*/true,
-                                    /*add=*/true, /*iters=*/4, order);
-      expectBitwiseEqual(flat, agg);
-    }
+  for (unsigned seed : {4u, 5u, 6u}) {
+    // Overlapping receive offsets: float += only matches bitwise when
+    // contributions apply in peer order on both paths.
+    const auto flat = runFuzzWorld(seed, 8, 3, /*aggregated=*/false,
+                                   /*add=*/true, /*iters=*/4);
+    const auto agg = runFuzzWorld(seed, 8, 3, /*aggregated=*/true,
+                                  /*add=*/true, /*iters=*/4);
+    expectBitwiseEqual(flat, agg);
   }
 }
 

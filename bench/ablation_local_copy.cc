@@ -37,14 +37,21 @@ int main() {
       core::McSchedule sched = core::computeSchedule(
           c, core::PartiAdapter::describe(a), set,
           core::PartiAdapter::describe(b), set);
+      // Parti-style staging runs on its own copy of the schedule: the
+      // executor bound to `sched` keeps the plan it was bound with.
+      core::McSchedule staging = sched;
+      staging.plan.bufferLocalCopies = true;
+      // One untimed move per leg binds its executor and touches its
+      // buffers, so the timed loops see only the per-copy cost.
+      core::dataMove<double>(c, sched, a.raw(), b.raw());
+      core::dataMove<double>(c, staging, a.raw(), b.raw());
       bench::PhaseTimer timer(c);
       for (int it = 0; it < kIters; ++it) {
         core::dataMove<double>(c, sched, a.raw(), b.raw());
       }
       const double d = timer.lap() / kIters;
-      sched.plan.bufferLocalCopies = true;  // Parti-style staging
       for (int it = 0; it < kIters; ++it) {
-        core::dataMove<double>(c, sched, a.raw(), b.raw());
+        core::dataMove<double>(c, staging, a.raw(), b.raw());
       }
       const double s = timer.lap() / kIters;
       if (c.rank() == 0) {

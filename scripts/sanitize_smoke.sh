@@ -8,8 +8,9 @@
 # client (region sets, library descriptors, the duplication bundle,
 # snapshot blobs), every suite whose schedules keep the executor their
 # first dataMove* call binds (the core copy, MC_* API and workload suites),
-# and the RCB partitioner's suite (its in-place cut selection against the
-# whole-tree oracle).
+# the RCB partitioner's suite (its in-place cut selection against the
+# whole-tree oracle), and the two suites that run the staged local-copy
+# path (Parti section copies and chaos::remap).
 # Pass --preset=tsan to run the ThreadSanitizer build instead: the
 # transport / executor / split-phase suites, where the cross-thread mailbox
 # traffic lives, the schedule cache, whose inter-program hit/miss agreement
@@ -32,7 +33,7 @@ fi
 case "$PRESET" in
   asan-ubsan)
     BUILD_DIR=build-asan
-    DEFAULT_FILTER="test_run_compression|test_run_join|test_schedule_cache|test_schedule_invariants|test_executor|test_split_phase|test_fuzz_copy|test_obs|test_localize_batch|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot|test_core_regions|test_core_interprogram|test_adapter_contract|test_core_copy|test_mc_api|test_workloads|test_rcb"
+    DEFAULT_FILTER="test_run_compression|test_run_join|test_schedule_cache|test_schedule_invariants|test_executor|test_split_phase|test_fuzz_copy|test_obs|test_localize_batch|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot|test_core_regions|test_core_interprogram|test_adapter_contract|test_core_copy|test_mc_api|test_workloads|test_rcb|test_parti|test_remap_merge"
     ;;
   tsan)
     BUILD_DIR=build-tsan

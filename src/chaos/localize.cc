@@ -1,7 +1,6 @@
 #include "chaos/localize.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "chaos/deref_cache.h"
@@ -9,40 +8,6 @@
 namespace mc::chaos {
 
 using layout::Index;
-
-namespace {
-
-/// The schedule-building tail shared by both inspectors: exchange the
-/// per-owner request lists and assemble the gather/scatter-add schedules.
-void buildGhostSchedules(transport::Comm& comm,
-                         std::vector<std::vector<Index>>& wantOffsets,
-                         std::vector<std::vector<Index>>& wantGhostSlots,
-                         Localized& out) {
-  const int np = comm.size();
-  const int me = comm.rank();
-  // Exchange requests: the owner's send plan is my request list, in my
-  // request order; my recv plan is the matching ghost slots.
-  auto requests = comm.alltoall(wantOffsets);
-  for (int q = 0; q < np; ++q) {
-    const auto qq = static_cast<size_t>(q);
-    if (q != me && !wantOffsets[qq].empty()) {
-      sched::OffsetPlan plan;
-      plan.peer = q;
-      plan.offsets = std::move(wantGhostSlots[qq]);  // ghost-buffer indices
-      out.gatherSched.recvs.push_back(std::move(plan));
-    }
-    if (q != me && !requests[qq].empty()) {
-      sched::OffsetPlan plan;
-      plan.peer = q;
-      plan.offsets = std::move(requests[qq]);  // my owned offsets they want
-      out.gatherSched.sends.push_back(std::move(plan));
-    }
-  }
-  out.gatherSched.sortByPeer();
-  out.scatterAddSched = sched::reverse(out.gatherSched);
-}
-
-}  // namespace
 
 Localized localize(transport::Comm& comm, const TranslationTable& table,
                    std::span<const Index> refs) {
@@ -102,57 +67,26 @@ Localized localize(transport::Comm& comm, const TranslationTable& table,
     out.ghostCount = ghostCount;
   });
 
-  buildGhostSchedules(comm, wantOffsets, wantGhostSlots, out);
-  return out;
-}
-
-Localized localizeReference(transport::Comm& comm,
-                            const TranslationTable& table,
-                            std::span<const Index> refs) {
-  Localized out;
-  const int np = comm.size();
-  const int me = comm.rank();
-  const Index ownedCount = table.localCount(me);
-
-  // Distinct references in first-appearance order.
-  std::vector<Index> unique;
-  std::unordered_map<Index, size_t> uniqueIdx;
-  unique.reserve(refs.size());
-  for (Index g : refs) {
-    if (uniqueIdx.emplace(g, unique.size()).second) unique.push_back(g);
-  }
-
-  // One dereference per distinct reference (collective), uncached.
-  const std::vector<ElementLoc> locs = comm.computeValue([&] {
-    return table.dereference(comm, unique);
-  });
-
-  // Assign ghost slots to distinct off-processor references and group the
-  // needed remote offsets by owner.
-  std::vector<Index> localOfUnique(unique.size());
-  std::vector<std::vector<Index>> wantOffsets(static_cast<size_t>(np));
-  std::vector<std::vector<Index>> wantGhostSlots(static_cast<size_t>(np));
-  Index ghostCount = 0;
-  for (size_t u = 0; u < unique.size(); ++u) {
-    const ElementLoc& loc = locs[u];
-    if (loc.proc == me) {
-      localOfUnique[u] = loc.offset;
-    } else {
-      localOfUnique[u] = ownedCount + ghostCount;
-      wantOffsets[static_cast<size_t>(loc.proc)].push_back(loc.offset);
-      wantGhostSlots[static_cast<size_t>(loc.proc)].push_back(ghostCount);
-      ++ghostCount;
+  // Exchange requests: the owner's send plan is my request list, in my
+  // request order; my recv plan is the matching ghost slots.
+  auto requests = comm.alltoall(wantOffsets);
+  for (int q = 0; q < np; ++q) {
+    const auto qq = static_cast<size_t>(q);
+    if (q != me && !wantOffsets[qq].empty()) {
+      sched::OffsetPlan plan;
+      plan.peer = q;
+      plan.offsets = std::move(wantGhostSlots[qq]);  // ghost-buffer indices
+      out.gatherSched.recvs.push_back(std::move(plan));
+    }
+    if (q != me && !requests[qq].empty()) {
+      sched::OffsetPlan plan;
+      plan.peer = q;
+      plan.offsets = std::move(requests[qq]);  // my owned offsets they want
+      out.gatherSched.sends.push_back(std::move(plan));
     }
   }
-  out.ghostCount = ghostCount;
-
-  // Rewrite the full reference list.
-  out.localIndices.reserve(refs.size());
-  for (Index g : refs) {
-    out.localIndices.push_back(localOfUnique[uniqueIdx[g]]);
-  }
-
-  buildGhostSchedules(comm, wantOffsets, wantGhostSlots, out);
+  out.gatherSched.sortByPeer();
+  out.scatterAddSched = sched::reverse(out.gatherSched);
   return out;
 }
 

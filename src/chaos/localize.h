@@ -35,17 +35,10 @@ struct Localized {
 /// dereference cache (deref_cache.h) in one sorted pass — only distinct
 /// uncached references travel to the table's home processors — and ghost
 /// slots are assigned in first-appearance order, so the result is
-/// bit-identical to localizeReference.
+/// bit-identical to the hash-based, uncached test oracle
+/// (tests/oracle/localize_oracle.h).
 Localized localize(transport::Comm& comm, const TranslationTable& table,
                    std::span<const layout::Index> refs);
-
-/// The pre-batching inspector, kept as the differential oracle: hash-based
-/// uniquing and an uncached element-wise table dereference on every call.
-/// Same Localized output as localize() (identical ghost layout, local
-/// indices, and schedules); only the cost differs.
-Localized localizeReference(transport::Comm& comm,
-                            const TranslationTable& table,
-                            std::span<const layout::Index> refs);
 
 /// Gather executor: fills `ghost` (size >= ghostCount) with the current
 /// owner values for the localized off-processor references.  Collective.

@@ -421,6 +421,23 @@ struct ChunkTable {
   std::size_t tableBytes() const { return runs.size() * sizeof(OwnedRun); }
 };
 
+/// The one local table fill: a checked run table for positions [lo, hi) of
+/// `set`, by local enumeration of `obj`.  Serves the cooperation build's
+/// locally enumerable chunks, both duplication builds, the fresh-segment
+/// pass and computeDelta.
+ChunkTable localTable(const LibraryAdapter& lib, const DistObject& obj,
+                      const SetOfRegions& set, Index lo, Index hi,
+                      const char* side) {
+  ChunkTable table(lo, hi - lo);
+  lib.enumerateRangeRuns(
+      obj, set, lo, hi,
+      [&](Index lin, int owner, Index off, Index count, Index offStride) {
+        table.append(lin, owner, off, count, offStride, side);
+      });
+  table.checkComplete(side);
+  return table;
+}
+
 /// Two-pointer interval join over two ownership tables covering the same
 /// position range: fn(srcRun, dstRun, pos, count) is called once per
 /// maximal segment on which both owners (and both offset progressions) are
@@ -451,66 +468,99 @@ Index offAt(const OwnedRun& r, Index pos) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan assembly.
+// Segments: the one join and the one assembler.
 //
-// The assemblers turn SendRun/RecvRun rows into runs-first OffsetPlans
-// without ever expanding an offset list.  Rows arrive chunk-ordered, so
-// per-peer lanes stay in linearization order.
+// Every build ends in the same two steps.  A join turns two ownership
+// tables into this rank's SendSeg/RecvSeg provenance; the assembler turns
+// provenance into runs-first OffsetPlans without ever expanding an offset
+// list.  Every appender is the canonical greedy, so a lane's bits depend
+// only on its element sequence, never on how the segments are cut.
 // ---------------------------------------------------------------------------
 
-void assembleSendsRuns(const std::vector<std::vector<SendRun>>& rows, int me,
-                       bool allowLocal, sched::Schedule& plan,
-                       std::vector<SendSeg>* segs = nullptr) {
-  std::vector<std::vector<OffsetRun>> byPeer;
-  for (const auto& row : rows) {
-    for (const SendRun& run : row) {
-      // Rows arrive chunk-ordered and chunk-internally sorted, so the
-      // stream is globally lin-sorted; re-appending re-coalesces across
-      // chunk seams into the canonical provenance cut.
-      if (segs) appendSendRun(*segs, run);
-      if (allowLocal && run.dstOwner == me) {
-        sched::appendLocalRun(plan.localRuns,
-                              LocalRun{run.srcOff, run.dstOff, run.count,
-                                       run.srcStride, run.dstStride});
-        continue;
-      }
-      if (byPeer.size() <= static_cast<size_t>(run.dstOwner)) {
-        byPeer.resize(static_cast<size_t>(run.dstOwner) + 1);
-      }
-      sched::appendOffsetRun(byPeer[static_cast<size_t>(run.dstOwner)],
-                             OffsetRun{run.srcOff, run.count, run.srcStride});
+void appendSeg(std::vector<SendSeg>& lane, const SendSeg& g) {
+  appendSendRun(lane, g);
+}
+
+void appendSeg(std::vector<RecvSeg>& lane, const RecvSeg& g) {
+  appendRecvRun(lane, g);
+}
+
+/// Joins two tables covering the same positions into this rank's
+/// provenance: a SendSeg for every segment it sources (owner `srcMe`,
+/// local copies included) and a RecvSeg for every other segment it
+/// receives (owner `dstMe`).  -1 marks the side that lives in the other
+/// program.
+void joinSegs(const ChunkTable& src, const ChunkTable& dst, int srcMe,
+              int dstMe, std::vector<SendSeg>& sends,
+              std::vector<RecvSeg>& recvs) {
+  joinTables(src, dst, [&](const OwnedRun& s, const OwnedRun& d, Index pos,
+                           Index count) {
+    if (s.owner == srcMe) {
+      appendSendRun(sends, SendSeg{pos, offAt(s, pos), offAt(d, pos), count,
+                                   s.offStride, d.offStride,
+                                   static_cast<Index>(d.owner)});
+    } else if (d.owner == dstMe) {
+      appendRecvRun(recvs, RecvSeg{pos, offAt(d, pos), count, d.offStride,
+                                   static_cast<Index>(s.owner)});
     }
+  });
+}
+
+/// Re-cuts the marching-order rows a cooperation build receives (one row
+/// per chunk owner, chunk-ordered, each lin-sorted) into the canonical
+/// segment stream: re-appending coalesces across chunk seams.
+template <typename Seg>
+std::vector<Seg> segsFromRows(const std::vector<std::vector<Seg>>& rows) {
+  std::vector<Seg> segs;
+  for (const auto& row : rows) {
+    for (const Seg& run : row) appendSeg(segs, run);
   }
-  for (size_t p = 0; p < byPeer.size(); ++p) {
-    if (byPeer[p].empty()) continue;
+  return segs;
+}
+
+/// The one assembler: turns lin-sorted provenance into runs-first plans.
+/// Send segments bound for `localMe` become local copies (-1 for
+/// inter-program halves, which have none); every other segment extends its
+/// peer's pack or unpack lane, in linearization order.
+void assembleFromSegs(const std::vector<SendSeg>& sendSegs,
+                      const std::vector<RecvSeg>& recvSegs, int localMe,
+                      sched::Schedule& plan) {
+  std::vector<std::vector<OffsetRun>> sendBy;
+  std::vector<std::vector<OffsetRun>> recvBy;
+  for (const SendSeg& g : sendSegs) {
+    if (g.dstOwner == static_cast<Index>(localMe)) {
+      sched::appendLocalRun(plan.localRuns,
+                            LocalRun{g.srcOff, g.dstOff, g.count, g.srcStride,
+                                     g.dstStride});
+      continue;
+    }
+    if (sendBy.size() <= static_cast<size_t>(g.dstOwner)) {
+      sendBy.resize(static_cast<size_t>(g.dstOwner) + 1);
+    }
+    sched::appendOffsetRun(sendBy[static_cast<size_t>(g.dstOwner)],
+                           OffsetRun{g.srcOff, g.count, g.srcStride});
+  }
+  for (const RecvSeg& g : recvSegs) {
+    if (recvBy.size() <= static_cast<size_t>(g.srcOwner)) {
+      recvBy.resize(static_cast<size_t>(g.srcOwner) + 1);
+    }
+    sched::appendOffsetRun(recvBy[static_cast<size_t>(g.srcOwner)],
+                           OffsetRun{g.dstOff, g.count, g.dstStride});
+  }
+  for (size_t p = 0; p < sendBy.size(); ++p) {
+    if (sendBy[p].empty()) continue;
     plan.sends.push_back(
-        sched::OffsetPlan{static_cast<int>(p), {}, std::move(byPeer[p])});
+        sched::OffsetPlan{static_cast<int>(p), {}, std::move(sendBy[p])});
   }
-}
-
-void assembleRecvsRuns(const std::vector<std::vector<RecvRun>>& rows,
-                       sched::Schedule& plan,
-                       std::vector<RecvSeg>* segs = nullptr) {
-  std::vector<std::vector<OffsetRun>> byPeer;
-  for (const auto& row : rows) {
-    for (const RecvRun& run : row) {
-      if (segs) appendRecvRun(*segs, run);
-      if (byPeer.size() <= static_cast<size_t>(run.srcOwner)) {
-        byPeer.resize(static_cast<size_t>(run.srcOwner) + 1);
-      }
-      sched::appendOffsetRun(byPeer[static_cast<size_t>(run.srcOwner)],
-                             OffsetRun{run.dstOff, run.count, run.dstStride});
-    }
-  }
-  for (size_t p = 0; p < byPeer.size(); ++p) {
-    if (byPeer[p].empty()) continue;
+  for (size_t p = 0; p < recvBy.size(); ++p) {
+    if (recvBy[p].empty()) continue;
     plan.recvs.push_back(
-        sched::OffsetPlan{static_cast<int>(p), {}, std::move(byPeer[p])});
+        sched::OffsetPlan{static_cast<int>(p), {}, std::move(recvBy[p])});
   }
 }
 
 // ---------------------------------------------------------------------------
-// Chunk ownership acquisition.
+// Chunk ownership acquisition and the cooperation join.
 // ---------------------------------------------------------------------------
 
 /// Obtains one side's ownership info for this processor's chunk as a run
@@ -526,29 +576,62 @@ ChunkTable chunkTableIntra(transport::Comm& comm, const LibraryAdapter& lib,
   const int me = comm.rank();
   const Index lo = chunk * me;
   const Index size = std::max<Index>(0, std::min(n, lo + chunk) - lo);
-  ChunkTable table(lo, size);
   if (lib.supportsLocalEnumeration(obj)) {
-    comm.compute([&] {
-      lib.enumerateRangeRuns(obj, set, lo, lo + size,
-                             [&](Index lin, int owner, Index off, Index count,
-                                 Index offStride) {
-                               table.append(lin, owner, off, count, offStride,
-                                            side);
-                             });
-    });
-  } else {
-    // Element routing coalesces into the identical LinRun wire stream that
-    // enumerateOwnedRuns + routeRunsToChunks would produce (the same greedy
-    // rule), in one pass instead of two — on fully irregular data the
-    // coalesce passes are the dominant build cost.
-    const std::vector<LinLoc> owned = lib.enumerateOwned(obj, set, comm);
-    auto rows = comm.alltoall(comm.computeValue(
-        [&] { return routeToChunks(owned, chunk, comm.size()); }));
-    comm.compute([&] { table.fillFromRows(rows, side); });
+    ChunkTable table = comm.computeValue(
+        [&] { return localTable(lib, obj, set, lo, lo + size, side); });
+    g_buildStats.ownershipTableBytes += table.tableBytes();
+    return table;
   }
-  comm.compute([&] { table.checkComplete(side); });
+  // Element routing coalesces into the identical LinRun wire stream that
+  // enumerateOwnedRuns + routeRunsToChunks would produce (the same greedy
+  // rule), in one pass instead of two — on fully irregular data the
+  // coalesce passes are the dominant build cost.
+  const std::vector<LinLoc> owned = lib.enumerateOwned(obj, set, comm);
+  auto rows = comm.alltoall(comm.computeValue(
+      [&] { return routeToChunks(owned, chunk, comm.size()); }));
+  ChunkTable table(lo, size);
+  comm.compute([&] {
+    table.fillFromRows(rows, side);
+    table.checkComplete(side);
+  });
   g_buildStats.ownershipTableBytes += table.tableBytes();
   return table;
+}
+
+/// The cooperation join at a chunk owner: pairs its two chunk tables and
+/// writes every source owner's marching orders into sendTo and every
+/// destination owner's into recvTo — whole segments at a time, split only
+/// where a source or destination run boundary falls.  Within one program a
+/// segment whose two owners coincide is a local copy and gets no receive
+/// order; across programs the rank spaces are distinct, so every segment
+/// gets both.
+void joinOrders(const ChunkTable& src, const ChunkTable& dst,
+                bool sameProgram, std::vector<std::vector<SendRun>>& sendTo,
+                std::vector<std::vector<RecvRun>>& recvTo) {
+  joinTables(src, dst, [&](const OwnedRun& s, const OwnedRun& d, Index pos,
+                           Index count) {
+    const Index srcOff = offAt(s, pos);
+    const Index dstOff = offAt(d, pos);
+    const bool recv = !sameProgram || d.owner != s.owner;
+    if (count == 1) {
+      // Degenerate segment (fully irregular data): the single-element
+      // greedy appends produce the same lanes for less bookkeeping.
+      emitSend(sendTo[static_cast<size_t>(s.owner)], pos, srcOff, dstOff,
+               d.owner);
+      if (recv) {
+        emitRecv(recvTo[static_cast<size_t>(d.owner)], pos, dstOff, s.owner);
+      }
+      return;
+    }
+    appendSendRun(sendTo[static_cast<size_t>(s.owner)],
+                  SendRun{pos, srcOff, dstOff, count, s.offStride, d.offStride,
+                          static_cast<Index>(d.owner)});
+    if (recv) {
+      appendRecvRun(recvTo[static_cast<size_t>(d.owner)],
+                    RecvRun{pos, dstOff, count, d.offStride,
+                            static_cast<Index>(s.owner)});
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -574,42 +657,17 @@ McSchedule buildIntraCooperation(transport::Comm& comm,
   const ChunkTable dst =
       chunkTableIntra(comm, dstLib, dstObj, dstSet, n, chunk, "destination");
 
-  // Join and emit marching orders for the processors that own the data —
-  // whole segments at a time, split only where a source or destination run
-  // boundary falls.
+  // Join and emit marching orders for the processors that own the data.
   std::vector<std::vector<SendRun>> sendTo(static_cast<size_t>(np));
   std::vector<std::vector<RecvRun>> recvTo(static_cast<size_t>(np));
-  comm.compute([&] {
-    joinTables(src, dst, [&](const OwnedRun& s, const OwnedRun& d, Index pos,
-                             Index count) {
-      const Index srcOff = offAt(s, pos);
-      const Index dstOff = offAt(d, pos);
-      if (count == 1) {
-        // Degenerate segment (fully irregular data): the single-element
-        // greedy appends produce the same lanes for less bookkeeping.
-        emitSend(sendTo[static_cast<size_t>(s.owner)], pos, srcOff, dstOff,
-                 d.owner);
-        if (d.owner != s.owner) {
-          emitRecv(recvTo[static_cast<size_t>(d.owner)], pos, dstOff, s.owner);
-        }
-        return;
-      }
-      appendSendRun(sendTo[static_cast<size_t>(s.owner)],
-                    SendRun{pos, srcOff, dstOff, count, s.offStride,
-                            d.offStride, static_cast<Index>(d.owner)});
-      if (d.owner != s.owner) {
-        appendRecvRun(recvTo[static_cast<size_t>(d.owner)],
-                      RecvRun{pos, dstOff, count, d.offStride,
-                              static_cast<Index>(s.owner)});
-      }
-    });
-  });
+  comm.compute(
+      [&] { joinOrders(src, dst, /*sameProgram=*/true, sendTo, recvTo); });
   auto mySends = comm.alltoall(sendTo);
   auto myRecvs = comm.alltoall(recvTo);
   comm.compute([&] {
-    assembleSendsRuns(mySends, me, /*allowLocal=*/true, out.plan,
-                      &out.sendSegs);
-    assembleRecvsRuns(myRecvs, out.plan, &out.recvSegs);
+    out.sendSegs = segsFromRows(mySends);
+    out.recvSegs = segsFromRows(myRecvs);
+    assembleFromSegs(out.sendSegs, out.recvSegs, me, out.plan);
   });
   out.hasProvenance = true;
   return out;
@@ -640,65 +698,12 @@ McSchedule buildIntraDuplication(transport::Comm& comm,
     // Two full ownership passes per processor — the 2x dereference cost the
     // paper attributes to duplication — with no communication, but as run
     // streams: the table stays O(runs), never O(elements).
-    ChunkTable src(0, n);
-    ChunkTable dst(0, n);
-    srcLib.enumerateRangeRuns(
-        srcObj, srcSet, 0, n,
-        [&](Index lin, int owner, Index off, Index count, Index offStride) {
-          src.append(lin, owner, off, count, offStride, "source");
-        });
-    dstLib.enumerateRangeRuns(
-        dstObj, dstSet, 0, n,
-        [&](Index lin, int owner, Index off, Index count, Index offStride) {
-          dst.append(lin, owner, off, count, offStride, "destination");
-        });
-    src.checkComplete("source");
-    dst.checkComplete("destination");
+    const ChunkTable src = localTable(srcLib, srcObj, srcSet, 0, n, "source");
+    const ChunkTable dst =
+        localTable(dstLib, dstObj, dstSet, 0, n, "destination");
     g_buildStats.ownershipTableBytes += src.tableBytes() + dst.tableBytes();
-    std::vector<std::vector<OffsetRun>> sendBy;
-    std::vector<std::vector<OffsetRun>> recvBy;
-    joinTables(src, dst, [&](const OwnedRun& s, const OwnedRun& d, Index pos,
-                             Index count) {
-      if (s.owner == me) {
-        appendSendRun(out.sendSegs,
-                      SendSeg{pos, offAt(s, pos), offAt(d, pos), count,
-                              s.offStride, d.offStride,
-                              static_cast<Index>(d.owner)});
-      } else if (d.owner == me) {
-        appendRecvRun(out.recvSegs,
-                      RecvSeg{pos, offAt(d, pos), count, d.offStride,
-                              static_cast<Index>(s.owner)});
-      }
-      if (s.owner == me && d.owner == me) {
-        sched::appendLocalRun(out.plan.localRuns,
-                              LocalRun{offAt(s, pos), offAt(d, pos), count,
-                                       s.offStride, d.offStride});
-      } else if (s.owner == me) {
-        if (sendBy.size() <= static_cast<size_t>(d.owner)) {
-          sendBy.resize(static_cast<size_t>(d.owner) + 1);
-        }
-        sched::appendOffsetRun(sendBy[static_cast<size_t>(d.owner)],
-                               OffsetRun{offAt(s, pos), count, s.offStride});
-      } else if (d.owner == me) {
-        if (recvBy.size() <= static_cast<size_t>(s.owner)) {
-          recvBy.resize(static_cast<size_t>(s.owner) + 1);
-        }
-        sched::appendOffsetRun(recvBy[static_cast<size_t>(s.owner)],
-                               OffsetRun{offAt(d, pos), count, d.offStride});
-      }
-    });
-    for (size_t p = 0; p < sendBy.size(); ++p) {
-      if (!sendBy[p].empty()) {
-        out.plan.sends.push_back(
-            sched::OffsetPlan{static_cast<int>(p), {}, std::move(sendBy[p])});
-      }
-    }
-    for (size_t p = 0; p < recvBy.size(); ++p) {
-      if (!recvBy[p].empty()) {
-        out.plan.recvs.push_back(
-            sched::OffsetPlan{static_cast<int>(p), {}, std::move(recvBy[p])});
-      }
-    }
+    joinSegs(src, dst, me, me, out.sendSegs, out.recvSegs);
+    assembleFromSegs(out.sendSegs, out.recvSegs, me, out.plan);
   });
   out.hasProvenance = true;
   return out;
@@ -736,7 +741,7 @@ McSchedule buildInterCooperationSend(transport::Comm& comm,
   const std::vector<std::vector<SendRun>> empty(static_cast<size_t>(pd));
   auto mySends = interAlltoall(comm, remoteProgram, empty);
   comm.compute([&] {
-    assembleSendsRuns(mySends, comm.rank(), /*allowLocal=*/false, out.plan);
+    assembleFromSegs(segsFromRows(mySends), {}, /*localMe=*/-1, out.plan);
   });
   return out;
 }
@@ -775,26 +780,15 @@ McSchedule buildInterCooperationRecv(transport::Comm& comm,
       chunkTableIntra(comm, dstLib, dstObj, dstSet, n, chunk, "destination");
 
   // Join; ship send plans to the remote program, recv plans to my own.
-  // Cross-program, so every pairing yields a send and a recv record (the
-  // rank spaces of the two programs are distinct).
   std::vector<std::vector<SendRun>> sendTo(static_cast<size_t>(ps));
   std::vector<std::vector<RecvRun>> recvTo(static_cast<size_t>(np));
-  comm.compute([&] {
-    joinTables(src, dst, [&](const OwnedRun& s, const OwnedRun& d, Index pos,
-                             Index count) {
-      const Index srcOff = offAt(s, pos);
-      const Index dstOff = offAt(d, pos);
-      appendSendRun(sendTo[static_cast<size_t>(s.owner)],
-                    SendRun{pos, srcOff, dstOff, count, s.offStride,
-                            d.offStride, static_cast<Index>(d.owner)});
-      appendRecvRun(recvTo[static_cast<size_t>(d.owner)],
-                    RecvRun{pos, dstOff, count, d.offStride,
-                            static_cast<Index>(s.owner)});
-    });
-  });
+  comm.compute(
+      [&] { joinOrders(src, dst, /*sameProgram=*/false, sendTo, recvTo); });
   (void)interAlltoall(comm, remoteProgram, sendTo);
   auto myRecvs = comm.alltoall(recvTo);
-  comm.compute([&] { assembleRecvsRuns(myRecvs, out.plan); });
+  comm.compute([&] {
+    assembleFromSegs({}, segsFromRows(myRecvs), /*localMe=*/-1, out.plan);
+  });
   return out;
 }
 
@@ -832,42 +826,20 @@ McSchedule buildInterDuplication(transport::Comm& comm,
 
   const int me = comm.rank();
   comm.compute([&] {
-    ChunkTable my(0, n);
-    ChunkTable their(0, n);
-    myLib.enumerateRangeRuns(
-        myObj, mySet, 0, n,
-        [&](Index lin, int owner, Index off, Index count, Index offStride) {
-          my.append(lin, owner, off, count, offStride, "local");
-        });
-    remoteLib.enumerateRangeRuns(
-        remoteObj, remoteSet, 0, n,
-        [&](Index lin, int owner, Index off, Index count, Index offStride) {
-          their.append(lin, owner, off, count, offStride, "remote");
-        });
-    my.checkComplete("local");
-    their.checkComplete("remote");
+    const ChunkTable my = localTable(myLib, myObj, mySet, 0, n, "local");
+    const ChunkTable their =
+        localTable(remoteLib, remoteObj, remoteSet, 0, n, "remote");
     g_buildStats.ownershipTableBytes += my.tableBytes() + their.tableBytes();
-    std::vector<std::vector<OffsetRun>> byPeer;
-    joinTables(my, their, [&](const OwnedRun& m, const OwnedRun& t,
-                              Index pos, Index count) {
-      if (m.owner != me) return;
-      if (byPeer.size() <= static_cast<size_t>(t.owner)) {
-        byPeer.resize(static_cast<size_t>(t.owner) + 1);
-      }
-      // Senders pack their own (source) offsets; receivers unpack into
-      // their own (destination) offsets.
-      sched::appendOffsetRun(byPeer[static_cast<size_t>(t.owner)],
-                             OffsetRun{offAt(m, pos), count, m.offStride});
-    });
-    for (size_t p = 0; p < byPeer.size(); ++p) {
-      if (byPeer[p].empty()) continue;
-      sched::OffsetPlan plan{static_cast<int>(p), {}, std::move(byPeer[p])};
-      if (isSender) {
-        out.plan.sends.push_back(std::move(plan));
-      } else {
-        out.plan.recvs.push_back(std::move(plan));
-      }
+    // Senders pack their own (source) offsets; receivers unpack into their
+    // own (destination) offsets.
+    std::vector<SendSeg> sends;
+    std::vector<RecvSeg> recvs;
+    if (isSender) {
+      joinSegs(my, their, me, /*dstMe=*/-1, sends, recvs);
+    } else {
+      joinSegs(their, my, /*srcMe=*/-1, me, sends, recvs);
     }
+    assembleFromSegs(sends, recvs, /*localMe=*/-1, out.plan);
   });
   return out;
 }
@@ -927,105 +899,44 @@ void subtractDelta(const std::vector<Seg>& segs,
 
 /// Merges two lin-sorted disjoint seg streams through the canonical greedy
 /// appender.
-template <typename Seg, typename Append>
+template <typename Seg>
 void mergeSegStreams(const std::vector<Seg>& a, const std::vector<Seg>& b,
-                     std::vector<Seg>& out, Append append) {
+                     std::vector<Seg>& out) {
   size_t i = 0;
   size_t j = 0;
   while (i < a.size() || j < b.size()) {
     if (j == b.size() || (i < a.size() && a[i].lin < b[j].lin)) {
-      append(out, a[i++]);
+      appendSeg(out, a[i++]);
     } else {
-      append(out, b[j++]);
+      appendSeg(out, b[j++]);
     }
   }
 }
 
-/// Derives this rank's fresh send/recv segments for every delta interval by
-/// local enumeration of both new descriptors over just that interval.
+/// The fresh-segment pass: derives this rank's send/recv segments for every
+/// delta interval by local enumeration of both descriptors over just that
+/// interval.  patchSchedule runs it over the new distributions;
+/// buildRedistMove runs it with the old distribution as the source.
 /// Returns the ownership-table bytes materialized.
-std::size_t buildFreshSegs(int me, const LibraryAdapter& srcLib,
-                           const DistObject& srcObj, const SetOfRegions& srcSet,
-                           const LibraryAdapter& dstLib,
-                           const DistObject& dstObj, const SetOfRegions& dstSet,
-                           const layout::DistDelta& delta, Index n,
-                           std::vector<SendSeg>& sendOut,
-                           std::vector<RecvSeg>& recvOut) {
+std::size_t freshSegs(int me, const LibraryAdapter& srcLib,
+                      const DistObject& srcObj, const SetOfRegions& srcSet,
+                      const LibraryAdapter& dstLib, const DistObject& dstObj,
+                      const SetOfRegions& dstSet,
+                      const layout::DistDelta& delta, Index n,
+                      std::vector<SendSeg>& sends,
+                      std::vector<RecvSeg>& recvs) {
   std::size_t tableBytes = 0;
   for (const layout::LinInterval& ivRaw : delta.intervals()) {
     const Index lo = std::max<Index>(0, ivRaw.lo);
     const Index hi = std::min(n, ivRaw.hi);
     if (hi <= lo) continue;
-    ChunkTable src(lo, hi - lo);
-    ChunkTable dst(lo, hi - lo);
-    srcLib.enumerateRangeRuns(
-        srcObj, srcSet, lo, hi,
-        [&](Index lin, int owner, Index off, Index count, Index offStride) {
-          src.append(lin, owner, off, count, offStride, "source");
-        });
-    dstLib.enumerateRangeRuns(
-        dstObj, dstSet, lo, hi,
-        [&](Index lin, int owner, Index off, Index count, Index offStride) {
-          dst.append(lin, owner, off, count, offStride, "destination");
-        });
-    src.checkComplete("source");
-    dst.checkComplete("destination");
+    const ChunkTable src = localTable(srcLib, srcObj, srcSet, lo, hi, "source");
+    const ChunkTable dst =
+        localTable(dstLib, dstObj, dstSet, lo, hi, "destination");
     tableBytes += src.tableBytes() + dst.tableBytes();
-    joinTables(src, dst, [&](const OwnedRun& s, const OwnedRun& d, Index pos,
-                             Index count) {
-      if (s.owner == me) {
-        appendSendRun(sendOut,
-                      SendSeg{pos, offAt(s, pos), offAt(d, pos), count,
-                              s.offStride, d.offStride,
-                              static_cast<Index>(d.owner)});
-      } else if (d.owner == me) {
-        appendRecvRun(recvOut,
-                      RecvSeg{pos, offAt(d, pos), count, d.offStride,
-                              static_cast<Index>(s.owner)});
-      }
-    });
+    joinSegs(src, dst, me, me, sends, recvs);
   }
   return tableBytes;
-}
-
-/// Assembles runs-first plans from a schedule's provenance streams — the
-/// same per-peer greedy the builders use, so the plans come out identical
-/// to a fresh build's.
-void assembleFromSegs(const std::vector<SendSeg>& sendSegs,
-                      const std::vector<RecvSeg>& recvSegs, int me,
-                      sched::Schedule& plan) {
-  std::vector<std::vector<OffsetRun>> sendBy;
-  std::vector<std::vector<OffsetRun>> recvBy;
-  for (const SendSeg& g : sendSegs) {
-    if (g.dstOwner == static_cast<Index>(me)) {
-      sched::appendLocalRun(plan.localRuns,
-                            LocalRun{g.srcOff, g.dstOff, g.count, g.srcStride,
-                                     g.dstStride});
-      continue;
-    }
-    if (sendBy.size() <= static_cast<size_t>(g.dstOwner)) {
-      sendBy.resize(static_cast<size_t>(g.dstOwner) + 1);
-    }
-    sched::appendOffsetRun(sendBy[static_cast<size_t>(g.dstOwner)],
-                           OffsetRun{g.srcOff, g.count, g.srcStride});
-  }
-  for (const RecvSeg& g : recvSegs) {
-    if (recvBy.size() <= static_cast<size_t>(g.srcOwner)) {
-      recvBy.resize(static_cast<size_t>(g.srcOwner) + 1);
-    }
-    sched::appendOffsetRun(recvBy[static_cast<size_t>(g.srcOwner)],
-                           OffsetRun{g.dstOff, g.count, g.dstStride});
-  }
-  for (size_t p = 0; p < sendBy.size(); ++p) {
-    if (sendBy[p].empty()) continue;
-    plan.sends.push_back(
-        sched::OffsetPlan{static_cast<int>(p), {}, std::move(sendBy[p])});
-  }
-  for (size_t p = 0; p < recvBy.size(); ++p) {
-    if (recvBy[p].empty()) continue;
-    plan.recvs.push_back(
-        sched::OffsetPlan{static_cast<int>(p), {}, std::move(recvBy[p])});
-  }
 }
 
 }  // namespace
@@ -1160,8 +1071,8 @@ McSchedule patchSchedule(transport::Comm& comm, const McSchedule& old,
     std::vector<SendSeg> freshSend;
     std::vector<RecvSeg> freshRecv;
     g_buildStats.ownershipTableBytes +=
-        buildFreshSegs(me, srcLib, newSrcObj, srcSet, dstLib, newDstObj,
-                       dstSet, delta, n, freshSend, freshRecv);
+        freshSegs(me, srcLib, newSrcObj, srcSet, dstLib, newDstObj, dstSet,
+                  delta, n, freshSend, freshRecv);
     std::vector<SendSeg> keptSend;
     std::vector<RecvSeg> keptRecv;
     subtractDelta(old.sendSegs, delta.intervals(), sliceSendSeg,
@@ -1173,14 +1084,8 @@ McSchedule patchSchedule(transport::Comm& comm, const McSchedule& old,
     g_patchStats.elementsPatched = migrated;
     out.sendSegs.reserve(keptSend.size() + freshSend.size());
     out.recvSegs.reserve(keptRecv.size() + freshRecv.size());
-    mergeSegStreams(keptSend, freshSend, out.sendSegs,
-                    [](std::vector<SendSeg>& lane, const SendSeg& g) {
-                      appendSendRun(lane, g);
-                    });
-    mergeSegStreams(keptRecv, freshRecv, out.recvSegs,
-                    [](std::vector<RecvSeg>& lane, const RecvSeg& g) {
-                      appendRecvRun(lane, g);
-                    });
+    mergeSegStreams(keptSend, freshSend, out.sendSegs);
+    mergeSegStreams(keptRecv, freshRecv, out.recvSegs);
     assembleFromSegs(out.sendSegs, out.recvSegs, me, out.plan);
   });
   out.hasProvenance = true;
@@ -1202,20 +1107,8 @@ layout::DistDelta computeDelta(const DistObject& oldObj,
   const Index n = set.numElements();
   layout::DistDelta delta;
   if (n == 0) return delta;
-  ChunkTable a(0, n);
-  ChunkTable b(0, n);
-  oldLib.enumerateRangeRuns(
-      oldObj, set, 0, n,
-      [&](Index lin, int owner, Index off, Index count, Index offStride) {
-        a.append(lin, owner, off, count, offStride, "old");
-      });
-  newLib.enumerateRangeRuns(
-      newObj, set, 0, n,
-      [&](Index lin, int owner, Index off, Index count, Index offStride) {
-        b.append(lin, owner, off, count, offStride, "new");
-      });
-  a.checkComplete("old");
-  b.checkComplete("new");
+  const ChunkTable a = localTable(oldLib, oldObj, set, 0, n, "old");
+  const ChunkTable b = localTable(newLib, newObj, set, 0, n, "new");
   joinTables(a, b, [&](const OwnedRun& s, const OwnedRun& d, Index pos,
                        Index count) {
     // A segment is unchanged iff owner and offset progression agree; when
@@ -1283,7 +1176,6 @@ sched::Schedule buildRedistMove(transport::Comm& comm,
                  newLib.supportsLocalEnumeration(newObj),
              "buildRedistMove needs locally enumerable descriptors");
   const Index n = set.numElements();
-  const int me = comm.rank();
   sched::Schedule plan;
   plan.bufferLocalCopies = false;
   const Index migrated = std::min(n, delta.migratedElements());
@@ -1292,60 +1184,14 @@ sched::Schedule buildRedistMove(transport::Comm& comm,
                 newLib.modeledElementDereferenceCost(newObj)) *
                static_cast<double>(migrated) / comm.size());
   comm.compute([&] {
-    std::vector<std::vector<OffsetRun>> sendBy;
-    std::vector<std::vector<OffsetRun>> recvBy;
-    for (const layout::LinInterval& ivRaw : delta.intervals()) {
-      const Index lo = std::max<Index>(0, ivRaw.lo);
-      const Index hi = std::min(n, ivRaw.hi);
-      if (hi <= lo) continue;
-      ChunkTable src(lo, hi - lo);
-      ChunkTable dst(lo, hi - lo);
-      oldLib.enumerateRangeRuns(
-          oldObj, set, lo, hi,
-          [&](Index lin, int owner, Index off, Index count, Index offStride) {
-            src.append(lin, owner, off, count, offStride, "old");
-          });
-      newLib.enumerateRangeRuns(
-          newObj, set, lo, hi,
-          [&](Index lin, int owner, Index off, Index count, Index offStride) {
-            dst.append(lin, owner, off, count, offStride, "new");
-          });
-      src.checkComplete("old");
-      dst.checkComplete("new");
-      g_buildStats.ownershipTableBytes += src.tableBytes() + dst.tableBytes();
-      joinTables(src, dst, [&](const OwnedRun& s, const OwnedRun& d,
-                               Index pos, Index count) {
-        if (s.owner == me && d.owner == me) {
-          sched::appendLocalRun(plan.localRuns,
-                                LocalRun{offAt(s, pos), offAt(d, pos), count,
-                                         s.offStride, d.offStride});
-        } else if (s.owner == me) {
-          if (sendBy.size() <= static_cast<size_t>(d.owner)) {
-            sendBy.resize(static_cast<size_t>(d.owner) + 1);
-          }
-          sched::appendOffsetRun(sendBy[static_cast<size_t>(d.owner)],
-                                 OffsetRun{offAt(s, pos), count, s.offStride});
-        } else if (d.owner == me) {
-          if (recvBy.size() <= static_cast<size_t>(s.owner)) {
-            recvBy.resize(static_cast<size_t>(s.owner) + 1);
-          }
-          sched::appendOffsetRun(recvBy[static_cast<size_t>(s.owner)],
-                                 OffsetRun{offAt(d, pos), count, d.offStride});
-        }
-      });
-    }
-    for (size_t p = 0; p < sendBy.size(); ++p) {
-      if (!sendBy[p].empty()) {
-        plan.sends.push_back(
-            sched::OffsetPlan{static_cast<int>(p), {}, std::move(sendBy[p])});
-      }
-    }
-    for (size_t p = 0; p < recvBy.size(); ++p) {
-      if (!recvBy[p].empty()) {
-        plan.recvs.push_back(
-            sched::OffsetPlan{static_cast<int>(p), {}, std::move(recvBy[p])});
-      }
-    }
+    // The fresh-segment pass over the delta, with the old distribution as
+    // the source, then the same assembly every build ends in.
+    std::vector<SendSeg> sends;
+    std::vector<RecvSeg> recvs;
+    g_buildStats.ownershipTableBytes +=
+        freshSegs(comm.rank(), oldLib, oldObj, set, newLib, newObj, set,
+                  delta, n, sends, recvs);
+    assembleFromSegs(sends, recvs, comm.rank(), plan);
   });
   recordKernelDispatch(plan);
   noteBuildDone();

@@ -634,6 +634,27 @@ class Executor {
   void localPhase(std::span<const T> src, std::span<T> dst, bool add) {
     obs::ScopedSpan span(obs::phase::kApply);
     comm_->compute([&] {
+      if (!add && sched_->bufferLocalCopies) {
+        // Authentic Parti staging, through a buffer that persists across
+        // runs instead of reallocating each step.  The runs also back the
+        // flattened index-list kernel, so every stored form stages.
+        localStage_.resize(
+            static_cast<std::size_t>(sched_->localElementCount()));
+        if (!sched_->localRuns.empty()) {
+          stageLocalRuns(std::span<const LocalRun>(sched_->localRuns), src,
+                         localStage_.data(), dst);
+          return;
+        }
+        std::size_t i = 0;
+        for (const auto& [from, to] : sched_->localPairs) {
+          localStage_[i++] = src[static_cast<std::size_t>(from)];
+        }
+        i = 0;
+        for (const auto& [from, to] : sched_->localPairs) {
+          dst[static_cast<std::size_t>(to)] = localStage_[i++];
+        }
+        return;
+      }
       if (localKernel_.kind == KernelKind::kIndexList) {
         // Flattened local transfers; compile() only picks kIndexList when
         // element order matches copyLocalRuns exactly (see kernels.h).
@@ -657,21 +678,8 @@ class Executor {
         return;
       }
       if (!sched_->localRuns.empty()) {
-        // Run-wise copies have read-all-then-write semantics per run
-        // (memmove), serving both local-copy policies.
+        // Direct copies: read-all-then-write semantics per run (memmove).
         copyLocalRuns(std::span<const LocalRun>(sched_->localRuns), src, dst);
-      } else if (sched_->bufferLocalCopies) {
-        // Authentic Parti staging, through a buffer that persists across
-        // runs instead of reallocating each step.
-        localStage_.resize(sched_->localPairs.size());
-        std::size_t i = 0;
-        for (const auto& [from, to] : sched_->localPairs) {
-          localStage_[i++] = src[static_cast<std::size_t>(from)];
-        }
-        i = 0;
-        for (const auto& [from, to] : sched_->localPairs) {
-          dst[static_cast<std::size_t>(to)] = localStage_[i++];
-        }
       } else {
         for (const auto& [from, to] : sched_->localPairs) {
           dst[static_cast<std::size_t>(to)] =

@@ -272,6 +272,26 @@ void copyLocalRuns(std::span<const LocalRun> runs, std::span<const T> src,
   }
 }
 
+/// Staged local copies (Multiblock Parti): every source element is read
+/// into `stage` (runPairCount(runs) elements) before any destination
+/// element is written, so an in-place copy whose ranges overlap moves the
+/// old values.  Stride-1 sides move with memcpy.
+template <typename T>
+void stageLocalRuns(std::span<const LocalRun> runs, std::span<const T> src,
+                    T* stage, std::span<T> dst) {
+  T* buf = stage;
+  for (const LocalRun& run : runs) {
+    const OffsetRun from{run.src, run.count, run.srcStride};
+    packRuns(src, std::span<const OffsetRun>(&from, 1), buf);
+    buf += run.count;
+  }
+  for (const LocalRun& run : runs) {
+    const OffsetRun to{run.dst, run.count, run.dstStride};
+    unpackRuns(std::span<const OffsetRun>(&to, 1), stage, dst);
+    stage += run.count;
+  }
+}
+
 /// Accumulating local copies (dst += src).
 template <typename T>
 void addLocalRuns(std::span<const LocalRun> runs, std::span<const T> src,

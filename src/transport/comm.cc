@@ -208,12 +208,6 @@ std::optional<Message> Comm::tryRecvMsgAnyOf(int prog, int tag) {
                             info.firstGlobalRank + info.nprocs - 1, tag);
 }
 
-bool Comm::probe(int src, int tag) {
-  const int srcGlobal =
-      (src == kAnySource) ? kAnySource : globalRankOf(program_, src);
-  return world_->mail.probe(globalRank_, srcGlobal, tag);
-}
-
 Message Comm::recvMsgAnyOfPrograms(int progLo, int progHi, int tag) {
   MC_REQUIRE(progLo >= 0 && progLo <= progHi && progHi < numPrograms(),
              "bad program span [%d, %d] of %d", progLo, progHi,

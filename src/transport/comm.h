@@ -262,9 +262,6 @@ class Comm {
   /// message, or nullopt without blocking; a returned message pays the
   /// usual receive clock charges and counts toward messagesDrainedEarly.
   std::optional<Message> tryRecvMsgAnyOf(int prog, int tag);
-  /// Non-blocking probe (MPI_Iprobe-like): true when a matching message is
-  /// already queued.  Does not consume the message or advance the clock.
-  bool probe(int src, int tag);
   /// Blocking receive matching any rank of any program in [progLo, progHi]
   /// (a contiguous program span) with tag `tag`.  Built on the same
   /// MailboxTable::receiveRange rank-range scoping as recvMsgAnyOf — this

@@ -1,6 +1,5 @@
 #include "transport/mailbox.h"
 
-#include <algorithm>
 #include <chrono>
 #include <limits>
 
@@ -96,22 +95,6 @@ std::optional<Message> MailboxTable::tryReceiveRange(int dst, int srcLo,
     }
   }
   return std::nullopt;
-}
-
-bool MailboxTable::probe(int dst, int src, int tag) {
-  // Delegate to the range matcher exactly as receive() does, so a probe hit
-  // guarantees the matching receive would not block.
-  return src == kAnySource
-             ? probeRange(dst, 0, std::numeric_limits<int>::max(), tag)
-             : probeRange(dst, src, src, tag);
-}
-
-bool MailboxTable::probeRange(int dst, int srcLo, int srcHi, int tag) {
-  Box& box = *boxes_.at(static_cast<size_t>(dst));
-  std::lock_guard<std::mutex> lock(box.mutex);
-  return std::any_of(box.queue.begin(), box.queue.end(), [&](const Message& m) {
-    return matchesRange(m, srcLo, srcHi, tag);
-  });
 }
 
 void MailboxTable::abort(std::string reason) {

@@ -53,15 +53,6 @@ class MailboxTable {
   std::optional<Message> tryReceiveRange(int dst, int srcLo, int srcHi,
                                          int tag);
 
-  /// Returns true if a matching message is queued (non-blocking probe).
-  /// Matches exactly like receive(): src may be kAnySource, tag kAnyTag.
-  bool probe(int dst, int src, int tag);
-
-  /// Range-source probe, matching exactly like receiveRange: true when a
-  /// message whose source global rank lies in [srcLo, srcHi] (inclusive)
-  /// with a matching tag is queued at `dst`.
-  bool probeRange(int dst, int srcLo, int srcHi, int tag);
-
   /// Wakes all waiters with an error; used when a peer thread throws so the
   /// whole world fails fast instead of deadlocking.
   void abort(std::string reason);

@@ -478,4 +478,65 @@ McSchedule computeScheduleRecv(transport::Comm& comm, const DistObject& dstObj,
   return out;
 }
 
+sched::Schedule buildRedistMove(transport::Comm& comm,
+                                const DistObject& oldObj,
+                                const DistObject& newObj,
+                                const SetOfRegions& set,
+                                const layout::DistDelta& delta) {
+  const Index n = set.numElements();
+  std::vector<int> oldOwner(static_cast<size_t>(n));
+  std::vector<Index> oldOff(static_cast<size_t>(n));
+  std::vector<int> newOwner(static_cast<size_t>(n));
+  std::vector<Index> newOff(static_cast<size_t>(n));
+  adapterFor(oldObj).enumerateAll(oldObj, set,
+                                  [&](Index lin, int owner, Index off) {
+                                    oldOwner[static_cast<size_t>(lin)] = owner;
+                                    oldOff[static_cast<size_t>(lin)] = off;
+                                  });
+  adapterFor(newObj).enumerateAll(newObj, set,
+                                  [&](Index lin, int owner, Index off) {
+                                    newOwner[static_cast<size_t>(lin)] = owner;
+                                    newOff[static_cast<size_t>(lin)] = off;
+                                  });
+  const int me = comm.rank();
+  sched::Schedule plan;
+  plan.bufferLocalCopies = false;
+  std::vector<std::vector<Index>> sendBy;
+  std::vector<std::vector<Index>> recvBy;
+  for (const layout::LinInterval& iv : delta.intervals()) {
+    for (Index lin = std::max<Index>(0, iv.lo); lin < std::min(n, iv.hi);
+         ++lin) {
+      const auto ll = static_cast<size_t>(lin);
+      const int s = oldOwner[ll];
+      const int d = newOwner[ll];
+      if (s == me && d == me) {
+        plan.localPairs.emplace_back(oldOff[ll], newOff[ll]);
+      } else if (s == me) {
+        if (sendBy.size() <= static_cast<size_t>(d)) {
+          sendBy.resize(static_cast<size_t>(d) + 1);
+        }
+        sendBy[static_cast<size_t>(d)].push_back(oldOff[ll]);
+      } else if (d == me) {
+        if (recvBy.size() <= static_cast<size_t>(s)) {
+          recvBy.resize(static_cast<size_t>(s) + 1);
+        }
+        recvBy[static_cast<size_t>(s)].push_back(newOff[ll]);
+      }
+    }
+  }
+  for (size_t p = 0; p < sendBy.size(); ++p) {
+    if (!sendBy[p].empty()) {
+      plan.sends.push_back(
+          sched::OffsetPlan{static_cast<int>(p), std::move(sendBy[p]), {}});
+    }
+  }
+  for (size_t p = 0; p < recvBy.size(); ++p) {
+    if (!recvBy[p].empty()) {
+      plan.recvs.push_back(
+          sched::OffsetPlan{static_cast<int>(p), std::move(recvBy[p]), {}});
+    }
+  }
+  return plan;
+}
+
 }  // namespace mc::core::elementwise

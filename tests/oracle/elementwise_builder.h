@@ -9,7 +9,8 @@
 // is a test-only oracle:
 //
 //   * the oracle for the builder's differential tests (test_run_join,
-//     ScheduleDelta.ElementwiseProvenanceParity), and
+//     ScheduleDelta.ElementwiseProvenanceParity and
+//     ScheduleDelta.RedistMoveMatchesElementwiseOracle), and
 //   * the baseline leg of bench/micro_schedule_build, which links the
 //     mc_test_oracles target.
 //
@@ -45,5 +46,15 @@ McSchedule computeScheduleRecv(transport::Comm& comm, const DistObject& dstObj,
                                const SetOfRegions& dstSet, int remoteProgram,
                                Method method = Method::kCooperation,
                                std::size_t* tableBytes = nullptr);
+
+/// Element-wise core::buildRedistMove: for every delta position, the old
+/// and the new (owner, offset) from enumerateAll.  Plans come out as offset
+/// lists and local pairs; compress() them before comparing with the
+/// production move's runs.
+sched::Schedule buildRedistMove(transport::Comm& comm,
+                                const DistObject& oldObj,
+                                const DistObject& newObj,
+                                const SetOfRegions& set,
+                                const layout::DistDelta& delta);
 
 }  // namespace mc::core::elementwise

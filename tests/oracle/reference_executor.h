@@ -75,18 +75,24 @@ void execute(transport::Comm& comm, const Schedule& sched,
     comm.send(plan.peer, tag, buf);  // copying send
   }
   comm.compute([&] {
-    if (!sched.localRuns.empty()) {
-      copyLocalRuns(std::span<const LocalRun>(sched.localRuns), src, dst);
-    } else if (sched.bufferLocalCopies) {
-      std::vector<T> buf;
-      buf.reserve(sched.localPairs.size());
-      for (const auto& [from, to] : sched.localPairs) {
-        buf.push_back(src[static_cast<size_t>(from)]);
+    if (sched.bufferLocalCopies) {
+      // Parti staging, whether the transfers are stored as pairs or runs.
+      std::vector<T> buf(static_cast<size_t>(sched.localElementCount()));
+      if (!sched.localRuns.empty()) {
+        stageLocalRuns(std::span<const LocalRun>(sched.localRuns), src,
+                       buf.data(), dst);
+        return;
       }
       size_t i = 0;
       for (const auto& [from, to] : sched.localPairs) {
+        buf[i++] = src[static_cast<size_t>(from)];
+      }
+      i = 0;
+      for (const auto& [from, to] : sched.localPairs) {
         dst[static_cast<size_t>(to)] = buf[i++];
       }
+    } else if (!sched.localRuns.empty()) {
+      copyLocalRuns(std::span<const LocalRun>(sched.localRuns), src, dst);
     } else {
       for (const auto& [from, to] : sched.localPairs) {
         dst[static_cast<size_t>(to)] = src[static_cast<size_t>(from)];

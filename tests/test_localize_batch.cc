@@ -20,12 +20,14 @@
 #include "chaos/remap.h"
 #include "chaos/ttable.h"
 #include "obs/metrics.h"
+#include "oracle/localize_oracle.h"
 #include "transport/world.h"
 
 namespace mc::chaos {
 namespace {
 
 using layout::Index;
+using oracle::localizeReference;
 using transport::Comm;
 using transport::World;
 using Storage = TranslationTable::Storage;

@@ -256,6 +256,39 @@ TEST(SectionCopy, LocalBufferingMatchesDirect) {
   });
 }
 
+TEST(SectionCopy, CompressedStagingShiftsRowsInPlace) {
+  // An in-place copy of box (0,0)-(3,2) to (1,0)-(4,2) overlaps itself.
+  // compress() stores the local transfers as one run per row; staging must
+  // still read every source row before writing any, so rows 1-4 end as the
+  // old rows 0-3 in both forms (copying run by run would smear row 0 down
+  // the box).
+  World::runSPMD(1, [](Comm& c) {
+    for (bool compressed : {false, true}) {
+      BlockDistArray<double> a(c, Shape::of({6, 6}));
+      a.fillByPoint([](const Point& p) { return cell(p[0], p[1]); });
+      Schedule sched = buildSectionCopySchedule(
+          a.desc(), RegularSection::box({0, 0}, {3, 2}), a.desc(),
+          RegularSection::box({1, 0}, {4, 2}), 0);
+      ASSERT_TRUE(sched.bufferLocalCopies);
+      if (compressed) {
+        sched.compress();
+        ASSERT_EQ(sched.localRuns.size(), 4u);
+      }
+      execute<double>(c, sched, a.raw(), a.raw(), c.nextUserTag());
+      const auto g = a.gatherGlobal();
+      for (Index i = 0; i < 6; ++i) {
+        for (Index j = 0; j < 6; ++j) {
+          const bool moved = i >= 1 && i <= 4 && j <= 2;
+          EXPECT_DOUBLE_EQ(g[static_cast<size_t>(6 * i + j)],
+                           moved ? cell(i - 1, j) : cell(i, j))
+              << (compressed ? "compressed" : "pairs") << " (" << i << ","
+              << j << ")";
+        }
+      }
+    }
+  });
+}
+
 TEST(Stencil, MatchesSerialSweep) {
   // Run the Figure-1 Loop-1 sweep for several steps on several processor
   // counts and compare with a serial reference.

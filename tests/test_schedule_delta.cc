@@ -594,6 +594,110 @@ TEST(ScheduleDelta, RedistMoveMigratesPayloads) {
   });
 }
 
+/// The move's plans must equal the element-wise reference's, compressed:
+/// the same runs per peer on both lanes and the same local runs.
+void expectMoveMatchesOracle(Comm& c, const DistObject& oldObj,
+                             const DistObject& newObj,
+                             const SetOfRegions& set, const DistDelta& delta) {
+  const sched::Schedule got = buildRedistMove(c, oldObj, newObj, set, delta);
+  sched::Schedule want =
+      elementwise::buildRedistMove(c, oldObj, newObj, set, delta);
+  want.compress();
+  const auto expectLanes = [](const std::vector<sched::OffsetPlan>& g,
+                              const std::vector<sched::OffsetPlan>& w) {
+    ASSERT_EQ(g.size(), w.size());
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      EXPECT_EQ(g[i].peer, w[i].peer);
+      EXPECT_EQ(g[i].runs, w[i].runs);
+    }
+  };
+  expectLanes(got.sends, want.sends);
+  expectLanes(got.recvs, want.recvs);
+  EXPECT_EQ(got.localRuns, want.localRuns);
+  EXPECT_TRUE(got.localPairs.empty());
+}
+
+TEST(ScheduleDelta, RedistMoveMatchesElementwiseOracle) {
+  World::runSPMD(kProcs, [](Comm& c) {
+    // Chained RCB epochs over a Chaos array (replicated tables): a
+    // jittered 24^2 cloud shears a little each epoch and every rank
+    // re-orders its new points against its old ones.  The set visits the
+    // globals shuffled; each move is checked under both delta sources.
+    const Index side = 24;
+    const Index n = side * side;
+    Rng rng(5);
+    std::vector<double> jx, jy;
+    for (Index g = 0; g < n; ++g) {
+      jx.push_back(0.5 * rng.uniform());
+      jy.push_back(0.5 * rng.uniform());
+    }
+    const auto partition = [&](double shear, const Assignment* prev) {
+      std::vector<double> x, y;
+      for (Index g = 0; g < n; ++g) {
+        const auto i = static_cast<std::size_t>(g);
+        const double row = static_cast<double>(g / side) + jy[i];
+        x.push_back(static_cast<double>(g % side) + jx[i] +
+                    shear * (row / static_cast<double>(side)));
+        y.push_back(row);
+      }
+      Assignment a;
+      for (int r = 0; r < kProcs; ++r) {
+        std::vector<Index> mine = chaos::rcbPartition(x, y, kProcs, r);
+        if (prev != nullptr) {
+          mine = chaos::stableRemapOrder(
+              prev->mine[static_cast<std::size_t>(r)], mine);
+        }
+        a.mine.push_back(std::move(mine));
+      }
+      return a;
+    };
+    std::vector<Index> ids(static_cast<std::size_t>(n));
+    std::iota(ids.begin(), ids.end(), Index{0});
+    rng.shuffle(ids);
+    SetOfRegions set;
+    set.add(Region::indices(ids));
+    Assignment cur = partition(6.0, nullptr);
+    std::size_t migratedTotal = 0;
+    for (int epoch = 1; epoch <= 12; ++epoch) {
+      const Assignment next = partition(6.0 + 1.5 * epoch, &cur);
+      auto oldArr = makeChaosArray(c, n, cur, 0.0);
+      auto newArr = makeChaosArray(c, n, next, 0.0);
+      const DistObject oldObj = ChaosAdapter::describe(*oldArr);
+      const DistObject newObj = ChaosAdapter::describe(*newArr);
+      const auto migrated = chaos::migratedGlobals(
+          c, oldArr->myGlobals(), newArr->myGlobals(), n);
+      migratedTotal += migrated.size();
+      expectMoveMatchesOracle(c, oldObj, newObj, set,
+                              deltaFromMigratedIndices(set, migrated));
+      expectMoveMatchesOracle(c, oldObj, newObj, set,
+                              computeDelta(oldObj, newObj, set));
+      cur = next;
+    }
+    EXPECT_GT(migratedTotal, 0u);
+
+    // HPF BLOCK -> CYCLIC, over the whole array and a strided section.
+    const Index m = 50;
+    hpfrt::HpfArray<double> block(
+        c, hpfrt::HpfDist(Shape::of({m}), {hpfrt::DimDist{
+                                              hpfrt::DistKind::kBlock,
+                                              c.size(), 1}}));
+    hpfrt::HpfArray<double> cyclic(
+        c, hpfrt::HpfDist(Shape::of({m}), {hpfrt::DimDist{
+                                              hpfrt::DistKind::kCyclic,
+                                              c.size(), 1}}));
+    const DistObject from = HpfAdapter::describe(block);
+    const DistObject to = HpfAdapter::describe(cyclic);
+    for (const RegularSection& sec : {RegularSection::of({0}, {m - 1}, {1}),
+                                      RegularSection::of({3}, {47}, {2})}) {
+      SetOfRegions hset;
+      hset.add(Region::section(sec));
+      const DistDelta delta = computeDelta(from, to, hset);
+      EXPECT_FALSE(delta.empty());
+      expectMoveMatchesOracle(c, from, to, hset, delta);
+    }
+  });
+}
+
 // ---------------------------------------------------------------------------
 // ScheduleCache::getOrPatch — patch on miss, delta-keyed secondary hits.
 

@@ -1,4 +1,4 @@
-// Additional transport coverage: probing, virtual-time determinism, larger
+// Additional transport coverage: virtual-time determinism, larger
 // worlds, failure injection into schedule execution, and traffic accounting.
 #include <gtest/gtest.h>
 
@@ -7,25 +7,6 @@
 
 namespace mc::transport {
 namespace {
-
-TEST(TransportExtra, ProbeSeesQueuedMessage) {
-  World::runSPMD(2, [](Comm& c) {
-    if (c.rank() == 0) {
-      c.sendValue(1, 7, 1);
-      // Ack so the probe below observes a settled mailbox.
-      c.recvValue<int>(1, 8);
-    } else {
-      // Busy-wait via probe (non-blocking), then consume.
-      while (!c.probe(0, 7)) {
-      }
-      EXPECT_FALSE(c.probe(0, 99));
-      EXPECT_TRUE(c.probe(kAnySource, kAnyTag));
-      EXPECT_EQ(c.recvValue<int>(0, 7), 1);
-      EXPECT_FALSE(c.probe(0, 7));  // consumed
-      c.sendValue(0, 8, 1);
-    }
-  });
-}
 
 TEST(TransportExtra, ModeledClocksAreDeterministic) {
   // A workload whose time is entirely modeled (advance + messages, no

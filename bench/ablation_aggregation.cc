@@ -26,7 +26,8 @@ void executeUnaggregated(transport::Comm& c, const core::McSchedule& sched,
   constexpr size_t kSlice = 64;
   const int tag = c.nextUserTag();
   for (const sched::OffsetPlan& plan : sched.plan.sends) {
-    const std::vector<Index> offsets = plan.expandedOffsets();
+    const std::vector<Index> offsets =
+        sched::expandOffsets(std::span<const sched::OffsetRun>(plan.runs));
     for (size_t base = 0; base < offsets.size(); base += kSlice) {
       const size_t end = std::min(offsets.size(), base + kSlice);
       std::vector<double> buf;
@@ -40,12 +41,12 @@ void executeUnaggregated(transport::Comm& c, const core::McSchedule& sched,
     }
   }
   c.compute([&] {
-    for (const auto& [from, to] : sched.plan.expandedLocalPairs()) {
-      dst[static_cast<size_t>(to)] = src[static_cast<size_t>(from)];
-    }
+    sched::copyLocalRuns(std::span<const sched::LocalRun>(sched.plan.localRuns),
+                         src, dst);
   });
   for (const sched::OffsetPlan& plan : sched.plan.recvs) {
-    const std::vector<Index> offsets = plan.expandedOffsets();
+    const std::vector<Index> offsets =
+        sched::expandOffsets(std::span<const sched::OffsetRun>(plan.runs));
     for (size_t base = 0; base < offsets.size(); base += kSlice) {
       const size_t end = std::min(offsets.size(), base + kSlice);
       const std::vector<double> buf = c.recv<double>(plan.peer, tag);

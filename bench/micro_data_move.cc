@@ -42,7 +42,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <numeric>
 
 #include "chaos/partition.h"
 #include "common/bench_util.h"
@@ -226,18 +225,11 @@ struct OverlapResult {
 /// predecessor (into the upper half of a 2*block destination).
 sched::Schedule makeRingPlan(const transport::Comm& c, Index block) {
   sched::Schedule plan;
-  sched::OffsetPlan send;
-  send.peer = (c.rank() + 1) % c.size();
-  send.offsets.resize(static_cast<size_t>(block));
-  std::iota(send.offsets.begin(), send.offsets.end(), Index{0});
-  sched::OffsetPlan recv;
-  recv.peer = (c.rank() + c.size() - 1) % c.size();
-  recv.offsets.resize(static_cast<size_t>(block));
-  std::iota(recv.offsets.begin(), recv.offsets.end(), block);
-  plan.sends.push_back(std::move(send));
-  plan.recvs.push_back(std::move(recv));
-  plan.compress();
-  plan.sortByPeer();
+  plan.sends.push_back(sched::OffsetPlan{
+      (c.rank() + 1) % c.size(), {}, {sched::OffsetRun{0, block, 1}}});
+  plan.recvs.push_back(sched::OffsetPlan{(c.rank() + c.size() - 1) % c.size(),
+                                         {},
+                                         {sched::OffsetRun{block, block, 1}}});
   return plan;
 }
 
@@ -258,20 +250,13 @@ sched::Schedule makeAllToAllPlan(const transport::Comm& c, Index blk) {
   sched::Schedule plan;
   for (int i = 1; i < c.size(); ++i) {
     const int peer = (c.rank() + i) % c.size();
-    sched::OffsetPlan send;
-    send.peer = peer;
-    send.offsets.resize(static_cast<size_t>(blk));
-    std::iota(send.offsets.begin(), send.offsets.end(), Index{0});
-    plan.sends.push_back(std::move(send));
-    sched::OffsetPlan recv;
-    recv.peer = peer;
-    recv.offsets.resize(static_cast<size_t>(blk));
+    plan.sends.push_back(
+        sched::OffsetPlan{peer, {}, {sched::OffsetRun{0, blk, 1}}});
     const Index base =
         blk * static_cast<Index>(peer < c.rank() ? peer : peer - 1);
-    std::iota(recv.offsets.begin(), recv.offsets.end(), base);
-    plan.recvs.push_back(std::move(recv));
+    plan.recvs.push_back(
+        sched::OffsetPlan{peer, {}, {sched::OffsetRun{base, blk, 1}}});
   }
-  plan.compress();
   plan.sortByPeer();
   return plan;
 }

@@ -79,19 +79,17 @@ bool plansEqual(const sched::Schedule& a, const sched::Schedule& b) {
   }
   for (std::size_t i = 0; i < a.sends.size(); ++i) {
     if (a.sends[i].peer != b.sends[i].peer ||
-        a.sends[i].runs != b.sends[i].runs ||
-        a.sends[i].offsets != b.sends[i].offsets) {
+        a.sends[i].runs != b.sends[i].runs) {
       return false;
     }
   }
   for (std::size_t i = 0; i < a.recvs.size(); ++i) {
     if (a.recvs[i].peer != b.recvs[i].peer ||
-        a.recvs[i].runs != b.recvs[i].runs ||
-        a.recvs[i].offsets != b.recvs[i].offsets) {
+        a.recvs[i].runs != b.recvs[i].runs) {
       return false;
     }
   }
-  return a.localRuns == b.localRuns && a.localPairs == b.localPairs;
+  return a.localRuns == b.localRuns;
 }
 
 struct EpochResult {

@@ -28,7 +28,9 @@ sched::Schedule buildIrregCopySchedule(transport::Comm& comm,
   for (size_t i = 0; i < dstGlobals.size(); ++i) {
     const ElementLoc& loc = locs[i];
     if (loc.proc == me) {
-      out.localPairs.emplace_back(mySrcOffsets[i], loc.offset);
+      sched::appendLocalRun(out.localRuns,
+                            sched::LocalRun{mySrcOffsets[i], loc.offset, 1,
+                                            0, 0});
     } else {
       srcOffTo[static_cast<size_t>(loc.proc)].push_back(mySrcOffsets[i]);
       dstOffTo[static_cast<size_t>(loc.proc)].push_back(loc.offset);
@@ -38,10 +40,12 @@ sched::Schedule buildIrregCopySchedule(transport::Comm& comm,
   for (int q = 0; q < np; ++q) {
     const auto qq = static_cast<size_t>(q);
     if (q != me && !srcOffTo[qq].empty()) {
-      out.sends.push_back(sched::OffsetPlan{q, std::move(srcOffTo[qq]), {}});
+      out.sends.push_back(
+          sched::OffsetPlan{q, {}, sched::compressOffsets(srcOffTo[qq])});
     }
     if (q != me && !incoming[qq].empty()) {
-      out.recvs.push_back(sched::OffsetPlan{q, std::move(incoming[qq]), {}});
+      out.recvs.push_back(
+          sched::OffsetPlan{q, {}, sched::compressOffsets(incoming[qq])});
     }
   }
   out.sortByPeer();

@@ -32,7 +32,9 @@ sched::Schedule buildIrregCopySchedule(
     std::span<const layout::Index> dstGlobals);
 
 /// Chaos-style executor: like sched::execute but with the extra internal
-/// staging copy and extra indirection pass of the real library.  Collective.
+/// staging copy and extra indirection pass of the real library — it walks
+/// every run element by element instead of through the compiled kernels.
+/// Collective.
 template <typename T>
 void executeChaosCopy(transport::Comm& comm, const sched::Schedule& sched,
                       std::span<const T> src, std::span<T> dst, int tag) {
@@ -43,9 +45,11 @@ void executeChaosCopy(transport::Comm& comm, const sched::Schedule& sched,
     std::vector<T> msg;
     comm.compute([&] {
       std::vector<T> stage;
-      stage.reserve(plan.offsets.size());
-      for (layout::Index off : plan.offsets) {
-        stage.push_back(src[static_cast<size_t>(off)]);
+      stage.reserve(static_cast<size_t>(plan.elementCount()));
+      for (const sched::OffsetRun& run : plan.runs) {
+        for (layout::Index k = 0; k < run.count; ++k) {
+          stage.push_back(src[static_cast<size_t>(run.start + k * run.stride)]);
+        }
       }
       msg.assign(stage.begin(), stage.end());
     });
@@ -54,25 +58,32 @@ void executeChaosCopy(transport::Comm& comm, const sched::Schedule& sched,
   comm.compute([&] {
     // Local transfers also pass through the staging buffer.
     std::vector<T> stage;
-    stage.reserve(sched.localPairs.size());
-    for (const auto& [from, to] : sched.localPairs) {
-      stage.push_back(src[static_cast<size_t>(from)]);
+    stage.reserve(static_cast<size_t>(sched.localElementCount()));
+    for (const sched::LocalRun& run : sched.localRuns) {
+      for (layout::Index k = 0; k < run.count; ++k) {
+        stage.push_back(src[static_cast<size_t>(run.src + k * run.srcStride)]);
+      }
     }
     size_t i = 0;
-    for (const auto& [from, to] : sched.localPairs) {
-      dst[static_cast<size_t>(to)] = stage[i++];
+    for (const sched::LocalRun& run : sched.localRuns) {
+      for (layout::Index k = 0; k < run.count; ++k) {
+        dst[static_cast<size_t>(run.dst + k * run.dstStride)] = stage[i++];
+      }
     }
   });
   for (const sched::OffsetPlan& plan : sched.recvs) {
     const std::vector<T> msg = comm.recv<T>(plan.peer, tag);
-    MC_REQUIRE(msg.size() == plan.offsets.size(),
-               "schedule mismatch: peer %d sent %zu elements, expected %zu",
-               plan.peer, msg.size(), plan.offsets.size());
+    MC_REQUIRE(msg.size() == static_cast<size_t>(plan.elementCount()),
+               "schedule mismatch: peer %d sent %zu elements, expected %lld",
+               plan.peer, msg.size(),
+               static_cast<long long>(plan.elementCount()));
     comm.compute([&] {
       std::vector<T> stage(msg.begin(), msg.end());  // the extra copy
       size_t i = 0;
-      for (layout::Index off : plan.offsets) {
-        dst[static_cast<size_t>(off)] = stage[i++];
+      for (const sched::OffsetRun& run : plan.runs) {
+        for (layout::Index k = 0; k < run.count; ++k) {
+          dst[static_cast<size_t>(run.start + k * run.stride)] = stage[i++];
+        }
       }
     });
   }

@@ -72,17 +72,13 @@ Localized localize(transport::Comm& comm, const TranslationTable& table,
   auto requests = comm.alltoall(wantOffsets);
   for (int q = 0; q < np; ++q) {
     const auto qq = static_cast<size_t>(q);
-    if (q != me && !wantOffsets[qq].empty()) {
-      sched::OffsetPlan plan;
-      plan.peer = q;
-      plan.offsets = std::move(wantGhostSlots[qq]);  // ghost-buffer indices
-      out.gatherSched.recvs.push_back(std::move(plan));
+    if (q != me && !wantOffsets[qq].empty()) {  // ghost-buffer indices
+      out.gatherSched.recvs.push_back(sched::OffsetPlan{
+          q, {}, sched::compressOffsets(wantGhostSlots[qq])});
     }
-    if (q != me && !requests[qq].empty()) {
-      sched::OffsetPlan plan;
-      plan.peer = q;
-      plan.offsets = std::move(requests[qq]);  // my owned offsets they want
-      out.gatherSched.sends.push_back(std::move(plan));
+    if (q != me && !requests[qq].empty()) {  // my owned offsets they want
+      out.gatherSched.sends.push_back(
+          sched::OffsetPlan{q, {}, sched::compressOffsets(requests[qq])});
     }
   }
   out.gatherSched.sortByPeer();

@@ -137,12 +137,8 @@ std::shared_ptr<const McSchedule> ScheduleCache::lookup(
     entry = it->second->entry;
   } else {
     ++stats_.misses;
-    McSchedule built = std::forward<Build>(build)();
-    built.plan.compress();
-    // Cached schedules keep only the run form; the expanded offsets would
-    // double the resident footprint for no executor benefit.
-    built.plan.releaseExpandedForms();
-    entry = std::make_shared<const Entry>(Entry{d.identity, std::move(built)});
+    entry = std::make_shared<const Entry>(
+        Entry{d.identity, std::forward<Build>(build)()});
     insert(key, entry);
   }
   return std::shared_ptr<const McSchedule>(entry, &entry->schedule);

@@ -4,7 +4,7 @@
 // key is a 128-bit digest of (source library + descriptor fingerprint,
 // source regions, destination library + descriptor fingerprint, destination
 // regions, build method, program topology).  A hit returns the previously
-// built schedule — already run-compressed — without touching the library
+// built schedule — runs ready to execute — without touching the library
 // dereference machinery at all, which is what turns the paper's
 // build-once/execute-many amortization into the default behaviour of every
 // call site.
@@ -161,8 +161,8 @@ class ScheduleCache {
       const DistObject& obj, const SetOfRegions& set, Method method);
 
   /// The one lookup path: find `key`, vote, then return the hit (making it
-  /// the most recently used entry) or build(), run-compress and insert the
-  /// result under `key`.  `remoteProgram` < 0 for intra-program lookups;
+  /// the most recently used entry) or build() and insert the result under
+  /// `key`.  `remoteProgram` < 0 for intra-program lookups;
   /// otherwise `sender` says which half this is.
   template <typename Build>
   std::shared_ptr<const McSchedule> lookup(transport::Comm& comm,

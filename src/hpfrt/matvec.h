@@ -81,23 +81,23 @@ class MatvecEngine {
         if (p == me || owned[static_cast<size_t>(p)].empty()) continue;
         sched::OffsetPlan plan;
         plan.peer = p;
-        plan.offsets.reserve(owned[static_cast<size_t>(p)].size());
         for (const auto& [off, g] : owned[static_cast<size_t>(p)]) {
-          plan.offsets.push_back(g);  // unpack straight into `full`
+          // Unpack straight into `full`.
+          sched::appendOffsetRun(plan.runs, sched::OffsetRun{g, 1, 0});
         }
         sched_.recvs.push_back(std::move(plan));
       }
       if (!mine.empty()) {
-        std::vector<layout::Index> mySrc;
-        mySrc.reserve(mine.size());
-        for (const auto& [off, g] : mine) mySrc.push_back(off);
+        std::vector<sched::OffsetRun> mySrc;
+        for (const auto& [off, g] : mine) {
+          sched::appendOffsetRun(mySrc, sched::OffsetRun{off, 1, 0});
+        }
         for (int p = 0; p < np; ++p) {
           if (p == me) continue;
-          sched_.sends.push_back(sched::OffsetPlan{p, mySrc, {}});
+          sched_.sends.push_back(sched::OffsetPlan{p, {}, mySrc});
         }
       }
       sched_.bufferLocalCopies = false;
-      sched_.compress();
       // Owned columns (ascending global) for the overlapped partial
       // product, and the complementary remote column ranges for the finish
       // pass.

@@ -21,25 +21,29 @@ sched::Schedule buildRedistSchedule(const HpfDist& srcDist,
     const int sOwner = srcDist.ownerOf(sp);
     const int dOwner = dstDist.ownerOf(dp);
     if (sOwner == myProc && dOwner == myProc) {
-      out.localPairs.emplace_back(srcDist.localOffset(myProc, sp),
-                                  dstDist.localOffset(myProc, dp));
+      sched::appendLocalRun(out.localRuns,
+                            sched::LocalRun{srcDist.localOffset(myProc, sp),
+                                            dstDist.localOffset(myProc, dp),
+                                            1, 0, 0});
     } else if (sOwner == myProc) {
-      sendBy[static_cast<size_t>(dOwner)].offsets.push_back(
-          srcDist.localOffset(myProc, sp));
+      sched::appendOffsetRun(
+          sendBy[static_cast<size_t>(dOwner)].runs,
+          sched::OffsetRun{srcDist.localOffset(myProc, sp), 1, 0});
     } else if (dOwner == myProc) {
-      recvBy[static_cast<size_t>(sOwner)].offsets.push_back(
-          dstDist.localOffset(myProc, dp));
+      sched::appendOffsetRun(
+          recvBy[static_cast<size_t>(sOwner)].runs,
+          sched::OffsetRun{dstDist.localOffset(myProc, dp), 1, 0});
     }
   }
   for (int q = 0; q < dstDist.nprocs(); ++q) {
     auto& plan = sendBy[static_cast<size_t>(q)];
-    if (plan.offsets.empty()) continue;
+    if (plan.runs.empty()) continue;
     plan.peer = q;
     out.sends.push_back(std::move(plan));
   }
   for (int q = 0; q < srcDist.nprocs(); ++q) {
     auto& plan = recvBy[static_cast<size_t>(q)];
-    if (plan.offsets.empty()) continue;
+    if (plan.runs.empty()) continue;
     plan.peer = q;
     out.recvs.push_back(std::move(plan));
   }

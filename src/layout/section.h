@@ -87,6 +87,32 @@ struct RegularSection {
     }
   }
 
+  /// Calls fn(first, count) for every last-dimension row in row-major
+  /// order: the row's points are first, first + s, ..., first + (count-1)*s
+  /// along the last dimension, s = stride[rank-1].  Expanding the rows
+  /// visits exactly forEach's points, in forEach's order.
+  template <typename F>
+  void forEachRow(F&& fn) const {
+    MC_REQUIRE(rank >= 1, "a section of rank %d has no rows", rank);
+    if (empty()) return;
+    const int last = rank - 1;
+    const Index n = count(last);
+    Point p;
+    p.rank = rank;
+    for (int d = 0; d < rank; ++d) p[d] = lo[static_cast<size_t>(d)];
+    for (;;) {
+      fn(p, n);
+      int d = last - 1;
+      for (; d >= 0; --d) {
+        const auto dd = static_cast<size_t>(d);
+        p[d] += stride[dd];
+        if (p[d] <= hi[dd]) break;
+        p[d] = lo[dd];
+      }
+      if (d < 0) return;
+    }
+  }
+
   bool operator==(const RegularSection& o) const;
 };
 

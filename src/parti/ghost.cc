@@ -2,6 +2,23 @@
 
 namespace mc::parti {
 
+namespace {
+
+/// `peer`'s plan over the stride-1 box `cells`: one run of `addr` offsets
+/// per last-dimension row.
+OffsetPlan rowPlan(int peer, const layout::RegularSection& cells,
+                   const PartiAddr& addr) {
+  OffsetPlan plan;
+  plan.peer = peer;
+  cells.forEachRow([&](const layout::Point& first, layout::Index count) {
+    sched::appendOffsetRun(plan.runs,
+                           sched::OffsetRun{addr.offsetOf(first), count, 1});
+  });
+  return plan;
+}
+
+}  // namespace
+
 Schedule buildGhostSchedule(const PartiDesc& desc, int myProc) {
   Schedule sched;
   if (desc.ghost == 0) return sched;
@@ -19,28 +36,12 @@ Schedule buildGhostSchedule(const PartiDesc& desc, int myProc) {
     if (qBox.empty()) continue;
     // Halo cells I need that q owns.
     const layout::RegularSection need = layout::intersectBoxes(myHalo, qBox);
-    if (!need.empty()) {
-      OffsetPlan plan;
-      plan.peer = q;
-      plan.offsets.reserve(static_cast<size_t>(need.numElements()));
-      need.forEach([&](const layout::Point& p, layout::Index) {
-        plan.offsets.push_back(myAddr.offsetOf(p));
-      });
-      sched.recvs.push_back(std::move(plan));
-    }
+    if (!need.empty()) sched.recvs.push_back(rowPlan(q, need, myAddr));
     // Cells I own that fall in q's halo.
     const layout::RegularSection qHalo =
         layout::expandBox(qBox, desc.ghost, domain);
     const layout::RegularSection give = layout::intersectBoxes(qHalo, myBox);
-    if (!give.empty()) {
-      OffsetPlan plan;
-      plan.peer = q;
-      plan.offsets.reserve(static_cast<size_t>(give.numElements()));
-      give.forEach([&](const layout::Point& p, layout::Index) {
-        plan.offsets.push_back(myAddr.offsetOf(p));
-      });
-      sched.sends.push_back(std::move(plan));
-    }
+    if (!give.empty()) sched.sends.push_back(rowPlan(q, give, myAddr));
   }
   sched.sortByPeer();
   return sched;

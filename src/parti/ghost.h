@@ -34,7 +34,7 @@ void exchangeGhosts(BlockDistArray<T>& array, const Schedule& sched) {
 }
 
 /// A persistent ghost-fill executor for one array: builds the array's ghost
-/// schedule once (run-compressed, no communication) and keeps a bound
+/// schedule once (no communication) and keeps a bound
 /// sched::Executor across exchanges, so steady-state fills reuse their
 /// message buffers (zero transport payload copies or allocations per
 /// step).  The array must outlive the exchanger and keep its distribution.
@@ -42,7 +42,9 @@ template <typename T>
 class GhostExchanger {
  public:
   explicit GhostExchanger(BlockDistArray<T>& array)
-      : array_(&array), exec_(array.comm(), compressedSchedule(array)) {}
+      : array_(&array),
+        exec_(array.comm(),
+              std::make_shared<const Schedule>(buildGhostSchedule(array))) {}
 
   /// One collective ghost fill (src and dst alias the array's storage).
   void exchange() { exec_.run(array_->raw(), array_->raw()); }
@@ -58,13 +60,6 @@ class GhostExchanger {
   Executor<T>& executor() { return exec_; }
 
  private:
-  static std::shared_ptr<const Schedule> compressedSchedule(
-      const BlockDistArray<T>& array) {
-    auto sched = std::make_shared<Schedule>(buildGhostSchedule(array));
-    sched->compress();
-    return sched;
-  }
-
   BlockDistArray<T>* array_;
   Executor<T> exec_;
 };

@@ -55,8 +55,6 @@ class MultiblockArray {
     interfaces_.push_back(Interface{srcBlock, dstBlock, srcSec, dstSec, {}});
   }
 
-  int numInterfaces() const { return static_cast<int>(interfaces_.size()); }
-
   /// Inspector: builds the ghost schedules and every interface's
   /// section-copy schedule.  Collective; call once.
   void buildSchedules() {

@@ -68,8 +68,8 @@ Schedule buildSectionCopySchedule(const PartiDesc& srcDesc,
                                   const PartiDesc& dstDesc,
                                   const layout::RegularSection& dstSec,
                                   int myProc) {
-  MC_REQUIRE(srcSec.rank == dstSec.rank,
-             "sections must have equal rank (%d vs %d)", srcSec.rank,
+  MC_REQUIRE(srcSec.rank == dstSec.rank && srcSec.rank >= 1,
+             "sections must have equal, nonzero rank (%d vs %d)", srcSec.rank,
              dstSec.rank);
   for (int d = 0; d < srcSec.rank; ++d) {
     MC_REQUIRE(srcSec.count(d) == dstSec.count(d),
@@ -80,6 +80,11 @@ Schedule buildSectionCopySchedule(const PartiDesc& srcDesc,
   Schedule sched;
   const PartiAddr mySrcAddr = srcDesc.addrOf(myProc);
   const PartiAddr myDstAddr = dstDesc.addrOf(myProc);
+  // Every lane walks destination rows; consecutive row elements are one
+  // section stride apart on each side.
+  const auto last = static_cast<size_t>(srcSec.rank - 1);
+  const Index srcStep = srcSec.stride[last];
+  const Index dstStep = dstSec.stride[last];
 
   // --- sends: section elements I own in the source array ---------------
   const RegularSection myBoxSrc = srcDesc.decomp.ownedBox(myProc);
@@ -97,20 +102,23 @@ Schedule buildSectionCopySchedule(const PartiDesc& srcDesc,
         if (q == myProc) {
           // Local transfer; enumerated in dst row-major order like remote
           // lanes, pairing (my src offset, my dst offset).
-          part.forEach([&](const Point& pDst, Index) {
+          part.forEachRow([&](const Point& pDst, Index n) {
             const Point pSrc = mapPoint(dstSec, srcSec, pDst);
-            sched.localPairs.emplace_back(
-                mySrcAddr.offsetOf(pSrc),
-                myDstAddr.offsetOf(pDst));
+            sched::appendLocalRun(
+                sched.localRuns,
+                sched::LocalRun{mySrcAddr.offsetOf(pSrc),
+                                myDstAddr.offsetOf(pDst), n, srcStep,
+                                dstStep});
           });
           continue;
         }
         OffsetPlan plan;
         plan.peer = q;
-        plan.offsets.reserve(static_cast<size_t>(part.numElements()));
-        part.forEach([&](const Point& pDst, Index) {
+        part.forEachRow([&](const Point& pDst, Index n) {
           const Point pSrc = mapPoint(dstSec, srcSec, pDst);
-          plan.offsets.push_back(mySrcAddr.offsetOf(pSrc));
+          sched::appendOffsetRun(
+              plan.runs,
+              sched::OffsetRun{mySrcAddr.offsetOf(pSrc), n, srcStep});
         });
         sched.sends.push_back(std::move(plan));
       }
@@ -135,9 +143,10 @@ Schedule buildSectionCopySchedule(const PartiDesc& srcDesc,
         const RegularSection partInDst = mapSection(part, srcSec, dstSec);
         OffsetPlan plan;
         plan.peer = q;
-        plan.offsets.reserve(static_cast<size_t>(partInDst.numElements()));
-        partInDst.forEach([&](const Point& pDst, Index) {
-          plan.offsets.push_back(myDstAddr.offsetOf(pDst));
+        partInDst.forEachRow([&](const Point& pDst, Index n) {
+          sched::appendOffsetRun(
+              plan.runs,
+              sched::OffsetRun{myDstAddr.offsetOf(pDst), n, dstStep});
         });
         sched.recvs.push_back(std::move(plan));
       }

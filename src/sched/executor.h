@@ -348,6 +348,7 @@ class Executor {
         sched_(sched),
         remoteProgram_(remoteProgram) {
     MC_REQUIRE(sched_ != nullptr);
+    requireRunsOnly(*sched_);
     bind();
   }
 
@@ -402,6 +403,22 @@ class Executor {
     }
   }
 
+  /// Runs are the one plan form: a schedule that sets the always-empty
+  /// offset-list members is refused before (re)bind touches any state or
+  /// sends anything.
+  static void requireRunsOnly(const Schedule& sched) {
+    MC_REQUIRE(sched.localPairs.empty(),
+               "schedule carries local pairs; local transfers are runs only");
+    for (const std::vector<OffsetPlan>* lane : {&sched.sends, &sched.recvs}) {
+      for (const OffsetPlan& p : *lane) {
+        MC_REQUIRE(p.offsets.empty(),
+                   "plan for peer %d carries an offset list; plans are runs "
+                   "only",
+                   p.peer);
+      }
+    }
+  }
+
   /// The bounds check of every run entry point: one compare against the
   /// extents the kernels recorded at bind.
   void requireSrc(std::span<const T> src) const {
@@ -431,8 +448,7 @@ class Executor {
       if (oldPlans != nullptr && oldKernels != nullptr) {
         while (j < oldPlans->size() && (*oldPlans)[j].peer < p.peer) ++j;
         if (j < oldPlans->size() && (*oldPlans)[j].peer == p.peer &&
-            (*oldPlans)[j].runs == p.runs &&
-            (*oldPlans)[j].offsets == p.offsets) {
+            (*oldPlans)[j].runs == p.runs) {
           reuse = &(*oldKernels)[j];
         }
       }
@@ -444,6 +460,7 @@ class Executor {
     MC_REQUIRE(remoteProgram_ < 0, "rebind is intra-program only");
     MC_REQUIRE(!inFlight_,
                "split-phase run in flight: finish() it before rebind()");
+    requireRunsOnly(*sched);
     const Schedule* old = sched_;
     // Keep the old schedule alive until the reuse walk below is done.
     std::shared_ptr<const Schedule> oldKeepAlive = std::move(keepAlive_);
@@ -633,26 +650,14 @@ class Executor {
 
   void localPhase(std::span<const T> src, std::span<T> dst, bool add) {
     obs::ScopedSpan span(obs::phase::kApply);
+    const std::span<const LocalRun> runs(sched_->localRuns);
     comm_->compute([&] {
       if (!add && sched_->bufferLocalCopies) {
         // Authentic Parti staging, through a buffer that persists across
-        // runs instead of reallocating each step.  The runs also back the
-        // flattened index-list kernel, so every stored form stages.
+        // runs instead of reallocating each step.
         localStage_.resize(
             static_cast<std::size_t>(sched_->localElementCount()));
-        if (!sched_->localRuns.empty()) {
-          stageLocalRuns(std::span<const LocalRun>(sched_->localRuns), src,
-                         localStage_.data(), dst);
-          return;
-        }
-        std::size_t i = 0;
-        for (const auto& [from, to] : sched_->localPairs) {
-          localStage_[i++] = src[static_cast<std::size_t>(from)];
-        }
-        i = 0;
-        for (const auto& [from, to] : sched_->localPairs) {
-          dst[static_cast<std::size_t>(to)] = localStage_[i++];
-        }
+        stageLocalRuns(runs, src, localStage_.data(), dst);
         return;
       }
       if (localKernel_.kind == KernelKind::kIndexList) {
@@ -666,25 +671,10 @@ class Executor {
         return;
       }
       if (add) {
-        if (!sched_->localRuns.empty()) {
-          addLocalRuns(std::span<const LocalRun>(sched_->localRuns), src,
-                       dst);
-        } else {
-          for (const auto& [from, to] : sched_->localPairs) {
-            dst[static_cast<std::size_t>(to)] +=
-                src[static_cast<std::size_t>(from)];
-          }
-        }
-        return;
-      }
-      if (!sched_->localRuns.empty()) {
-        // Direct copies: read-all-then-write semantics per run (memmove).
-        copyLocalRuns(std::span<const LocalRun>(sched_->localRuns), src, dst);
+        addLocalRuns(runs, src, dst);
       } else {
-        for (const auto& [from, to] : sched_->localPairs) {
-          dst[static_cast<std::size_t>(to)] =
-              src[static_cast<std::size_t>(from)];
-        }
+        // Direct copies: read-all-then-write semantics per run (memmove).
+        copyLocalRuns(runs, src, dst);
       }
     });
   }

@@ -75,10 +75,6 @@ class IndexSet {
     return out;
   }
 
-  static IndexSet fromOffsets(std::vector<layout::Index> offsets) {
-    return fromParts(std::move(offsets), {});
-  }
-
   /// Union of two sets.
   static IndexSet unionOf(const IndexSet& a, const IndexSet& b) {
     std::vector<Interval> merged = a.intervals_;
@@ -150,16 +146,9 @@ struct Footprint {
     fp.remote = offsetsOfPlans(sched.recvs);
     std::vector<layout::Index> srcOffs, dstOffs;
     std::vector<IndexSet::Interval> srcIvs, dstIvs;
-    if (!sched.localRuns.empty()) {
-      for (const LocalRun& run : sched.localRuns) {
-        appendRun(run.src, run.count, run.srcStride, srcOffs, srcIvs);
-        appendRun(run.dst, run.count, run.dstStride, dstOffs, dstIvs);
-      }
-    } else {
-      for (const auto& [from, to] : sched.localPairs) {
-        srcOffs.push_back(from);
-        dstOffs.push_back(to);
-      }
+    for (const LocalRun& run : sched.localRuns) {
+      appendRun(run.src, run.count, run.srcStride, srcOffs, srcIvs);
+      appendRun(run.dst, run.count, run.dstStride, dstOffs, dstIvs);
     }
     fp.localSrc = IndexSet::fromParts(std::move(srcOffs), std::move(srcIvs));
     fp.localDst = IndexSet::fromParts(std::move(dstOffs), std::move(dstIvs));
@@ -190,13 +179,8 @@ struct Footprint {
     std::vector<layout::Index> offsets;
     std::vector<IndexSet::Interval> intervals;
     for (const OffsetPlan& plan : plans) {
-      if (!plan.runs.empty()) {
-        for (const OffsetRun& run : plan.runs) {
-          appendRun(run.start, run.count, run.stride, offsets, intervals);
-        }
-      } else {
-        offsets.insert(offsets.end(), plan.offsets.begin(),
-                       plan.offsets.end());
+      for (const OffsetRun& run : plan.runs) {
+        appendRun(run.start, run.count, run.stride, offsets, intervals);
       }
     }
     return IndexSet::fromParts(std::move(offsets), std::move(intervals));

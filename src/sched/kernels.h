@@ -9,18 +9,18 @@
 //   kContiguous — one stride-1 run: a single memcpy;
 //   kStrided    — one constant-stride run: a tight strided loop;
 //   kRunList    — few, long runs: the existing run-wise loop;
-//   kIndexList  — many short runs (or an uncompressed plan): the runs are
-//                 flattened back to one offset array and executed as a
-//                 branch-free gather/scatter loop the compiler can
-//                 auto-vectorize (`out[i] = src[idx[i]]`).
+//   kIndexList  — many short runs: the runs are flattened back to one
+//                 offset array and executed as a branch-free gather/scatter
+//                 loop the compiler can auto-vectorize
+//                 (`out[i] = src[idx[i]]`).
 //
 // Element order is preserved exactly in every variant, so results —
 // including the peer-ordered floating-point `+=` of scatter-add — are
-// bitwise identical to the run-wise and element-wise paths.  LocalKernel is
-// the same idea for a schedule's local transfers; it flattens only runs
-// whose element-order semantics match copyLocalRuns (count-1 runs, and
-// strided runs that never hit the memmove fast path), so aliased
-// src/dst buffers behave identically.
+// bitwise identical to the run-wise loops.  LocalKernel is the same idea
+// for a schedule's local transfers; it flattens only runs whose
+// element-order semantics match copyLocalRuns (count-1 runs, and strided
+// runs that never hit the memmove fast path), so aliased src/dst buffers
+// behave identically.
 //
 // Dispatch decisions and kernel executions are counted per rank and
 // surfaced through the obs MetricsRegistry as kernel.* metrics.  These
@@ -47,17 +47,6 @@ enum class KernelKind : std::uint8_t {
   kRunList,     // few long runs -> run-wise loop (run_plan.h)
   kIndexList,   // many short runs -> flattened branch-free gather/scatter
 };
-
-inline const char* kernelKindName(KernelKind k) {
-  switch (k) {
-    case KernelKind::kEmpty: return "empty";
-    case KernelKind::kContiguous: return "contiguous";
-    case KernelKind::kStrided: return "strided";
-    case KernelKind::kRunList: return "run_list";
-    case KernelKind::kIndexList: return "index_list";
-  }
-  return "?";
-}
 
 namespace detail {
 /// Runs shorter than this on average flatten to an index list; at or above
@@ -125,7 +114,6 @@ inline void ensureKernelMetrics() {
 /// without materializing anything.
 inline KernelKind classifyPlan(const OffsetPlan& plan) {
   if (plan.elementCount() == 0) return KernelKind::kEmpty;
-  if (plan.runs.empty()) return KernelKind::kIndexList;  // uncompressed
   if (plan.runs.size() == 1) {
     const OffsetRun& run = plan.runs.front();
     return (run.stride == 1 || run.count == 1) ? KernelKind::kContiguous
@@ -165,8 +153,7 @@ struct PlanKernel {
   /// Empty when some offset does not fit (the wide loops take over).
   std::vector<std::uint32_t> idx32;
   /// The wide kIndexList offsets expanded from the plan's runs, kept only
-  /// when idx32 is empty.  An uncompressed plan's wide list is
-  /// plan.offsets itself.
+  /// when idx32 is empty.
   std::vector<layout::Index> ownedIndices;
 
   static PlanKernel compile(const OffsetPlan& plan) {
@@ -188,52 +175,24 @@ struct PlanKernel {
       case KernelKind::kRunList:
         ++s.dispatchRunList;
         break;
-      case KernelKind::kIndexList: {
-        if (plan.runs.empty()) {
-          k.idx32 = narrowIndices(plan.offsets);
-        } else {
-          k.idx32 = narrowRuns(plan.runs, plan.elementCount());
-          if (k.idx32.empty()) {
-            k.ownedIndices =
-                expandOffsets(std::span<const OffsetRun>(plan.runs));
-          }
+      case KernelKind::kIndexList:
+        k.idx32 = narrowRuns(plan.runs, plan.elementCount());
+        if (k.idx32.empty()) {
+          k.ownedIndices =
+              expandOffsets(std::span<const OffsetRun>(plan.runs));
         }
         ++s.dispatchIndexList;
         break;
-      }
     }
     return k;
   }
 
-  /// The wide offset list a kIndexList kernel reads when idx32 is empty.
-  std::span<const layout::Index> indices(const OffsetPlan& plan) const {
-    return ownedIndices.empty() ? std::span<const layout::Index>(plan.offsets)
-                                : std::span<const layout::Index>(ownedIndices);
-  }
-
   static layout::Index planExtent(const OffsetPlan& plan) {
     layout::Index extent = 0;
-    if (plan.runs.empty()) {
-      for (const layout::Index off : plan.offsets) {
-        extent = std::max(extent, off + 1);
-      }
-    }
     for (const OffsetRun& r : plan.runs) {
       extent = std::max(extent, runExtent(r.start, r.count, r.stride));
     }
     return extent;
-  }
-
-  /// Offsets narrowed to 32 bits, or empty when any is out of range.
-  static std::vector<std::uint32_t> narrowIndices(
-      std::span<const layout::Index> idx) {
-    std::vector<std::uint32_t> out;
-    out.reserve(idx.size());
-    for (const layout::Index off : idx) {
-      if (!fitsIndex32(off)) return {};
-      out.push_back(static_cast<std::uint32_t>(off));
-    }
-    return out;
   }
 
   /// The runs' offsets expanded straight into 32 bits in one pass, or
@@ -294,7 +253,7 @@ void packKernel(const PlanKernel& k, const OffsetPlan& plan,
         }
         return;
       }
-      const std::span<const layout::Index> idx = k.indices(plan);
+      const std::vector<layout::Index>& idx = k.ownedIndices;
       const size_t n = idx.size();
       for (size_t i = 0; i < n; ++i) {
         out[i] = base[static_cast<size_t>(idx[i])];
@@ -343,7 +302,7 @@ void unpackKernel(const PlanKernel& k, const OffsetPlan& plan, const T* buf,
         }
         return;
       }
-      const std::span<const layout::Index> idx = k.indices(plan);
+      const std::vector<layout::Index>& idx = k.ownedIndices;
       const size_t n = idx.size();
       for (size_t i = 0; i < n; ++i) {
         base[static_cast<size_t>(idx[i])] = buf[i];
@@ -396,7 +355,7 @@ void unpackAddKernel(const PlanKernel& k, const OffsetPlan& plan,
         }
         return;
       }
-      const std::span<const layout::Index> idx = k.indices(plan);
+      const std::vector<layout::Index>& idx = k.ownedIndices;
       const size_t n = idx.size();
       for (size_t i = 0; i < n; ++i) {
         base[static_cast<size_t>(idx[i])] += buf[i];
@@ -424,17 +383,6 @@ struct LocalKernel {
 
   static LocalKernel compile(const Schedule& sched) {
     LocalKernel k;
-    if (sched.localRuns.empty()) {
-      for (const auto& [from, to] : sched.localPairs) {
-        k.srcExtent = std::max(k.srcExtent, from + 1);
-        k.dstExtent = std::max(k.dstExtent, to + 1);
-      }
-      // Uncompressed local pairs: the executor's element-wise paths are
-      // already branch-free; leave them alone.
-      k.kind = sched.localPairs.empty() ? KernelKind::kEmpty
-                                        : KernelKind::kRunList;
-      return k;
-    }
     layout::Index total = 0;
     bool flattenable = true;
     for (const LocalRun& run : sched.localRuns) {

@@ -1,16 +1,16 @@
 // Run-compressed offset plans.
 //
 // Schedule offset lists produced from regular sections are dominated by long
-// arithmetic progressions (whole section rows), yet the baseline executor
-// walks them one element at a time.  compressOffsets collapses an offset
-// list into (start, count, stride) runs; the pack/unpack/local-copy helpers
-// here execute stride-1 runs with one memcpy/memmove per run and other
-// strides with a tight strided loop.  Compression is exact: expanding the
-// runs reproduces the original list, including repeated offsets (stride-0
-// runs — a source element fanned out to several destinations) and
-// descending progressions (negative strides).  The compressed form is what
-// the schedule caches store, so a cached schedule re-executes on the fast
-// path every time.
+// arithmetic progressions (whole section rows).  A plan therefore stores its
+// element sequence as (start, count, stride) runs: every builder appends
+// them through appendOffsetRun / appendLocalRun, whose greedy makes the runs
+// a pure function of the element sequence (compressOffsets of the
+// element-wise list).  The pack/unpack/local-copy helpers here execute
+// stride-1 runs with one memcpy/memmove per run and other strides with a
+// tight strided loop.  Runs are exact: expanding them reproduces the element
+// list, including repeated offsets (stride-0 runs — a source element fanned
+// out to several destinations) and descending progressions (negative
+// strides).
 #pragma once
 
 #include <cstring>
@@ -65,30 +65,6 @@ inline std::vector<OffsetRun> compressOffsets(
   return runs;
 }
 
-/// Collapses local (src, dst) offset pairs into runs, preserving order.
-inline std::vector<LocalRun> compressPairs(
-    std::span<const std::pair<layout::Index, layout::Index>> pairs) {
-  std::vector<LocalRun> runs;
-  for (const auto& [from, to] : pairs) {
-    if (!runs.empty()) {
-      LocalRun& run = runs.back();
-      if (run.count == 1) {
-        run.srcStride = from - run.src;
-        run.dstStride = to - run.dst;
-        ++run.count;
-        continue;
-      }
-      if (from == run.src + run.count * run.srcStride &&
-          to == run.dst + run.count * run.dstStride) {
-        ++run.count;
-        continue;
-      }
-    }
-    runs.push_back(LocalRun{from, to, 1, 0, 0});
-  }
-  return runs;
-}
-
 /// Appends a whole run to a run list, preserving compressOffsets' exact
 /// greedy semantics: the result is bit-identical to
 /// compressOffsets(expand(runs) ++ expand(run)).  This is what lets the
@@ -125,8 +101,8 @@ inline void appendOffsetRun(std::vector<OffsetRun>& runs, OffsetRun run) {
   }
 }
 
-/// Run-wise analogue of compressPairs: appends a LocalRun preserving the
-/// element-wise greedy exactly (see appendOffsetRun).
+/// Appends a LocalRun preserving the element-wise greedy exactly (see
+/// appendOffsetRun): the local-pair analogue of compressOffsets.
 inline void appendLocalRun(std::vector<LocalRun>& runs, LocalRun run) {
   while (run.count > 0) {
     if (!runs.empty()) {
@@ -170,19 +146,6 @@ inline std::vector<layout::Index> expandOffsets(
   for (const OffsetRun& run : runs) {
     for (layout::Index k = 0; k < run.count; ++k) {
       out.push_back(run.start + k * run.stride);
-    }
-  }
-  return out;
-}
-
-/// Inverse of compressPairs.
-inline std::vector<std::pair<layout::Index, layout::Index>> expandPairs(
-    std::span<const LocalRun> runs) {
-  std::vector<std::pair<layout::Index, layout::Index>> out;
-  for (const LocalRun& run : runs) {
-    for (layout::Index k = 0; k < run.count; ++k) {
-      out.emplace_back(run.src + k * run.srcStride,
-                       run.dst + k * run.dstStride);
     }
   }
   return out;

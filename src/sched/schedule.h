@@ -2,15 +2,16 @@
 // (inspector/executor pattern of Saltz et al.).
 //
 // A Schedule lists, per peer processor, the element offsets to pack (sends)
-// or unpack (recvs), in an order both sides agree on; same-processor
-// transfers are local offset pairs.  Executing a schedule sends *at most one
-// message per processor pair* — the aggregation property the paper calls out
-// as matching hand-written message passing (Section 4.1.4).
+// or unpack (recvs), in an order both sides agree on, as (start, count,
+// stride) runs; same-processor transfers are runs of local offset pairs.
+// Executing a schedule sends *at most one message per processor pair* — the
+// aggregation property the paper calls out as matching hand-written message
+// passing (Section 4.1.4).
 //
 // The same structure serves Multiblock Parti (ghost fills, section moves),
 // Chaos (gather / scatter-add), the HPF runtime (redistribution) and
 // Meta-Chaos itself (inter-library copies); each library differs only in how
-// it *builds* the offsets.
+// it *builds* the runs.
 //
 // This header holds the schedule *data structures* (plus merge / reverse);
 // execution lives in sched/executor.h (sched::Executor and the execute /
@@ -29,39 +30,29 @@
 
 namespace mc::sched {
 
-/// One peer's pack (or unpack) order.  Plans are runs-first: the Meta-Chaos
-/// builders emit `runs` directly and never materialize per-element offsets;
-/// the library-level builders (parti/hpfrt/chaos) still produce `offsets`
-/// and gain `runs` on compress().  Either form alone is complete — when
-/// both are present they describe the same element sequence.
+/// One peer's pack (or unpack) order, as (start, count, stride) runs (see
+/// run_plan.h).  Every builder emits runs through appendOffsetRun, so a
+/// plan's runs are compressOffsets of its element sequence.
 struct OffsetPlan {
   int peer = 0;
-  std::vector<layout::Index> offsets;  // element offsets in the local buffer
-  /// Run-compressed form (see run_plan.h).  When present, pack/unpack
-  /// execute run-wise (memcpy for contiguous runs) instead of element-wise.
+  /// Always empty: runs are the one plan form.  Kept declared only because
+  /// perfbench/ still compares it; it goes with the next change there.
+  /// Executor bind throws on a plan that sets it.
+  std::vector<layout::Index> offsets;
   std::vector<OffsetRun> runs;
 
-  bool compressed() const { return !runs.empty() || offsets.empty(); }
-
   layout::Index elementCount() const {
-    return runs.empty() ? static_cast<layout::Index>(offsets.size())
-                        : runElementCount(std::span<const OffsetRun>(runs));
-  }
-
-  /// The per-element offset list, expanded from `runs` for runs-first
-  /// plans.  Legacy consumers (element-wise executors, differential tests)
-  /// use this; the hot paths never do.
-  std::vector<layout::Index> expandedOffsets() const {
-    if (!offsets.empty() || runs.empty()) return offsets;
-    return expandOffsets(std::span<const OffsetRun>(runs));
+    return runElementCount(std::span<const OffsetRun>(runs));
   }
 };
 
 struct Schedule {
   std::vector<OffsetPlan> sends;  // sorted by peer
   std::vector<OffsetPlan> recvs;  // sorted by peer
+  /// Always empty, like OffsetPlan::offsets (perfbench/ still reads its
+  /// size); Executor bind throws on a schedule that sets it.
   std::vector<std::pair<layout::Index, layout::Index>> localPairs;
-  /// Run-compressed form of `localPairs`; empty until compress()ed.
+  /// Same-processor (src, dst) transfers, appended with appendLocalRun.
   std::vector<LocalRun> localRuns;
   /// Authentic Multiblock Parti stages local transfers through an
   /// intermediate buffer (the paper contrasts this with Meta-Chaos's direct
@@ -79,16 +70,7 @@ struct Schedule {
     return n;
   }
   layout::Index localElementCount() const {
-    return localRuns.empty()
-               ? static_cast<layout::Index>(localPairs.size())
-               : runPairCount(std::span<const LocalRun>(localRuns));
-  }
-  /// Local (src, dst) pairs, expanded from `localRuns` when the schedule is
-  /// runs-first.
-  std::vector<std::pair<layout::Index, layout::Index>> expandedLocalPairs()
-      const {
-    if (!localPairs.empty() || localRuns.empty()) return localPairs;
-    return expandPairs(std::span<const LocalRun>(localRuns));
+    return runPairCount(std::span<const LocalRun>(localRuns));
   }
   void sortByPeer() {
     auto byPeer = [](const OffsetPlan& a, const OffsetPlan& b) {
@@ -96,56 +78,6 @@ struct Schedule {
     };
     std::sort(sends.begin(), sends.end(), byPeer);
     std::sort(recvs.begin(), recvs.end(), byPeer);
-  }
-
-  /// Populates the run-compressed form of every plan that still carries an
-  /// offset list.  Runs-first plans (empty offsets, non-empty runs) are
-  /// already authoritative and are left alone.  Idempotent.
-  void compress() {
-    for (OffsetPlan& p : sends) {
-      if (!p.offsets.empty()) {
-        p.runs = compressOffsets(std::span<const layout::Index>(p.offsets));
-      }
-    }
-    for (OffsetPlan& p : recvs) {
-      if (!p.offsets.empty()) {
-        p.runs = compressOffsets(std::span<const layout::Index>(p.offsets));
-      }
-    }
-    if (!localPairs.empty()) {
-      localRuns = compressPairs(
-          std::span<const std::pair<layout::Index, layout::Index>>(
-              localPairs));
-    }
-  }
-
-  /// Drops the expanded forms (offsets, localPairs) of a compressed
-  /// schedule, leaving the runs as the only representation — this is how
-  /// cached schedules are stored, halving their memory.  Requires
-  /// compressed().
-  void releaseExpandedForms() {
-    MC_REQUIRE(compressed(),
-               "releaseExpandedForms needs a compressed schedule");
-    for (OffsetPlan& p : sends) {
-      p.offsets.clear();
-      p.offsets.shrink_to_fit();
-    }
-    for (OffsetPlan& p : recvs) {
-      p.offsets.clear();
-      p.offsets.shrink_to_fit();
-    }
-    localPairs.clear();
-    localPairs.shrink_to_fit();
-  }
-
-  bool compressed() const {
-    for (const OffsetPlan& p : sends) {
-      if (!p.compressed()) return false;
-    }
-    for (const OffsetPlan& p : recvs) {
-      if (!p.compressed()) return false;
-    }
-    return localRuns.size() > 0 || localPairs.empty();
   }
 };
 
@@ -160,74 +92,38 @@ inline Schedule merge(std::span<const Schedule> parts) {
   Schedule out;
   if (parts.empty()) return out;
   out.bufferLocalCopies = parts.front().bufferLocalCopies;
-  bool allCompressed = true;
-  bool allOffsets = true;  // every plan still carries an offset list
-  bool allPairs = true;    // every part still carries local pairs
-  for (const Schedule& part : parts) {
-    MC_REQUIRE(part.bufferLocalCopies == out.bufferLocalCopies,
-               "cannot merge schedules with different local-copy policies");
-    allCompressed = allCompressed && part.compressed();
-    for (const OffsetPlan& p : part.sends) {
-      allOffsets = allOffsets && (!p.offsets.empty() || p.runs.empty());
-    }
-    for (const OffsetPlan& p : part.recvs) {
-      allOffsets = allOffsets && (!p.offsets.empty() || p.runs.empty());
-    }
-    allPairs = allPairs && (!part.localPairs.empty() || part.localRuns.empty());
-  }
   // Peer -> lane index, so appending stays O(plans) instead of the
   // O(parts x peers^2) repeated linear scan.
   std::unordered_map<int, size_t> sendLane, recvLane;
-  auto append = [&](std::vector<OffsetPlan>& into,
-                    std::unordered_map<int, size_t>& lane,
-                    const OffsetPlan& plan) {
+  auto append = [](std::vector<OffsetPlan>& into,
+                   std::unordered_map<int, size_t>& lane,
+                   const OffsetPlan& plan) {
     const auto [it, fresh] = lane.try_emplace(plan.peer, into.size());
     if (fresh) into.push_back(OffsetPlan{plan.peer, {}, {}});
-    OffsetPlan& dst = into[it->second];
-    if (allCompressed) {
-      // Concatenate runs directly (run-wise greedy == element-wise greedy),
-      // no expand-and-recompress round trip.
-      for (const OffsetRun& run : plan.runs) appendOffsetRun(dst.runs, run);
-      if (allOffsets) {
-        dst.offsets.insert(dst.offsets.end(), plan.offsets.begin(),
-                           plan.offsets.end());
-      }
-    } else {
-      const std::vector<layout::Index> offs = plan.expandedOffsets();
-      dst.offsets.insert(dst.offsets.end(), offs.begin(), offs.end());
-    }
+    // Run-wise greedy == element-wise greedy: no expand-and-recompress.
+    std::vector<OffsetRun>& runs = into[it->second].runs;
+    for (const OffsetRun& run : plan.runs) appendOffsetRun(runs, run);
   };
   for (const Schedule& part : parts) {
+    MC_REQUIRE(part.bufferLocalCopies == out.bufferLocalCopies,
+               "cannot merge schedules with different local-copy policies");
     for (const OffsetPlan& p : part.sends) append(out.sends, sendLane, p);
     for (const OffsetPlan& p : part.recvs) append(out.recvs, recvLane, p);
-    if (allCompressed) {
-      for (const LocalRun& run : part.localRuns) {
-        appendLocalRun(out.localRuns, run);
-      }
-      if (allPairs) {
-        out.localPairs.insert(out.localPairs.end(), part.localPairs.begin(),
-                              part.localPairs.end());
-      }
-    } else {
-      const auto pairs = part.expandedLocalPairs();
-      out.localPairs.insert(out.localPairs.end(), pairs.begin(), pairs.end());
+    for (const LocalRun& run : part.localRuns) {
+      appendLocalRun(out.localRuns, run);
     }
   }
   out.sortByPeer();
   return out;
 }
 
-/// Reverses a schedule: sends become recvs and vice versa, local pairs flip.
+/// Reverses a schedule: sends become recvs and vice versa, local runs flip.
 /// The paper notes Meta-Chaos schedules are symmetric — one schedule moves
 /// data either direction (Section 4.3); this implements that reversal.
 inline Schedule reverse(const Schedule& sched) {
   Schedule out;
   out.sends = sched.recvs;  // per-plan runs stay valid: offsets are unchanged
   out.recvs = sched.sends;
-  out.localPairs.reserve(sched.localPairs.size());
-  for (const auto& [from, to] : sched.localPairs) {
-    out.localPairs.emplace_back(to, from);
-  }
   out.localRuns.reserve(sched.localRuns.size());
   for (const LocalRun& run : sched.localRuns) {
     out.localRuns.push_back(

@@ -30,8 +30,9 @@ namespace mc::sched {
 
 /// Kind version of the schedule payload inside the blob::frame container
 /// (v1 was the pre-container raw format; v2 moved the version/arch/checksum
-/// tagging into the shared frame header).
-inline constexpr std::uint32_t kScheduleBlobVersion = 2;
+/// tagging into the shared frame header; v3 dropped the offset-list and
+/// local-pair lanes — runs are the one plan form).
+inline constexpr std::uint32_t kScheduleBlobVersion = 3;
 
 /// Serializes a schedule payload (no frame) into `out`.  Exposed for the
 /// snapshot writers, which embed schedules in larger payloads.
@@ -42,18 +43,9 @@ inline void writeSchedulePayload(std::vector<std::byte>& out,
     blob::putU64(out, lane->size());
     for (const OffsetPlan& p : *lane) {
       blob::putU64(out, static_cast<std::uint64_t>(p.peer));
-      blob::putPods(out, p.offsets);
       blob::putPods(out, p.runs);
     }
   }
-  // std::pair is not trivially copyable; flatten to (from, to) index pairs.
-  std::vector<layout::Index> flatPairs;
-  flatPairs.reserve(s.localPairs.size() * 2);
-  for (const auto& [from, to] : s.localPairs) {
-    flatPairs.push_back(from);
-    flatPairs.push_back(to);
-  }
-  blob::putPods(out, flatPairs);
   blob::putPods(out, s.localRuns);
 }
 
@@ -65,23 +57,16 @@ inline Schedule readSchedulePayload(blob::ByteReader& r) {
   Schedule s;
   s.bufferLocalCopies = r.u64() != 0;
   for (std::vector<OffsetPlan>* lane : {&s.sends, &s.recvs}) {
-    // A serialized plan is at least 24 bytes (peer + two lane counts);
-    // clamping here keeps a corrupt plan count from reserving gigabytes.
-    const std::uint64_t n = r.count(3 * sizeof(std::uint64_t));
+    // A serialized plan is at least 16 bytes (peer + run count); clamping
+    // here keeps a corrupt plan count from reserving gigabytes.
+    const std::uint64_t n = r.count(2 * sizeof(std::uint64_t));
     lane->reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
       OffsetPlan p;
       p.peer = static_cast<int>(r.u64());
-      p.offsets = r.pods<layout::Index>();
       p.runs = r.pods<OffsetRun>();
       lane->push_back(std::move(p));
     }
-  }
-  const std::vector<layout::Index> flatPairs = r.pods<layout::Index>();
-  MC_REQUIRE(flatPairs.size() % 2 == 0, "malformed local-pair lane");
-  s.localPairs.reserve(flatPairs.size() / 2);
-  for (std::size_t i = 0; i < flatPairs.size(); i += 2) {
-    s.localPairs.emplace_back(flatPairs[i], flatPairs[i + 1]);
   }
   s.localRuns = r.pods<LocalRun>();
   return s;
@@ -133,23 +118,11 @@ inline Schedule batchReplicate(const Schedule& s, int k,
     for (const OffsetPlan& p : lane) {
       OffsetPlan f;
       f.peer = p.peer;
-      // Replicate whichever forms are present so the fused plan stays
-      // consistent (runs-first plans stay runs-first).
-      if (!p.runs.empty() || p.offsets.empty()) {
-        f.runs.reserve(p.runs.size() * static_cast<std::size_t>(k));
-        for (int j = 0; j < k; ++j) {
-          for (const OffsetRun& run : p.runs) {
-            f.runs.push_back(
-                OffsetRun{run.start + j * stride, run.count, run.stride});
-          }
-        }
-      }
-      if (!p.offsets.empty()) {
-        f.offsets.reserve(p.offsets.size() * static_cast<std::size_t>(k));
-        for (int j = 0; j < k; ++j) {
-          for (const layout::Index off : p.offsets) {
-            f.offsets.push_back(off + j * stride);
-          }
+      f.runs.reserve(p.runs.size() * static_cast<std::size_t>(k));
+      for (int j = 0; j < k; ++j) {
+        for (const OffsetRun& run : p.runs) {
+          f.runs.push_back(
+              OffsetRun{run.start + j * stride, run.count, run.stride});
         }
       }
       fused.push_back(std::move(f));

@@ -181,13 +181,11 @@ struct ComputeServer::Impl {
       // entry keeps the receive half for every later client program
       // presenting the same layout.
       MC_REQUIRE(cmd.layoutSlot == static_cast<int>(layouts.size()));
-      core::McSchedule built = core::computeScheduleRecv(
-          c, core::HpfAdapter::describe(x), vSet, cmd.client,
-          static_cast<core::Method>(cmd.method));
-      built.plan.compress();
-      built.plan.releaseExpandedForms();
       LayoutEntry e;
-      e.xRecv = std::make_shared<const core::McSchedule>(std::move(built));
+      e.xRecv = std::make_shared<const core::McSchedule>(
+          core::computeScheduleRecv(c, core::HpfAdapter::describe(x), vSet,
+                                    cmd.client,
+                                    static_cast<core::Method>(cmd.method)));
       e.xPlan = std::shared_ptr<const sched::Schedule>(e.xRecv,
                                                        &e.xRecv->plan);
       e.yPlan = std::make_shared<const sched::Schedule>(

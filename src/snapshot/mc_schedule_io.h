@@ -19,7 +19,9 @@
 
 namespace mc::snapshot {
 
-inline constexpr std::uint32_t kMcScheduleBlobVersion = 1;
+/// Version 2: the inner schedule payload carries runs only (schedule blob
+/// version 3).
+inline constexpr std::uint32_t kMcScheduleBlobVersion = 2;
 
 static_assert(sizeof(core::SendSeg) == 7 * sizeof(layout::Index),
               "SendSeg must be padding-free to serialize as a raw lane");

@@ -18,7 +18,9 @@ namespace {
 // Version 2: every schedule-cache entry carries its build identity.
 // Version 3: an index region enters cache keys as the digest of its list,
 // so version-2 keys could never hit again and are refused.
-constexpr std::uint32_t kSnapshotVersion = 3;
+// Version 4: embedded schedules carry runs only (no offset-list or
+// local-pair lanes), so a version-3 body no longer parses.
+constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// Cumulative per-rank counters behind the snapshot.* obs metrics.
 struct Counters {

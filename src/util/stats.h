@@ -141,7 +141,6 @@ class Reservoir {
   double p99() const { return quantile(0.99); }
 
   std::size_t count() const { return stat_.count(); }
-  std::size_t sampleCount() const { return samples_.size(); }
   /// Full-stream moments (not just the sampled subset).
   const RunningStat& stat() const { return stat_; }
 

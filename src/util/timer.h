@@ -19,13 +19,6 @@ inline double threadCpuSeconds() {
   return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
-/// Seconds of wall-clock time (monotonic).
-inline double wallSeconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
-}
-
 /// Measures thread CPU time between construction and elapsed().
 class ThreadCpuTimer {
  public:

@@ -124,10 +124,8 @@ void CoupledMesh::buildChaosCopySchedules() {
     dstGlobals.push_back(
         mapping_.irreg[static_cast<size_t>(regMine[i])]);
   }
-  auto regToIrreg = std::make_shared<sched::Schedule>(
+  chRegToIrreg_ = std::make_shared<const sched::Schedule>(
       chaos::buildIrregCopySchedule(*comm_, *table_, srcOffsets, dstGlobals));
-  regToIrreg->compress();
-  chRegToIrreg_ = std::move(regToIrreg);
   // irreg -> reg reuses the reversed schedule — one dereference pass in
   // total, which is why the paper finds the Chaos build and the Meta-Chaos
   // cooperation build "very similar" in cost.

@@ -50,8 +50,6 @@ class CoupledMesh {
   layout::Index meshPoints() const { return config_.rows * config_.cols; }
   transport::Comm& comm() const { return *comm_; }
   parti::BlockDistArray<double>& regular() { return *a_; }
-  chaos::IrregArray<double>& irregularX() { return *x_; }
-  chaos::IrregArray<double>& irregularY() { return *y_; }
 
   // --- inspectors -----------------------------------------------------------
   /// Parti inspector: ghost-fill schedule for the stencil sweep.

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/builder_internal.h"
+#include "oracle/run_reference.h"
 
 namespace mc::core::elementwise {
 namespace {
@@ -60,20 +61,22 @@ struct ChunkInfo {
   }
 };
 
-// The assemblers expand each marching order into per-element offsets.
-// Rows arrive chunk-ordered, so per-peer lanes stay in linearization order.
+// The assemblers expand each marching order into per-element offsets and
+// compress the lists last (sched::reference::laneOf / compressPairs).  Rows
+// arrive chunk-ordered, so per-peer lanes stay in linearization order.
 
 void assembleSends(const std::vector<std::vector<SendRun>>& rows, int me,
                    bool allowLocal, sched::Schedule& plan,
                    std::vector<SendSeg>* segs = nullptr) {
   std::vector<std::vector<Index>> byPeer;
+  std::vector<std::pair<Index, Index>> pairs;
   for (const auto& row : rows) {
     for (const SendRun& run : row) {
       if (segs) appendSendRun(*segs, run);
       if (allowLocal && run.dstOwner == me) {
         for (Index k = 0; k < run.count; ++k) {
-          plan.localPairs.emplace_back(run.srcOff + k * run.srcStride,
-                                       run.dstOff + k * run.dstStride);
+          pairs.emplace_back(run.srcOff + k * run.srcStride,
+                             run.dstOff + k * run.dstStride);
         }
         continue;
       }
@@ -86,11 +89,8 @@ void assembleSends(const std::vector<std::vector<SendRun>>& rows, int me,
       }
     }
   }
-  for (size_t p = 0; p < byPeer.size(); ++p) {
-    if (byPeer[p].empty()) continue;
-    plan.sends.push_back(
-        sched::OffsetPlan{static_cast<int>(p), std::move(byPeer[p]), {}});
-  }
+  plan.sends = sched::reference::laneOf(byPeer);
+  plan.localRuns = sched::reference::compressPairs(pairs);
 }
 
 void assembleRecvs(const std::vector<std::vector<RecvRun>>& rows,
@@ -109,11 +109,7 @@ void assembleRecvs(const std::vector<std::vector<RecvRun>>& rows,
       }
     }
   }
-  for (size_t p = 0; p < byPeer.size(); ++p) {
-    if (byPeer[p].empty()) continue;
-    plan.recvs.push_back(
-        sched::OffsetPlan{static_cast<int>(p), std::move(byPeer[p]), {}});
-  }
+  plan.recvs = sched::reference::laneOf(byPeer);
 }
 
 /// Obtains one side's ownership info for this processor's chunk: local
@@ -227,6 +223,7 @@ McSchedule buildIntraDuplication(transport::Comm& comm,
     });
     std::vector<std::vector<Index>> sendBy;
     std::vector<std::vector<Index>> recvBy;
+    std::vector<std::pair<Index, Index>> pairs;
     for (Index lin = 0; lin < n; ++lin) {
       const auto ll = static_cast<size_t>(lin);
       const int s = srcOwner[ll];
@@ -238,7 +235,7 @@ McSchedule buildIntraDuplication(transport::Comm& comm,
         emitRecv(out.recvSegs, lin, dstOff[ll], static_cast<Index>(s));
       }
       if (s == me && d == me) {
-        out.plan.localPairs.emplace_back(srcOff[ll], dstOff[ll]);
+        pairs.emplace_back(srcOff[ll], dstOff[ll]);
       } else if (s == me) {
         if (sendBy.size() <= static_cast<size_t>(d)) {
           sendBy.resize(static_cast<size_t>(d) + 1);
@@ -251,18 +248,9 @@ McSchedule buildIntraDuplication(transport::Comm& comm,
         recvBy[static_cast<size_t>(s)].push_back(dstOff[ll]);
       }
     }
-    for (size_t p = 0; p < sendBy.size(); ++p) {
-      if (!sendBy[p].empty()) {
-        out.plan.sends.push_back(
-            sched::OffsetPlan{static_cast<int>(p), std::move(sendBy[p]), {}});
-      }
-    }
-    for (size_t p = 0; p < recvBy.size(); ++p) {
-      if (!recvBy[p].empty()) {
-        out.plan.recvs.push_back(
-            sched::OffsetPlan{static_cast<int>(p), std::move(recvBy[p]), {}});
-      }
-    }
+    out.plan.sends = sched::reference::laneOf(sendBy);
+    out.plan.recvs = sched::reference::laneOf(recvBy);
+    out.plan.localRuns = sched::reference::compressPairs(pairs);
   });
   out.hasProvenance = true;
   return out;
@@ -406,15 +394,8 @@ McSchedule buildInterDuplication(transport::Comm& comm,
       // their own (destination) offsets.
       byPeer[static_cast<size_t>(peer)].push_back(myOff[ll]);
     }
-    for (size_t p = 0; p < byPeer.size(); ++p) {
-      if (byPeer[p].empty()) continue;
-      sched::OffsetPlan plan{static_cast<int>(p), std::move(byPeer[p]), {}};
-      if (isSender) {
-        out.plan.sends.push_back(std::move(plan));
-      } else {
-        out.plan.recvs.push_back(std::move(plan));
-      }
-    }
+    (isSender ? out.plan.sends : out.plan.recvs) =
+        sched::reference::laneOf(byPeer);
   });
   return out;
 }
@@ -503,6 +484,7 @@ sched::Schedule buildRedistMove(transport::Comm& comm,
   plan.bufferLocalCopies = false;
   std::vector<std::vector<Index>> sendBy;
   std::vector<std::vector<Index>> recvBy;
+  std::vector<std::pair<Index, Index>> pairs;
   for (const layout::LinInterval& iv : delta.intervals()) {
     for (Index lin = std::max<Index>(0, iv.lo); lin < std::min(n, iv.hi);
          ++lin) {
@@ -510,7 +492,7 @@ sched::Schedule buildRedistMove(transport::Comm& comm,
       const int s = oldOwner[ll];
       const int d = newOwner[ll];
       if (s == me && d == me) {
-        plan.localPairs.emplace_back(oldOff[ll], newOff[ll]);
+        pairs.emplace_back(oldOff[ll], newOff[ll]);
       } else if (s == me) {
         if (sendBy.size() <= static_cast<size_t>(d)) {
           sendBy.resize(static_cast<size_t>(d) + 1);
@@ -524,18 +506,9 @@ sched::Schedule buildRedistMove(transport::Comm& comm,
       }
     }
   }
-  for (size_t p = 0; p < sendBy.size(); ++p) {
-    if (!sendBy[p].empty()) {
-      plan.sends.push_back(
-          sched::OffsetPlan{static_cast<int>(p), std::move(sendBy[p]), {}});
-    }
-  }
-  for (size_t p = 0; p < recvBy.size(); ++p) {
-    if (!recvBy[p].empty()) {
-      plan.recvs.push_back(
-          sched::OffsetPlan{static_cast<int>(p), std::move(recvBy[p]), {}});
-    }
-  }
+  plan.sends = sched::reference::laneOf(sendBy);
+  plan.recvs = sched::reference::laneOf(recvBy);
+  plan.localRuns = sched::reference::compressPairs(pairs);
   return plan;
 }
 

@@ -3,10 +3,10 @@
 // Same entry points, same build methods and the same wire protocol as
 // core::computeSchedule / computeScheduleSend / computeScheduleRecv, but
 // every ownership table holds one (owner, offset) entry per element and
-// every join walks positions one at a time; plans come out as expanded
-// offset lists.  The run-native builder must produce bit-identical
-// schedules (after compressing these plans) and identical provenance.  It
-// is a test-only oracle:
+// every join walks positions one at a time; plans are listed element by
+// element and compressed last.  The run-native builder must produce
+// bit-identical schedules and identical provenance.  It is a test-only
+// oracle:
 //
 //   * the oracle for the builder's differential tests (test_run_join,
 //     ScheduleDelta.ElementwiseProvenanceParity and
@@ -48,9 +48,8 @@ McSchedule computeScheduleRecv(transport::Comm& comm, const DistObject& dstObj,
                                std::size_t* tableBytes = nullptr);
 
 /// Element-wise core::buildRedistMove: for every delta position, the old
-/// and the new (owner, offset) from enumerateAll.  Plans come out as offset
-/// lists and local pairs; compress() them before comparing with the
-/// production move's runs.
+/// and the new (owner, offset) from enumerateAll, listed element by element
+/// and compressed last.
 sched::Schedule buildRedistMove(transport::Comm& comm,
                                 const DistObject& oldObj,
                                 const DistObject& newObj,

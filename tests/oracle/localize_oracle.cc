@@ -61,13 +61,14 @@ Localized localizeReference(transport::Comm& comm,
     if (q != me && !wantOffsets[qq].empty()) {
       sched::OffsetPlan plan;
       plan.peer = q;
-      plan.offsets = std::move(wantGhostSlots[qq]);  // ghost-buffer indices
+      plan.runs = sched::compressOffsets(wantGhostSlots[qq]);  // ghost slots
       out.gatherSched.recvs.push_back(std::move(plan));
     }
     if (q != me && !requests[qq].empty()) {
       sched::OffsetPlan plan;
       plan.peer = q;
-      plan.offsets = std::move(requests[qq]);  // my owned offsets they want
+      // My owned offsets they want, in their request order.
+      plan.runs = sched::compressOffsets(requests[qq]);
       out.gatherSched.sends.push_back(std::move(plan));
     }
   }

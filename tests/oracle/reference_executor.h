@@ -5,8 +5,8 @@
 // packs into a fresh std::vector<T> and the transport copies it again into
 // the Message; every receive allocates and fills a temporary vector before
 // unpacking; receives drain in fixed peer order; plans pack and unpack with
-// the run-wise loops of run_plan.h (element-wise for uncompressed plans)
-// instead of the executor's compiled kernels.  They are test-only oracles:
+// the run-wise loops of run_plan.h instead of the executor's compiled
+// kernels.  They are test-only oracles:
 //
 //   * the oracle for the executor's differential tests, and
 //   * the baseline leg of bench/micro_data_move (old path vs executor),
@@ -23,47 +23,6 @@
 
 namespace mc::sched::reference {
 
-/// Packs `plan`'s source elements into `out`, which must hold
-/// plan.elementCount() elements.  Run-wise when the plan is compressed.
-template <typename T>
-void packPlan(const OffsetPlan& plan, std::span<const T> src, T* out) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (!plan.runs.empty()) {
-    packRuns(src, std::span<const OffsetRun>(plan.runs), out);
-    return;
-  }
-  for (layout::Index off : plan.offsets) {
-    *out++ = src[static_cast<size_t>(off)];
-  }
-}
-
-/// Unpacks `buf` (plan.elementCount() elements, pack order) into `dst` at
-/// the plan's offsets.
-template <typename T>
-void unpackPlan(const OffsetPlan& plan, const T* buf, std::span<T> dst) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (!plan.runs.empty()) {
-    unpackRuns(std::span<const OffsetRun>(plan.runs), buf, dst);
-    return;
-  }
-  for (layout::Index off : plan.offsets) {
-    dst[static_cast<size_t>(off)] = *buf++;
-  }
-}
-
-/// Accumulating unpack: dst[off] += value, in pack order.
-template <typename T>
-void unpackPlanAdd(const OffsetPlan& plan, const T* buf, std::span<T> dst) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (!plan.runs.empty()) {
-    unpackRunsAdd(std::span<const OffsetRun>(plan.runs), buf, dst);
-    return;
-  }
-  for (layout::Index off : plan.offsets) {
-    dst[static_cast<size_t>(off)] += *buf++;
-  }
-}
-
 /// Peer-ordered, copy-per-step schedule execution (pre-Executor behavior).
 template <typename T>
 void execute(transport::Comm& comm, const Schedule& sched,
@@ -71,32 +30,19 @@ void execute(transport::Comm& comm, const Schedule& sched,
   static_assert(std::is_trivially_copyable_v<T>);
   for (const OffsetPlan& plan : sched.sends) {
     std::vector<T> buf(static_cast<size_t>(plan.elementCount()));
-    comm.compute([&] { packPlan<T>(plan, src, buf.data()); });
+    comm.compute([&] {
+      packRuns(src, std::span<const OffsetRun>(plan.runs), buf.data());
+    });
     comm.send(plan.peer, tag, buf);  // copying send
   }
   comm.compute([&] {
+    const std::span<const LocalRun> runs(sched.localRuns);
     if (sched.bufferLocalCopies) {
-      // Parti staging, whether the transfers are stored as pairs or runs.
+      // Parti staging.
       std::vector<T> buf(static_cast<size_t>(sched.localElementCount()));
-      if (!sched.localRuns.empty()) {
-        stageLocalRuns(std::span<const LocalRun>(sched.localRuns), src,
-                       buf.data(), dst);
-        return;
-      }
-      size_t i = 0;
-      for (const auto& [from, to] : sched.localPairs) {
-        buf[i++] = src[static_cast<size_t>(from)];
-      }
-      i = 0;
-      for (const auto& [from, to] : sched.localPairs) {
-        dst[static_cast<size_t>(to)] = buf[i++];
-      }
-    } else if (!sched.localRuns.empty()) {
-      copyLocalRuns(std::span<const LocalRun>(sched.localRuns), src, dst);
+      stageLocalRuns(runs, src, buf.data(), dst);
     } else {
-      for (const auto& [from, to] : sched.localPairs) {
-        dst[static_cast<size_t>(to)] = src[static_cast<size_t>(from)];
-      }
+      copyLocalRuns(runs, src, dst);
     }
   });
   for (const OffsetPlan& plan : sched.recvs) {
@@ -105,7 +51,9 @@ void execute(transport::Comm& comm, const Schedule& sched,
                "schedule mismatch: peer %d sent %zu elements, expected %lld",
                plan.peer, buf.size(),
                static_cast<long long>(plan.elementCount()));
-    comm.compute([&] { unpackPlan<T>(plan, buf.data(), dst); });
+    comm.compute([&] {
+      unpackRuns(std::span<const OffsetRun>(plan.runs), buf.data(), dst);
+    });
   }
 }
 
@@ -116,17 +64,13 @@ void executeAdd(transport::Comm& comm, const Schedule& sched,
   static_assert(std::is_trivially_copyable_v<T>);
   for (const OffsetPlan& plan : sched.sends) {
     std::vector<T> buf(static_cast<size_t>(plan.elementCount()));
-    comm.compute([&] { packPlan<T>(plan, src, buf.data()); });
+    comm.compute([&] {
+      packRuns(src, std::span<const OffsetRun>(plan.runs), buf.data());
+    });
     comm.send(plan.peer, tag, buf);
   }
   comm.compute([&] {
-    if (!sched.localRuns.empty()) {
-      addLocalRuns(std::span<const LocalRun>(sched.localRuns), src, dst);
-    } else {
-      for (const auto& [from, to] : sched.localPairs) {
-        dst[static_cast<size_t>(to)] += src[static_cast<size_t>(from)];
-      }
-    }
+    addLocalRuns(std::span<const LocalRun>(sched.localRuns), src, dst);
   });
   for (const OffsetPlan& plan : sched.recvs) {
     const std::vector<T> buf = comm.recv<T>(plan.peer, tag);
@@ -134,7 +78,9 @@ void executeAdd(transport::Comm& comm, const Schedule& sched,
                "schedule mismatch: peer %d sent %zu elements, expected %lld",
                plan.peer, buf.size(),
                static_cast<long long>(plan.elementCount()));
-    comm.compute([&] { unpackPlanAdd<T>(plan, buf.data(), dst); });
+    comm.compute([&] {
+      unpackRunsAdd(std::span<const OffsetRun>(plan.runs), buf.data(), dst);
+    });
   }
 }
 

@@ -14,6 +14,7 @@
 #include "chaos/localize.h"
 #include "chaos/partition.h"
 #include "chaos/ttable.h"
+#include "oracle/run_reference.h"
 #include "transport/world.h"
 #include "util/hash.h"
 
@@ -458,6 +459,153 @@ TEST(IrregCopy, ScheduleIsSymmetric) {
       EXPECT_DOUBLE_EQ(global[static_cast<size_t>(g)], static_cast<double>(g * g));
     }
   });
+}
+
+// --- same bits ----------------------------------------------------------------
+// localize and buildIrregCopySchedule compress the offset lists they already
+// exchange, and append local pairs element by element.  Their plans must be
+// exactly the runs of the element lists each rank derives here from every
+// rank's inputs alone.
+
+using Storage = TranslationTable::Storage;
+constexpr int kProcCounts[] = {1, 2, 3, 4, 6};
+constexpr Storage kStorages[] = {Storage::kReplicated, Storage::kDistributed};
+
+/// Rank r's part: contiguous blocks for replicated tables (long runs),
+/// a seeded shuffle for distributed ones (short runs).
+std::vector<Index> partOf(Storage storage, Index n, int np, int r) {
+  return storage == Storage::kReplicated ? blockPartition(n, np, r)
+                                         : randomPartition(n, np, r, 5);
+}
+
+/// Where every global lives when each rank r owns partOf(r) in local
+/// order.
+std::vector<ElementLoc> ownership(Storage storage, Index n, int np) {
+  std::vector<ElementLoc> at(static_cast<size_t>(n));
+  for (int r = 0; r < np; ++r) {
+    const std::vector<Index> mine = partOf(storage, n, np, r);
+    for (size_t i = 0; i < mine.size(); ++i) {
+      at[static_cast<size_t>(mine[i])] = ElementLoc{r, static_cast<Index>(i)};
+    }
+  }
+  return at;
+}
+
+/// Rank r's localize references: a stretch of consecutive globals, then a
+/// seeded sample with repeats.
+std::vector<Index> refsOf(int r, Index n) {
+  std::vector<Index> refs;
+  for (Index g = 0; g < 12; ++g) refs.push_back((5 * r + g) % n);
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(r + 1);
+  for (Index k = 0; k < n / 2; ++k) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    refs.push_back(static_cast<Index>(x % static_cast<std::uint64_t>(n)));
+  }
+  return refs;
+}
+
+TEST(Localize, PlansAreRunsOfTheElementwiseLists) {
+  const Index n = 48;
+  for (const int np : kProcCounts) {
+    for (const Storage storage : kStorages) {
+      World::runSPMD(np, [&](Comm& c) {
+        const int me = c.rank();
+        const auto table = TranslationTable::build(
+            c, partOf(storage, n, np, me), n, storage);
+        const Localized loc = localize(c, table, refsOf(me, n));
+        // Every rank numbers its distinct off-processor references by
+        // first appearance; an owner packs them in its requester's order.
+        const std::vector<ElementLoc> at = ownership(storage, n, np);
+        std::vector<std::vector<Index>> ghostSlots(static_cast<size_t>(np));
+        std::vector<std::vector<Index>> wanted(static_cast<size_t>(np));
+        for (int r = 0; r < np; ++r) {
+          std::set<Index> seen;
+          Index slot = 0;
+          for (const Index g : refsOf(r, n)) {
+            const ElementLoc& l = at[static_cast<size_t>(g)];
+            if (l.proc == r || !seen.insert(g).second) continue;
+            if (r == me) {
+              ghostSlots[static_cast<size_t>(l.proc)].push_back(slot);
+            }
+            if (l.proc == me) {
+              wanted[static_cast<size_t>(r)].push_back(l.offset);
+            }
+            ++slot;
+          }
+        }
+        sched::Schedule gather, scatterAdd;
+        gather.sends = scatterAdd.recvs = sched::reference::laneOf(wanted);
+        gather.recvs = scatterAdd.sends = sched::reference::laneOf(ghostSlots);
+        EXPECT_EQ(sched::reference::runListing(loc.gatherSched),
+                  sched::reference::runListing(gather))
+            << "P=" << np << " proc " << me;
+        EXPECT_EQ(sched::reference::runListing(loc.scatterAddSched),
+                  sched::reference::runListing(scatterAdd))
+            << "P=" << np << " proc " << me;
+      });
+    }
+  }
+}
+
+TEST(IrregCopy, PlansAreRunsOfTheElementwiseLists) {
+  const Index n = 60;
+  // Rank r maps its block of source elements (local offset i, global g)
+  // onto destination globals: a shifted stretch, then a reversed one.
+  const auto mapping = [n](int np, int r) {
+    const std::vector<Index> mine = blockPartition(n, np, r);
+    std::vector<Index> srcOffsets, dstGlobals;
+    for (size_t i = 0; i < mine.size(); ++i) {
+      srcOffsets.push_back(static_cast<Index>(i));
+      dstGlobals.push_back(i % 2 == 0 ? (mine[i] + 7) % n : n - 1 - mine[i]);
+    }
+    return std::make_pair(srcOffsets, dstGlobals);
+  };
+  for (const int np : kProcCounts) {
+    for (const Storage storage : kStorages) {
+      World::runSPMD(np, [&](Comm& c) {
+        const int me = c.rank();
+        const auto table = TranslationTable::build(
+            c, partOf(storage, n, np, me), n, storage);
+        const auto [mySrc, myDst] = mapping(np, me);
+        const sched::Schedule got =
+            buildIrregCopySchedule(c, table, mySrc, myDst);
+        // My entries go to their destination owners (or stay local, in
+        // entry order); every other rank's entries for me arrive in that
+        // rank's entry order.
+        const std::vector<ElementLoc> at = ownership(storage, n, np);
+        std::vector<std::vector<Index>> sendBy(static_cast<size_t>(np));
+        std::vector<std::vector<Index>> recvBy(static_cast<size_t>(np));
+        std::vector<std::pair<Index, Index>> pairs, flipped;
+        for (int r = 0; r < np; ++r) {
+          const auto [src, dst] = mapping(np, r);
+          for (size_t i = 0; i < src.size(); ++i) {
+            const ElementLoc& l = at[static_cast<size_t>(dst[i])];
+            if (r == me && l.proc == me) {
+              pairs.emplace_back(src[i], l.offset);
+              flipped.emplace_back(l.offset, src[i]);
+            } else if (r == me) {
+              sendBy[static_cast<size_t>(l.proc)].push_back(src[i]);
+            } else if (l.proc == me) {
+              recvBy[static_cast<size_t>(r)].push_back(l.offset);
+            }
+          }
+        }
+        sched::Schedule want, wantReversed;
+        want.sends = wantReversed.recvs = sched::reference::laneOf(sendBy);
+        want.recvs = wantReversed.sends = sched::reference::laneOf(recvBy);
+        want.localRuns = sched::reference::compressPairs(pairs);
+        wantReversed.localRuns = sched::reference::compressPairs(flipped);
+        EXPECT_EQ(sched::reference::runListing(got),
+                  sched::reference::runListing(want))
+            << "P=" << np << " proc " << me;
+        EXPECT_EQ(sched::reference::runListing(sched::reverse(got)),
+                  sched::reference::runListing(wantReversed))
+            << "P=" << np << " proc " << me;
+      });
+    }
+  }
 }
 
 // --- edge sweep (Figure 1 Loop 3) -------------------------------------------

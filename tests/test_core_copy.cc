@@ -239,21 +239,19 @@ TEST(CopyProperties, CooperationAndDuplicationAgree) {
                                             dst.set, Method::kCooperation);
     const McSchedule dup = computeSchedule(c, src.obj, src.set, dst.obj,
                                            dst.set, Method::kDuplication);
-    // Identical plans: same peers, same offsets in the same order, same
-    // local pairs.
+    // Identical plans: same peers, same runs in the same order, same local
+    // runs.
     ASSERT_EQ(coop.plan.sends.size(), dup.plan.sends.size());
     for (size_t i = 0; i < coop.plan.sends.size(); ++i) {
       EXPECT_EQ(coop.plan.sends[i].peer, dup.plan.sends[i].peer);
-      EXPECT_EQ(coop.plan.sends[i].expandedOffsets(),
-                dup.plan.sends[i].expandedOffsets());
+      EXPECT_EQ(coop.plan.sends[i].runs, dup.plan.sends[i].runs);
     }
     ASSERT_EQ(coop.plan.recvs.size(), dup.plan.recvs.size());
     for (size_t i = 0; i < coop.plan.recvs.size(); ++i) {
       EXPECT_EQ(coop.plan.recvs[i].peer, dup.plan.recvs[i].peer);
-      EXPECT_EQ(coop.plan.recvs[i].expandedOffsets(),
-                dup.plan.recvs[i].expandedOffsets());
+      EXPECT_EQ(coop.plan.recvs[i].runs, dup.plan.recvs[i].runs);
     }
-    EXPECT_EQ(coop.plan.expandedLocalPairs(), dup.plan.expandedLocalPairs());
+    EXPECT_EQ(coop.plan.localRuns, dup.plan.localRuns);
   });
 }
 

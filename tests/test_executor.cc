@@ -17,6 +17,7 @@
 #include "core/data_move.h"
 #include "obs/metrics.h"
 #include "oracle/reference_executor.h"
+#include "oracle/run_reference.h"
 #include "parti/ghost.h"
 #include "sched/executor.h"
 #include "transport/world.h"
@@ -38,21 +39,11 @@ Schedule starSchedule(int me, int nprocs, bool overlap) {
   s.bufferLocalCopies = false;
   if (me == 0) {
     for (int r = 1; r < nprocs; ++r) {
-      OffsetPlan p;
-      p.peer = r;
       const Index base = overlap ? 0 : static_cast<Index>((r - 1) * kPerPeer);
-      for (int i = 0; i < kPerPeer; ++i) {
-        p.offsets.push_back(base + static_cast<Index>(i));
-      }
-      s.recvs.push_back(std::move(p));
+      s.recvs.push_back(OffsetPlan{r, {}, {OffsetRun{base, kPerPeer, 1}}});
     }
   } else {
-    OffsetPlan p;
-    p.peer = 0;
-    for (int i = 0; i < kPerPeer; ++i) {
-      p.offsets.push_back(static_cast<Index>(i));
-    }
-    s.sends.push_back(std::move(p));
+    s.sends.push_back(OffsetPlan{0, {}, {OffsetRun{0, kPerPeer, 1}}});
   }
   return s;
 }
@@ -155,13 +146,12 @@ TEST(Executor, SteadyStateHasZeroCopiesAndZeroAllocations) {
       return static_cast<double>(p[0] - p[1]);
     });
     // The exchanger builds its ghost schedule from the replicated
-    // descriptor alone — no messages — and keeps it run-compressed.
+    // descriptor alone — no messages.
     c.barrier();
     c.resetStats();
     parti::GhostExchanger<double> ex(a);
     EXPECT_EQ(c.stats().messagesSent, 0u);
     EXPECT_EQ(c.stats().bytesSent, 0u);
-    EXPECT_TRUE(ex.schedule().compressed());
     ex.exchange();  // warmup: allocates the send buffers once
 
     c.resetStats();
@@ -232,22 +222,16 @@ TEST(Executor, InterProgramHalvesMoveDataAndStayPaired) {
     const std::vector<int> peers =
         rank == 0 ? std::vector<int>{0, 1} : std::vector<int>{2};
     for (size_t k = 0; k < peers.size(); ++k) {
-      OffsetPlan p;
-      p.peer = peers[k];
-      for (int i = 0; i < kN; ++i) {
-        p.offsets.push_back(static_cast<Index>(k * kN + i));
-      }
-      s.sends.push_back(std::move(p));
+      s.sends.push_back(OffsetPlan{
+          peers[k], {}, {OffsetRun{static_cast<Index>(k * kN), kN, 1}}});
     }
     return s;
   };
   auto receiverSched = [&](int rank) {
     Schedule s;
     s.bufferLocalCopies = false;
-    OffsetPlan p;
-    p.peer = rank < 2 ? 0 : 1;  // which a-rank feeds this b-rank
-    for (int i = 0; i < kN; ++i) p.offsets.push_back(static_cast<Index>(i));
-    s.recvs.push_back(std::move(p));
+    // Which a-rank feeds this b-rank.
+    s.recvs.push_back(OffsetPlan{rank < 2 ? 0 : 1, {}, {OffsetRun{0, kN, 1}}});
     return s;
   };
   World::run({
@@ -286,6 +270,50 @@ TEST(Executor, InterProgramHalvesMoveDataAndStayPaired) {
 }
 
 // --- span checks ------------------------------------------------------------
+
+TEST(Executor, BindRejectsOffsetListsBeforeSendingAnything) {
+  // Runs are the one plan form.  A plan whose offsets member is set, or a
+  // schedule whose localPairs member is set, is refused at construction
+  // and at rebind — before a node-aggregated bind's intra-node exchange
+  // or any run could send a message.
+  for (const bool aggregated : {false, true}) {
+    transport::WorldOptions options;
+    options.net.nodesPerProgram = {2};
+    options.net.nodeAggregation = aggregated;
+    World::runSPMD(
+        4,
+        [](Comm& c) {
+          const int peer = (c.rank() + 1) % c.size();
+          const int from = (c.rank() + c.size() - 1) % c.size();
+          Schedule good;
+          good.sends.push_back(OffsetPlan{peer, {}, {OffsetRun{0, 2, 1}}});
+          good.recvs.push_back(OffsetPlan{from, {}, {OffsetRun{2, 2, 1}}});
+          Schedule sendOffsets = good;
+          sendOffsets.sends[0].offsets = {0, 1};
+          Schedule recvOffsets = good;
+          recvOffsets.recvs[0].offsets = {2, 3};
+          Schedule pairs = good;
+          pairs.localPairs.emplace_back(0, 2);
+          c.barrier();
+          c.resetStats();
+          for (const Schedule* bad : {&sendOffsets, &recvOffsets, &pairs}) {
+            EXPECT_THROW({ Executor<double> ex(c, *bad); }, Error);
+          }
+          EXPECT_EQ(c.stats().messagesSent, 0u);
+          // A bound executor refuses the same schedules at rebind and
+          // still runs its own.
+          Executor<double> ex(c, good);
+          for (const Schedule* bad : {&sendOffsets, &recvOffsets, &pairs}) {
+            EXPECT_THROW(ex.rebind(*bad), Error);
+          }
+          std::vector<double> buf{1.0, 2.0, 0.0, 0.0};
+          ex.run(buf, buf);
+          EXPECT_EQ(buf[2], 1.0);
+          EXPECT_EQ(buf[3], 2.0);
+        },
+        options);
+  }
+}
 
 TEST(Executor, EveryRunEntryPointRejectsShortSpans) {
   // Rank 0 receives kPerPeer elements from each other rank into a
@@ -340,9 +368,9 @@ TEST(Executor, EveryRunEntryPointRejectsShortSpans) {
   // plan reaches offset 3.
   const auto halves = [](Index srcLen, Index dstLen) {
     Schedule send;
-    send.sends.push_back(OffsetPlan{0, {0, 1, 2, 3}, {}});
+    send.sends.push_back(OffsetPlan{0, {}, {OffsetRun{0, 4, 1}}});
     Schedule recv;
-    recv.recvs.push_back(OffsetPlan{0, {0, 1, 2, 3}, {}});
+    recv.recvs.push_back(OffsetPlan{0, {}, {OffsetRun{0, 4, 1}}});
     World::run({
         transport::ProgramSpec{
             "a", 1,
@@ -411,7 +439,6 @@ MeshPair meshPair(Comm& c) {
   irregSet.add(core::Region::indices(ids));
   m.fwd = core::computeSchedule(c, core::PartiAdapter::describe(*m.a), regSet,
                                 core::ChaosAdapter::describe(*m.x), irregSet);
-  m.fwd.plan.compress();
   return m;
 }
 

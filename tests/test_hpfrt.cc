@@ -7,6 +7,7 @@
 #include "hpfrt/hpf_array.h"
 #include "hpfrt/matvec.h"
 #include "hpfrt/redistribute.h"
+#include "oracle/run_reference.h"
 #include "transport/world.h"
 
 namespace mc::hpfrt {
@@ -206,6 +207,88 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<RedistCase>& info) {
       return "case" + std::to_string(info.index);
     });
+
+// The redistribution builder appends element by element; its plans must be
+// exactly the runs of the element lists in section order.
+sched::Schedule elementwiseRedistSchedule(const HpfDist& src,
+                                          const RegularSection& srcSec,
+                                          const HpfDist& dst,
+                                          const RegularSection& dstSec,
+                                          int me) {
+  std::vector<std::vector<Index>> sendBy(static_cast<size_t>(dst.nprocs()));
+  std::vector<std::vector<Index>> recvBy(static_cast<size_t>(src.nprocs()));
+  std::vector<std::pair<Index, Index>> pairs;
+  for (Index k = 0; k < srcSec.numElements(); ++k) {
+    const Point sp = srcSec.pointAt(k);
+    const Point dp = dstSec.pointAt(k);
+    const int s = src.ownerOf(sp);
+    const int d = dst.ownerOf(dp);
+    if (s == me && d == me) {
+      pairs.emplace_back(src.localOffset(me, sp), dst.localOffset(me, dp));
+    } else if (s == me) {
+      sendBy[static_cast<size_t>(d)].push_back(src.localOffset(me, sp));
+    } else if (d == me) {
+      recvBy[static_cast<size_t>(s)].push_back(dst.localOffset(me, dp));
+    }
+  }
+  sched::Schedule out;
+  out.sends = sched::reference::laneOf(sendBy);
+  out.recvs = sched::reference::laneOf(recvBy);
+  out.localRuns = sched::reference::compressPairs(pairs);
+  return out;
+}
+
+TEST(Redistribute, RunsEqualTheElementwiseLists) {
+  int checked = 0;
+  for (const int np : {1, 2, 3, 4, 6}) {
+    // A 2-D grid of np processors: (np, 1), (2, 2) or (3, 2).
+    const int p0 = np == 4 ? 2 : (np == 6 ? 3 : np);
+    const int p1 = np / p0;
+    const DimDist block{DistKind::kBlock, np, 1};
+    const DimDist cyclic{DistKind::kCyclic, np, 1};
+    const DimDist cyclic3{DistKind::kBlockCyclic, np, 3};
+    struct Case {
+      HpfDist src, dst;
+      RegularSection srcSec, dstSec;
+    };
+    const Case cases[] = {
+        // BLOCK -> CYCLIC, whole 1-D array
+        {HpfDist(Shape::of({37}), {block}), HpfDist(Shape::of({37}), {cyclic}),
+         RegularSection::box({0}, {36}), RegularSection::box({0}, {36})},
+        // CYCLIC(3) -> BLOCK, strided partial section
+        {HpfDist(Shape::of({40}), {cyclic3}),
+         HpfDist(Shape::of({25}), {block}), RegularSection::of({1}, {39}, {2}),
+         RegularSection::box({2}, {21})},
+        // CYCLIC -> CYCLIC(3), shifted window
+        {HpfDist(Shape::of({30}), {cyclic}),
+         HpfDist(Shape::of({33}), {cyclic3}), RegularSection::box({0}, {26}),
+         RegularSection::box({6}, {32})},
+        // 2-D (BLOCK, BLOCK) -> (CYCLIC, BLOCK), sub-box
+        {HpfDist(Shape::of({20, 20}), {DimDist{DistKind::kBlock, p0, 1},
+                                       DimDist{DistKind::kBlock, p1, 1}}),
+         HpfDist(Shape::of({12, 12}), {DimDist{DistKind::kCyclic, p1, 1},
+                                       DimDist{DistKind::kBlock, p0, 1}}),
+         RegularSection::box({8, 8}, {17, 17}),
+         RegularSection::box({1, 2}, {10, 11})},
+        // 2-D section -> 1-D CYCLIC(3)
+        {HpfDist(Shape::of({6, 7}), {DimDist{DistKind::kBlock, p0, 1},
+                                     DimDist{DistKind::kCyclic, p1, 1}}),
+         HpfDist(Shape::of({50}), {cyclic3}),
+         RegularSection::box({0, 0}, {5, 6}), RegularSection::box({4}, {45})},
+    };
+    for (const Case& tc : cases) {
+      for (int me = 0; me < np; ++me) {
+        EXPECT_EQ(sched::reference::runListing(buildRedistSchedule(
+                      tc.src, tc.srcSec, tc.dst, tc.dstSec, me)),
+                  sched::reference::runListing(elementwiseRedistSchedule(
+                      tc.src, tc.srcSec, tc.dst, tc.dstSec, me)))
+            << "P=" << np << " case " << (&tc - cases) << " proc " << me;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 80);
+}
 
 TEST(Redistribute, SectionAssignOneCall) {
   // The Figure-9-style assignment A[0:4, 2:6] = B[5:9, 0:4] in one call.

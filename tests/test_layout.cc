@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "layout/block_decomp.h"
 #include "layout/index.h"
@@ -87,6 +88,44 @@ TEST(Section, ForEachMatchesPointAt) {
 TEST(Section, ForEachEmpty) {
   const RegularSection s = RegularSection::of({3}, {2}, {1});
   s.forEach([&](const Point&, Index) { FAIL(); });
+}
+
+TEST(Section, ForEachRowVisitsForEachsPointsInOrder) {
+  // Expanding every row (first, first + s, ... along the last dimension,
+  // s = its stride) reproduces forEach's point sequence exactly.
+  const RegularSection cases[] = {
+      RegularSection::box({4}, {19}),                       // 1-D
+      RegularSection::of({1}, {30}, {4}),                   // 1-D strided
+      RegularSection::of({2, 1}, {9, 13}, {3, 5}),          // 2-D strided
+      RegularSection::of({0, 2, 1}, {3, 6, 7}, {1, 2, 3}),  // 3-D strided
+      RegularSection::box({1, 2, 3}, {2, 4, 3}),            // 3-D, 1-wide rows
+  };
+  for (const RegularSection& s : cases) {
+    std::vector<Point> want;
+    s.forEach([&](const Point& p, Index) { want.push_back(p); });
+    std::vector<Point> got;
+    const auto last = static_cast<size_t>(s.rank - 1);
+    s.forEachRow([&](const Point& first, Index count) {
+      EXPECT_EQ(count, s.count(s.rank - 1));
+      Point p = first;
+      for (Index k = 0; k < count; ++k) {
+        got.push_back(p);
+        p[s.rank - 1] += s.stride[last];
+      }
+    });
+    EXPECT_EQ(got, want);
+  }
+}
+
+TEST(Section, ForEachRowEmpty) {
+  RegularSection::of({3}, {2}, {1}).forEachRow(
+      [&](const Point&, Index) { FAIL(); });
+  // An empty outer dimension empties every row.
+  RegularSection::box({2, 0}, {1, 5}).forEachRow(
+      [&](const Point&, Index) { FAIL(); });
+  // A default-constructed section has rank 0 and no last dimension.
+  EXPECT_THROW(RegularSection{}.forEachRow([&](const Point&, Index) {}),
+               Error);
 }
 
 TEST(Section, Contains) {

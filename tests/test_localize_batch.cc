@@ -38,8 +38,7 @@ void expectPlansEqual(const std::vector<sched::OffsetPlan>& got,
   ASSERT_EQ(got.size(), want.size()) << what;
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].peer, want[i].peer) << what << " plan " << i;
-    EXPECT_EQ(got[i].expandedOffsets(), want[i].expandedOffsets())
-        << what << " plan " << i;
+    EXPECT_EQ(got[i].runs, want[i].runs) << what << " plan " << i;
   }
 }
 
@@ -48,7 +47,7 @@ void expectLocalizedEqual(const Localized& got, const Localized& want) {
   EXPECT_EQ(got.ghostCount, want.ghostCount);
   expectPlansEqual(got.gatherSched.sends, want.gatherSched.sends, "gather sends");
   expectPlansEqual(got.gatherSched.recvs, want.gatherSched.recvs, "gather recvs");
-  EXPECT_EQ(got.gatherSched.localPairs, want.gatherSched.localPairs);
+  EXPECT_EQ(got.gatherSched.localRuns, want.gatherSched.localRuns);
   expectPlansEqual(got.scatterAddSched.sends, want.scatterAddSched.sends,
                    "scatter sends");
   expectPlansEqual(got.scatterAddSched.recvs, want.scatterAddSched.recvs,

@@ -510,15 +510,12 @@ TEST(Trace, OverlapPipelineSpansAreWellFormed) {
   World::runSPMD(kProcs, [&](Comm& c) {
     const Index block = 64;
     sched::Schedule plan;
-    sched::OffsetPlan send;
-    send.peer = (c.rank() + 1) % c.size();
-    for (Index k = 0; k < block; ++k) send.offsets.push_back(k);
-    sched::OffsetPlan recv;
-    recv.peer = (c.rank() + c.size() - 1) % c.size();
-    for (Index k = 0; k < block; ++k) recv.offsets.push_back(block + k);
-    plan.sends.push_back(std::move(send));
-    plan.recvs.push_back(std::move(recv));
-    plan.compress();
+    plan.sends.push_back(sched::OffsetPlan{
+        (c.rank() + 1) % c.size(), {}, {sched::OffsetRun{0, block, 1}}});
+    plan.recvs.push_back(
+        sched::OffsetPlan{(c.rank() + c.size() - 1) % c.size(),
+                          {},
+                          {sched::OffsetRun{block, block, 1}}});
     std::vector<double> src(static_cast<size_t>(block), 1.0);
     std::vector<double> dst(static_cast<size_t>(2 * block), 0.0);
     sched::Executor<double> ex(c, plan);

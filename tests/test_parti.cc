@@ -2,6 +2,7 @@
 // exchange, regular-section copy, stencil sweeps.
 #include <gtest/gtest.h>
 
+#include "oracle/run_reference.h"
 #include "parti/dist_array.h"
 #include "parti/ghost.h"
 #include "parti/section_copy.h"
@@ -203,6 +204,10 @@ TEST(SectionCopy, RejectsNonConformant) {
                      a.desc(), RegularSection::box({0, 0}, {3, 3}),
                      b.desc(), RegularSection::box({0, 0}, {3, 4}), 0),
                  Error);
+    // Default-constructed (rank-0) sections have no rows to copy.
+    EXPECT_THROW(buildSectionCopySchedule(a.desc(), RegularSection{},
+                                          b.desc(), RegularSection{}, 0),
+                 Error);
   });
 }
 
@@ -256,37 +261,173 @@ TEST(SectionCopy, LocalBufferingMatchesDirect) {
   });
 }
 
-TEST(SectionCopy, CompressedStagingShiftsRowsInPlace) {
+TEST(SectionCopy, StagingShiftsRowRunsInPlace) {
   // An in-place copy of box (0,0)-(3,2) to (1,0)-(4,2) overlaps itself.
-  // compress() stores the local transfers as one run per row; staging must
+  // The builder emits the local transfers as one run per row; staging must
   // still read every source row before writing any, so rows 1-4 end as the
-  // old rows 0-3 in both forms (copying run by run would smear row 0 down
-  // the box).
+  // old rows 0-3 (copying run by run would smear row 0 down the box).
   World::runSPMD(1, [](Comm& c) {
-    for (bool compressed : {false, true}) {
-      BlockDistArray<double> a(c, Shape::of({6, 6}));
-      a.fillByPoint([](const Point& p) { return cell(p[0], p[1]); });
-      Schedule sched = buildSectionCopySchedule(
-          a.desc(), RegularSection::box({0, 0}, {3, 2}), a.desc(),
-          RegularSection::box({1, 0}, {4, 2}), 0);
-      ASSERT_TRUE(sched.bufferLocalCopies);
-      if (compressed) {
-        sched.compress();
-        ASSERT_EQ(sched.localRuns.size(), 4u);
-      }
-      execute<double>(c, sched, a.raw(), a.raw(), c.nextUserTag());
-      const auto g = a.gatherGlobal();
-      for (Index i = 0; i < 6; ++i) {
-        for (Index j = 0; j < 6; ++j) {
-          const bool moved = i >= 1 && i <= 4 && j <= 2;
-          EXPECT_DOUBLE_EQ(g[static_cast<size_t>(6 * i + j)],
-                           moved ? cell(i - 1, j) : cell(i, j))
-              << (compressed ? "compressed" : "pairs") << " (" << i << ","
-              << j << ")";
-        }
+    BlockDistArray<double> a(c, Shape::of({6, 6}));
+    a.fillByPoint([](const Point& p) { return cell(p[0], p[1]); });
+    const Schedule sched = buildSectionCopySchedule(
+        a.desc(), RegularSection::box({0, 0}, {3, 2}), a.desc(),
+        RegularSection::box({1, 0}, {4, 2}), 0);
+    ASSERT_TRUE(sched.bufferLocalCopies);
+    ASSERT_EQ(sched.localRuns.size(), 4u);
+    execute<double>(c, sched, a.raw(), a.raw(), c.nextUserTag());
+    const auto g = a.gatherGlobal();
+    for (Index i = 0; i < 6; ++i) {
+      for (Index j = 0; j < 6; ++j) {
+        const bool moved = i >= 1 && i <= 4 && j <= 2;
+        EXPECT_DOUBLE_EQ(g[static_cast<size_t>(6 * i + j)],
+                         moved ? cell(i - 1, j) : cell(i, j))
+            << "(" << i << "," << j << ")";
       }
     }
   });
+}
+
+// --- same bits ---------------------------------------------------------------
+// The box-calculus builders emit one run per section row.  Their plans must
+// be exactly the runs of the element lists an element-wise builder makes —
+// every lane in row-major order — compressed element by element.
+
+constexpr int kProcCounts[] = {1, 2, 3, 4, 6};
+
+/// Element-wise ghost schedule: my halo cells by owner, and my owned cells
+/// by every neighbour whose halo holds them, each in row-major order.
+Schedule elementwiseGhostSchedule(const PartiDesc& desc, int me) {
+  Schedule s;
+  const RegularSection myBox = desc.decomp.ownedBox(me);
+  if (desc.ghost == 0 || myBox.empty()) return s;
+  const Shape& domain = desc.decomp.globalShape();
+  const auto np = static_cast<size_t>(desc.decomp.nprocs());
+  std::vector<std::vector<Index>> recvBy(np), sendBy(np);
+  layout::expandBox(myBox, desc.ghost, domain)
+      .forEach([&](const Point& p, Index) {
+        const int q = desc.ownerOf(p);
+        if (q != me) {
+          recvBy[static_cast<size_t>(q)].push_back(desc.paddedOffsetOf(me, p));
+        }
+      });
+  for (int q = 0; q < desc.decomp.nprocs(); ++q) {
+    const RegularSection qBox = desc.decomp.ownedBox(q);
+    if (q == me || qBox.empty()) continue;
+    const RegularSection qHalo = layout::expandBox(qBox, desc.ghost, domain);
+    myBox.forEach([&](const Point& p, Index) {
+      if (qHalo.contains(p)) {
+        sendBy[static_cast<size_t>(q)].push_back(desc.paddedOffsetOf(me, p));
+      }
+    });
+  }
+  s.sends = sched::reference::laneOf(sendBy);
+  s.recvs = sched::reference::laneOf(recvBy);
+  return s;
+}
+
+/// Element-wise section copy: the k-th destination element (row-major)
+/// takes the k-th source element; sends, receives and local pairs follow
+/// destination row-major order.
+Schedule elementwiseSectionCopySchedule(const PartiDesc& srcDesc,
+                                        const RegularSection& srcSec,
+                                        const PartiDesc& dstDesc,
+                                        const RegularSection& dstSec,
+                                        int me) {
+  std::vector<std::vector<Index>> sendBy(
+      static_cast<size_t>(dstDesc.decomp.nprocs()));
+  std::vector<std::vector<Index>> recvBy(
+      static_cast<size_t>(srcDesc.decomp.nprocs()));
+  std::vector<std::pair<Index, Index>> pairs;
+  dstSec.forEach([&](const Point& pDst, Index k) {
+    const Point pSrc = srcSec.pointAt(k);
+    const int s = srcDesc.ownerOf(pSrc);
+    const int d = dstDesc.ownerOf(pDst);
+    if (s == me && d == me) {
+      pairs.emplace_back(srcDesc.paddedOffsetOf(me, pSrc),
+                         dstDesc.paddedOffsetOf(me, pDst));
+    } else if (s == me) {
+      sendBy[static_cast<size_t>(d)].push_back(
+          srcDesc.paddedOffsetOf(me, pSrc));
+    } else if (d == me) {
+      recvBy[static_cast<size_t>(s)].push_back(
+          dstDesc.paddedOffsetOf(me, pDst));
+    }
+  });
+  Schedule sched;
+  sched.sends = sched::reference::laneOf(sendBy);
+  sched.recvs = sched::reference::laneOf(recvBy);
+  sched.localRuns = sched::reference::compressPairs(pairs);
+  return sched;
+}
+
+TEST(Ghost, RowRunsEqualTheElementwiseLists) {
+  int checked = 0;
+  for (const int np : kProcCounts) {
+    for (const Shape& shape : {Shape::of({13, 11}), Shape::of({7, 6, 5})}) {
+      for (const int width : {1, 2}) {
+        const PartiDesc desc{layout::BlockDecomp::regular(shape, np), width};
+        for (int me = 0; me < np; ++me) {
+          EXPECT_EQ(sched::reference::runListing(buildGhostSchedule(desc, me)),
+                    sched::reference::runListing(
+                        elementwiseGhostSchedule(desc, me)))
+              << "P=" << np << " rank " << shape.rank << " width " << width
+              << " proc " << me;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 64);
+}
+
+TEST(SectionCopy, RowRunsEqualTheElementwiseLists) {
+  struct Case {
+    Shape srcShape, dstShape;
+    RegularSection srcSec, dstSec;
+    bool inPlace;  // source and destination are one array
+  };
+  const Case cases[] = {
+      // box onto box, different shapes
+      {Shape::of({12, 10}), Shape::of({9, 20}),
+       RegularSection::box({2, 1}, {7, 6}),
+       RegularSection::box({3, 10}, {8, 15}), false},
+      // strided source onto a dense destination, and back
+      {Shape::of({16, 16}), Shape::of({8, 8}),
+       RegularSection::of({0, 1}, {14, 15}, {2, 2}),
+       RegularSection::box({0, 0}, {7, 7}), false},
+      {Shape::of({6, 6}), Shape::of({18, 12}),
+       RegularSection::box({1, 1}, {4, 4}),
+       RegularSection::of({0, 0}, {15, 9}, {5, 3}), false},
+      // 3-D box onto a strided 3-D section
+      {Shape::of({6, 5, 8}), Shape::of({6, 5, 8}),
+       RegularSection::box({0, 1, 0}, {3, 3, 3}),
+       RegularSection::of({1, 0, 1}, {4, 2, 7}, {1, 1, 2}), false},
+      // overlapping in-place copies (local runs must stage)
+      {Shape::of({10, 9}), Shape::of({10, 9}),
+       RegularSection::box({0, 0}, {6, 5}),
+       RegularSection::box({2, 1}, {8, 6}), true},
+      {Shape::of({40}), Shape::of({40}), RegularSection::box({0}, {29}),
+       RegularSection::box({5}, {34}), true},
+  };
+  int checked = 0;
+  for (const int np : kProcCounts) {
+    for (const Case& tc : cases) {
+      const PartiDesc src{layout::BlockDecomp::regular(tc.srcShape, np), 0};
+      const PartiDesc dst =
+          tc.inPlace ? src
+                     : PartiDesc{layout::BlockDecomp::regular(tc.dstShape, np),
+                                 1};
+      for (int me = 0; me < np; ++me) {
+        EXPECT_EQ(sched::reference::runListing(buildSectionCopySchedule(
+                      src, tc.srcSec, dst, tc.dstSec, me)),
+                  sched::reference::runListing(elementwiseSectionCopySchedule(
+                      src, tc.srcSec, dst, tc.dstSec, me)))
+            << "P=" << np << " case " << (&tc - cases) << " proc " << me;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 96);
 }
 
 TEST(Stencil, MatchesSerialSweep) {

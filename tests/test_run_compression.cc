@@ -1,11 +1,13 @@
 // Run compression (sched/run_plan.h) must be an exact, order-preserving
 // re-encoding of offset lists: adversarial patterns round-trip through
-// compress/expand unchanged, and compressed pack/unpack/local-copy produce
-// bit-identical results to the element-wise baseline.
+// compress/expand unchanged, appending whole runs matches the element-wise
+// greedy, and run-wise pack/unpack/local-copy produce bit-identical results
+// to element-wise loops.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
+#include "oracle/run_reference.h"
 #include "sched/run_plan.h"
 #include "sched/executor.h"
 #include "transport/world.h"
@@ -153,8 +155,7 @@ TEST(RunCompression, LocalPairsRoundTripAndAliasSafety) {
   std::vector<std::pair<Index, Index>> pairs;
   for (Index k = 0; k < 16; ++k) pairs.emplace_back(k, 40 + k);  // contiguous
   for (Index k = 0; k < 8; ++k) pairs.emplace_back(20 + 2 * k, 60 + 3 * k);
-  const auto runs =
-      compressPairs(std::span<const std::pair<Index, Index>>(pairs));
+  const auto runs = reference::compressPairs(pairs);
 
   std::vector<double> want(100), got(100);
   for (size_t i = 0; i < 100; ++i) want[i] = got[i] = static_cast<double>(i);
@@ -166,98 +167,114 @@ TEST(RunCompression, LocalPairsRoundTripAndAliasSafety) {
   EXPECT_EQ(got, want);
 }
 
-TEST(RunCompression, ScheduleCompressIsIdempotentAndExact) {
-  Schedule s;
-  s.sends.push_back(OffsetPlan{1, {0, 1, 2, 3, 10, 20, 30, 7}, {}});
-  s.recvs.push_back(OffsetPlan{2, {5, 5, 5, 9}, {}});
-  s.localPairs = {{0, 50}, {1, 51}, {2, 52}, {9, 70}};
-  s.compress();
-  EXPECT_TRUE(s.compressed());
-  const auto runsBefore = s.sends[0].runs;
-  s.compress();
-  EXPECT_EQ(s.sends[0].runs.size(), runsBefore.size());
-  EXPECT_EQ(expand(s.sends[0].runs), s.sends[0].offsets);
-  EXPECT_EQ(expand(s.recvs[0].runs), s.recvs[0].offsets);
+TEST(RunCompression, AppendRunMatchesElementwiseGreedy) {
+  // appendOffsetRun / appendLocalRun absorb whole runs, yet must leave
+  // exactly the runs the element-wise greedy (compressOffsets /
+  // compressPairs) makes of the expanded sequence — across seams that
+  // continue, break or change a progression, and for singleton, repeated
+  // and descending runs.
+  Rng rng(1234);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<OffsetRun> runs;
+    std::vector<LocalRun> localRuns;
+    std::vector<Index> offsets;
+    std::vector<std::pair<Index, Index>> pairs;
+    Index at = static_cast<Index>(rng.below(50));
+    const int n = static_cast<int>(1 + rng.below(8));
+    for (int r = 0; r < n; ++r) {
+      // Often start where the previous run would continue.
+      const Index start =
+          rng.below(2) == 0 ? at : static_cast<Index>(rng.below(100));
+      const Index stride = static_cast<Index>(rng.below(5)) - 1;
+      const Index count = static_cast<Index>(1 + rng.below(6));
+      const Index dstStride = static_cast<Index>(rng.below(3));
+      const OffsetRun run{start, count, count == 1 ? 0 : stride};
+      appendOffsetRun(runs, run);
+      appendLocalRun(localRuns, LocalRun{start, 2 * start, count,
+                                         run.stride,
+                                         count == 1 ? 0 : dstStride});
+      for (Index k = 0; k < count; ++k) {
+        offsets.push_back(start + k * run.stride);
+        pairs.emplace_back(start + k * run.stride,
+                           2 * start + k * (count == 1 ? 0 : dstStride));
+      }
+      at = start + count * stride;
+    }
+    EXPECT_EQ(runs, compress(offsets)) << "trial " << trial;
+    EXPECT_EQ(localRuns, reference::compressPairs(pairs)) << "trial " << trial;
+  }
 }
 
-TEST(RunCompression, CompressedExecuteEqualsUncompressed) {
-  // The same schedule, compressed and not, must move bytes identically —
-  // including the local direct-copy path with aliasing src/dst.
+TEST(RunCompression, ExecuteMatchesElementwiseLoops) {
+  // A run schedule moves bytes exactly as element-wise loops over its
+  // element lists would — including the local direct-copy path with
+  // aliasing src/dst, and the scatter-add executor.
   World::runSPMD(3, [](Comm& c) {
     const int np = c.size();
     const int me = c.rank();
+    const int prev = (me + np - 1) % np;
     const Index perRank = 40;
     // Ring schedule: each rank sends a strided slice to the next rank and
     // keeps a contiguous slice locally.
-    Schedule plain;
-    plain.bufferLocalCopies = false;
-    OffsetPlan send;
-    send.peer = (me + 1) % np;
-    for (Index k = 0; k < 10; ++k) send.offsets.push_back(3 * k);
-    OffsetPlan recv;
-    recv.peer = (me + np - 1) % np;
-    for (Index k = 0; k < 10; ++k) recv.offsets.push_back(perRank - 1 - k);
-    plain.sends.push_back(send);
-    plain.recvs.push_back(recv);
-    for (Index k = 0; k < 6; ++k) plain.localPairs.emplace_back(k, 12 + k);
+    std::vector<Index> sendOffs, recvOffs;
+    std::vector<std::pair<Index, Index>> pairs;
+    for (Index k = 0; k < 10; ++k) sendOffs.push_back(3 * k);
+    for (Index k = 0; k < 10; ++k) recvOffs.push_back(perRank - 1 - k);
+    for (Index k = 0; k < 6; ++k) pairs.emplace_back(k, 12 + k);
+    Schedule s;
+    s.bufferLocalCopies = false;
+    s.sends.push_back(reference::planOf((me + 1) % np, sendOffs));
+    s.recvs.push_back(reference::planOf(prev, recvOffs));
+    s.localRuns = reference::compressPairs(pairs);
 
-    Schedule fast = plain;
-    fast.compress();
-
-    auto fill = [&](std::vector<double>& v) {
-      v.resize(static_cast<size_t>(perRank));
-      for (Index k = 0; k < perRank; ++k) {
-        v[static_cast<size_t>(k)] =
-            static_cast<double>(me) * 1000.0 + static_cast<double>(k);
-      }
+    auto value = [](int rank, Index k) {
+      return static_cast<double>(rank) * 1000.0 + static_cast<double>(k);
     };
-    std::vector<double> a, b;
-    fill(a);
-    fill(b);
-    execute<double>(c, plain, a, a, c.nextUserTag());
-    execute<double>(c, fast, b, b, c.nextUserTag());
-    EXPECT_EQ(a, b);
-
-    // And the scatter-add executor.
-    std::vector<double> a2, b2;
-    fill(a2);
-    fill(b2);
-    executeAdd<double>(c, plain, a2, a2, c.nextUserTag());
-    executeAdd<double>(c, fast, b2, b2, c.nextUserTag());
-    EXPECT_EQ(a2, b2);
+    std::vector<double> a(static_cast<size_t>(perRank));
+    for (Index k = 0; k < perRank; ++k) a[static_cast<size_t>(k)] = value(me, k);
+    std::vector<double> wantCopy = a, wantAdd = a, b = a;
+    for (const auto& [from, to] : pairs) {
+      wantCopy[static_cast<size_t>(to)] = value(me, from);
+      wantAdd[static_cast<size_t>(to)] += value(me, from);
+    }
+    for (size_t k = 0; k < recvOffs.size(); ++k) {
+      wantCopy[static_cast<size_t>(recvOffs[k])] = value(prev, sendOffs[k]);
+      wantAdd[static_cast<size_t>(recvOffs[k])] += value(prev, sendOffs[k]);
+    }
+    execute<double>(c, s, a, a, c.nextUserTag());
+    EXPECT_EQ(a, wantCopy);
+    executeAdd<double>(c, s, b, b, c.nextUserTag());
+    EXPECT_EQ(b, wantAdd);
   });
 }
 
-TEST(RunCompression, MergePreservesCompressionExactness) {
-  // merge() concatenates per-peer offsets; when all parts were compressed
-  // the result must come back compressed and still expand exactly.
+TEST(RunCompression, MergeEqualsCompressingTheConcatenation) {
+  // merge() appends each part's runs through the greedy: the merged plan
+  // is compressOffsets of the concatenated element lists, never an
+  // expand-and-recompress round trip.
   std::vector<Schedule> parts(2);
   for (auto& p : parts) p.bufferLocalCopies = false;
-  parts[0].sends.push_back(OffsetPlan{0, {0, 1, 2}, {}});
-  parts[1].sends.push_back(OffsetPlan{0, {10, 11, 12}, {}});
-  parts[0].compress();
-  parts[1].compress();
+  parts[0].sends.push_back(reference::planOf(0, {0, 1, 2}));
+  parts[1].sends.push_back(reference::planOf(0, {3, 4, 12}));
+  parts[0].localRuns = reference::localRunsOf({{0, 10}, {1, 11}});
+  parts[1].localRuns = reference::localRunsOf({{2, 12}, {7, 30}});
   const Schedule merged = merge(std::span<const Schedule>(parts));
   ASSERT_EQ(merged.sends.size(), 1u);
-  EXPECT_EQ(merged.sends[0].offsets,
-            (std::vector<Index>{0, 1, 2, 10, 11, 12}));
-  EXPECT_TRUE(merged.compressed());
-  EXPECT_EQ(expand(merged.sends[0].runs), merged.sends[0].offsets);
+  EXPECT_EQ(merged.sends[0].runs, compress({0, 1, 2, 3, 4, 12}));
+  EXPECT_EQ(merged.localRuns,
+            reference::localRunsOf({{0, 10}, {1, 11}, {2, 12}, {7, 30}}));
 }
 
 TEST(RunCompression, ReverseCarriesRunsWithFlippedLocals) {
   Schedule s;
   s.bufferLocalCopies = false;
-  s.sends.push_back(OffsetPlan{1, {0, 1, 2, 9}, {}});
-  s.recvs.push_back(OffsetPlan{1, {4, 6, 8}, {}});
-  s.localPairs = {{0, 10}, {1, 11}};
-  s.compress();
+  s.sends.push_back(reference::planOf(1, {0, 1, 2, 9}));
+  s.recvs.push_back(reference::planOf(1, {4, 6, 8}));
+  s.localRuns = reference::localRunsOf({{0, 10}, {1, 11}});
   const Schedule r = reverse(s);
-  EXPECT_TRUE(r.compressed());
-  EXPECT_EQ(expand(r.sends[0].runs), s.recvs[0].offsets);
-  EXPECT_EQ(expand(r.recvs[0].runs), s.sends[0].offsets);
-  ASSERT_EQ(r.localPairs.size(), 2u);
-  EXPECT_EQ(r.localPairs[0], (std::pair<Index, Index>{10, 0}));
+  EXPECT_EQ(r.sends[0].runs, s.recvs[0].runs);
+  EXPECT_EQ(r.recvs[0].runs, s.sends[0].runs);
+  EXPECT_EQ(r.localRuns, reference::localRunsOf({{10, 0}, {11, 1}}));
 }
 
 }  // namespace

@@ -26,13 +26,10 @@ using layout::Index;
 using transport::Comm;
 using transport::World;
 
-OffsetPlan planFromOffsets(std::vector<Index> offsets, bool compress) {
+OffsetPlan planFromOffsets(const std::vector<Index>& offsets) {
   OffsetPlan p;
   p.peer = 1;
-  p.offsets = std::move(offsets);
-  if (compress) {
-    p.runs = compressOffsets(std::span<const Index>(p.offsets));
-  }
+  p.runs = compressOffsets(std::span<const Index>(offsets));
   return p;
 }
 
@@ -46,7 +43,8 @@ OffsetPlan planFromRuns(std::vector<OffsetRun> runs) {
 /// Checks one plan's compiled kernels against the element-wise oracle for
 /// pack, unpack, and accumulating unpack.
 void checkPlanKernels(const OffsetPlan& plan, Index bufSize) {
-  const std::vector<Index> offs = plan.expandedOffsets();
+  const std::vector<Index> offs =
+      expandOffsets(std::span<const OffsetRun>(plan.runs));
   const size_t n = offs.size();
   const PlanKernel kernel = PlanKernel::compile(plan);
 
@@ -85,29 +83,26 @@ void checkPlanKernels(const OffsetPlan& plan, Index bufSize) {
 }
 
 TEST(PlanKernel, ClassificationPicksTheExpectedVariant) {
-  EXPECT_EQ(classifyPlan(planFromOffsets({}, true)), KernelKind::kEmpty);
+  EXPECT_EQ(classifyPlan(planFromOffsets({})), KernelKind::kEmpty);
   // Single stride-1 run.
-  EXPECT_EQ(classifyPlan(planFromOffsets({4, 5, 6, 7}, true)),
+  EXPECT_EQ(classifyPlan(planFromOffsets({4, 5, 6, 7})),
             KernelKind::kContiguous);
   // Single run, count 1: contiguous (stride irrelevant).
-  EXPECT_EQ(classifyPlan(planFromOffsets({9}, true)),
+  EXPECT_EQ(classifyPlan(planFromOffsets({9})),
             KernelKind::kContiguous);
   // Single constant-stride run.
-  EXPECT_EQ(classifyPlan(planFromOffsets({0, 3, 6, 9}, true)),
+  EXPECT_EQ(classifyPlan(planFromOffsets({0, 3, 6, 9})),
             KernelKind::kStrided);
   // Single descending run (negative stride).
-  EXPECT_EQ(classifyPlan(planFromOffsets({9, 6, 3, 0}, true)),
+  EXPECT_EQ(classifyPlan(planFromOffsets({9, 6, 3, 0})),
             KernelKind::kStrided);
   // Many short runs: flattened to an index list.
-  EXPECT_EQ(classifyPlan(planFromOffsets({0, 1, 7, 8, 3, 4, 11, 12}, true)),
+  EXPECT_EQ(classifyPlan(planFromOffsets({0, 1, 7, 8, 3, 4, 11, 12})),
             KernelKind::kIndexList);
   // Few long runs: run-wise loop.
   EXPECT_EQ(classifyPlan(planFromRuns({OffsetRun{0, 16, 1},
                                        OffsetRun{100, 16, 2}})),
             KernelKind::kRunList);
-  // Uncompressed plan: the offset list is the index list.
-  EXPECT_EQ(classifyPlan(planFromOffsets({5, 0, 9, 2}, false)),
-            KernelKind::kIndexList);
 }
 
 TEST(PlanKernel, EdgeCaseRunsMatchElementwiseOracle) {
@@ -124,7 +119,7 @@ TEST(PlanKernel, EdgeCaseRunsMatchElementwiseOracle) {
   // Long runs stay run-wise.
   checkPlanKernels(planFromRuns({OffsetRun{0, 12, 1}, OffsetRun{40, 12, 2}}),
                    80);
-  checkPlanKernels(planFromOffsets({}, true), 8);  // empty
+  checkPlanKernels(planFromOffsets({}), 8);  // empty
 }
 
 TEST(PlanKernel, RandomizedRunsMatchElementwiseOracle) {
@@ -148,12 +143,11 @@ TEST(PlanKernel, RandomizedRunsMatchElementwiseOracle) {
       runs.push_back(run);
     }
     checkPlanKernels(planFromRuns(std::move(runs)), bufSize);
-    // And the same pattern as an uncompressed offset plan.
+    // And a random offset list, compressed as a builder would.
     std::uniform_int_distribution<Index> off(0, bufSize - 1);
     std::vector<Index> offs(static_cast<size_t>(1 + iter % 40));
     for (Index& o : offs) o = off(rng);
-    checkPlanKernels(planFromOffsets(std::move(offs), iter % 2 == 0),
-                     bufSize);
+    checkPlanKernels(planFromOffsets(offs), bufSize);
   }
 }
 
@@ -195,9 +189,8 @@ TEST(PlanKernel, FittingOffsetsKeepOnlyTheNarrowStream) {
   EXPECT_EQ(k.idx32,
             (std::vector<std::uint32_t>{0, 1, 7, 8, 3, 4, 12, 11}));
   EXPECT_EQ(k.extent, 13);
-  // An uncompressed plan narrows its own offset list.
-  const PlanKernel flat =
-      PlanKernel::compile(planFromOffsets({5, 0, 9}, false));
+  // A plan of singleton runs narrows likewise.
+  const PlanKernel flat = PlanKernel::compile(planFromOffsets({5, 0, 9}));
   EXPECT_TRUE(flat.ownedIndices.empty());
   EXPECT_EQ(flat.idx32, (std::vector<std::uint32_t>{5, 0, 9}));
   EXPECT_EQ(flat.extent, 10);
@@ -223,18 +216,9 @@ TEST(PlanKernel, OffsetBeyond32BitsKeepsOnlyTheWideList) {
   const PlanKernel k = PlanKernel::compile(plan);
   ASSERT_EQ(k.kind, KernelKind::kIndexList);
   EXPECT_TRUE(k.idx32.empty());
-  const std::span<const Index> wide = k.indices(plan);
-  EXPECT_EQ(std::vector<Index>(wide.begin(), wide.end()),
-            plan.expandedOffsets());
+  EXPECT_EQ(k.ownedIndices,
+            expandOffsets(std::span<const OffsetRun>(plan.runs)));
   EXPECT_EQ(k.extent, big + 1);
-
-  const OffsetPlan flatPlan = planFromOffsets({3, big, 1}, false);
-  const PlanKernel flat = PlanKernel::compile(flatPlan);
-  EXPECT_TRUE(flat.idx32.empty());
-  EXPECT_TRUE(flat.ownedIndices.empty());
-  const std::span<const Index> flatWide = flat.indices(flatPlan);
-  EXPECT_EQ(std::vector<Index>(flatWide.begin(), flatWide.end()),
-            flatPlan.expandedOffsets());
 
   Schedule local;
   local.localRuns = {LocalRun{0, big, 1, 1, 1}, LocalRun{2, 3, 1, 1, 1}};
@@ -268,7 +252,6 @@ TEST(KernelExecutor, IrregularGatherMatchesReferenceBitwise) {
     const auto table = chaos::TranslationTable::build(
         c, mine, n, chaos::TranslationTable::Storage::kReplicated);
     chaos::Localized loc = irregularLocalized(c, table, n, 17);
-    loc.gatherSched.compress();
 
     std::vector<double> owned(mine.size());
     for (size_t i = 0; i < owned.size(); ++i) {
@@ -295,7 +278,6 @@ TEST(KernelExecutor, ScatterAddBitwiseDeterministicUnderShuffledArrival) {
     const auto table = chaos::TranslationTable::build(
         c, mine, n, chaos::TranslationTable::Storage::kReplicated);
     chaos::Localized loc = irregularLocalized(c, table, n, 29);
-    loc.scatterAddSched.compress();
 
     // Contributions with magnitudes that expose any reassociation.
     std::vector<double> ghost(static_cast<size_t>(loc.ghostCount));
@@ -328,7 +310,6 @@ TEST(KernelExecutor, AliasedGhostFillGuardedByFootprint) {
     const auto table = chaos::TranslationTable::build(
         c, mine, n, chaos::TranslationTable::Storage::kReplicated);
     chaos::Localized loc = irregularLocalized(c, table, n, 41);
-    loc.gatherSched.compress();
 
     // One buffer: owned elements followed by the ghost area.  The gather's
     // recv offsets index the ghost *suffix*, so shift them up and run the
@@ -336,7 +317,6 @@ TEST(KernelExecutor, AliasedGhostFillGuardedByFootprint) {
     Schedule aliased = loc.gatherSched;
     const Index base = static_cast<Index>(mine.size());
     for (OffsetPlan& p : aliased.recvs) {
-      for (Index& off : p.offsets) off += base;
       for (OffsetRun& r : p.runs) r.start += base;
     }
     const size_t total = mine.size() + static_cast<size_t>(loc.ghostCount);
@@ -372,7 +352,6 @@ TEST(KernelExecutor, IrregularPlansDispatchToIndexListAndCount) {
     const auto table = chaos::TranslationTable::build(
         c, mine, n, chaos::TranslationTable::Storage::kReplicated);
     chaos::Localized loc = irregularLocalized(c, table, n, 61);
-    loc.gatherSched.compress();
 
     const obs::Snapshot before = obs::threadRegistry().snapshot();
     Executor<double> ex(c, loc.gatherSched);

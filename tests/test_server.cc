@@ -8,9 +8,11 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "hpfrt/matvec.h"
+#include "oracle/run_reference.h"
 #include "sched/serialize.h"
 #include "server/client_session.h"
 #include "server/compute_server.h"
@@ -48,12 +50,10 @@ std::vector<double> oracle(Index n, int matrixId, int salt) {
 
 sched::Schedule sampleSchedule() {
   sched::Schedule s;
-  s.sends.push_back(sched::OffsetPlan{2, {0, 3, 4, 9}, {}});
+  s.sends.push_back(sched::reference::planOf(2, {0, 3, 4, 9}));
   s.sends.push_back(
       sched::OffsetPlan{5, {}, {sched::OffsetRun{1, 4, 2}}});
-  s.recvs.push_back(sched::OffsetPlan{1, {7, 8}, {}});
-  s.localPairs.emplace_back(0, 10);
-  s.localPairs.emplace_back(1, 11);
+  s.recvs.push_back(sched::reference::planOf(1, {7, 8}));
   s.localRuns.push_back(sched::LocalRun{0, 10, 2, 1, 1});
   s.bufferLocalCopies = true;
   return s;
@@ -68,10 +68,9 @@ TEST(ScheduleBlob, RoundTripsExactly) {
   ASSERT_EQ(back.recvs.size(), s.recvs.size());
   for (std::size_t i = 0; i < s.sends.size(); ++i) {
     EXPECT_EQ(back.sends[i].peer, s.sends[i].peer);
-    EXPECT_EQ(back.sends[i].offsets, s.sends[i].offsets);
     EXPECT_EQ(back.sends[i].runs, s.sends[i].runs);
   }
-  EXPECT_EQ(back.localPairs, s.localPairs);
+  EXPECT_EQ(back.recvs[0].runs, s.recvs[0].runs);
   EXPECT_EQ(back.localRuns, s.localRuns);
   // And the re-serialized bytes are identical (canonical form).
   EXPECT_EQ(sched::serializeSchedule(back), blob);
@@ -92,15 +91,39 @@ TEST(ScheduleBlob, TruncatedOrCorruptBlobRejected) {
   EXPECT_THROW(sched::deserializeSchedule(bad), Error);
 }
 
+TEST(ScheduleBlob, VersionTwoBlobIsRefused) {
+  // Version 2 carried an offset-list lane per plan and a local-pair lane
+  // next to the runs.  Runs are the one plan form now (version 3), so a
+  // well-formed version-2 blob is refused by its version, not misread.
+  std::vector<std::byte> v2;
+  blob::putU64(v2, 1);  // bufferLocalCopies
+  blob::putU64(v2, 1);  // one send plan
+  blob::putU64(v2, 2);  // peer
+  blob::putPods(v2, std::vector<Index>{0, 3, 4, 9});
+  blob::putPods(v2, std::vector<sched::OffsetRun>{});
+  blob::putU64(v2, 0);  // no receive plans
+  blob::putPods(v2, std::vector<Index>{0, 10, 1, 11});  // local pairs
+  blob::putPods(v2, std::vector<sched::LocalRun>{});
+  try {
+    sched::deserializeSchedule(blob::frame(blob::kSchedule, 2, v2));
+    ADD_FAILURE() << "a version-2 schedule blob was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown schedule blob version 2"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(sched::kScheduleBlobVersion, 3u);
+}
+
 TEST(BatchReplicate, ShiftsEachCopyByTheStride) {
   sched::Schedule s;
-  s.sends.push_back(sched::OffsetPlan{1, {0, 2}, {}});
+  s.sends.push_back(sched::reference::planOf(1, {0, 2}));
   s.recvs.push_back(
       sched::OffsetPlan{1, {}, {sched::OffsetRun{1, 3, 1}}});
   const sched::Schedule fused = sched::batchReplicate(
       s, 3, /*sendStride=*/4, /*recvStride=*/8);
   ASSERT_EQ(fused.sends.size(), 1u);
-  EXPECT_EQ(fused.sends[0].offsets,
+  EXPECT_EQ(sched::expandOffsets(fused.sends[0].runs),
             (std::vector<Index>{0, 2, 4, 6, 8, 10}));
   ASSERT_EQ(fused.recvs.size(), 1u);
   ASSERT_EQ(fused.recvs[0].runs.size(), 3u);

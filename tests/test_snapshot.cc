@@ -26,6 +26,7 @@
 #include "core/data_move.h"
 #include "core/schedule_cache.h"
 #include "fuzz_decoder.h"
+#include "oracle/run_reference.h"
 #include "sched/serialize.h"
 #include "server/client_session.h"
 #include "server/compute_server.h"
@@ -55,10 +56,9 @@ std::filesystem::path tmpDir(const std::string& name) {
 
 sched::Schedule samplePlan() {
   sched::Schedule s;
-  s.sends.push_back(sched::OffsetPlan{2, {0, 3, 4, 9}, {}});
+  s.sends.push_back(sched::reference::planOf(2, {0, 3, 4, 9}));
   s.sends.push_back(sched::OffsetPlan{5, {}, {sched::OffsetRun{1, 4, 2}}});
-  s.recvs.push_back(sched::OffsetPlan{1, {7, 8}, {}});
-  s.localPairs.emplace_back(0, 10);
+  s.recvs.push_back(sched::reference::planOf(1, {7, 8}));
   s.localRuns.push_back(sched::LocalRun{0, 10, 2, 1, 1});
   s.bufferLocalCopies = true;
   return s;
@@ -154,6 +154,17 @@ TEST(McScheduleBlob, RoundTripsExactlyAndCanonically) {
   EXPECT_EQ(back.sendSegs, s.sendSegs);
   EXPECT_EQ(back.recvSegs, s.recvSegs);
   EXPECT_EQ(snapshot::serializeMcSchedule(back), blob);
+}
+
+TEST(McScheduleBlob, VersionOneBlobIsRefused) {
+  // Version 1 embedded a version-2 schedule payload (offset-list and
+  // local-pair lanes); the reader refuses it by version.
+  std::vector<std::byte> payload;
+  sched::writeSchedulePayload(payload, samplePlan());
+  EXPECT_THROW(snapshot::deserializeMcSchedule(
+                   blob::frame(blob::kMcSchedule, 1, payload)),
+               Error);
+  EXPECT_EQ(snapshot::kMcScheduleBlobVersion, 2u);
 }
 
 TEST(McScheduleBlob, EveryPrefixRejectedAndFlagsCrossChecked) {
@@ -562,48 +573,53 @@ TEST(Snapshot, TruncatedOrCorruptFileFailsLoudly) {
 
 TEST(Snapshot, VersionTwoBodyIsRefused) {
   // Version 3 changed how index regions enter cache keys, so a version-2
-  // snapshot's entries could never hit again; restore refuses the body
-  // instead of loading them silently.
-  const std::filesystem::path dir = tmpDir("version2");
-  World::runSPMD(2, [&](Comm& c) {
-    core::defaultScheduleCache().insertEntry(
-        HashStream::Digest{3, 4}, HashStream::Digest{1, 2},
-        sampleMcSchedule(c.rank()));
-    snapshotSave(c, dir.string());
-  });
-  for (int r = 0; r < 2; ++r) {
-    const std::filesystem::path file =
-        dir / ("rank" + std::to_string(r) + ".mcsnap");
-    std::vector<std::byte> bytes;
-    {
-      std::ifstream in(file, std::ios::binary);
-      std::vector<char> raw((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-      bytes.resize(raw.size());
-      std::memcpy(bytes.data(), raw.data(), raw.size());
+  // snapshot's entries could never hit again; version 4 dropped the
+  // schedules' offset-list and local-pair lanes, so a version-3 body no
+  // longer parses.  Restore refuses both bodies instead of loading them.
+  for (const std::uint32_t oldVersion : {2u, 3u}) {
+    const std::filesystem::path dir =
+        tmpDir("version" + std::to_string(oldVersion));
+    World::runSPMD(2, [&](Comm& c) {
+      core::defaultScheduleCache().insertEntry(
+          HashStream::Digest{3, 4}, HashStream::Digest{1, 2},
+          sampleMcSchedule(c.rank()));
+      snapshotSave(c, dir.string());
+    });
+    for (int r = 0; r < 2; ++r) {
+      const std::filesystem::path file =
+          dir / ("rank" + std::to_string(r) + ".mcsnap");
+      std::vector<std::byte> bytes;
+      {
+        std::ifstream in(file, std::ios::binary);
+        std::vector<char> raw((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+        bytes.resize(raw.size());
+        std::memcpy(bytes.data(), raw.data(), raw.size());
+      }
+      // Re-frame the same body payload as the old version; keep the
+      // manifest.
+      std::size_t bodySize = 0;
+      const blob::FrameView body =
+          blob::unframe(bytes, blob::kSnapshotBody, &bodySize);
+      ASSERT_EQ(body.kindVersion, 4u);
+      std::vector<std::byte> old =
+          blob::frame(blob::kSnapshotBody, oldVersion, body.payload);
+      old.insert(old.end(), bytes.begin() + static_cast<long>(bodySize),
+                 bytes.end());
+      std::ofstream out(file, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(old.data()),
+                static_cast<std::streamsize>(old.size()));
     }
-    // Re-frame the same body payload as version 2; keep the manifest.
-    std::size_t bodySize = 0;
-    const blob::FrameView body =
-        blob::unframe(bytes, blob::kSnapshotBody, &bodySize);
-    ASSERT_EQ(body.kindVersion, 3u);
-    std::vector<std::byte> old =
-        blob::frame(blob::kSnapshotBody, 2, body.payload);
-    old.insert(old.end(), bytes.begin() + static_cast<long>(bodySize),
-               bytes.end());
-    std::ofstream out(file, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(old.data()),
-              static_cast<std::streamsize>(old.size()));
+    try {
+      World::runSPMD(2, [&](Comm& c) { snapshotRestore(c, dir.string()); });
+      ADD_FAILURE() << "a version-" << oldVersion << " snapshot was restored";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown snapshot version"),
+                std::string::npos)
+          << e.what();
+    }
+    std::filesystem::remove_all(dir);
   }
-  try {
-    World::runSPMD(2, [&](Comm& c) { snapshotRestore(c, dir.string()); });
-    ADD_FAILURE() << "a version-2 snapshot was restored";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("unknown snapshot version"),
-              std::string::npos)
-        << e.what();
-  }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Snapshot, SectionSetMismatchFailsLoudly) {

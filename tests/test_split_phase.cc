@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/data_move.h"
+#include "oracle/run_reference.h"
 #include "parti/ghost.h"
 #include "sched/executor.h"
 #include "sched/footprint.h"
@@ -59,27 +60,21 @@ Schedule fuzzedSchedule(int me, int nprocs, unsigned seed, Index srcN) {
         if (me == p) {
           const auto from = pick(rng, srcN, count);
           const auto to = pick(rng, kMaxPerPair, count);
+          std::vector<std::pair<Index, Index>> pairs;
           for (Index k = 0; k < count; ++k) {
-            s.localPairs.emplace_back(from[static_cast<size_t>(k)],
-                                      dstBase + to[static_cast<size_t>(k)]);
+            pairs.emplace_back(from[static_cast<size_t>(k)],
+                               dstBase + to[static_cast<size_t>(k)]);
           }
+          s.localRuns = reference::compressPairs(pairs);
         }
         continue;
       }
       if (me == p) {
-        OffsetPlan plan;
-        plan.peer = q;
-        plan.offsets = pick(rng, srcN, count);
-        s.sends.push_back(std::move(plan));
+        s.sends.push_back(reference::planOf(q, pick(rng, srcN, count)));
       } else if (me == q) {
-        OffsetPlan plan;
-        plan.peer = p;
-        const auto to = pick(rng, kMaxPerPair, count);
-        plan.offsets.reserve(static_cast<size_t>(count));
-        for (Index k = 0; k < count; ++k) {
-          plan.offsets.push_back(dstBase + to[static_cast<size_t>(k)]);
-        }
-        s.recvs.push_back(std::move(plan));
+        std::vector<Index> to = pick(rng, kMaxPerPair, count);
+        for (Index& off : to) off += dstBase;
+        s.recvs.push_back(reference::planOf(p, to));
       }
     }
   }
@@ -138,16 +133,10 @@ TEST(SplitPhase, AddMatchesRunAddBitwiseArrivalOrder) {
     s.bufferLocalCopies = false;
     if (c.rank() == 0) {
       for (int r = 1; r < c.size(); ++r) {
-        OffsetPlan p;
-        p.peer = r;
-        for (Index i = 0; i < kN; ++i) p.offsets.push_back(i);
-        s.recvs.push_back(std::move(p));
+        s.recvs.push_back(OffsetPlan{r, {}, {OffsetRun{0, kN, 1}}});
       }
     } else {
-      OffsetPlan p;
-      p.peer = 0;
-      for (Index i = 0; i < kN; ++i) p.offsets.push_back(i);
-      s.sends.push_back(std::move(p));
+      s.sends.push_back(OffsetPlan{0, {}, {OffsetRun{0, kN, 1}}});
     }
     const double contributions[] = {1e16, 1.0, -1e16};
     std::vector<double> src(kN, 0.0);
@@ -177,7 +166,7 @@ TEST(SplitPhase, SecondStartBeforeFinishThrows) {
   World::runSPMD(1, [](Comm& c) {
     Schedule s;
     s.bufferLocalCopies = false;
-    s.localPairs = {{0, 4}, {1, 5}, {2, 6}};
+    s.localRuns = {LocalRun{0, 4, 3, 1, 1}};
     Executor<double> ex(c, s);
     std::vector<double> src{10, 11, 12, 13}, dst(8, -1.0);
     auto pending = ex.start(src);
@@ -281,9 +270,7 @@ TEST(SplitPhase, TrafficStatsObserveWaitsAndEarlyDrains) {
   World::runSPMD(2, [](Comm& c) {
     Schedule s;
     s.bufferLocalCopies = false;
-    OffsetPlan p;
-    p.peer = c.rank() == 0 ? 1 : 0;
-    for (Index i = 0; i < 4; ++i) p.offsets.push_back(i);
+    OffsetPlan p{c.rank() == 0 ? 1 : 0, {}, {OffsetRun{0, 4, 1}}};
     if (c.rank() == 0) {
       s.recvs.push_back(std::move(p));
     } else {
@@ -340,16 +327,16 @@ TEST(SplitPhase, DataMoveBeginEndMatchesDataMove) {
 }
 
 TEST(Footprint, ClassifiesOffsetsExactly) {
-  // Pure inspector-side computation: classify a schedule mixing offset
-  // lists, contiguous runs, strided runs, and a repeated (stride-0) run,
-  // then compare membership against brute-force enumeration.
+  // Pure inspector-side computation: classify a schedule mixing singleton,
+  // contiguous, strided and repeated (stride-0) runs, then compare
+  // membership against brute-force enumeration.
   Schedule s;
   OffsetPlan r1;
   r1.peer = 0;
   r1.runs = {OffsetRun{10, 4, 1}, OffsetRun{100, 3, 7}};  // 10..13, 100,107,114
   OffsetPlan r2;
   r2.peer = 1;
-  r2.offsets = {2, 40, 41, 3};
+  r2.runs = compressOffsets(std::vector<Index>{2, 40, 41, 3});
   s.recvs = {r1, r2};
   s.localRuns = {LocalRun{/*src=*/60, /*dst=*/70, /*count=*/5,
                           /*srcStride=*/2, /*dstStride=*/1},

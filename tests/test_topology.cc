@@ -22,7 +22,9 @@ namespace {
 using layout::Index;
 using sched::Executor;
 using sched::OffsetPlan;
+using sched::OffsetRun;
 using sched::Schedule;
+using sched::appendOffsetRun;
 using transport::Comm;
 using transport::World;
 using transport::WorldOptions;
@@ -231,7 +233,8 @@ Schedule fuzzSchedule(unsigned seed, int nprocs, int me, bool overlap,
     OffsetPlan p;
     p.peer = d;
     for (int i = 0; i < n; ++i) {
-      p.offsets.push_back(static_cast<Index>(rng() % kSrcLen));
+      appendOffsetRun(p.runs,
+                      OffsetRun{static_cast<Index>(rng() % kSrcLen), 1, 0});
     }
     sched.sends.push_back(std::move(p));
   }
@@ -244,9 +247,10 @@ Schedule fuzzSchedule(unsigned seed, int nprocs, int me, bool overlap,
     OffsetPlan p;
     p.peer = s;
     for (int i = 0; i < n; ++i) {
-      p.offsets.push_back(overlap
-                              ? static_cast<Index>(rng() % 16)
-                              : static_cast<Index>(base + static_cast<size_t>(i)));
+      const Index off = overlap
+                            ? static_cast<Index>(rng() % 16)
+                            : static_cast<Index>(base + static_cast<size_t>(i));
+      appendOffsetRun(p.runs, OffsetRun{off, 1, 0});
     }
     base += static_cast<size_t>(n);
     sched.recvs.push_back(std::move(p));
@@ -399,16 +403,10 @@ TEST(Topology, AggregatedInterNodeMessageInvariant) {
           s.bufferLocalCopies = false;
           for (int r = 0; r < c.size(); ++r) {
             if (r == c.rank()) continue;
-            OffsetPlan snd;
-            snd.peer = r;
-            snd.offsets = {0, 1};
-            s.sends.push_back(std::move(snd));
-            OffsetPlan rcv;
-            rcv.peer = r;
+            s.sends.push_back(OffsetPlan{r, {}, {OffsetRun{0, 2, 1}}});
             const Index base =
                 static_cast<Index>(2 * (r < c.rank() ? r : r - 1));
-            rcv.offsets = {base, base + 1};
-            s.recvs.push_back(std::move(rcv));
+            s.recvs.push_back(OffsetPlan{r, {}, {OffsetRun{base, 2, 1}}});
           }
           Executor<double> ex(c, s);
           std::vector<double> src(2, 1.0 * c.rank());

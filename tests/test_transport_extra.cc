@@ -74,9 +74,11 @@ TEST(TransportExtra, ScheduleExecutorRejectsMismatchedPlans) {
                      [](Comm& c) {
                        sched::Schedule s;
                        if (c.rank() == 0) {
-                         s.sends.push_back(sched::OffsetPlan{1, {0, 1}, {}});
+                         s.sends.push_back(sched::OffsetPlan{
+                             1, {}, {sched::OffsetRun{0, 2, 1}}});
                        } else {
-                         s.recvs.push_back(sched::OffsetPlan{0, {0, 1, 2}, {}});
+                         s.recvs.push_back(sched::OffsetPlan{
+                             0, {}, {sched::OffsetRun{0, 3, 1}}});
                        }
                        std::vector<double> buf(8, 0.0);
                        sched::execute<double>(c, s, buf, buf, 42);
@@ -89,11 +91,11 @@ TEST(TransportExtra, ExecuteAddAccumulates) {
   World::runSPMD(2, [](Comm& c) {
     sched::Schedule s;
     if (c.rank() == 0) {
-      s.sends.push_back(sched::OffsetPlan{1, {0, 2}, {}});
-      s.localPairs.emplace_back(1, 3);
+      s.sends.push_back(sched::OffsetPlan{1, {}, {sched::OffsetRun{0, 2, 2}}});
+      s.localRuns.push_back(sched::LocalRun{1, 3, 1, 0, 0});
     } else {
       // Both elements add to slot 1.
-      s.recvs.push_back(sched::OffsetPlan{0, {1, 1}, {}});
+      s.recvs.push_back(sched::OffsetPlan{0, {}, {sched::OffsetRun{1, 2, 0}}});
     }
     std::vector<double> src{10, 20, 30, 40};
     std::vector<double> dst{1, 1, 1, 1};
@@ -108,16 +110,16 @@ TEST(TransportExtra, ExecuteAddAccumulates) {
 
 TEST(TransportExtra, ReverseTwiceIsIdentity) {
   sched::Schedule s;
-  s.sends.push_back(sched::OffsetPlan{2, {5, 6, 7}, {}});
-  s.recvs.push_back(sched::OffsetPlan{1, {9}, {}});
-  s.localPairs.emplace_back(3, 4);
+  s.sends.push_back(sched::OffsetPlan{2, {}, {sched::OffsetRun{5, 3, 1}}});
+  s.recvs.push_back(sched::OffsetPlan{1, {}, {sched::OffsetRun{9, 1, 0}}});
+  s.localRuns.push_back(sched::LocalRun{3, 4, 2, 1, 2});
   const sched::Schedule rr = sched::reverse(sched::reverse(s));
   ASSERT_EQ(rr.sends.size(), 1u);
   EXPECT_EQ(rr.sends[0].peer, 2);
-  EXPECT_EQ(rr.sends[0].offsets, (std::vector<layout::Index>{5, 6, 7}));
+  EXPECT_EQ(rr.sends[0].runs, s.sends[0].runs);
   ASSERT_EQ(rr.recvs.size(), 1u);
-  EXPECT_EQ(rr.recvs[0].offsets, (std::vector<layout::Index>{9}));
-  EXPECT_EQ(rr.localPairs, s.localPairs);
+  EXPECT_EQ(rr.recvs[0].runs, s.recvs[0].runs);
+  EXPECT_EQ(rr.localRuns, s.localRuns);
 }
 
 TEST(TransportExtra, TrafficBytesAccounting) {

@@ -61,10 +61,12 @@ BENCHMARK(BM_EnumerateHpfCyclic)->Arg(256)->Arg(512);
 void BM_EnumerateChaosReplicated(benchmark::State& state) {
   const Index n = state.range(0);
   std::vector<mc::chaos::ElementLoc> entries(static_cast<size_t>(n));
+  std::vector<Index> next(16, 0);  // each owner's offsets form a row
   mc::Rng rng(7);
   for (Index g = 0; g < n; ++g) {
+    const auto p = static_cast<size_t>(rng.below(16));
     entries[static_cast<size_t>(g)] =
-        mc::chaos::ElementLoc{static_cast<int>(rng.below(16)), g / 16};
+        mc::chaos::ElementLoc{static_cast<int>(p), next[p]++};
   }
   auto table = std::make_shared<const mc::chaos::TranslationTable>(
       mc::chaos::TranslationTable::replicatedFromEntries(std::move(entries),

@@ -3,78 +3,54 @@
 #include <algorithm>
 #include <iterator>
 
+#include "util/error.h"
+#include "util/radix_sort.h"
+
 namespace mc::chaos {
 
 using layout::Index;
-
-namespace {
-
-/// One routed assignment entry: global index + the local offset its owner
-/// holds it at (the owner is implied by the alltoall source row).
-struct GlobalOffset {
-  Index g = 0;
-  Index off = 0;
-};
-
-/// Routes an assignment to block-home ranks: home(g) = g / homeBlock.
-std::vector<std::vector<GlobalOffset>> routeToHomes(
-    std::span<const Index> mine, Index homeBlock, int nprocs) {
-  std::vector<std::vector<GlobalOffset>> rows(
-      static_cast<std::size_t>(nprocs));
-  for (std::size_t i = 0; i < mine.size(); ++i) {
-    const Index g = mine[i];
-    rows[static_cast<std::size_t>(g / homeBlock)].push_back(
-        GlobalOffset{g, static_cast<Index>(i)});
-  }
-  return rows;
-}
-
-}  // namespace
 
 std::vector<Index> migratedGlobals(transport::Comm& comm,
                                    std::span<const Index> oldMine,
                                    std::span<const Index> newMine,
                                    Index globalSize) {
-  const int nprocs = comm.size();
-  const Index homeBlock =
-      std::max<Index>(1, (globalSize + nprocs - 1) / nprocs);
-  // Each index has a home rank that sees both assignments' claims for it
-  // and decides migration locally — two all-to-alls and one allgather,
-  // independent of how irregular the distributions are.
-  auto oldAt = comm.alltoall(routeToHomes(oldMine, homeBlock, nprocs));
-  auto newAt = comm.alltoall(routeToHomes(newMine, homeBlock, nprocs));
-
-  const Index myLo = std::min(globalSize, homeBlock * comm.rank());
-  const Index myHi = std::min(globalSize, myLo + homeBlock);
-  struct OwnerOffset {
-    int owner = -1;  // -1: not owned in this assignment
-    Index off = 0;
+  const auto outOfRange = [globalSize](Index g) {
+    return g < 0 || g >= globalSize;
   };
-  std::vector<OwnerOffset> oldLoc(static_cast<std::size_t>(myHi - myLo));
-  std::vector<OwnerOffset> newLoc(static_cast<std::size_t>(myHi - myLo));
-  for (int r = 0; r < nprocs; ++r) {
-    for (const GlobalOffset& e : oldAt[static_cast<std::size_t>(r)]) {
-      oldLoc[static_cast<std::size_t>(e.g - myLo)] = OwnerOffset{r, e.off};
-    }
-    for (const GlobalOffset& e : newAt[static_cast<std::size_t>(r)]) {
-      newLoc[static_cast<std::size_t>(e.g - myLo)] = OwnerOffset{r, e.off};
+  // Each global appears at most once per assignment, so it keeps its
+  // (owner, offset) exactly when it sits in the same slot of the same rank
+  // in both lists: report the globals of the slots that differ and the
+  // longer list's tail.  An out-of-range index in an unchanged slot is
+  // reported too, so every rank rejects it below.
+  std::vector<Index> changed;
+  const std::size_t common = std::min(oldMine.size(), newMine.size());
+  for (std::size_t i = 0; i < common; ++i) {
+    const Index a = oldMine[i];
+    const Index b = newMine[i];
+    if (a != b) {
+      changed.push_back(a);
+      changed.push_back(b);
+    } else if (outOfRange(a)) {
+      changed.push_back(a);
     }
   }
-  std::vector<Index> mineMigrated;
-  for (Index g = myLo; g < myHi; ++g) {
-    const OwnerOffset& a = oldLoc[static_cast<std::size_t>(g - myLo)];
-    const OwnerOffset& b = newLoc[static_cast<std::size_t>(g - myLo)];
-    if (a.owner != b.owner || (a.owner >= 0 && a.off != b.off)) {
-      mineMigrated.push_back(g);
-    }
+  for (const auto tail : {oldMine.subspan(common), newMine.subspan(common)}) {
+    changed.insert(changed.end(), tail.begin(), tail.end());
   }
-  // Home ranges ascend with rank, so concatenating the rows in rank order
-  // yields the globally sorted migrated set directly.
-  auto rows = comm.allgather<Index>(std::span<const Index>(mineMigrated));
+  const auto rows = comm.allgather<Index>(std::span<const Index>(changed));
   std::vector<Index> migrated;
   for (const std::vector<Index>& row : rows) {
+    for (const Index g : row) {
+      MC_REQUIRE(!outOfRange(g), "global index %lld outside [0, %lld)",
+                 static_cast<long long>(g),
+                 static_cast<long long>(globalSize));
+    }
     migrated.insert(migrated.end(), row.begin(), row.end());
   }
+  // A global that moved between ranks is reported by both.
+  radixSort(migrated);
+  migrated.erase(std::unique(migrated.begin(), migrated.end()),
+                 migrated.end());
   return migrated;
 }
 
@@ -82,9 +58,7 @@ std::vector<Index> stableRemapOrder(std::span<const Index> oldMine,
                                     std::span<const Index> newMineAnyOrder) {
   const auto sorted = [](std::span<const Index> v) {
     std::vector<Index> out(v.begin(), v.end());
-    if (!std::is_sorted(out.begin(), out.end())) {
-      std::sort(out.begin(), out.end());
-    }
+    if (!std::is_sorted(out.begin(), out.end())) radixSort(out);
     return out;
   };
   const std::vector<Index> oldSorted = sorted(oldMine);

@@ -30,6 +30,15 @@ namespace mc::chaos {
 /// elements in local order) and the new one (`newMine`).  Indices owned in
 /// only one of the two assignments count as migrated.  Every rank returns
 /// the same (global) sorted, duplicate-free vector.
+///
+/// Contract: each global index appears at most once in each assignment
+/// (over all ranks), so an index keeps its (owner, offset) exactly when it
+/// sits in the same slot of the same rank in both lists.  Each rank
+/// therefore reports only the globals at the slots where its two lists
+/// differ, plus the longer list's tail: the cost is one allgather of the
+/// changed slots, O(n/P) local compares, and a radix sort of what the
+/// allgather returns.  Every index of both lists must lie in
+/// [0, globalSize); otherwise every rank throws mc::Error.
 std::vector<layout::Index> migratedGlobals(transport::Comm& comm,
                                            std::span<const layout::Index> oldMine,
                                            std::span<const layout::Index> newMine,
@@ -39,10 +48,11 @@ std::vector<layout::Index> migratedGlobals(transport::Comm& comm,
 /// old one: surviving elements keep their old slots, arrivals fill the
 /// departures' slots in place (ascending), extras append, and when the
 /// assignment shrinks the tail compacts.  The result is a permutation of
-/// `newMineAnyOrder`.  Both inputs are duplicate-free.  Local (no
-/// communication): two sorts (skipped for already-ascending input, which
-/// is what the partitioners emit), one set difference each way, and a pass
-/// over the old slots that searches only the departures.
+/// `newMineAnyOrder`.  Both inputs are duplicate-free lists of
+/// non-negative global indices.  Local (no communication): two radix sorts
+/// (skipped for already-ascending input, which is what the partitioners
+/// emit), one set difference each way, and a pass over the old slots that
+/// searches only the departures.
 std::vector<layout::Index> stableRemapOrder(
     std::span<const layout::Index> oldMine,
     std::span<const layout::Index> newMineAnyOrder);

@@ -1,6 +1,7 @@
 #include "chaos/partition.h"
 
 #include "util/error.h"
+#include "util/radix_sort.h"
 #include "util/rng.h"
 
 #include <algorithm>
@@ -93,7 +94,7 @@ std::vector<Index> rcbPartition(std::span<const double> x,
     }
   }
   std::vector<Index> mine(lo, hi);
-  std::sort(mine.begin(), mine.end());
+  radixSort(mine);
   return mine;
 }
 

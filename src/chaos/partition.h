@@ -42,7 +42,7 @@ std::vector<layout::Index> randomPartition(layout::Index n, int nprocs,
 /// part: each level selects its cut with std::nth_element under the
 /// (coordinate, global index) order and descends into the branch that holds
 /// `rank`.  Cost: O(n + n/2 + ...) = O(n) for the cuts along that one
-/// branch, plus sorting the kept leaf, O((n/P) log(n/P)).
+/// branch, plus a radix sort of the kept leaf, O(n/P).
 std::vector<layout::Index> rcbPartition(std::span<const double> x,
                                         std::span<const double> y, int nprocs,
                                         int rank);

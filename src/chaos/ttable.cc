@@ -20,6 +20,41 @@ std::uint64_t nextTableUid() {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
+
+/// The digest of one row: an owner's globals in local order.
+HashStream::Digest rowDigest(std::span<const Index> row) {
+  HashStream h;
+  h.podSpan(row);
+  return h.digest();
+}
+
+/// Rebuilds the rows of a replicated table from its entries and returns
+/// their digests in rank order.  Both callers check each owner's range and
+/// that the counts sum to the entry count, so entries whose offsets stay
+/// below their owner's count and fill no slot twice fill every slot;
+/// anything else is rejected.
+std::vector<HashStream::Digest> rowDigestsFromEntries(
+    std::span<const ElementLoc> entries, std::span<const Index> counts) {
+  std::vector<std::vector<Index>> rows(counts.size());
+  for (size_t p = 0; p < rows.size(); ++p) {
+    rows[p].assign(static_cast<size_t>(counts[p]), -1);
+  }
+  for (size_t g = 0; g < entries.size(); ++g) {
+    const ElementLoc& e = entries[g];
+    std::vector<Index>& row = rows[static_cast<size_t>(e.proc)];
+    MC_REQUIRE(e.offset >= 0 && e.offset < static_cast<Index>(row.size()),
+               "entry offset %lld out of range for owner %d",
+               static_cast<long long>(e.offset), e.proc);
+    Index& slot = row[static_cast<size_t>(e.offset)];
+    MC_REQUIRE(slot == -1, "slot %lld of owner %d filled twice",
+               static_cast<long long>(e.offset), e.proc);
+    slot = static_cast<Index>(g);
+  }
+  std::vector<HashStream::Digest> digests;
+  for (const std::vector<Index>& row : rows) digests.push_back(rowDigest(row));
+  return digests;
+}
+
 }  // namespace
 
 TranslationTable TranslationTable::build(
@@ -35,83 +70,102 @@ TranslationTable TranslationTable::build(
   t.uid_ = nextTableUid();
   const int np = comm.size();
   t.homeBlock_ = (globalSize + np - 1) / np;
-  t.localCounts_ = [&] {
-    auto counts = comm.allgatherValue(static_cast<Index>(myGlobals.size()));
-    Index total = 0;
-    for (Index c : counts) total += c;
+  const auto requireCover = [globalSize](Index total) {
     MC_REQUIRE(total == globalSize,
                "partition covers %lld elements, global size is %lld",
                static_cast<long long>(total),
                static_cast<long long>(globalSize));
-    return counts;
-  }();
+  };
 
-  // Triples (global, owner, offset) contributed by this processor.
+  if (storage == Storage::kReplicated) {
+    // The owner of an entry is its row and its offset its position in the
+    // row, so each rank ships only its assignment, after the row's digest
+    // (the fingerprint folds the P digests).
+    constexpr size_t kHead = 2;  // the digest's two words
+    const HashStream::Digest digest = rowDigest(myGlobals);
+    std::vector<Index> mine;
+    mine.reserve(kHead + myGlobals.size());
+    mine.push_back(static_cast<Index>(digest[0]));
+    mine.push_back(static_cast<Index>(digest[1]));
+    mine.insert(mine.end(), myGlobals.begin(), myGlobals.end());
+    const auto rows = comm.allgather<Index>(std::span<const Index>(mine));
+    std::vector<HashStream::Digest> digests;
+    Index total = 0;
+    for (const std::vector<Index>& row : rows) {
+      MC_CHECK(row.size() >= kHead);
+      digests.push_back({static_cast<std::uint64_t>(row[0]),
+                         static_cast<std::uint64_t>(row[1])});
+      t.localCounts_.push_back(static_cast<Index>(row.size() - kHead));
+      total += t.localCounts_.back();
+    }
+    requireCover(total);
+    // With the counts summing to globalSize, in-range entries owned once
+    // fill every slot.
+    t.entries_.assign(static_cast<size_t>(globalSize), ElementLoc{});
+    for (int r = 0; r < np; ++r) {
+      const std::vector<Index>& row = rows[static_cast<size_t>(r)];
+      for (size_t i = kHead; i < row.size(); ++i) {
+        const Index g = row[i];
+        MC_REQUIRE(g >= 0 && g < globalSize, "global index %lld out of range",
+                   static_cast<long long>(g));
+        ElementLoc& loc = t.entries_[static_cast<size_t>(g)];
+        MC_REQUIRE(loc.proc == -1, "global index %lld owned twice",
+                   static_cast<long long>(g));
+        loc = ElementLoc{r, static_cast<Index>(i - kHead)};
+      }
+    }
+    t.computeFingerprint(digests);
+    return t;
+  }
+
+  t.localCounts_ = comm.allgatherValue(static_cast<Index>(myGlobals.size()));
+  Index total = 0;
+  for (const Index c : t.localCounts_) total += c;
+  requireCover(total);
+  // Triples (global, owner, offset) contributed by this processor, routed
+  // to each entry's home processor.
   struct Entry {
     Index global;
     Index offset;
     int proc;
   };
-  std::vector<Entry> mine;
-  mine.reserve(myGlobals.size());
+  std::vector<std::vector<Entry>> sendTo(static_cast<size_t>(np));
   for (size_t i = 0; i < myGlobals.size(); ++i) {
     const Index g = myGlobals[i];
     MC_REQUIRE(g >= 0 && g < globalSize, "global index %lld out of range",
                static_cast<long long>(g));
-    mine.push_back(Entry{g, static_cast<Index>(i), comm.rank()});
+    sendTo[static_cast<size_t>(t.homeOf(g))].push_back(
+        Entry{g, static_cast<Index>(i), comm.rank()});
   }
-
-  if (storage == Storage::kReplicated) {
-    auto rows = comm.allgather<Entry>(std::span<const Entry>(mine));
-    t.entries_.assign(static_cast<size_t>(globalSize), ElementLoc{});
-    for (const auto& row : rows) {
-      for (const Entry& e : row) {
-        ElementLoc& loc = t.entries_[static_cast<size_t>(e.global)];
-        MC_REQUIRE(loc.proc == -1, "global index %lld owned twice",
-                   static_cast<long long>(e.global));
-        loc = ElementLoc{e.proc, e.offset};
-      }
-    }
-    for (Index g = 0; g < globalSize; ++g) {
-      MC_REQUIRE(t.entries_[static_cast<size_t>(g)].proc != -1,
-                 "global index %lld unowned", static_cast<long long>(g));
-    }
-  } else {
-    // Route each entry to its home processor.
-    std::vector<std::vector<Entry>> sendTo(static_cast<size_t>(np));
-    for (const Entry& e : mine) {
-      sendTo[static_cast<size_t>(t.homeOf(e.global))].push_back(e);
-    }
-    auto recvFrom = comm.alltoall(sendTo);
-    const Index sliceLo = t.homeBlock_ * comm.rank();
-    const Index sliceSize =
-        std::max<Index>(0, std::min(t.homeBlock_, globalSize - sliceLo));
-    t.entries_.assign(static_cast<size_t>(sliceSize), ElementLoc{});
-    Index filled = 0;
-    for (const auto& row : recvFrom) {
-      for (const Entry& e : row) {
-        const Index slot = e.global - sliceLo;
-        MC_CHECK(slot >= 0 && slot < sliceSize);
-        ElementLoc& loc = t.entries_[static_cast<size_t>(slot)];
-        MC_REQUIRE(loc.proc == -1, "global index %lld owned twice",
-                   static_cast<long long>(e.global));
-        loc = ElementLoc{e.proc, e.offset};
-        ++filled;
-      }
-    }
-    // Coverage check is global: every slice must be fully populated.
-    const double total = comm.allreduceSum(static_cast<double>(filled));
-    MC_REQUIRE(static_cast<Index>(total) == globalSize,
-               "partition covers %lld of %lld elements",
-               static_cast<long long>(total),
-               static_cast<long long>(globalSize));
-    for (Index s = 0; s < sliceSize; ++s) {
-      MC_REQUIRE(t.entries_[static_cast<size_t>(s)].proc != -1,
-                 "global index %lld unowned",
-                 static_cast<long long>(sliceLo + s));
+  auto recvFrom = comm.alltoall(sendTo);
+  const Index sliceLo = t.homeBlock_ * comm.rank();
+  const Index sliceSize =
+      std::max<Index>(0, std::min(t.homeBlock_, globalSize - sliceLo));
+  t.entries_.assign(static_cast<size_t>(sliceSize), ElementLoc{});
+  Index filled = 0;
+  for (const auto& row : recvFrom) {
+    for (const Entry& e : row) {
+      const Index slot = e.global - sliceLo;
+      MC_CHECK(slot >= 0 && slot < sliceSize);
+      ElementLoc& loc = t.entries_[static_cast<size_t>(slot)];
+      MC_REQUIRE(loc.proc == -1, "global index %lld owned twice",
+                 static_cast<long long>(e.global));
+      loc = ElementLoc{e.proc, e.offset};
+      ++filled;
     }
   }
-  t.computeFingerprint();
+  // Coverage check is global: every slice must be fully populated.
+  const double covered = comm.allreduceSum(static_cast<double>(filled));
+  MC_REQUIRE(static_cast<Index>(covered) == globalSize,
+             "partition covers %lld of %lld elements",
+             static_cast<long long>(covered),
+             static_cast<long long>(globalSize));
+  for (Index s = 0; s < sliceSize; ++s) {
+    MC_REQUIRE(t.entries_[static_cast<size_t>(s)].proc != -1,
+               "global index %lld unowned",
+               static_cast<long long>(sliceLo + s));
+  }
+  t.computeFingerprint({});
   return t;
 }
 
@@ -133,7 +187,7 @@ TranslationTable TranslationTable::replicatedFromEntries(
     ++t.localCounts_[static_cast<size_t>(loc.proc)];
   }
   t.entries_ = std::move(entries);
-  t.computeFingerprint();
+  t.computeFingerprint(rowDigestsFromEntries(t.entries_, t.localCounts_));
   return t;
 }
 
@@ -310,7 +364,8 @@ std::vector<ElementLoc> TranslationTable::gatherFull(
   return full;
 }
 
-void TranslationTable::computeFingerprint() {
+void TranslationTable::computeFingerprint(
+    std::span<const HashStream::Digest> rowDigests) {
   HashStream h;
   h.pod(static_cast<int>(storage_));
   h.pod(globalSize_);
@@ -318,11 +373,16 @@ void TranslationTable::computeFingerprint() {
   h.podSpan(std::span<const Index>(localCounts_));
   h.pod(myRank_);
   h.pod(modeledQueryCost_);
-  // ElementLoc has tail padding; hash the fields, not the raw bytes.
-  h.pod(entries_.size());
-  for (const ElementLoc& e : entries_) {
-    h.pod(e.proc);
-    h.pod(e.offset);
+  if (storage_ == Storage::kReplicated) {
+    MC_CHECK(rowDigests.size() == localCounts_.size());
+    for (const HashStream::Digest& d : rowDigests) h.pod(d);
+  } else {
+    // ElementLoc has tail padding; hash the fields, not the raw bytes.
+    h.pod(entries_.size());
+    for (const ElementLoc& e : entries_) {
+      h.pod(e.proc);
+      h.pod(e.offset);
+    }
   }
   fingerprint_ = h.digest()[0];
 }
@@ -424,7 +484,11 @@ TranslationTable TranslationTable::deserialize(
   }
   // Uid remint rule (see header): never reuse the saved identity.
   t.uid_ = nextTableUid();
-  t.computeFingerprint();
+  if (t.storage_ == Storage::kReplicated) {
+    t.computeFingerprint(rowDigestsFromEntries(t.entries_, t.localCounts_));
+  } else {
+    t.computeFingerprint({});
+  }
   return t;
 }
 

@@ -21,6 +21,7 @@
 
 #include "layout/index.h"
 #include "transport/comm.h"
+#include "util/hash.h"
 
 namespace mc::chaos {
 
@@ -53,7 +54,9 @@ class TranslationTable {
 
   /// Builds a replicated table directly from a complete entry list (entry g
   /// = location of global index g).  Used to reconstruct a table shipped to
-  /// another program; no communication.
+  /// another program; no communication.  The entries must form rows: each
+  /// owner's offsets are exactly 0 .. count-1, each once (mc::Error
+  /// otherwise).
   static TranslationTable replicatedFromEntries(
       std::vector<ElementLoc> entries, int nprocs,
       double modeledQueryCostSeconds = 0.0);
@@ -112,7 +115,9 @@ class TranslationTable {
   /// deliberately NOT serialized — see deserialize().
   std::vector<std::byte> serialize() const;
 
-  /// Inverse of serialize(); validates the frame and every internal count.
+  /// Inverse of serialize(); validates the frame and every internal count,
+  /// and that a replicated table's entries form rows (as
+  /// replicatedFromEntries does).
   /// Uid remint rule: the restored table mints a FRESH process-unique uid
   /// rather than reusing the saved one, so the per-rank DerefCache — which
   /// keys entries on table uids — can never serve a stale pre-restore (or
@@ -120,22 +125,32 @@ class TranslationTable {
   /// meaningless in this process anyway; reminting makes that explicit.
   static TranslationTable deserialize(std::span<const std::byte> blob);
 
-  /// Communication-free digest of the locally held table state: the storage
-  /// policy, the global extent, and this processor's entry shard.  For a
-  /// distributed table no single processor can fingerprint the whole
-  /// mapping; callers that key caches on this value must combine the
-  /// per-processor digests collectively (the schedule cache does).  A table
-  /// never changes after construction, so every factory (build,
-  /// replicatedFromEntries, deserialize) computes the digest once and this
-  /// returns it: a schedule-cache key costs O(1) per table, not O(shard).
+  /// Communication-free digest of the locally held table state.  Recipe:
+  /// the header (storage policy, global extent, home block, owner counts,
+  /// this processor's rank, query cost), then
+  ///  * replicated: the P row digests in rank order, where row p lists
+  ///    processor p's globals in local order and its digest is the 128-bit
+  ///    HashStream digest of that list (HashStream::podSpan).  build()
+  ///    has each rank digest its own row and ship the digest with it, so
+  ///    no rank hashes the whole table; replicatedFromEntries() and
+  ///    deserialize() rebuild the rows from the entries and hash them the
+  ///    same way, so all three factories agree;
+  ///  * distributed: this processor's entry shard, (owner, offset) per
+  ///    entry.  No single processor can fingerprint the whole mapping;
+  ///    callers that key caches on this value must combine the
+  ///    per-processor digests collectively (the schedule cache does).
+  /// A table never changes after construction, so every factory computes
+  /// the digest once and this returns it: a schedule-cache key costs O(1)
+  /// per table.
   std::uint64_t localFingerprint() const { return fingerprint_; }
 
  private:
   TranslationTable() = default;
 
-  /// Hashes the locally held state into fingerprint_; every factory calls
-  /// it last.
-  void computeFingerprint();
+  /// Hashes the locally held state into fingerprint_ (see
+  /// localFingerprint(); `rowDigests` is used by replicated storage only).
+  /// Every factory calls it last.
+  void computeFingerprint(std::span<const HashStream::Digest> rowDigests);
 
   Storage storage_ = Storage::kReplicated;
   layout::Index globalSize_ = 0;

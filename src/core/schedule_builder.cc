@@ -1123,32 +1123,26 @@ layout::DistDelta computeDelta(const DistObject& oldObj,
   return delta;
 }
 
-layout::DistDelta deltaFromMigratedIndices(
-    const SetOfRegions& set, std::span<const layout::Index> sortedMigrated) {
-  layout::DistDelta delta;
-  if (sortedMigrated.empty()) return delta;
-  const auto migrated = [&](Index g) {
-    return std::binary_search(sortedMigrated.begin(), sortedMigrated.end(), g);
-  };
+namespace {
+
+/// Calls fn(position, global) for every element of an index-list or range
+/// set, in linearization order.
+template <typename Fn>
+void forEachSetGlobal(const SetOfRegions& set, Fn&& fn) {
   Index lin = 0;
   for (const Region& r : set.regions()) {
     switch (r.kind()) {
       case Region::Kind::kIndices: {
         const std::vector<Index>& ids = r.asIndices();
         for (size_t k = 0; k < ids.size(); ++k) {
-          if (migrated(ids[k])) {
-            delta.add(lin + static_cast<Index>(k),
-                      lin + static_cast<Index>(k) + 1);
-          }
+          fn(lin + static_cast<Index>(k), ids[k]);
         }
         break;
       }
       case Region::Kind::kRange: {
         const ElementRange& er = r.asRange();
         const Index cnt = er.numElements();
-        for (Index k = 0; k < cnt; ++k) {
-          if (migrated(er.at(k))) delta.add(lin + k, lin + k + 1);
-        }
+        for (Index k = 0; k < cnt; ++k) fn(lin + k, er.at(k));
         break;
       }
       case Region::Kind::kSection:
@@ -1159,6 +1153,33 @@ layout::DistDelta deltaFromMigratedIndices(
     }
     lin += r.numElements();
   }
+}
+
+}  // namespace
+
+layout::DistDelta deltaFromMigratedIndices(
+    const SetOfRegions& set, std::span<const layout::Index> sortedMigrated) {
+  layout::DistDelta delta;
+  if (sortedMigrated.empty()) return delta;
+  // One bit per global up to the set's largest element: a migrated global
+  // beyond it cannot be in the set, so a stray large index allocates
+  // nothing.
+  Index top = -1;
+  forEachSetGlobal(set, [&top](Index, Index g) { top = std::max(top, g); });
+  if (top < 0) return delta;
+  // Unsigned, a negative global compares above `last` too.
+  const auto last = static_cast<std::uint64_t>(top);
+  std::vector<std::uint64_t> bits(last / 64 + 1);
+  for (const Index g : sortedMigrated) {
+    const auto u = static_cast<std::uint64_t>(g);
+    if (u <= last) bits[u / 64] |= std::uint64_t{1} << (u % 64);
+  }
+  forEachSetGlobal(set, [&](Index lin, Index g) {
+    const auto u = static_cast<std::uint64_t>(g);
+    if (u <= last && ((bits[u / 64] >> (u % 64)) & 1U) != 0) {
+      delta.add(lin, lin + 1);
+    }
+  });
   return delta;
 }
 

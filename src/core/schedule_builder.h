@@ -153,7 +153,9 @@ layout::DistDelta computeDelta(const DistObject& oldObj,
 /// Maps a sorted list of migrated global indices (e.g. from
 /// chaos::migratedGlobals) to linearization positions of `set`.  Supports
 /// index-list and range regions (the kinds whose elements *are* global
-/// indices).
+/// indices).  Marks the migrated globals in a bitmap sized by the set's
+/// largest element (globals beyond it are ignored), then tests each set
+/// element once: O(set + migrated).
 layout::DistDelta deltaFromMigratedIndices(
     const SetOfRegions& set, std::span<const layout::Index> sortedMigrated);
 

@@ -20,7 +20,9 @@ namespace {
 // so version-2 keys could never hit again and are refused.
 // Version 4: embedded schedules carry runs only (no offset-list or
 // local-pair lanes), so a version-3 body no longer parses.
-constexpr std::uint32_t kSnapshotVersion = 4;
+// Version 5: a replicated Chaos table's fingerprint folds its row digests,
+// so version-4 keys over such tables could never hit again.
+constexpr std::uint32_t kSnapshotVersion = 5;
 
 /// Cumulative per-rank counters behind the snapshot.* obs metrics.
 struct Counters {

@@ -89,4 +89,74 @@ std::vector<Index> stableRemapOrder(std::span<const Index> oldMine,
   return out;
 }
 
+namespace {
+
+/// One routed assignment entry: global index + the local offset its owner
+/// holds it at (the owner is implied by the alltoall source row).
+struct GlobalOffset {
+  Index g = 0;
+  Index off = 0;
+};
+
+/// Routes an assignment to block-home ranks: home(g) = g / homeBlock.
+std::vector<std::vector<GlobalOffset>> routeToHomes(
+    std::span<const Index> mine, Index homeBlock, int nprocs) {
+  std::vector<std::vector<GlobalOffset>> rows(
+      static_cast<std::size_t>(nprocs));
+  for (std::size_t i = 0; i < mine.size(); ++i) {
+    const Index g = mine[i];
+    rows[static_cast<std::size_t>(g / homeBlock)].push_back(
+        GlobalOffset{g, static_cast<Index>(i)});
+  }
+  return rows;
+}
+
+}  // namespace
+
+std::vector<Index> migratedGlobals(transport::Comm& comm,
+                                   std::span<const Index> oldMine,
+                                   std::span<const Index> newMine,
+                                   Index globalSize) {
+  const int nprocs = comm.size();
+  const Index homeBlock =
+      std::max<Index>(1, (globalSize + nprocs - 1) / nprocs);
+  // Each index has a home rank that sees both assignments' claims for it
+  // and decides migration locally.
+  auto oldAt = comm.alltoall(routeToHomes(oldMine, homeBlock, nprocs));
+  auto newAt = comm.alltoall(routeToHomes(newMine, homeBlock, nprocs));
+
+  const Index myLo = std::min(globalSize, homeBlock * comm.rank());
+  const Index myHi = std::min(globalSize, myLo + homeBlock);
+  struct OwnerOffset {
+    int owner = -1;  // -1: not owned in this assignment
+    Index off = 0;
+  };
+  std::vector<OwnerOffset> oldLoc(static_cast<std::size_t>(myHi - myLo));
+  std::vector<OwnerOffset> newLoc(static_cast<std::size_t>(myHi - myLo));
+  for (int r = 0; r < nprocs; ++r) {
+    for (const GlobalOffset& e : oldAt[static_cast<std::size_t>(r)]) {
+      oldLoc[static_cast<std::size_t>(e.g - myLo)] = OwnerOffset{r, e.off};
+    }
+    for (const GlobalOffset& e : newAt[static_cast<std::size_t>(r)]) {
+      newLoc[static_cast<std::size_t>(e.g - myLo)] = OwnerOffset{r, e.off};
+    }
+  }
+  std::vector<Index> mineMigrated;
+  for (Index g = myLo; g < myHi; ++g) {
+    const OwnerOffset& a = oldLoc[static_cast<std::size_t>(g - myLo)];
+    const OwnerOffset& b = newLoc[static_cast<std::size_t>(g - myLo)];
+    if (a.owner != b.owner || (a.owner >= 0 && a.off != b.off)) {
+      mineMigrated.push_back(g);
+    }
+  }
+  // Home ranges ascend with rank, so concatenating the rows in rank order
+  // yields the globally sorted migrated set directly.
+  auto rows = comm.allgather<Index>(std::span<const Index>(mineMigrated));
+  std::vector<Index> migrated;
+  for (const std::vector<Index>& row : rows) {
+    migrated.insert(migrated.end(), row.begin(), row.end());
+  }
+  return migrated;
+}
+
 }  // namespace mc::chaos::oracle

@@ -123,16 +123,32 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(1, 2, 5)));
 
 TEST(TTable, RejectsIncompleteCover) {
-  EXPECT_THROW(World::runSPMD(2,
-                              [](Comm& c) {
-                                // Both procs claim the same block; coverage
-                                // check must fire.
-                                auto mine = blockPartition(10, 2, 0);
-                                TranslationTable::build(
-                                    c, mine, 10,
-                                    TranslationTable::Storage::kDistributed);
-                              }),
-               Error);
+  // 10 globals on 2 ranks.  Each case's rank-r list is cases[k][r].
+  const std::vector<std::vector<std::vector<Index>>> cases{
+      // Both ranks claim the same block.
+      {blockPartition(10, 2, 0), blockPartition(10, 2, 0)},
+      // Global 4 on two ranks (and 9 on none).
+      {{0, 1, 2, 3, 4}, {4, 5, 6, 7, 8}},
+      // Global 2 twice on one rank (and 4 on none).
+      {{0, 1, 2, 2, 3}, {5, 6, 7, 8, 9}},
+      // A short cover: 9 of 10 globals.
+      {{0, 1, 2, 3, 4}, {5, 6, 7, 8}},
+  };
+  for (const auto storage : {TranslationTable::Storage::kReplicated,
+                             TranslationTable::Storage::kDistributed}) {
+    for (std::size_t k = 0; k < cases.size(); ++k) {
+      EXPECT_THROW(World::runSPMD(2,
+                                  [&](Comm& c) {
+                                    TranslationTable::build(
+                                        c,
+                                        cases[k][static_cast<std::size_t>(
+                                            c.rank())],
+                                        10, storage);
+                                  }),
+                   Error)
+          << "case " << k << ", storage " << static_cast<int>(storage);
+    }
+  }
 }
 
 TEST(TTable, RejectsOutOfRangeIndex) {
@@ -182,11 +198,14 @@ TEST(TTable, DereferenceEmptyQuery) {
   });
 }
 
-/// The fingerprint recipe, recomputed from a table's public state: storage
-/// policy, extents, owner counts, rank, query cost and the held entry
-/// shard.  Every factory's stored digest must keep exactly these bits.
+/// The fingerprint recipe, recomputed from a table's public state: the
+/// header (storage policy, extents, owner counts, rank, query cost), then
+///  * replicated: the 128-bit digest of each owner's row (its globals in
+///    local order, rebuilt here from the full entry list) in rank order;
+///  * distributed: the held entry shard, (owner, offset) per entry.
+/// Every factory's stored digest must keep exactly these bits.
 std::uint64_t recipeFingerprint(const TranslationTable& t, int nprocs,
-                                int rank, std::span<const ElementLoc> shard) {
+                                int rank, std::span<const ElementLoc> held) {
   HashStream h;
   h.pod(static_cast<int>(t.storage()));
   h.pod(t.globalSize());
@@ -196,10 +215,27 @@ std::uint64_t recipeFingerprint(const TranslationTable& t, int nprocs,
   h.podSpan(std::span<const Index>(counts));
   h.pod(rank);
   h.pod(t.modeledQueryCost());
-  h.pod(shard.size());
-  for (const ElementLoc& e : shard) {
-    h.pod(e.proc);
-    h.pod(e.offset);
+  if (t.storage() == TranslationTable::Storage::kReplicated) {
+    std::vector<std::vector<Index>> rows(static_cast<std::size_t>(nprocs));
+    for (int p = 0; p < nprocs; ++p) {
+      rows[static_cast<std::size_t>(p)].resize(
+          static_cast<std::size_t>(counts[static_cast<std::size_t>(p)]));
+    }
+    for (std::size_t g = 0; g < held.size(); ++g) {
+      rows[static_cast<std::size_t>(held[g].proc)]
+          [static_cast<std::size_t>(held[g].offset)] = static_cast<Index>(g);
+    }
+    for (const std::vector<Index>& row : rows) {
+      HashStream r;
+      r.podSpan(std::span<const Index>(row));
+      h.pod(r.digest());
+    }
+  } else {
+    h.pod(held.size());
+    for (const ElementLoc& e : held) {
+      h.pod(e.proc);
+      h.pod(e.offset);
+    }
   }
   return h.digest()[0];
 }
@@ -251,6 +287,54 @@ TEST(TTable, FingerprintIsFixedAtConstructionWithUnchangedBits) {
   EXPECT_EQ(t.localFingerprint(), recipeFingerprint(t, 3, 0, entries));
   EXPECT_EQ(TranslationTable::deserialize(t.serialize()).localFingerprint(),
             t.localFingerprint());
+}
+
+TEST(TTable, ReplicatedFactoriesAgree) {
+  // build, replicatedFromEntries(gatherFull) and deserialize(serialize)
+  // give equal entries, counts and fingerprints.  The rank is part of the
+  // fingerprint's header and replicatedFromEntries builds the table as
+  // rank 0 holds it, so its digest is compared on rank 0.
+  for (int np = 1; np <= 6; ++np) {
+    World::runSPMD(np, [](Comm& c) {
+      const Index n = 53;
+      std::vector<Index> mine = randomPartition(n, c.size(), c.rank(), 21);
+      if (c.rank() % 2 == 1) std::reverse(mine.begin(), mine.end());
+      const auto built = TranslationTable::build(
+          c, mine, n, TranslationTable::Storage::kReplicated, 3e-6);
+      const std::vector<ElementLoc> full = built.gatherFull(c);
+      const auto fromEntries =
+          TranslationTable::replicatedFromEntries(full, c.size(), 3e-6);
+      const auto restored = TranslationTable::deserialize(built.serialize());
+      for (const TranslationTable* t : {&fromEntries, &restored}) {
+        EXPECT_EQ(t->gatherFull(c), full);
+        for (int p = 0; p < c.size(); ++p) {
+          EXPECT_EQ(t->localCount(p), built.localCount(p));
+        }
+      }
+      EXPECT_EQ(restored.localFingerprint(), built.localFingerprint());
+      if (c.rank() == 0) {
+        EXPECT_EQ(fromEntries.localFingerprint(), built.localFingerprint());
+      }
+      EXPECT_EQ(TranslationTable::deserialize(fromEntries.serialize())
+                    .localFingerprint(),
+                fromEntries.localFingerprint());
+    });
+  }
+}
+
+TEST(TTable, ReplicatedEntriesMustFormRows) {
+  // Owner 0 holds 2 entries, owner 1 one.  An offset past its owner's
+  // count, or two entries in one slot, names a slot no array holds.
+  const std::vector<std::vector<ElementLoc>> bad{
+      {{0, 0}, {0, 2}, {1, 0}},
+      {{0, 1}, {0, 1}, {1, 0}},
+      {{0, 0}, {1, 0}, {0, -1}},
+  };
+  for (const auto& entries : bad) {
+    EXPECT_THROW(TranslationTable::replicatedFromEntries(entries, 2), Error);
+  }
+  EXPECT_NO_THROW(TranslationTable::replicatedFromEntries(
+      {{0, 1}, {1, 0}, {0, 0}}, 2));
 }
 
 // --- irregular arrays -------------------------------------------------------

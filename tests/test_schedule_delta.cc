@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <utility>
 
 #include "chaos/migration.h"
 #include "chaos/partition.h"
@@ -196,6 +198,135 @@ TEST(Migration, StableRemapOrderMatchesOracleOnRandomGrowAndShrink) {
               chaos::oracle::stableRemapOrder(oldMine, newMine))
         << "trial " << trial << ": " << oldMine.size() << " -> "
         << newMine.size();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// migratedGlobals (slot compare + one allgather) against the home-routing
+// oracle.
+
+/// The adaptive loop at `np` ranks: a jittered 64^2 cloud shears a little
+/// each epoch, RCB reassigns it, each rank re-orders against its previous
+/// order, and both migrated sets must be bitwise equal.  Collective.
+void expectMigratedMatchesOracleAcrossEpochs(Comm& c) {
+  const Index side = 64;
+  const Index n = side * side;
+  const int np = c.size();
+  Rng rng(13);
+  std::vector<double> jx, jy;
+  for (Index g = 0; g < n; ++g) {
+    jx.push_back(0.5 * rng.uniform());
+    jy.push_back(0.5 * rng.uniform());
+  }
+  const auto cloud = [&](double shear, std::vector<double>& x,
+                         std::vector<double>& y) {
+    x.clear();
+    y.clear();
+    for (Index g = 0; g < n; ++g) {
+      const auto i = static_cast<std::size_t>(g);
+      const double row = static_cast<double>(g / side) + jy[i];
+      x.push_back(static_cast<double>(g % side) + jx[i] +
+                  shear * (row / static_cast<double>(side)));
+      y.push_back(row);
+    }
+  };
+  std::vector<double> x, y;
+  cloud(18.0, x, y);
+  std::vector<Index> cur = chaos::rcbPartition(x, y, np, c.rank());
+  std::size_t migratedTotal = 0;
+  for (int epoch = 1; epoch <= 40; ++epoch) {
+    cloud(18.0 + 1.5 * epoch, x, y);
+    const std::vector<Index> next = chaos::stableRemapOrder(
+        cur, chaos::rcbPartition(x, y, np, c.rank()));
+    const std::vector<Index> got = chaos::migratedGlobals(c, cur, next, n);
+    ASSERT_EQ(got, chaos::oracle::migratedGlobals(c, cur, next, n))
+        << "epoch " << epoch << " of " << np << " ranks";
+    migratedTotal += got.size();
+    cur = next;
+  }
+  if (np > 1) {
+    EXPECT_GT(migratedTotal, 0u);  // the drift really moved points
+  }
+}
+
+TEST(Migration, MigratedGlobalsMatchesOracleAcrossChainedEpochs) {
+  for (const int np : {1, 2, 3, 4, 6}) {
+    World::runSPMD(np, expectMigratedMatchesOracleAcrossEpochs);
+  }
+}
+
+TEST(Migration, MigratedGlobalsMatchesOracleOnRandomSubsets) {
+  // Each assignment covers a random subset of the globals, each global on
+  // at most one rank: the new one keeps a random share of the old owners
+  // and reassigns or drops the rest, so a rank's list grows, shrinks,
+  // empties or is replaced outright.  Every rank draws the same cases.
+  for (const int np : {1, 2, 3, 4, 6}) {
+    World::runSPMD(np, [](Comm& c) {
+      const int ranks = c.size();
+      Rng rng(23 + static_cast<std::uint64_t>(ranks));
+      for (int trial = 0; trial < 40; ++trial) {
+        const Index universe = 1 + static_cast<Index>(rng.below(300));
+        const std::uint64_t ownPct = rng.below(101);
+        const std::uint64_t keepPct = rng.below(101);
+        std::vector<int> oldOwner(static_cast<std::size_t>(universe), -1);
+        std::vector<int> newOwner(oldOwner.size(), -1);
+        for (std::size_t g = 0; g < oldOwner.size(); ++g) {
+          if (rng.below(100) < ownPct) {
+            oldOwner[g] = static_cast<int>(rng.below(
+                static_cast<std::uint64_t>(ranks)));
+          }
+          if (oldOwner[g] >= 0 && rng.below(100) < keepPct) {
+            newOwner[g] = oldOwner[g];
+          } else if (rng.below(2) == 0) {
+            newOwner[g] = static_cast<int>(rng.below(
+                static_cast<std::uint64_t>(ranks)));
+          }
+        }
+        std::vector<Index> oldMine, newRaw;
+        for (std::size_t g = 0; g < oldOwner.size(); ++g) {
+          if (oldOwner[g] == c.rank()) oldMine.push_back(static_cast<Index>(g));
+          if (newOwner[g] == c.rank()) newRaw.push_back(static_cast<Index>(g));
+        }
+        // Local orders come from a per-rank stream, so the shared one
+        // stays in step across ranks.
+        Rng local(1000 * static_cast<std::uint64_t>(trial) +
+                  static_cast<std::uint64_t>(c.rank()));
+        local.shuffle(oldMine);
+        local.shuffle(newRaw);
+        // Half the cases keep survivors in their slots, half do not.
+        const std::vector<Index> newMine =
+            trial % 2 == 0 ? chaos::stableRemapOrder(oldMine, newRaw)
+                           : newRaw;
+        EXPECT_EQ(chaos::migratedGlobals(c, oldMine, newMine, universe),
+                  chaos::oracle::migratedGlobals(c, oldMine, newMine,
+                                                 universe))
+            << "trial " << trial << " of " << ranks << " ranks: "
+            << oldMine.size() << " -> " << newMine.size();
+      }
+    });
+  }
+}
+
+TEST(Migration, MigratedGlobalsRejectsOutOfRangeIndex) {
+  // 2 ranks, 10 globals; one bad index on rank 1, in the old or the new
+  // list, too large or negative, in a changed slot or an unchanged one.
+  // Every rank rejects it: the bad index travels in the allgather.
+  const std::vector<Index> good0{0, 1, 2, 3, 4};
+  const std::vector<Index> good1{5, 6, 7, 8, 9};
+  for (const Index bad : {Index{12}, Index{10}, Index{-1}}) {
+    std::vector<Index> bad1 = good1;
+    bad1[2] = bad;
+    const std::vector<std::pair<std::vector<Index>, std::vector<Index>>>
+        cases{{bad1, good1}, {good1, bad1}, {bad1, bad1}};
+    for (const auto& [old1, new1] : cases) {
+      World::runSPMD(2, [&](Comm& c) {
+        const bool one = c.rank() == 1;
+        EXPECT_THROW(chaos::migratedGlobals(c, one ? old1 : good0,
+                                            one ? new1 : good0, 10),
+                     Error)
+            << "bad index " << bad << " on rank " << c.rank();
+      });
+    }
   }
 }
 
@@ -548,6 +679,54 @@ TEST(ScheduleDelta, DeltaFromMigratedIndicesAgrees) {
                                            set);
     EXPECT_EQ(fromIdx.intervals(), fromCmp.intervals());
   });
+}
+
+/// Brute force: the positions of `set` whose global is in `migrated`.
+std::vector<LinInterval> migratedPositions(const SetOfRegions& set,
+                                           std::vector<Index> migrated) {
+  std::sort(migrated.begin(), migrated.end());
+  DistDelta d;
+  Index lin = 0;
+  for (const Region& r : set.regions()) {
+    const bool indices = r.kind() == Region::Kind::kIndices;
+    for (Index k = 0; k < r.numElements(); ++k) {
+      const Index g = indices ? r.asIndices()[static_cast<std::size_t>(k)]
+                              : r.asRange().at(k);
+      if (std::binary_search(migrated.begin(), migrated.end(), g)) {
+        d.add(lin + k, lin + k + 1);
+      }
+    }
+    lin += r.numElements();
+  }
+  return d.intervals();
+}
+
+TEST(ScheduleDelta, DeltaFromMigratedIndicesIgnoresGlobalsBeyondTheSet) {
+  SetOfRegions set;
+  set.add(Region::indices({5, 2, 9, 3}));
+  // Everything past 9 can name no set element, however large.
+  const std::vector<Index> migrated{2, 9, 10, 40, Index{1} << 40,
+                                    std::numeric_limits<Index>::max()};
+  const DistDelta delta = deltaFromMigratedIndices(set, migrated);
+  EXPECT_EQ(delta.intervals(), migratedPositions(set, migrated));
+  EXPECT_EQ(delta.migratedElements(), 2);
+  EXPECT_TRUE(deltaFromMigratedIndices(set, std::vector<Index>{11, 1 << 30})
+                  .empty());
+}
+
+TEST(ScheduleDelta, DeltaFromMigratedIndicesOverARangeRegion) {
+  // Two strided range regions, (3, 6, ..., 21) then (0, 5, 10): positions
+  // continue across the regions.
+  SetOfRegions set;
+  set.add(Region::range(3, 21, 3));
+  set.add(Region::range(0, 10, 5));
+  const std::vector<Index> migrated{0, 6, 7, 21, 30};
+  const DistDelta delta = deltaFromMigratedIndices(set, migrated);
+  EXPECT_EQ(delta.intervals(), migratedPositions(set, migrated));
+  EXPECT_EQ(delta.migratedElements(), 3);  // 6, 21 and 0
+  EXPECT_TRUE(delta.contains(1));          // global 6
+  EXPECT_TRUE(delta.contains(6));          // global 21
+  EXPECT_TRUE(delta.contains(7));          // global 0
 }
 
 // ---------------------------------------------------------------------------

@@ -213,6 +213,33 @@ TEST(TranslationTableBlob, ReplicatedRoundTripMintsFreshUid) {
   });
 }
 
+TEST(TranslationTableBlob, ReplicatedEntriesThatDoNotFormRowsAreRejected) {
+  // A well-framed replicated table of 3 globals on 2 ranks (counts 2 and
+  // 1), written lane by lane as serialize() does.
+  const auto blobOf = [](std::vector<Index> procs,
+                         std::vector<Index> offsets) {
+    std::vector<std::byte> payload;
+    blob::putU64(payload, 0);  // replicated
+    blob::putU64(payload, 3);  // global size
+    blob::putU64(payload, 2);  // home block
+    blob::putU64(payload, 0);  // rank
+    blob::putU64(payload, 0);  // query cost 0.0
+    blob::putPods(payload, std::vector<Index>{2, 1});
+    blob::putPods(payload, procs);
+    blob::putPods(payload, offsets);
+    return blob::frame(blob::kTranslationTable, 1, payload);
+  };
+  const auto decode = [](const std::vector<std::byte>& b) {
+    return chaos::TranslationTable::deserialize(b);
+  };
+  EXPECT_NO_THROW(decode(blobOf({0, 1, 0}, {1, 0, 0})));
+  // An offset at or past its owner's count.
+  EXPECT_THROW(decode(blobOf({0, 1, 0}, {0, 0, 2})), Error);
+  EXPECT_THROW(decode(blobOf({0, 1, 1}, {0, 0, 1})), Error);
+  // One slot filled twice (and so another left empty).
+  EXPECT_THROW(decode(blobOf({0, 1, 0}, {1, 0, 1})), Error);
+}
+
 TEST(TranslationTableBlob, DistributedRoundTripAnswersIdentically) {
   World::runSPMD(4, [&](Comm& c) {
     const Index n = 50;
@@ -575,8 +602,10 @@ TEST(Snapshot, VersionTwoBodyIsRefused) {
   // Version 3 changed how index regions enter cache keys, so a version-2
   // snapshot's entries could never hit again; version 4 dropped the
   // schedules' offset-list and local-pair lanes, so a version-3 body no
-  // longer parses.  Restore refuses both bodies instead of loading them.
-  for (const std::uint32_t oldVersion : {2u, 3u}) {
+  // longer parses; version 5 changed the fingerprint of replicated Chaos
+  // tables, so a version-4 snapshot's entries over them could never hit.
+  // Restore refuses all three bodies instead of loading them.
+  for (const std::uint32_t oldVersion : {2u, 3u, 4u}) {
     const std::filesystem::path dir =
         tmpDir("version" + std::to_string(oldVersion));
     World::runSPMD(2, [&](Comm& c) {
@@ -601,7 +630,7 @@ TEST(Snapshot, VersionTwoBodyIsRefused) {
       std::size_t bodySize = 0;
       const blob::FrameView body =
           blob::unframe(bytes, blob::kSnapshotBody, &bodySize);
-      ASSERT_EQ(body.kindVersion, 4u);
+      ASSERT_EQ(body.kindVersion, 5u);
       std::vector<std::byte> old =
           blob::frame(blob::kSnapshotBody, oldVersion, body.payload);
       old.insert(old.end(), bytes.begin() + static_cast<long>(bodySize),

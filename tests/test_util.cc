@@ -1,10 +1,15 @@
 // Unit tests for src/util.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "util/error.h"
 #include "util/format.h"
+#include "util/radix_sort.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -126,6 +131,61 @@ TEST(Table, SeparatorLine) {
   t.separator();
   t.row({"c", "d"});
   EXPECT_NE(t.render().find("---"), std::string::npos);
+}
+
+/// radixSort must give std::sort's order.
+void expectSortsLikeStdSort(std::vector<std::int64_t> keys) {
+  std::vector<std::int64_t> want = keys;
+  std::sort(want.begin(), want.end());
+  radixSort(keys);
+  EXPECT_EQ(keys, want);
+}
+
+TEST(RadixSort, EmptyAndOneKey) {
+  expectSortsLikeStdSort({});
+  expectSortsLikeStdSort({0});
+  expectSortsLikeStdSort({12345});
+}
+
+TEST(RadixSort, SortedReversedAndDuplicates) {
+  std::vector<std::int64_t> up(5000);
+  for (std::size_t i = 0; i < up.size(); ++i) {
+    up[i] = static_cast<std::int64_t>(3 * i);
+  }
+  expectSortsLikeStdSort(up);
+  std::vector<std::int64_t> down(up.rbegin(), up.rend());
+  expectSortsLikeStdSort(down);
+  expectSortsLikeStdSort({7, 3, 7, 0, 3, 3, 0, 7, 1});
+  expectSortsLikeStdSort(std::vector<std::int64_t>(100, 0));
+}
+
+TEST(RadixSort, KeysNeedingOneTwoAndSixPasses) {
+  Rng rng(17);
+  // Largest key below 2^11 (one pass), below 2^22 (two passes), and up to
+  // INT64_MAX (six passes).
+  for (const std::uint64_t bound :
+       {std::uint64_t{1} << 11, std::uint64_t{1} << 22,
+        static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())}) {
+    std::vector<std::int64_t> keys;
+    for (int i = 0; i < 3000; ++i) {
+      keys.push_back(static_cast<std::int64_t>(rng.below(bound)));
+    }
+    keys.push_back(static_cast<std::int64_t>(bound - 1));
+    keys.push_back(0);
+    expectSortsLikeStdSort(keys);
+  }
+  expectSortsLikeStdSort(
+      {std::numeric_limits<std::int64_t>::max(), 0, 1, 1 << 20,
+       std::numeric_limits<std::int64_t>::max() - 1});
+}
+
+TEST(RadixSort, NegativeKeyThrowsAndLeavesKeys) {
+  std::vector<std::int64_t> keys{4, 2, -1, 9};
+  const std::vector<std::int64_t> before = keys;
+  EXPECT_THROW(radixSort(keys), Error);
+  EXPECT_EQ(keys, before);
+  std::vector<std::int64_t> one{-5};
+  EXPECT_THROW(radixSort(one), Error);
 }
 
 }  // namespace

@@ -28,9 +28,8 @@ sched::Schedule buildIrregCopySchedule(transport::Comm& comm,
   for (size_t i = 0; i < dstGlobals.size(); ++i) {
     const ElementLoc& loc = locs[i];
     if (loc.proc == me) {
-      sched::appendLocalRun(out.localRuns,
-                            sched::LocalRun{mySrcOffsets[i], loc.offset, 1,
-                                            0, 0});
+      sched::appendRun(out.localRuns,
+                       sched::LocalRun{mySrcOffsets[i], loc.offset, 1, 0, 0});
     } else {
       srcOffTo[static_cast<size_t>(loc.proc)].push_back(mySrcOffsets[i]);
       dstOffTo[static_cast<size_t>(loc.proc)].push_back(loc.offset);

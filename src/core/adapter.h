@@ -15,6 +15,7 @@
 #include <typeinfo>
 
 #include "core/region.h"
+#include "sched/run_plan.h"
 #include "transport/comm.h"
 
 namespace mc::core {
@@ -56,7 +57,8 @@ struct LinLoc {
 /// A run of linearization positions [lin, lin+count) with one owner, living
 /// at local offsets off + k*offStride.  Regular libraries produce one run
 /// per local section row; fully irregular data degrades to count-1 runs.
-/// Count-1 runs carry offStride 0 (canonical form).
+/// Count-1 runs carry offStride 0 (canonical form); lanes grow through
+/// sched::appendRun, whose elements must also continue `lin`.
 struct LinRun {
   layout::Index lin = 0;
   layout::Index off = 0;
@@ -64,49 +66,9 @@ struct LinRun {
   layout::Index offStride = 0;
 
   bool operator==(const LinRun&) const = default;
+  static constexpr sched::RunShape<LinRun, 1> kShape{
+      {{{&LinRun::off, &LinRun::offStride}}}, &LinRun::lin};
 };
-
-/// Extends `lane` with a whole run, greedily coalescing into maximal runs
-/// exactly as element-by-element appends would (same greedy rule as
-/// sched::compressOffsets, with the additional requirement that
-/// linearization positions be contiguous).
-inline void appendLinRun(std::vector<LinRun>& lane, LinRun run) {
-  while (run.count > 0) {
-    if (!lane.empty()) {
-      LinRun& tail = lane.back();
-      if (tail.lin + tail.count == run.lin) {
-        if (tail.count == 1) {
-          tail.offStride = run.off - tail.off;
-          ++tail.count;
-          ++run.lin;
-          run.off += run.offStride;
-          --run.count;
-          continue;
-        }
-        if (run.off == tail.off + tail.count * tail.offStride) {
-          if (run.count == 1 || run.offStride == tail.offStride) {
-            tail.count += run.count;
-            return;
-          }
-          ++tail.count;
-          ++run.lin;
-          run.off += run.offStride;
-          --run.count;
-          continue;
-        }
-      }
-    }
-    if (run.count == 1) run.offStride = 0;
-    lane.push_back(run);
-    return;
-  }
-}
-
-/// Single-element form of appendLinRun.
-inline void appendLinElement(std::vector<LinRun>& lane, layout::Index lin,
-                             layout::Index off) {
-  appendLinRun(lane, LinRun{lin, off, 1, 0});
-}
 
 class LibraryAdapter {
  public:

@@ -5,10 +5,11 @@
 // segments are already maximal in the common case, but can be mergeable
 // across row or region boundaries (e.g. a whole-array section on one
 // processor is a single arithmetic run).  RunEmitter buffers the most
-// recent run and merges in-order additions under exactly the greedy rule of
-// appendLinRun — same owner, contiguous linearization positions, exact
-// offset-progression continuation — so the stream it forwards to the RunFn
-// is identical no matter how the adapter cut its segments.
+// recent run and merges in-order additions through sched::appendRun — same
+// owner, contiguous linearization positions, exact offset-progression
+// continuation — so the stream it forwards to the RunFn is identical no
+// matter how the adapter cut its segments.  The default enumerateRangeRuns
+// feeds it one element at a time.
 #pragma once
 
 #include "core/adapter.h"
@@ -17,53 +18,56 @@ namespace mc::core {
 
 class RunEmitter {
  public:
-  explicit RunEmitter(const LibraryAdapter::RunFn& fn) : fn_(fn) {}
+  explicit RunEmitter(const LibraryAdapter::RunFn& fn) : tail_{fn, {}, false} {}
 
   /// Adds positions [lin, lin+count) owned by `owner` at offsets
   /// off + k*offStride.  Additions must arrive in linearization order.
   void add(layout::Index lin, int owner, layout::Index off,
            layout::Index count, layout::Index offStride) {
-    while (count > 0) {
-      if (open_ && owner == curOwner_ && cur_.lin + cur_.count == lin) {
-        if (cur_.count == 1) {
-          cur_.offStride = off - cur_.off;
-          ++cur_.count;
-          ++lin;
-          off += offStride;
-          --count;
-          continue;
-        }
-        if (off == cur_.off + cur_.count * cur_.offStride) {
-          if (count == 1 || offStride == cur_.offStride) {
-            cur_.count += count;
-            return;
-          }
-          ++cur_.count;
-          ++lin;
-          off += offStride;
-          --count;
-          continue;
-        }
-      }
-      if (open_) fn_(cur_.lin, curOwner_, cur_.off, cur_.count, cur_.offStride);
-      cur_ = LinRun{lin, off, count, count == 1 ? 0 : offStride};
-      curOwner_ = owner;
-      open_ = true;
-      return;
-    }
+    sched::appendRun(tail_, Run{lin, off, count, offStride, owner});
   }
 
   /// Emits the buffered run; call once after the last add().
   void flush() {
-    if (open_) fn_(cur_.lin, curOwner_, cur_.off, cur_.count, cur_.offStride);
-    open_ = false;
+    tail_.emit();
+    tail_.open = false;
   }
 
  private:
-  const LibraryAdapter::RunFn& fn_;
-  LinRun cur_;
-  int curOwner_ = -1;
-  bool open_ = false;
+  /// A LinRun keyed by its owner.
+  struct Run {
+    layout::Index lin = 0;
+    layout::Index off = 0;
+    layout::Index count = 0;
+    layout::Index offStride = 0;
+    layout::Index owner = 0;
+    static constexpr sched::RunShape<Run, 1> kShape{
+        {{{&Run::off, &Run::offStride}}}, &Run::lin, &Run::owner};
+  };
+
+  /// A one-run lane for appendRun: starting a new run forwards the old one.
+  struct Tail {
+    using value_type = Run;
+    const LibraryAdapter::RunFn& fn;
+    Run run;
+    bool open = false;
+
+    bool empty() const { return !open; }
+    Run& back() { return run; }
+    void push_back(const Run& next) {
+      emit();
+      run = next;
+      open = true;
+    }
+    void emit() const {
+      if (open) {
+        fn(run.lin, static_cast<int>(run.owner), run.off, run.count,
+           run.offStride);
+      }
+    }
+  };
+
+  Tail tail_;
 };
 
 }  // namespace mc::core

@@ -50,28 +50,6 @@ std::vector<std::vector<T>> interAlltoall(
   return out;
 }
 
-/// Extends or starts a SendRun in `lane` with one element.
-void emitSend(std::vector<SendRun>& lane, layout::Index lin,
-              layout::Index srcOff, layout::Index dstOff,
-              layout::Index dstOwner);
-
-/// Extends or starts a RecvRun in `lane` with one element.
-void emitRecv(std::vector<RecvRun>& lane, layout::Index lin,
-              layout::Index dstOff, layout::Index srcOwner);
-
-/// Extends `lane` with a whole marching-order run, byte-identical to
-/// emitting its elements one at a time through emitSend.
-void appendSendRun(std::vector<SendRun>& lane, SendRun run);
-
-/// Run-wise form of emitRecv, byte-identical to emitting element by element.
-void appendRecvRun(std::vector<RecvRun>& lane, RecvRun run);
-
-/// Routes a processor's owned elements (sorted by position) into per-chunk
-/// LinRun streams of `chunk` positions each, coalescing as it goes.
-std::vector<std::vector<LinRun>> routeToChunks(const std::vector<LinLoc>& owned,
-                                               layout::Index chunk,
-                                               int nChunks);
-
 /// Verifies both programs agree on the element count.  Collective over both
 /// programs.
 void handshakeCount(transport::Comm& comm, int remoteProgram, layout::Index n);

@@ -5,6 +5,7 @@
 #include "core/adapters/chaos_adapter.h"
 #include "core/adapters/hpf_adapter.h"
 #include "core/adapters/parti_adapter.h"
+#include "core/adapters/run_emitter.h"
 #include "core/adapters/tulip_adapter.h"
 
 namespace mc::core {
@@ -50,14 +51,15 @@ std::vector<LinRun> LibraryAdapter::enumerateOwnedRuns(
                        [&](layout::Index lin, int owner, layout::Index off,
                            layout::Index count, layout::Index offStride) {
                          if (owner != me) return;
-                         appendLinRun(out, LinRun{lin, off, count, offStride});
+                         sched::appendRun(out,
+                                          LinRun{lin, off, count, offStride});
                        });
     return out;
   }
   // Dereference requires communication (Chaos with a distributed table):
   // run the collective element enumeration and coalesce its sorted output.
   for (const LinLoc& ll : enumerateOwned(obj, set, comm)) {
-    appendLinElement(out, ll.lin, ll.offset);
+    sched::appendRun(out, LinRun{ll.lin, ll.offset, 1, 0});
   }
   return out;
 }
@@ -67,34 +69,15 @@ void LibraryAdapter::enumerateRangeRuns(const DistObject& obj,
                                         layout::Index linLo,
                                         layout::Index linHi,
                                         const RunFn& fn) const {
-  // Element-wise fallback: coalesce consecutive same-owner callbacks into
-  // maximal runs.  O(linHi - linLo) time but O(1) extra memory; adapters
-  // with analytic distributions override this with O(runs) enumeration.
-  LinRun cur;
-  int curOwner = -1;
-  bool open = false;
+  // Element-wise fallback: the streaming emitter, fed one element at a
+  // time.  O(linHi - linLo) time but O(1) extra memory; adapters with
+  // analytic distributions override this with O(runs) enumeration.
+  RunEmitter emit(fn);
   enumerateRange(obj, set, linLo, linHi,
                  [&](layout::Index lin, int owner, layout::Index off) {
-                   if (open && owner == curOwner &&
-                       cur.lin + cur.count == lin) {
-                     if (cur.count == 1) {
-                       cur.offStride = off - cur.off;
-                       ++cur.count;
-                       return;
-                     }
-                     if (off == cur.off + cur.count * cur.offStride) {
-                       ++cur.count;
-                       return;
-                     }
-                   }
-                   if (open) {
-                     fn(cur.lin, curOwner, cur.off, cur.count, cur.offStride);
-                   }
-                   cur = LinRun{lin, off, 1, 0};
-                   curOwner = owner;
-                   open = true;
+                   emit.add(lin, owner, off, 1, 0);
                  });
-  if (open) fn(cur.lin, curOwner, cur.off, cur.count, cur.offStride);
+  emit.flush();
 }
 
 Registry& Registry::instance() {

@@ -5,7 +5,6 @@
 #include "core/builder_internal.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "sched/kernels.h"
 #include "util/blob_io.h"
 
 namespace mc::core {
@@ -22,10 +21,6 @@ thread_local PatchStats g_patchStats;
 // itself resets per build, so it cannot serve snapshot/diff accounting).
 thread_local std::uint64_t g_buildCount = 0;
 thread_local std::uint64_t g_tableBytesTotal = 0;
-thread_local std::uint64_t g_kernelContiguous = 0;
-thread_local std::uint64_t g_kernelStrided = 0;
-thread_local std::uint64_t g_kernelRunList = 0;
-thread_local std::uint64_t g_kernelIndexList = 0;
 thread_local std::uint64_t g_patchCount = 0;
 thread_local std::uint64_t g_patchElementsTotal = 0;
 
@@ -40,18 +35,6 @@ void ensureBuildMetrics() {
   reg.registerCounter("build.ownership_table_bytes_total", [] {
     return static_cast<double>(g_tableBytesTotal);
   });
-  reg.registerCounter("build.kernel_contiguous_plans", [] {
-    return static_cast<double>(g_kernelContiguous);
-  });
-  reg.registerCounter("build.kernel_strided_plans", [] {
-    return static_cast<double>(g_kernelStrided);
-  });
-  reg.registerCounter("build.kernel_run_list_plans", [] {
-    return static_cast<double>(g_kernelRunList);
-  });
-  reg.registerCounter("build.kernel_index_list_plans", [] {
-    return static_cast<double>(g_kernelIndexList);
-  });
   reg.registerCounter("build.patch_count",
                       [] { return static_cast<double>(g_patchCount); });
   reg.registerCounter("build.patch_elements_total", [] {
@@ -59,40 +42,10 @@ void ensureBuildMetrics() {
   });
 }
 
-/// Classifies the built plans by the executor kernel each will dispatch to
-/// (sched::classifyPlan is a pure function of the plan, so this is exactly
-/// what a later Executor bind decides).
-void recordKernelDispatch(const sched::Schedule& plan) {
-  const auto note = [](const sched::OffsetPlan& p) {
-    switch (sched::classifyPlan(p)) {
-      case sched::KernelKind::kEmpty:
-        break;
-      case sched::KernelKind::kContiguous:
-        ++g_buildStats.kernelContiguousPlans;
-        break;
-      case sched::KernelKind::kStrided:
-        ++g_buildStats.kernelStridedPlans;
-        break;
-      case sched::KernelKind::kRunList:
-        ++g_buildStats.kernelRunListPlans;
-        break;
-      case sched::KernelKind::kIndexList:
-        ++g_buildStats.kernelIndexListPlans;
-        break;
-    }
-  };
-  for (const sched::OffsetPlan& p : plan.sends) note(p);
-  for (const sched::OffsetPlan& p : plan.recvs) note(p);
-}
-
 /// Accounts one finished build into the monotone counters.
 void noteBuildDone() {
   ++g_buildCount;
   g_tableBytesTotal += g_buildStats.ownershipTableBytes;
-  g_kernelContiguous += g_buildStats.kernelContiguousPlans;
-  g_kernelStrided += g_buildStats.kernelStridedPlans;
-  g_kernelRunList += g_buildStats.kernelRunListPlans;
-  g_kernelIndexList += g_buildStats.kernelIndexListPlans;
 }
 
 }  // namespace
@@ -102,132 +55,6 @@ namespace detail {
 const LibraryAdapter& adapterFor(const DistObject& obj) {
   registerBuiltinAdapters();
   return Registry::instance().get(obj.library());
-}
-
-void emitSend(std::vector<SendRun>& lane, Index lin, Index srcOff,
-              Index dstOff, Index dstOwner) {
-  if (!lane.empty()) {
-    SendRun& run = lane.back();
-    if (run.dstOwner == dstOwner && lin == run.lin + run.count) {
-      if (run.count == 1) {
-        run.srcStride = srcOff - run.srcOff;
-        run.dstStride = dstOff - run.dstOff;
-        ++run.count;
-        return;
-      }
-      if (srcOff == run.srcOff + run.count * run.srcStride &&
-          dstOff == run.dstOff + run.count * run.dstStride) {
-        ++run.count;
-        return;
-      }
-    }
-  }
-  lane.push_back(SendRun{lin, srcOff, dstOff, 1, 0, 0, dstOwner});
-}
-
-void emitRecv(std::vector<RecvRun>& lane, Index lin, Index dstOff,
-              Index srcOwner) {
-  if (!lane.empty()) {
-    RecvRun& run = lane.back();
-    if (run.srcOwner == srcOwner && lin == run.lin + run.count) {
-      if (run.count == 1) {
-        run.dstStride = dstOff - run.dstOff;
-        ++run.count;
-        return;
-      }
-      if (dstOff == run.dstOff + run.count * run.dstStride) {
-        ++run.count;
-        return;
-      }
-    }
-  }
-  lane.push_back(RecvRun{lin, dstOff, 1, 0, srcOwner});
-}
-
-// The run-wise appenders replicate the emitSend/emitRecv greedy exactly
-// (see sched::appendOffsetRun for the argument): lanes come out
-// bit-identical no matter how the incoming element sequence is cut into
-// runs.
-void appendSendRun(std::vector<SendRun>& lane, SendRun run) {
-  while (run.count > 0) {
-    if (!lane.empty()) {
-      SendRun& tail = lane.back();
-      if (tail.dstOwner == run.dstOwner && run.lin == tail.lin + tail.count) {
-        if (tail.count == 1) {
-          tail.srcStride = run.srcOff - tail.srcOff;
-          tail.dstStride = run.dstOff - tail.dstOff;
-          ++tail.count;
-          ++run.lin;
-          run.srcOff += run.srcStride;
-          run.dstOff += run.dstStride;
-          --run.count;
-          continue;
-        }
-        if (run.srcOff == tail.srcOff + tail.count * tail.srcStride &&
-            run.dstOff == tail.dstOff + tail.count * tail.dstStride) {
-          if (run.count == 1 || (run.srcStride == tail.srcStride &&
-                                 run.dstStride == tail.dstStride)) {
-            tail.count += run.count;
-            return;
-          }
-          ++tail.count;
-          ++run.lin;
-          run.srcOff += run.srcStride;
-          run.dstOff += run.dstStride;
-          --run.count;
-          continue;
-        }
-      }
-    }
-    if (run.count == 1) {
-      run.srcStride = 0;
-      run.dstStride = 0;
-    }
-    lane.push_back(run);
-    return;
-  }
-}
-
-void appendRecvRun(std::vector<RecvRun>& lane, RecvRun run) {
-  while (run.count > 0) {
-    if (!lane.empty()) {
-      RecvRun& tail = lane.back();
-      if (tail.srcOwner == run.srcOwner && run.lin == tail.lin + tail.count) {
-        if (tail.count == 1) {
-          tail.dstStride = run.dstOff - tail.dstOff;
-          ++tail.count;
-          ++run.lin;
-          run.dstOff += run.dstStride;
-          --run.count;
-          continue;
-        }
-        if (run.dstOff == tail.dstOff + tail.count * tail.dstStride) {
-          if (run.count == 1 || run.dstStride == tail.dstStride) {
-            tail.count += run.count;
-            return;
-          }
-          ++tail.count;
-          ++run.lin;
-          run.dstOff += run.dstStride;
-          --run.count;
-          continue;
-        }
-      }
-    }
-    if (run.count == 1) run.dstStride = 0;
-    lane.push_back(run);
-    return;
-  }
-}
-
-std::vector<std::vector<LinRun>> routeToChunks(const std::vector<LinLoc>& owned,
-                                               Index chunk, int nChunks) {
-  std::vector<std::vector<LinRun>> to(static_cast<size_t>(nChunks));
-  for (const LinLoc& ll : owned) {
-    appendLinElement(to[static_cast<size_t>(ll.lin / chunk)], ll.lin,
-                     ll.offset);
-  }
-  return to;
 }
 
 std::vector<std::byte> packRemoteBundle(const LibraryAdapter& lib,
@@ -295,10 +122,22 @@ namespace {
 // to count-1 runs, whose cost profile the paper's Chaos experiments show.
 //
 // Ownership runs ship as core::LinRun (the adapter inquiry type — the
-// sender is implied by the lane).  The run-wise append helpers replicate
-// the element-wise coalescing greedy exactly, so a stream's bytes do not
-// depend on how its elements were cut into runs.
+// sender is implied by the lane).  Every stream grows through
+// sched::appendRun, so its bytes do not depend on how its elements were
+// cut into runs.
 // ---------------------------------------------------------------------------
+
+/// Routes a processor's owned elements (sorted by position) into per-chunk
+/// LinRun streams of `chunk` positions each, coalescing as it goes.
+std::vector<std::vector<LinRun>> routeToChunks(const std::vector<LinLoc>& owned,
+                                               Index chunk, int nChunks) {
+  std::vector<std::vector<LinRun>> to(static_cast<size_t>(nChunks));
+  for (const LinLoc& ll : owned) {
+    sched::appendRun(to[static_cast<size_t>(ll.lin / chunk)],
+                     LinRun{ll.lin, ll.offset, 1, 0});
+  }
+  return to;
+}
 
 /// Routes a processor's owned runs into per-chunk LinRun streams, splitting
 /// runs at chunk boundaries (runs never cross chunks on the wire).
@@ -309,8 +148,8 @@ std::vector<std::vector<LinRun>> routeRunsToChunks(
     while (run.count > 0) {
       const Index c = run.lin / chunk;
       const Index take = std::min(run.count, (c + 1) * chunk - run.lin);
-      appendLinRun(to[static_cast<size_t>(c)],
-                   LinRun{run.lin, run.off, take, run.offStride});
+      sched::appendRun(to[static_cast<size_t>(c)],
+                       LinRun{run.lin, run.off, take, run.offStride});
       run.lin += take;
       run.off += take * run.offStride;
       run.count -= take;
@@ -360,7 +199,9 @@ struct ChunkTable {
   /// Fill from per-sender wire streams.  Every sender's stream is already
   /// sorted by position, so a k-way merge over per-sender cursors rebuilds
   /// the interval table without a global sort.  Exhausted streams are
-  /// dropped from the cursor set, so the scan stays tight.
+  /// dropped from the cursor set, so the scan stays tight.  The rows may be
+  /// another program's bytes: a run must hold at least one position, all
+  /// of them inside the chunk, past every position already filled.
   void fillFromRows(const std::vector<std::vector<LinRun>>& rows,
                     const char* side) {
     struct Cursor {
@@ -389,7 +230,10 @@ struct ChunkTable {
         if (cur[k].lin < cur[best].lin) best = k;
       }
       const LinRun& run = *cur[best].p;
-      MC_REQUIRE(run.lin >= lo && run.lin + run.count <= lo + size,
+      MC_REQUIRE(run.count >= 1, "%s run at position %lld holds %lld elements",
+                 side, static_cast<long long>(run.lin),
+                 static_cast<long long>(run.count));
+      MC_REQUIRE(run.lin >= lo && run.count <= lo + size - run.lin,
                  "%s element at position %lld routed to the wrong chunk",
                  side, static_cast<long long>(run.lin));
       MC_REQUIRE(run.lin >= pos, "%s linearization visits position %lld twice",
@@ -473,17 +317,10 @@ Index offAt(const OwnedRun& r, Index pos) {
 // Every build ends in the same two steps.  A join turns two ownership
 // tables into this rank's SendSeg/RecvSeg provenance; the assembler turns
 // provenance into runs-first OffsetPlans without ever expanding an offset
-// list.  Every appender is the canonical greedy, so a lane's bits depend
-// only on its element sequence, never on how the segments are cut.
+// list.  Every lane grows through the canonical greedy (sched::appendRun),
+// so its bits depend only on its element sequence, never on how the
+// segments are cut.
 // ---------------------------------------------------------------------------
-
-void appendSeg(std::vector<SendSeg>& lane, const SendSeg& g) {
-  appendSendRun(lane, g);
-}
-
-void appendSeg(std::vector<RecvSeg>& lane, const RecvSeg& g) {
-  appendRecvRun(lane, g);
-}
 
 /// Joins two tables covering the same positions into this rank's
 /// provenance: a SendSeg for every segment it sources (owner `srcMe`,
@@ -496,12 +333,12 @@ void joinSegs(const ChunkTable& src, const ChunkTable& dst, int srcMe,
   joinTables(src, dst, [&](const OwnedRun& s, const OwnedRun& d, Index pos,
                            Index count) {
     if (s.owner == srcMe) {
-      appendSendRun(sends, SendSeg{pos, offAt(s, pos), offAt(d, pos), count,
-                                   s.offStride, d.offStride,
-                                   static_cast<Index>(d.owner)});
+      sched::appendRun(sends, SendSeg{pos, offAt(s, pos), offAt(d, pos), count,
+                                      s.offStride, d.offStride,
+                                      static_cast<Index>(d.owner)});
     } else if (d.owner == dstMe) {
-      appendRecvRun(recvs, RecvSeg{pos, offAt(d, pos), count, d.offStride,
-                                   static_cast<Index>(s.owner)});
+      sched::appendRun(recvs, RecvSeg{pos, offAt(d, pos), count, d.offStride,
+                                      static_cast<Index>(s.owner)});
     }
   });
 }
@@ -513,7 +350,7 @@ template <typename Seg>
 std::vector<Seg> segsFromRows(const std::vector<std::vector<Seg>>& rows) {
   std::vector<Seg> segs;
   for (const auto& row : rows) {
-    for (const Seg& run : row) appendSeg(segs, run);
+    for (const Seg& run : row) sched::appendRun(segs, run);
   }
   return segs;
 }
@@ -529,23 +366,22 @@ void assembleFromSegs(const std::vector<SendSeg>& sendSegs,
   std::vector<std::vector<OffsetRun>> recvBy;
   for (const SendSeg& g : sendSegs) {
     if (g.dstOwner == static_cast<Index>(localMe)) {
-      sched::appendLocalRun(plan.localRuns,
-                            LocalRun{g.srcOff, g.dstOff, g.count, g.srcStride,
-                                     g.dstStride});
+      sched::appendRun(plan.localRuns, LocalRun{g.srcOff, g.dstOff, g.count,
+                                                g.srcStride, g.dstStride});
       continue;
     }
     if (sendBy.size() <= static_cast<size_t>(g.dstOwner)) {
       sendBy.resize(static_cast<size_t>(g.dstOwner) + 1);
     }
-    sched::appendOffsetRun(sendBy[static_cast<size_t>(g.dstOwner)],
-                           OffsetRun{g.srcOff, g.count, g.srcStride});
+    sched::appendRun(sendBy[static_cast<size_t>(g.dstOwner)],
+                     OffsetRun{g.srcOff, g.count, g.srcStride});
   }
   for (const RecvSeg& g : recvSegs) {
     if (recvBy.size() <= static_cast<size_t>(g.srcOwner)) {
       recvBy.resize(static_cast<size_t>(g.srcOwner) + 1);
     }
-    sched::appendOffsetRun(recvBy[static_cast<size_t>(g.srcOwner)],
-                           OffsetRun{g.dstOff, g.count, g.dstStride});
+    sched::appendRun(recvBy[static_cast<size_t>(g.srcOwner)],
+                     OffsetRun{g.dstOff, g.count, g.dstStride});
   }
   for (size_t p = 0; p < sendBy.size(); ++p) {
     if (sendBy[p].empty()) continue;
@@ -610,26 +446,14 @@ void joinOrders(const ChunkTable& src, const ChunkTable& dst,
                 std::vector<std::vector<RecvRun>>& recvTo) {
   joinTables(src, dst, [&](const OwnedRun& s, const OwnedRun& d, Index pos,
                            Index count) {
-    const Index srcOff = offAt(s, pos);
     const Index dstOff = offAt(d, pos);
-    const bool recv = !sameProgram || d.owner != s.owner;
-    if (count == 1) {
-      // Degenerate segment (fully irregular data): the single-element
-      // greedy appends produce the same lanes for less bookkeeping.
-      emitSend(sendTo[static_cast<size_t>(s.owner)], pos, srcOff, dstOff,
-               d.owner);
-      if (recv) {
-        emitRecv(recvTo[static_cast<size_t>(d.owner)], pos, dstOff, s.owner);
-      }
-      return;
-    }
-    appendSendRun(sendTo[static_cast<size_t>(s.owner)],
-                  SendRun{pos, srcOff, dstOff, count, s.offStride, d.offStride,
-                          static_cast<Index>(d.owner)});
-    if (recv) {
-      appendRecvRun(recvTo[static_cast<size_t>(d.owner)],
-                    RecvRun{pos, dstOff, count, d.offStride,
-                            static_cast<Index>(s.owner)});
+    sched::appendRun(sendTo[static_cast<size_t>(s.owner)],
+                     SendRun{pos, offAt(s, pos), dstOff, count, s.offStride,
+                             d.offStride, static_cast<Index>(d.owner)});
+    if (!sameProgram || d.owner != s.owner) {
+      sched::appendRun(recvTo[static_cast<size_t>(d.owner)],
+                       RecvRun{pos, dstOff, count, d.offStride,
+                               static_cast<Index>(s.owner)});
     }
   });
 }
@@ -848,8 +672,8 @@ McSchedule buildInterDuplication(transport::Comm& comm,
 // Schedule patching (incremental delta rebuild).
 //
 // The provenance streams are the canonical greedy cut of each rank's
-// per-lin segment sequence.  Because every append helper merges only
-// lin-contiguous records, re-appending any re-cut of the same sequence
+// per-lin segment sequence.  Because sched::appendRun merges segments only
+// across lin-contiguous records, re-appending any re-cut of the same sequence
 // reproduces the stream bit-identically — so subtracting the delta's
 // intervals from the old streams, deriving fresh segments for only the
 // migrated intervals, and merging by lin yields exactly what a full
@@ -898,7 +722,7 @@ void subtractDelta(const std::vector<Seg>& segs,
 }
 
 /// Merges two lin-sorted disjoint seg streams through the canonical greedy
-/// appender.
+/// (sched::appendRun).
 template <typename Seg>
 void mergeSegStreams(const std::vector<Seg>& a, const std::vector<Seg>& b,
                      std::vector<Seg>& out) {
@@ -906,9 +730,9 @@ void mergeSegStreams(const std::vector<Seg>& a, const std::vector<Seg>& b,
   size_t j = 0;
   while (i < a.size() || j < b.size()) {
     if (j == b.size() || (i < a.size() && a[i].lin < b[j].lin)) {
-      appendSeg(out, a[i++]);
+      sched::appendRun(out, a[i++]);
     } else {
-      appendSeg(out, b[j++]);
+      sched::appendRun(out, b[j++]);
     }
   }
 }
@@ -963,7 +787,6 @@ McSchedule computeSchedule(transport::Comm& comm, const DistObject& srcObj,
                                   dstSet, n)
           : buildIntraCooperation(comm, srcLib, srcObj, srcSet, dstLib, dstObj,
                                   dstSet, n);
-  recordKernelDispatch(out.plan);
   noteBuildDone();
   return out;
 }
@@ -982,7 +805,6 @@ McSchedule computeScheduleSend(transport::Comm& comm, const DistObject& srcObj,
                                   /*isSender=*/true)
           : buildInterCooperationSend(comm, srcLib, srcObj, srcSet,
                                       remoteProgram);
-  recordKernelDispatch(out.plan);
   noteBuildDone();
   return out;
 }
@@ -1001,7 +823,6 @@ McSchedule computeScheduleRecv(transport::Comm& comm, const DistObject& dstObj,
                                   /*isSender=*/false)
           : buildInterCooperationRecv(comm, dstLib, dstObj, dstSet,
                                       remoteProgram);
-  recordKernelDispatch(out.plan);
   noteBuildDone();
   return out;
 }
@@ -1089,7 +910,6 @@ McSchedule patchSchedule(transport::Comm& comm, const McSchedule& old,
     assembleFromSegs(out.sendSegs, out.recvSegs, me, out.plan);
   });
   out.hasProvenance = true;
-  recordKernelDispatch(out.plan);
   noteBuildDone();
   ++g_patchCount;
   g_patchElementsTotal += static_cast<std::uint64_t>(migrated);
@@ -1214,7 +1034,6 @@ sched::Schedule buildRedistMove(transport::Comm& comm,
                   delta, n, sends, recvs);
     assembleFromSegs(sends, recvs, comm.rank(), plan);
   });
-  recordKernelDispatch(plan);
   noteBuildDone();
   return plan;
 }

@@ -41,8 +41,8 @@ enum class Method { kCooperation, kDuplication };
 /// Build provenance: one maximal greedy-coalesced segment of linearization
 /// positions this rank *sources* (srcOwner == me).  Covers both remote
 /// sends (dstOwner != me) and local copies (dstOwner == me).  Sorted by
-/// lin, disjoint; the canonical greedy cut, so two builds of the same
-/// distributions produce bit-identical segment streams.
+/// lin, disjoint; the canonical greedy cut (sched::appendRun), so two
+/// builds of the same distributions produce bit-identical segment streams.
 struct SendSeg {
   layout::Index lin = 0;  ///< first linearization position of the segment
   layout::Index srcOff = 0;
@@ -52,6 +52,11 @@ struct SendSeg {
   layout::Index dstStride = 0;
   layout::Index dstOwner = 0;
   bool operator==(const SendSeg&) const = default;
+  static constexpr sched::RunShape<SendSeg, 2> kShape{
+      {{{&SendSeg::srcOff, &SendSeg::srcStride},
+        {&SendSeg::dstOff, &SendSeg::dstStride}}},
+      &SendSeg::lin,
+      &SendSeg::dstOwner};
 };
 
 /// Build provenance: one segment this rank *receives* (dstOwner == me,
@@ -63,6 +68,10 @@ struct RecvSeg {
   layout::Index dstStride = 0;
   layout::Index srcOwner = 0;
   bool operator==(const RecvSeg&) const = default;
+  static constexpr sched::RunShape<RecvSeg, 1> kShape{
+      {{{&RecvSeg::dstOff, &RecvSeg::dstStride}}},
+      &RecvSeg::lin,
+      &RecvSeg::srcOwner};
 };
 
 /// A Meta-Chaos communication schedule.  Sends' offsets index the local
@@ -178,14 +187,6 @@ sched::Schedule buildRedistMove(transport::Comm& comm,
 /// number of ownership runs, not the number of elements.
 struct BuildStats {
   std::size_t ownershipTableBytes = 0;
-  /// Built plans (sends + recvs) by the executor kernel each will dispatch
-  /// to at bind time (sched::classifyPlan) — recorded at build time, so
-  /// the dispatch distribution of a schedule is known before any executor
-  /// binds it.
-  std::size_t kernelContiguousPlans = 0;
-  std::size_t kernelStridedPlans = 0;
-  std::size_t kernelRunListPlans = 0;
-  std::size_t kernelIndexListPlans = 0;
 };
 const BuildStats& lastBuildStats();
 

@@ -83,14 +83,14 @@ class MatvecEngine {
         plan.peer = p;
         for (const auto& [off, g] : owned[static_cast<size_t>(p)]) {
           // Unpack straight into `full`.
-          sched::appendOffsetRun(plan.runs, sched::OffsetRun{g, 1, 0});
+          sched::appendRun(plan.runs, sched::OffsetRun{g, 1, 0});
         }
         sched_.recvs.push_back(std::move(plan));
       }
       if (!mine.empty()) {
         std::vector<sched::OffsetRun> mySrc;
         for (const auto& [off, g] : mine) {
-          sched::appendOffsetRun(mySrc, sched::OffsetRun{off, 1, 0});
+          sched::appendRun(mySrc, sched::OffsetRun{off, 1, 0});
         }
         for (int p = 0; p < np; ++p) {
           if (p == me) continue;

@@ -21,16 +21,16 @@ sched::Schedule buildRedistSchedule(const HpfDist& srcDist,
     const int sOwner = srcDist.ownerOf(sp);
     const int dOwner = dstDist.ownerOf(dp);
     if (sOwner == myProc && dOwner == myProc) {
-      sched::appendLocalRun(out.localRuns,
-                            sched::LocalRun{srcDist.localOffset(myProc, sp),
-                                            dstDist.localOffset(myProc, dp),
-                                            1, 0, 0});
+      sched::appendRun(out.localRuns,
+                       sched::LocalRun{srcDist.localOffset(myProc, sp),
+                                       dstDist.localOffset(myProc, dp), 1, 0,
+                                       0});
     } else if (sOwner == myProc) {
-      sched::appendOffsetRun(
+      sched::appendRun(
           sendBy[static_cast<size_t>(dOwner)].runs,
           sched::OffsetRun{srcDist.localOffset(myProc, sp), 1, 0});
     } else if (dOwner == myProc) {
-      sched::appendOffsetRun(
+      sched::appendRun(
           recvBy[static_cast<size_t>(sOwner)].runs,
           sched::OffsetRun{dstDist.localOffset(myProc, dp), 1, 0});
     }

@@ -11,8 +11,8 @@ OffsetPlan rowPlan(int peer, const layout::RegularSection& cells,
   OffsetPlan plan;
   plan.peer = peer;
   cells.forEachRow([&](const layout::Point& first, layout::Index count) {
-    sched::appendOffsetRun(plan.runs,
-                           sched::OffsetRun{addr.offsetOf(first), count, 1});
+    sched::appendRun(plan.runs,
+                     sched::OffsetRun{addr.offsetOf(first), count, 1});
   });
   return plan;
 }

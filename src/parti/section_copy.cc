@@ -104,7 +104,7 @@ Schedule buildSectionCopySchedule(const PartiDesc& srcDesc,
           // lanes, pairing (my src offset, my dst offset).
           part.forEachRow([&](const Point& pDst, Index n) {
             const Point pSrc = mapPoint(dstSec, srcSec, pDst);
-            sched::appendLocalRun(
+            sched::appendRun(
                 sched.localRuns,
                 sched::LocalRun{mySrcAddr.offsetOf(pSrc),
                                 myDstAddr.offsetOf(pDst), n, srcStep,
@@ -116,7 +116,7 @@ Schedule buildSectionCopySchedule(const PartiDesc& srcDesc,
         plan.peer = q;
         part.forEachRow([&](const Point& pDst, Index n) {
           const Point pSrc = mapPoint(dstSec, srcSec, pDst);
-          sched::appendOffsetRun(
+          sched::appendRun(
               plan.runs,
               sched::OffsetRun{mySrcAddr.offsetOf(pSrc), n, srcStep});
         });
@@ -144,7 +144,7 @@ Schedule buildSectionCopySchedule(const PartiDesc& srcDesc,
         OffsetPlan plan;
         plan.peer = q;
         partInDst.forEachRow([&](const Point& pDst, Index n) {
-          sched::appendOffsetRun(
+          sched::appendRun(
               plan.runs,
               sched::OffsetRun{myDstAddr.offsetOf(pDst), n, dstStep});
         });

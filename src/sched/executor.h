@@ -63,6 +63,7 @@
 #include <array>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -349,22 +350,48 @@ class Executor {
         remoteProgram_(remoteProgram) {
     MC_REQUIRE(sched_ != nullptr);
     requireRunsOnly(*sched_);
-    bind();
+    bind(compileKernels(*sched_, nullptr));
   }
-
-  void bind() { bindReusing(nullptr, nullptr, nullptr); }
 
   /// The program the schedule's peer ranks live in.
   int peerProgram() const {
     return remoteProgram_ >= 0 ? remoteProgram_ : comm_->program();
   }
 
-  /// Fills all bind-time state for sched_.  When `old` (plus its compiled
-  /// kernels) is given, plans identical to the old schedule's plan for the
-  /// same peer reuse the already-compiled kernel instead of recompiling —
-  /// the rebind() fast path for untouched peers.
-  void bindReusing(const Schedule* old, std::vector<PlanKernel>* oldSend,
-                   std::vector<PlanKernel>* oldRecv) {
+  /// A bind's compiled dispatch kernels (see kernels.h): every run
+  /// thereafter moves bytes through the variant the plan's shape earned
+  /// instead of re-branching per run.
+  struct Kernels {
+    std::vector<PlanKernel> send;
+    std::vector<PlanKernel> recv;
+    LocalKernel local;
+  };
+
+  /// Compiles `sched`'s kernels.  Compiling checks every run and every
+  /// payload size, so a (re)bind does it before it changes any state or
+  /// sends anything.  When `old` is the bound schedule, a plan identical to
+  /// its plan for the same peer reuses the compiled kernel — the rebind()
+  /// fast path for untouched peers.
+  Kernels compileKernels(const Schedule& sched, const Schedule* old) const {
+    ensureKernelMetrics();
+    Kernels k;
+    compileLane(sched.sends, old != nullptr ? &old->sends : nullptr,
+                sendKernels_, k.send);
+    compileLane(sched.recvs, old != nullptr ? &old->recvs : nullptr,
+                recvKernels_, k.recv);
+    k.local = LocalKernel::compile(sched);
+    for (const std::vector<OffsetPlan>* lane : {&sched.sends, &sched.recvs}) {
+      for (const OffsetPlan& p : *lane) {
+        MC_REQUIRE(static_cast<std::size_t>(p.elementCount()) <=
+                       std::numeric_limits<std::size_t>::max() / sizeof(T),
+                   "plan for peer %d overflows the payload size", p.peer);
+      }
+    }
+    return k;
+  }
+
+  /// Fills all bind-time state for sched_ from its compiled kernels.
+  void bind(Kernels kernels) {
     sendPlanBytes_.reserve(sched_->sends.size());
     for (const OffsetPlan& p : sched_->sends) {
       sendPlanBytes_.push_back(static_cast<std::size_t>(p.elementCount()) *
@@ -384,15 +411,9 @@ class Executor {
     }
     stash_.resize(sched_->recvs.size());
     bindExchange(remoteProgram_ < 0 && comm_->netConfig().nodeAggregation);
-    // Compile the dispatch kernels once per bind (see kernels.h): every
-    // run thereafter moves bytes through the variant the plan's shape
-    // earned instead of re-branching per run.
-    ensureKernelMetrics();
-    compileLane(sched_->sends, old != nullptr ? &old->sends : nullptr,
-                oldSend, sendKernels_);
-    compileLane(sched_->recvs, old != nullptr ? &old->recvs : nullptr,
-                oldRecv, recvKernels_);
-    localKernel_ = LocalKernel::compile(*sched_);
+    sendKernels_ = std::move(kernels.send);
+    recvKernels_ = std::move(kernels.recv);
+    localKernel_ = std::move(kernels.local);
     srcExtent_ = localKernel_.srcExtent;
     for (const PlanKernel& k : sendKernels_) {
       srcExtent_ = std::max(srcExtent_, k.extent);
@@ -439,17 +460,17 @@ class Executor {
   /// both lanes are sorted by peer).
   static void compileLane(const std::vector<OffsetPlan>& plans,
                           const std::vector<OffsetPlan>* oldPlans,
-                          std::vector<PlanKernel>* oldKernels,
+                          const std::vector<PlanKernel>& oldKernels,
                           std::vector<PlanKernel>& out) {
     out.reserve(plans.size());
     std::size_t j = 0;
     for (const OffsetPlan& p : plans) {
       const PlanKernel* reuse = nullptr;
-      if (oldPlans != nullptr && oldKernels != nullptr) {
+      if (oldPlans != nullptr) {
         while (j < oldPlans->size() && (*oldPlans)[j].peer < p.peer) ++j;
         if (j < oldPlans->size() && (*oldPlans)[j].peer == p.peer &&
             (*oldPlans)[j].runs == p.runs) {
-          reuse = &(*oldKernels)[j];
+          reuse = &oldKernels[j];
         }
       }
       out.push_back(reuse != nullptr ? *reuse : PlanKernel::compile(p));
@@ -461,11 +482,7 @@ class Executor {
     MC_REQUIRE(!inFlight_,
                "split-phase run in flight: finish() it before rebind()");
     requireRunsOnly(*sched);
-    const Schedule* old = sched_;
-    // Keep the old schedule alive until the reuse walk below is done.
-    std::shared_ptr<const Schedule> oldKeepAlive = std::move(keepAlive_);
-    std::vector<PlanKernel> oldSendKernels = std::move(sendKernels_);
-    std::vector<PlanKernel> oldRecvKernels = std::move(recvKernels_);
+    Kernels kernels = compileKernels(*sched, sched_);
     // Stashed payload capacity is as good as a free buffer; keep it.
     for (Stashed& s : stash_) {
       if (s.payload.capacity() > 0) freeBufs_.push_back(std::move(s.payload));
@@ -473,12 +490,10 @@ class Executor {
     stash_.clear();
     sendPlanBytes_.clear();
     slots_.clear();
-    sendKernels_.clear();
-    recvKernels_.clear();
     footprint_.reset();
     sched_ = sched;
     keepAlive_ = std::move(keep);
-    bindReusing(old, &oldSendKernels, &oldRecvKernels);
+    bind(std::move(kernels));
     // Trim the retained buffers to the new steady-state demand (one per
     // send plan); the overflow returns to the world pool.
     while (freeBufs_.size() > sched_->sends.size()) {

@@ -20,7 +20,14 @@
 // for a schedule's local transfers; it flattens only runs whose
 // element-order semantics match copyLocalRuns (count-1 runs, and strided
 // runs that never hit the memmove fast path), so aliased src/dst buffers
-// behave identically.
+// behave identically.  The flattened offsets are 32 bits wide: a plan with
+// an offset beyond that (a buffer of more than 2^32 elements) stays
+// kRunList, whose loops run the same element order.
+//
+// Every plan an Executor binds is compiled here first, so compiling is
+// where a run that would address memory outside its buffers is refused
+// (runExtent): bytes from another program, a snapshot or a server archive
+// reach a bind with no other check of a run's lowest offset or its count.
 //
 // Dispatch decisions and kernel executions are counted per rank and
 // surfaced through the obs MetricsRegistry as kernel.* metrics.  These
@@ -30,6 +37,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -37,6 +45,7 @@
 #include "obs/metrics.h"
 #include "sched/run_plan.h"
 #include "sched/schedule.h"
+#include "util/error.h"
 
 namespace mc::sched {
 
@@ -109,9 +118,8 @@ inline void ensureKernelMetrics() {
   });
 }
 
-/// The kernel a plan dispatches to — a pure function of the plan, so the
-/// schedule builder can record the dispatch distribution in BuildStats
-/// without materializing anything.
+/// The kernel a plan's shape earns — a pure function of the plan.  A
+/// kIndexList plan with an offset beyond 32 bits compiles to kRunList.
 inline KernelKind classifyPlan(const OffsetPlan& plan) {
   if (plan.elementCount() == 0) return KernelKind::kEmpty;
   if (plan.runs.size() == 1) {
@@ -126,11 +134,26 @@ inline KernelKind classifyPlan(const OffsetPlan& plan) {
 }
 
 /// One past the largest offset of a `count`-element run from `start` by
-/// `stride`; 0 for an empty run.
+/// `stride`.  Throws mc::Error, the bind-time guard, for a run with no
+/// elements, one that reaches an offset below 0 and one whose offset
+/// arithmetic overflows Index.
 inline layout::Index runExtent(layout::Index start, layout::Index count,
                                layout::Index stride) {
-  if (count <= 0) return 0;
-  return std::max(start, start + (count - 1) * stride) + 1;
+  MC_REQUIRE(count >= 1, "plan run of %lld elements; a run holds at least one",
+             static_cast<long long>(count));
+  layout::Index last = 0;
+  MC_REQUIRE(!__builtin_mul_overflow(count - 1, stride, &last) &&
+                 !__builtin_add_overflow(start, last, &last) &&
+                 std::max(start, last) <
+                     std::numeric_limits<layout::Index>::max(),
+             "plan run of %lld elements from %lld by %lld overflows the "
+             "offset range",
+             static_cast<long long>(count), static_cast<long long>(start),
+             static_cast<long long>(stride));
+  MC_REQUIRE(std::min(start, last) >= 0,
+             "plan run reaches offset %lld, below 0",
+             static_cast<long long>(std::min(start, last)));
+  return std::max(start, last) + 1;
 }
 
 /// True when `off` fits the 32-bit index streams.
@@ -150,16 +173,18 @@ struct PlanKernel {
   /// The kIndexList offsets, narrowed to 32 bits.  Index is 64-bit but
   /// local offsets in any real schedule fit 32; the narrow stream halves
   /// the index bytes the gather/scatter loops pull through the cache.
-  /// Empty when some offset does not fit (the wide loops take over).
   std::vector<std::uint32_t> idx32;
-  /// The wide kIndexList offsets expanded from the plan's runs, kept only
-  /// when idx32 is empty.
-  std::vector<layout::Index> ownedIndices;
 
+  /// Compiles `plan`, throwing mc::Error for a run runExtent refuses or a
+  /// plan whose element count overflows Index.
   static PlanKernel compile(const OffsetPlan& plan) {
     PlanKernel k;
-    k.kind = classifyPlan(plan);
     k.extent = planExtent(plan);
+    k.kind = classifyPlan(plan);
+    if (k.kind == KernelKind::kIndexList) {
+      k.idx32 = narrowRuns(plan.runs, plan.elementCount());
+      if (k.idx32.empty()) k.kind = KernelKind::kRunList;
+    }
     KernelStats& s = kernelStats();
     switch (k.kind) {
       case KernelKind::kEmpty:
@@ -176,11 +201,6 @@ struct PlanKernel {
         ++s.dispatchRunList;
         break;
       case KernelKind::kIndexList:
-        k.idx32 = narrowRuns(plan.runs, plan.elementCount());
-        if (k.idx32.empty()) {
-          k.ownedIndices =
-              expandOffsets(std::span<const OffsetRun>(plan.runs));
-        }
         ++s.dispatchIndexList;
         break;
     }
@@ -189,8 +209,11 @@ struct PlanKernel {
 
   static layout::Index planExtent(const OffsetPlan& plan) {
     layout::Index extent = 0;
+    layout::Index elements = 0;
     for (const OffsetRun& r : plan.runs) {
       extent = std::max(extent, runExtent(r.start, r.count, r.stride));
+      MC_REQUIRE(!__builtin_add_overflow(elements, r.count, &elements),
+                 "plan for peer %d overflows the element count", plan.peer);
     }
     return extent;
   }
@@ -243,20 +266,12 @@ void packKernel(const PlanKernel& k, const OffsetPlan& plan,
     case KernelKind::kIndexList: {
       ++s.execIndexList;
       const T* base = src.data();
-      if (!k.idx32.empty()) {
-        const std::uint32_t* idx = k.idx32.data();
-        const size_t n = k.idx32.size();
-        constexpr size_t ahead = detail::kPrefetchAhead;
-        for (size_t i = 0; i < n; ++i) {
-          if (i + ahead < n) __builtin_prefetch(base + idx[i + ahead], 0);
-          out[i] = base[idx[i]];
-        }
-        return;
-      }
-      const std::vector<layout::Index>& idx = k.ownedIndices;
-      const size_t n = idx.size();
+      const std::uint32_t* idx = k.idx32.data();
+      const size_t n = k.idx32.size();
+      constexpr size_t ahead = detail::kPrefetchAhead;
       for (size_t i = 0; i < n; ++i) {
-        out[i] = base[static_cast<size_t>(idx[i])];
+        if (i + ahead < n) __builtin_prefetch(base + idx[i + ahead], 0);
+        out[i] = base[idx[i]];
       }
       return;
     }
@@ -292,20 +307,12 @@ void unpackKernel(const PlanKernel& k, const OffsetPlan& plan, const T* buf,
     case KernelKind::kIndexList: {
       ++s.execIndexList;
       T* base = dst.data();
-      if (!k.idx32.empty()) {
-        const std::uint32_t* idx = k.idx32.data();
-        const size_t n = k.idx32.size();
-        constexpr size_t ahead = detail::kPrefetchAhead;
-        for (size_t i = 0; i < n; ++i) {
-          if (i + ahead < n) __builtin_prefetch(base + idx[i + ahead], 1);
-          base[idx[i]] = buf[i];
-        }
-        return;
-      }
-      const std::vector<layout::Index>& idx = k.ownedIndices;
-      const size_t n = idx.size();
+      const std::uint32_t* idx = k.idx32.data();
+      const size_t n = k.idx32.size();
+      constexpr size_t ahead = detail::kPrefetchAhead;
       for (size_t i = 0; i < n; ++i) {
-        base[static_cast<size_t>(idx[i])] = buf[i];
+        if (i + ahead < n) __builtin_prefetch(base + idx[i + ahead], 1);
+        base[idx[i]] = buf[i];
       }
       return;
     }
@@ -345,20 +352,12 @@ void unpackAddKernel(const PlanKernel& k, const OffsetPlan& plan,
     case KernelKind::kIndexList: {
       ++s.execIndexList;
       T* base = dst.data();
-      if (!k.idx32.empty()) {
-        const std::uint32_t* idx = k.idx32.data();
-        const size_t n = k.idx32.size();
-        constexpr size_t ahead = detail::kPrefetchAhead;
-        for (size_t i = 0; i < n; ++i) {
-          if (i + ahead < n) __builtin_prefetch(base + idx[i + ahead], 1);
-          base[idx[i]] += buf[i];
-        }
-        return;
-      }
-      const std::vector<layout::Index>& idx = k.ownedIndices;
-      const size_t n = idx.size();
+      const std::uint32_t* idx = k.idx32.data();
+      const size_t n = k.idx32.size();
+      constexpr size_t ahead = detail::kPrefetchAhead;
       for (size_t i = 0; i < n; ++i) {
-        base[static_cast<size_t>(idx[i])] += buf[i];
+        if (i + ahead < n) __builtin_prefetch(base + idx[i + ahead], 1);
+        base[idx[i]] += buf[i];
       }
       return;
     }
@@ -371,26 +370,29 @@ void unpackAddKernel(const PlanKernel& k, const OffsetPlan& plan,
 /// copyLocalRuns semantics ARE element order — count-1 runs and strided
 /// runs that never take the memmove fast path — so aliased src/dst buffers
 /// (ghost fills) behave bit-identically.  Everything else stays kRunList
-/// (the executor's existing local paths).
+/// (the executor's existing local paths), and so does a schedule with an
+/// offset beyond 32 bits.
 struct LocalKernel {
   KernelKind kind = KernelKind::kRunList;
   /// One past the largest source / destination offset of the local
   /// transfers, whatever the kind.
   layout::Index srcExtent = 0, dstExtent = 0;
   std::vector<std::uint32_t> srcIdx32, dstIdx32;  // kIndexList
-  /// Wide kIndexList offsets, kept only when the narrow streams are empty.
-  std::vector<layout::Index> srcIdx, dstIdx;
 
+  /// Compiles the local transfers, throwing mc::Error for a run whose
+  /// source or destination side runExtent refuses, or when their element
+  /// count overflows Index.
   static LocalKernel compile(const Schedule& sched) {
     LocalKernel k;
     layout::Index total = 0;
     bool flattenable = true;
     for (const LocalRun& run : sched.localRuns) {
-      total += run.count;
       k.srcExtent = std::max(k.srcExtent,
                              runExtent(run.src, run.count, run.srcStride));
       k.dstExtent = std::max(k.dstExtent,
                              runExtent(run.dst, run.count, run.dstStride));
+      MC_REQUIRE(!__builtin_add_overflow(total, run.count, &total),
+                 "local transfers overflow the element count");
       // A memmove-eligible run (both strides 1, count > 1) has
       // read-all-then-write semantics that element order cannot reproduce
       // under aliasing; keep the run-wise path for schedules carrying one.
@@ -404,37 +406,33 @@ struct LocalKernel {
     }
     const auto avg =
         total / static_cast<layout::Index>(sched.localRuns.size());
-    if (!flattenable || avg >= detail::kShortRunAvg) {
-      k.kind = KernelKind::kRunList;
-      ++kernelStats().dispatchRunList;
+    if (flattenable && avg < detail::kShortRunAvg &&
+        flatten(sched.localRuns, total, k.srcIdx32, k.dstIdx32)) {
+      k.kind = KernelKind::kIndexList;
+      ++kernelStats().dispatchIndexList;
       return k;
     }
-    k.kind = KernelKind::kIndexList;
-    if (!flatten(sched.localRuns, total, k.srcIdx32, k.dstIdx32)) {
-      k.srcIdx32 = std::vector<std::uint32_t>();
-      k.dstIdx32 = std::vector<std::uint32_t>();
-      flatten(sched.localRuns, total, k.srcIdx, k.dstIdx);
-    }
-    ++kernelStats().dispatchIndexList;
+    k.kind = KernelKind::kRunList;
+    k.srcIdx32 = std::vector<std::uint32_t>();
+    k.dstIdx32 = std::vector<std::uint32_t>();
+    ++kernelStats().dispatchRunList;
     return k;
   }
 
-  /// Expands `runs` into the (src, dst) offset streams in one pass; false
-  /// (with the streams partly filled) when an offset does not fit `I`.
-  template <typename I>
+  /// Expands `runs` into the 32-bit (src, dst) offset streams in one pass;
+  /// false (with the streams partly filled) when an offset does not fit.
   static bool flatten(const std::vector<LocalRun>& runs, layout::Index total,
-                      std::vector<I>& src, std::vector<I>& dst) {
+                      std::vector<std::uint32_t>& src,
+                      std::vector<std::uint32_t>& dst) {
     src.reserve(static_cast<size_t>(total));
     dst.reserve(static_cast<size_t>(total));
     for (const LocalRun& run : runs) {
       for (layout::Index i = 0; i < run.count; ++i) {
         const layout::Index s = run.src + i * run.srcStride;
         const layout::Index d = run.dst + i * run.dstStride;
-        if constexpr (std::is_same_v<I, std::uint32_t>) {
-          if (!fitsIndex32(s) || !fitsIndex32(d)) return false;
-        }
-        src.push_back(static_cast<I>(s));
-        dst.push_back(static_cast<I>(d));
+        if (!fitsIndex32(s) || !fitsIndex32(d)) return false;
+        src.push_back(static_cast<std::uint32_t>(s));
+        dst.push_back(static_cast<std::uint32_t>(d));
       }
     }
     return true;
@@ -445,25 +443,16 @@ struct LocalKernel {
   template <typename T>
   void copy(std::span<const T> src, std::span<T> dst) const {
     ++kernelStats().execIndexList;
-    if (!srcIdx32.empty()) {
-      const std::uint32_t* sIdx = srcIdx32.data();
-      const std::uint32_t* dIdx = dstIdx32.data();
-      const size_t n = srcIdx32.size();
-      constexpr size_t ahead = detail::kPrefetchAhead;
-      for (size_t i = 0; i < n; ++i) {
-        if (i + ahead < n) {
-          __builtin_prefetch(src.data() + sIdx[i + ahead], 0);
-          __builtin_prefetch(dst.data() + dIdx[i + ahead], 1);
-        }
-        dst[dIdx[i]] = src[sIdx[i]];
-      }
-      return;
-    }
-    const layout::Index* sIdx = srcIdx.data();
-    const layout::Index* dIdx = dstIdx.data();
-    const size_t n = srcIdx.size();
+    const std::uint32_t* sIdx = srcIdx32.data();
+    const std::uint32_t* dIdx = dstIdx32.data();
+    const size_t n = srcIdx32.size();
+    constexpr size_t ahead = detail::kPrefetchAhead;
     for (size_t i = 0; i < n; ++i) {
-      dst[static_cast<size_t>(dIdx[i])] = src[static_cast<size_t>(sIdx[i])];
+      if (i + ahead < n) {
+        __builtin_prefetch(src.data() + sIdx[i + ahead], 0);
+        __builtin_prefetch(dst.data() + dIdx[i + ahead], 1);
+      }
+      dst[dIdx[i]] = src[sIdx[i]];
     }
   }
 
@@ -471,25 +460,16 @@ struct LocalKernel {
   template <typename T>
   void add(std::span<const T> src, std::span<T> dst) const {
     ++kernelStats().execIndexList;
-    if (!srcIdx32.empty()) {
-      const std::uint32_t* sIdx = srcIdx32.data();
-      const std::uint32_t* dIdx = dstIdx32.data();
-      const size_t n = srcIdx32.size();
-      constexpr size_t ahead = detail::kPrefetchAhead;
-      for (size_t i = 0; i < n; ++i) {
-        if (i + ahead < n) {
-          __builtin_prefetch(src.data() + sIdx[i + ahead], 0);
-          __builtin_prefetch(dst.data() + dIdx[i + ahead], 1);
-        }
-        dst[dIdx[i]] += src[sIdx[i]];
-      }
-      return;
-    }
-    const layout::Index* sIdx = srcIdx.data();
-    const layout::Index* dIdx = dstIdx.data();
-    const size_t n = srcIdx.size();
+    const std::uint32_t* sIdx = srcIdx32.data();
+    const std::uint32_t* dIdx = dstIdx32.data();
+    const size_t n = srcIdx32.size();
+    constexpr size_t ahead = detail::kPrefetchAhead;
     for (size_t i = 0; i < n; ++i) {
-      dst[static_cast<size_t>(dIdx[i])] += src[static_cast<size_t>(sIdx[i])];
+      if (i + ahead < n) {
+        __builtin_prefetch(src.data() + sIdx[i + ahead], 0);
+        __builtin_prefetch(dst.data() + dIdx[i + ahead], 1);
+      }
+      dst[dIdx[i]] += src[sIdx[i]];
     }
   }
 };

@@ -2,17 +2,20 @@
 //
 // Schedule offset lists produced from regular sections are dominated by long
 // arithmetic progressions (whole section rows).  A plan therefore stores its
-// element sequence as (start, count, stride) runs: every builder appends
-// them through appendOffsetRun / appendLocalRun, whose greedy makes the runs
-// a pure function of the element sequence (compressOffsets of the
-// element-wise list).  The pack/unpack/local-copy helpers here execute
-// stride-1 runs with one memcpy/memmove per run and other strides with a
-// tight strided loop.  Runs are exact: expanding them reproduces the element
-// list, including repeated offsets (stride-0 runs — a source element fanned
-// out to several destinations) and descending progressions (negative
-// strides).
+// element sequence as (start, count, stride) runs.  Every run list in the
+// system (plan lanes, local transfers, adapter ownership streams, the
+// builder's marching orders and provenance) grows through one canonical
+// greedy, appendRun, which makes a list a pure function of its element
+// sequence (compressOffsets of the element-wise list).  The
+// pack/unpack/local-copy helpers here execute stride-1 runs with one
+// memcpy/memmove per run and other strides with a tight strided loop.  Runs
+// are exact: expanding them reproduces the element list, including repeated
+// offsets (stride-0 runs — a source element fanned out to several
+// destinations) and descending progressions (negative strides).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <span>
 #include <type_traits>
@@ -22,6 +25,81 @@
 
 namespace mc::sched {
 
+/// How appendRun reads a run type.  Each run type declares one as
+/// `static constexpr RunShape<Run, N> kShape`: its N (start, stride)
+/// progressions, the linearization position an element must continue (if
+/// any) and the owner it must match (if any).  A run type also has an
+/// Index `count`.
+template <typename Run, std::size_t N>
+struct RunShape {
+  struct Progression {
+    layout::Index Run::*start;
+    layout::Index Run::*stride;
+  };
+  std::array<Progression, N> progressions;
+  layout::Index Run::*lin = nullptr;
+  layout::Index Run::*owner = nullptr;
+};
+
+/// The canonical greedy: appends `run` to `lane` exactly as appending its
+/// elements one at a time would.  An element extends the tail when the
+/// owners match, its position continues the tail's and every progression
+/// continues; a count-1 tail takes its strides from the next element, and
+/// a singleton carries zero strides.  So a lane is a pure function of its
+/// element sequence however that sequence is cut into runs — the rule that
+/// keeps run-native, patched and element-wise builds bit-identical.
+/// Elements are absorbed one at a time only across seams, so the cost is
+/// O(1) amortized.  `Lane` is a std::vector of runs, or any type with its
+/// value_type, empty, back and push_back.  Always inlined: callers append
+/// one element at a time in their hottest loops, where an out-of-line call
+/// costs as much as the greedy itself (the per-element RunEmitter ran at
+/// half speed without it).
+template <typename Lane>
+[[gnu::always_inline]] inline void appendRun(Lane& lane,
+                                             typename Lane::value_type run) {
+  using Run = typename Lane::value_type;
+  constexpr const auto& shape = Run::kShape;
+  const auto all = [&](auto pred) {
+    return std::all_of(shape.progressions.begin(), shape.progressions.end(),
+                       pred);
+  };
+  if (run.count <= 0) return;
+  while (!lane.empty()) {
+    Run& tail = lane.back();
+    if constexpr (shape.owner != nullptr) {
+      if (run.*shape.owner != tail.*shape.owner) break;
+    }
+    if constexpr (shape.lin != nullptr) {
+      if (run.*shape.lin != tail.*shape.lin + tail.count) break;
+    }
+    const auto continues = [&](const auto& p) {
+      return run.*p.start == tail.*p.start + tail.count * tail.*p.stride;
+    };
+    const auto sameStride = [&](const auto& p) {
+      return run.*p.stride == tail.*p.stride;
+    };
+    if (tail.count == 1) {
+      for (const auto& p : shape.progressions) {
+        tail.*p.stride = run.*p.start - tail.*p.start;
+      }
+    } else if (!all(continues)) {
+      break;
+    } else if (run.count == 1 || all(sameStride)) {
+      tail.count += run.count;
+      return;
+    }
+    // The tail takes the run's first element; the rest tries again.
+    ++tail.count;
+    if (--run.count == 0) return;
+    if constexpr (shape.lin != nullptr) ++(run.*shape.lin);
+    for (const auto& p : shape.progressions) run.*p.start += run.*p.stride;
+  }
+  if (run.count == 1) {
+    for (const auto& p : shape.progressions) run.*p.stride = 0;
+  }
+  lane.push_back(run);
+}
+
 /// `count` offsets start, start+stride, ..., start+(count-1)*stride.
 struct OffsetRun {
   layout::Index start = 0;
@@ -29,6 +107,8 @@ struct OffsetRun {
   layout::Index stride = 0;
 
   bool operator==(const OffsetRun&) const = default;
+  static constexpr RunShape<OffsetRun, 1> kShape{
+      {{{&OffsetRun::start, &OffsetRun::stride}}}};
 };
 
 /// A run of local src->dst element copies: src + k*srcStride goes to
@@ -41,102 +121,17 @@ struct LocalRun {
   layout::Index dstStride = 0;
 
   bool operator==(const LocalRun&) const = default;
+  static constexpr RunShape<LocalRun, 2> kShape{
+      {{{&LocalRun::src, &LocalRun::srcStride},
+        {&LocalRun::dst, &LocalRun::dstStride}}}};
 };
 
 /// Collapses an offset list into maximal arithmetic runs, preserving order.
 inline std::vector<OffsetRun> compressOffsets(
     std::span<const layout::Index> offsets) {
   std::vector<OffsetRun> runs;
-  for (const layout::Index off : offsets) {
-    if (!runs.empty()) {
-      OffsetRun& run = runs.back();
-      if (run.count == 1) {
-        run.stride = off - run.start;
-        ++run.count;
-        continue;
-      }
-      if (off == run.start + run.count * run.stride) {
-        ++run.count;
-        continue;
-      }
-    }
-    runs.push_back(OffsetRun{off, 1, 0});
-  }
+  for (const layout::Index off : offsets) appendRun(runs, OffsetRun{off, 1, 0});
   return runs;
-}
-
-/// Appends a whole run to a run list, preserving compressOffsets' exact
-/// greedy semantics: the result is bit-identical to
-/// compressOffsets(expand(runs) ++ expand(run)).  This is what lets the
-/// run-native schedule builders emit whole runs yet produce the same lanes
-/// the element-wise path would.  The greedy absorbs elements one at a time
-/// only across run seams (a count-1 tail infers its stride from the next
-/// element; a mismatched-stride run donates its first element before the
-/// remainder starts a fresh run), so the loop runs O(1) amortized.
-inline void appendOffsetRun(std::vector<OffsetRun>& runs, OffsetRun run) {
-  while (run.count > 0) {
-    if (!runs.empty()) {
-      OffsetRun& tail = runs.back();
-      if (tail.count == 1) {
-        tail.stride = run.start - tail.start;
-        ++tail.count;
-        run.start += run.stride;
-        --run.count;
-        continue;
-      }
-      if (run.start == tail.start + tail.count * tail.stride) {
-        if (run.count == 1 || run.stride == tail.stride) {
-          tail.count += run.count;
-          return;
-        }
-        ++tail.count;
-        run.start += run.stride;
-        --run.count;
-        continue;
-      }
-    }
-    if (run.count == 1) run.stride = 0;  // canonical singleton form
-    runs.push_back(run);
-    return;
-  }
-}
-
-/// Appends a LocalRun preserving the element-wise greedy exactly (see
-/// appendOffsetRun): the local-pair analogue of compressOffsets.
-inline void appendLocalRun(std::vector<LocalRun>& runs, LocalRun run) {
-  while (run.count > 0) {
-    if (!runs.empty()) {
-      LocalRun& tail = runs.back();
-      if (tail.count == 1) {
-        tail.srcStride = run.src - tail.src;
-        tail.dstStride = run.dst - tail.dst;
-        ++tail.count;
-        run.src += run.srcStride;
-        run.dst += run.dstStride;
-        --run.count;
-        continue;
-      }
-      if (run.src == tail.src + tail.count * tail.srcStride &&
-          run.dst == tail.dst + tail.count * tail.dstStride) {
-        if (run.count == 1 || (run.srcStride == tail.srcStride &&
-                               run.dstStride == tail.dstStride)) {
-          tail.count += run.count;
-          return;
-        }
-        ++tail.count;
-        run.src += run.srcStride;
-        run.dst += run.dstStride;
-        --run.count;
-        continue;
-      }
-    }
-    if (run.count == 1) {
-      run.srcStride = 0;
-      run.dstStride = 0;
-    }
-    runs.push_back(run);
-    return;
-  }
 }
 
 /// Inverse of compressOffsets.

@@ -31,8 +31,8 @@
 namespace mc::sched {
 
 /// One peer's pack (or unpack) order, as (start, count, stride) runs (see
-/// run_plan.h).  Every builder emits runs through appendOffsetRun, so a
-/// plan's runs are compressOffsets of its element sequence.
+/// run_plan.h).  Every builder emits runs through appendRun, so a plan's
+/// runs are compressOffsets of its element sequence.
 struct OffsetPlan {
   int peer = 0;
   /// Always empty: runs are the one plan form.  Kept declared only because
@@ -52,7 +52,7 @@ struct Schedule {
   /// Always empty, like OffsetPlan::offsets (perfbench/ still reads its
   /// size); Executor bind throws on a schedule that sets it.
   std::vector<std::pair<layout::Index, layout::Index>> localPairs;
-  /// Same-processor (src, dst) transfers, appended with appendLocalRun.
+  /// Same-processor (src, dst) transfers, appended with appendRun.
   std::vector<LocalRun> localRuns;
   /// Authentic Multiblock Parti stages local transfers through an
   /// intermediate buffer (the paper contrasts this with Meta-Chaos's direct
@@ -102,16 +102,14 @@ inline Schedule merge(std::span<const Schedule> parts) {
     if (fresh) into.push_back(OffsetPlan{plan.peer, {}, {}});
     // Run-wise greedy == element-wise greedy: no expand-and-recompress.
     std::vector<OffsetRun>& runs = into[it->second].runs;
-    for (const OffsetRun& run : plan.runs) appendOffsetRun(runs, run);
+    for (const OffsetRun& run : plan.runs) appendRun(runs, run);
   };
   for (const Schedule& part : parts) {
     MC_REQUIRE(part.bufferLocalCopies == out.bufferLocalCopies,
                "cannot merge schedules with different local-copy policies");
     for (const OffsetPlan& p : part.sends) append(out.sends, sendLane, p);
     for (const OffsetPlan& p : part.recvs) append(out.recvs, recvLane, p);
-    for (const LocalRun& run : part.localRuns) {
-      appendLocalRun(out.localRuns, run);
-    }
+    for (const LocalRun& run : part.localRuns) appendRun(out.localRuns, run);
   }
   out.sortByPeer();
   return out;

@@ -6,10 +6,81 @@
 #include "oracle/run_reference.h"
 
 namespace mc::core::elementwise {
+
+using layout::Index;
+
+void emitLin(std::vector<LinRun>& lane, Index lin, Index off) {
+  if (!lane.empty()) {
+    LinRun& run = lane.back();
+    if (lin == run.lin + run.count) {
+      if (run.count == 1) {
+        run.offStride = off - run.off;
+        ++run.count;
+        return;
+      }
+      if (off == run.off + run.count * run.offStride) {
+        ++run.count;
+        return;
+      }
+    }
+  }
+  lane.push_back(LinRun{lin, off, 1, 0});
+}
+
+void emitSend(std::vector<SendSeg>& lane, Index lin, Index srcOff,
+              Index dstOff, Index dstOwner) {
+  if (!lane.empty()) {
+    SendSeg& run = lane.back();
+    if (run.dstOwner == dstOwner && lin == run.lin + run.count) {
+      if (run.count == 1) {
+        run.srcStride = srcOff - run.srcOff;
+        run.dstStride = dstOff - run.dstOff;
+        ++run.count;
+        return;
+      }
+      if (srcOff == run.srcOff + run.count * run.srcStride &&
+          dstOff == run.dstOff + run.count * run.dstStride) {
+        ++run.count;
+        return;
+      }
+    }
+  }
+  lane.push_back(SendSeg{lin, srcOff, dstOff, 1, 0, 0, dstOwner});
+}
+
+void emitRecv(std::vector<RecvSeg>& lane, Index lin, Index dstOff,
+              Index srcOwner) {
+  if (!lane.empty()) {
+    RecvSeg& run = lane.back();
+    if (run.srcOwner == srcOwner && lin == run.lin + run.count) {
+      if (run.count == 1) {
+        run.dstStride = dstOff - run.dstOff;
+        ++run.count;
+        return;
+      }
+      if (dstOff == run.dstOff + run.count * run.dstStride) {
+        ++run.count;
+        return;
+      }
+    }
+  }
+  lane.push_back(RecvSeg{lin, dstOff, 1, 0, srcOwner});
+}
+
 namespace {
 
 using namespace core::detail;
-using layout::Index;
+
+/// Routes a processor's owned elements (sorted by position) into per-chunk
+/// LinRun streams of `chunk` positions each, one element at a time.
+std::vector<std::vector<LinRun>> routeToChunks(const std::vector<LinLoc>& owned,
+                                               Index chunk, int nChunks) {
+  std::vector<std::vector<LinRun>> to(static_cast<size_t>(nChunks));
+  for (const LinLoc& ll : owned) {
+    emitLin(to[static_cast<size_t>(ll.lin / chunk)], ll.lin, ll.offset);
+  }
+  return to;
+}
 
 /// One chunk's ownership table: one (owner, offset) entry per position.
 struct ChunkInfo {
@@ -72,20 +143,18 @@ void assembleSends(const std::vector<std::vector<SendRun>>& rows, int me,
   std::vector<std::pair<Index, Index>> pairs;
   for (const auto& row : rows) {
     for (const SendRun& run : row) {
-      if (segs) appendSendRun(*segs, run);
-      if (allowLocal && run.dstOwner == me) {
-        for (Index k = 0; k < run.count; ++k) {
-          pairs.emplace_back(run.srcOff + k * run.srcStride,
-                             run.dstOff + k * run.dstStride);
-        }
-        continue;
-      }
       if (byPeer.size() <= static_cast<size_t>(run.dstOwner)) {
         byPeer.resize(static_cast<size_t>(run.dstOwner) + 1);
       }
-      auto& offsets = byPeer[static_cast<size_t>(run.dstOwner)];
       for (Index k = 0; k < run.count; ++k) {
-        offsets.push_back(run.srcOff + k * run.srcStride);
+        const Index srcOff = run.srcOff + k * run.srcStride;
+        const Index dstOff = run.dstOff + k * run.dstStride;
+        if (segs) emitSend(*segs, run.lin + k, srcOff, dstOff, run.dstOwner);
+        if (allowLocal && run.dstOwner == me) {
+          pairs.emplace_back(srcOff, dstOff);
+        } else {
+          byPeer[static_cast<size_t>(run.dstOwner)].push_back(srcOff);
+        }
       }
     }
   }
@@ -99,13 +168,13 @@ void assembleRecvs(const std::vector<std::vector<RecvRun>>& rows,
   std::vector<std::vector<Index>> byPeer;
   for (const auto& row : rows) {
     for (const RecvRun& run : row) {
-      if (segs) appendRecvRun(*segs, run);
       if (byPeer.size() <= static_cast<size_t>(run.srcOwner)) {
         byPeer.resize(static_cast<size_t>(run.srcOwner) + 1);
       }
-      auto& offsets = byPeer[static_cast<size_t>(run.srcOwner)];
       for (Index k = 0; k < run.count; ++k) {
-        offsets.push_back(run.dstOff + k * run.dstStride);
+        const Index dstOff = run.dstOff + k * run.dstStride;
+        if (segs) emitRecv(*segs, run.lin + k, dstOff, run.srcOwner);
+        byPeer[static_cast<size_t>(run.srcOwner)].push_back(dstOff);
       }
     }
   }

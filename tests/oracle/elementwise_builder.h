@@ -16,14 +16,29 @@
 //
 // Ownership comes through the same LibraryAdapter inquiry functions the
 // production builder calls (including the Chaos dereference cache), so an
-// A/B against this builder compares only the join pipelines.
+// A/B against this builder compares only the join pipelines.  It shares no
+// appender with the production builder: its ownership streams, marching
+// orders and provenance grow through the element-wise appenders below, and
+// its plans through sched::reference (run_reference.h).
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "core/schedule_builder.h"
 
 namespace mc::core::elementwise {
+
+/// The oracle's element-wise appenders: each extends the tail of `lane`
+/// with one element or starts a new run, the greedy sched::appendRun must
+/// reproduce for that run type.  A RecvSeg is a LinRun keyed by its owner,
+/// so emitRecv also serves as the reference for core::RunEmitter.
+void emitLin(std::vector<LinRun>& lane, layout::Index lin, layout::Index off);
+void emitSend(std::vector<SendSeg>& lane, layout::Index lin,
+              layout::Index srcOff, layout::Index dstOff,
+              layout::Index dstOwner);
+void emitRecv(std::vector<RecvSeg>& lane, layout::Index lin,
+              layout::Index dstOff, layout::Index srcOwner);
 
 /// Element-wise core::computeSchedule.  `tableBytes`, when non-null,
 /// receives the bytes of ownership-table state this rank materialized.

@@ -3,6 +3,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "oracle/run_reference.h"
+
 namespace mc::chaos::oracle {
 
 using layout::Index;
@@ -61,14 +63,15 @@ Localized localizeReference(transport::Comm& comm,
     if (q != me && !wantOffsets[qq].empty()) {
       sched::OffsetPlan plan;
       plan.peer = q;
-      plan.runs = sched::compressOffsets(wantGhostSlots[qq]);  // ghost slots
+      plan.runs =
+          sched::reference::compressOffsets(wantGhostSlots[qq]);  // ghost slots
       out.gatherSched.recvs.push_back(std::move(plan));
     }
     if (q != me && !requests[qq].empty()) {
       sched::OffsetPlan plan;
       plan.peer = q;
       // My owned offsets they want, in their request order.
-      plan.runs = sched::compressOffsets(requests[qq]);
+      plan.runs = sched::reference::compressOffsets(requests[qq]);
       out.gatherSched.sends.push_back(std::move(plan));
     }
   }

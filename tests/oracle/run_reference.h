@@ -1,12 +1,12 @@
 // Element-wise references for the run form of schedules.
 //
-// Every builder appends runs through sched::appendOffsetRun /
-// sched::appendLocalRun, whose greedy makes a plan's runs a pure function
-// of its element sequence: sched::compressOffsets of the element list, and
-// compressPairs below for local (src, dst) pairs.  Tests write the element
-// sequence a builder must produce, one element at a time, and compare the
-// builder's runs with these compressions of it (runListing prints both
-// sides of a mismatch).
+// Every builder appends runs through sched::appendRun, whose greedy makes a
+// plan's runs a pure function of its element sequence.  compressOffsets and
+// compressPairs below write that greedy out element by element, apart from
+// the template, for offset lists and local (src, dst) pairs.  Tests write
+// the element sequence a builder must produce, one element at a time, and
+// compare the builder's runs with these compressions of it (runListing
+// prints both sides of a mismatch).
 #pragma once
 
 #include <initializer_list>
@@ -21,8 +21,31 @@
 
 namespace mc::sched::reference {
 
+/// Collapses an offset list into maximal arithmetic runs, preserving order
+/// — the element-wise greedy appendRun must reproduce for OffsetRun.
+inline std::vector<OffsetRun> compressOffsets(
+    std::span<const layout::Index> offsets) {
+  std::vector<OffsetRun> runs;
+  for (const layout::Index off : offsets) {
+    if (!runs.empty()) {
+      OffsetRun& run = runs.back();
+      if (run.count == 1) {
+        run.stride = off - run.start;
+        ++run.count;
+        continue;
+      }
+      if (off == run.start + run.count * run.stride) {
+        ++run.count;
+        continue;
+      }
+    }
+    runs.push_back(OffsetRun{off, 1, 0});
+  }
+  return runs;
+}
+
 /// Collapses local (src, dst) offset pairs into maximal runs, preserving
-/// order — the element-wise greedy appendLocalRun must reproduce.
+/// order — the element-wise greedy appendRun must reproduce for LocalRun.
 inline std::vector<LocalRun> compressPairs(
     std::span<const std::pair<layout::Index, layout::Index>> pairs) {
   std::vector<LocalRun> runs;

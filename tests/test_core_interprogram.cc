@@ -301,6 +301,47 @@ TEST(InterProgram, MismatchedSizesAbort) {
       Error);
 }
 
+// The source program's ownership rows arrive as another program's bytes.
+// Rows that step the position cursor backwards — {lo, 10}, {lo+10, -5},
+// {lo+5, size-5} from one sender list positions lo+5 .. lo+9 twice yet
+// cover the chunk end to end — must be refused, not joined.
+TEST(InterProgram, OwnershipRowWithNegativeCountIsRefused) {
+  constexpr Index kN = 16;
+  using Orders = std::vector<std::vector<detail::SendRun>>;
+  World::run({
+      ProgramSpec{"src", 1,
+                  [](Comm& c) {
+                    // The cooperation send protocol, written out by hand:
+                    // the count, the ownership rows, the marching orders.
+                    detail::handshakeCount(c, /*remoteProgram=*/1, kN);
+                    const std::vector<std::vector<LinRun>> rows = {
+                        {LinRun{0, 0, 10, 1}, LinRun{10, 10, -5, 1},
+                         LinRun{5, 5, kN - 5, 1}}};
+                    (void)detail::interAlltoall(c, 1, rows);
+                    (void)detail::interAlltoall(c, 1, Orders(1));
+                  }},
+      ProgramSpec{"dst", 1,
+                  [](Comm& c) {
+                    hpfrt::HpfArray<double> v(
+                        c, hpfrt::matvecVectorDist(kN, 1));
+                    SetOfRegions set;
+                    set.add(Region::section(
+                        RegularSection::box({0}, {kN - 1})));
+                    bool refused = false;
+                    try {
+                      computeScheduleRecv(c, HpfAdapter::describe(v), set,
+                                          /*remoteProgram=*/0,
+                                          Method::kCooperation);
+                    } catch (const Error&) {
+                      refused = true;
+                      // Release the source, which waits for its orders.
+                      (void)detail::interAlltoall(c, 0, Orders(1));
+                    }
+                    EXPECT_TRUE(refused);
+                  }},
+  });
+}
+
 // The duplication bundle (library name, descriptor, set) arrives from the
 // other program: for every library it decodes or throws mc::Error for every
 // prefix and byte flip, and the decoded set's element count is defined.

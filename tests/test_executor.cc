@@ -1,11 +1,13 @@
 // sched::Executor: arrival-order drain correctness and determinism, the
 // zero-copy / zero-allocation steady state, aliased ghost fills, the
-// inter-program halves, the span checks of every run entry point, and the
-// executor an McSchedule keeps across dataMove* calls.  The old peer-ordered copy-per-step executors live on as
+// inter-program halves, the run checks at bind, the span checks of every
+// run entry point, and the executor an McSchedule keeps across dataMove*
+// calls.  The old peer-ordered copy-per-step executors live on as
 // sched::reference and serve as the oracle throughout.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "oracle/run_reference.h"
 #include "parti/ghost.h"
 #include "sched/executor.h"
+#include "sched/serialize.h"
 #include "transport/world.h"
 
 namespace mc::sched {
@@ -313,6 +316,117 @@ TEST(Executor, BindRejectsOffsetListsBeforeSendingAnything) {
         },
         options);
   }
+}
+
+/// Each bad variant of `good` as built, and again after a round trip
+/// through the schedule codec (the bytes a server archive, a snapshot or
+/// another program hands to a bind).
+std::vector<Schedule> directAndDecoded(const std::vector<Schedule>& bad) {
+  std::vector<Schedule> out = bad;
+  for (const Schedule& s : bad) {
+    out.push_back(deserializeSchedule(serializeSchedule(s)));
+  }
+  return out;
+}
+
+TEST(Executor, BindRejectsRunsBelowOffsetZeroBeforeSendingAnything) {
+  // The span checks compare one extent per side, the largest offset + 1;
+  // compiling the kernels at bind refuses what that cannot see: a run that
+  // reaches below offset 0, one with no elements and one whose offsets
+  // overflow Index.  Refused at construction and at rebind, before a
+  // node-aggregated bind's intra-node exchange or any run sends a message.
+  constexpr Index kHuge = std::numeric_limits<Index>::max() / 2 + 1;
+  for (const bool aggregated : {false, true}) {
+    transport::WorldOptions options;
+    options.net.nodesPerProgram = {2};
+    options.net.nodeAggregation = aggregated;
+    World::runSPMD(
+        4,
+        [](Comm& c) {
+          const int peer = (c.rank() + 1) % c.size();
+          const int from = (c.rank() + c.size() - 1) % c.size();
+          Schedule good;
+          good.sends.push_back(OffsetPlan{peer, {}, {OffsetRun{0, 2, 1}}});
+          good.recvs.push_back(OffsetPlan{from, {}, {OffsetRun{2, 2, 1}}});
+          good.localRuns = {LocalRun{0, 4, 2, 1, 1}};
+          std::vector<Schedule> bad(6, good);
+          bad[0].sends[0].runs = {OffsetRun{-2, 2, 1}};       // send run
+          bad[1].recvs[0].runs = {OffsetRun{3, 1, 0}, OffsetRun{1, 3, -1}};
+          bad[2].localRuns = {LocalRun{-1, 4, 2, 1, 1}};      // local source
+          bad[3].localRuns = {LocalRun{0, 1, 2, 1, -2}};      // local dest
+          bad[4].sends[0].runs = {OffsetRun{4, -2, 1}};       // count < 1
+          bad[5].recvs[0].runs = {OffsetRun{1, 3, kHuge}};    // overflow
+          const std::vector<Schedule> cases = directAndDecoded(bad);
+          c.barrier();
+          c.resetStats();
+          for (const Schedule& s : cases) {
+            EXPECT_THROW({ Executor<double> ex(c, s); }, Error);
+          }
+          EXPECT_EQ(c.stats().messagesSent, 0u);
+          // A bound executor refuses the same schedules at rebind and
+          // still runs its own.
+          Executor<double> ex(c, good);
+          c.resetStats();  // an aggregated bind exchanges within its node
+          for (const Schedule& s : cases) EXPECT_THROW(ex.rebind(s), Error);
+          EXPECT_EQ(c.stats().messagesSent, 0u);
+          std::vector<double> buf{1.0, 2.0, 0.0, 0.0, 0.0, 0.0};
+          ex.run(buf, buf);
+          EXPECT_EQ(buf[2], 1.0);
+          EXPECT_EQ(buf[3], 2.0);
+          EXPECT_EQ(buf[4], 1.0);
+          EXPECT_EQ(buf[5], 2.0);
+        },
+        options);
+  }
+  // The inter-program halves: a sender refuses its send runs, a receiver
+  // its receive runs.
+  const auto half = [](bool send, int peer, OffsetRun run) {
+    Schedule s;
+    s.bufferLocalCopies = false;
+    (send ? s.sends : s.recvs).push_back(OffsetPlan{peer, {}, {run}});
+    return s;
+  };
+  const std::vector<OffsetRun> badRuns = {
+      OffsetRun{-2, 2, 1}, OffsetRun{1, 2, -2}, OffsetRun{0, 0, 1},
+      OffsetRun{1, 3, kHuge}};
+  World::run({
+      transport::ProgramSpec{
+          "a", 2,
+          [&](Comm& c) {
+            std::vector<Schedule> bad;
+            for (const OffsetRun& r : badRuns) {
+              bad.push_back(half(true, c.rank(), r));
+            }
+            c.resetStats();
+            for (const Schedule& s : directAndDecoded(bad)) {
+              EXPECT_THROW(Executor<double>::sender(c, s, /*prog=*/1), Error);
+            }
+            EXPECT_EQ(c.stats().messagesSent, 0u);
+            const Schedule good = half(true, c.rank(), OffsetRun{1, 2, 1});
+            Executor<double> ex = Executor<double>::sender(c, good, 1);
+            const std::vector<double> src{0.0, 10.0 + c.rank(), 20.0};
+            ex.runSend(src);
+          }},
+      transport::ProgramSpec{
+          "b", 2,
+          [&](Comm& c) {
+            std::vector<Schedule> bad;
+            for (const OffsetRun& r : badRuns) {
+              bad.push_back(half(false, c.rank(), r));
+            }
+            c.resetStats();
+            for (const Schedule& s : directAndDecoded(bad)) {
+              EXPECT_THROW(Executor<double>::receiver(c, s, /*prog=*/0),
+                           Error);
+            }
+            EXPECT_EQ(c.stats().messagesSent, 0u);
+            const Schedule good = half(false, c.rank(), OffsetRun{0, 2, 1});
+            Executor<double> ex = Executor<double>::receiver(c, good, 0);
+            std::vector<double> dst(2, -1.0);
+            ex.runRecv(dst);
+            EXPECT_EQ(dst, (std::vector<double>{10.0 + c.rank(), 20.0}));
+          }},
+  });
 }
 
 TEST(Executor, EveryRunEntryPointRejectsShortSpans) {

@@ -7,6 +7,9 @@
 
 #include <numeric>
 
+#include "core/adapters/run_emitter.h"
+#include "core/schedule_builder.h"
+#include "oracle/elementwise_builder.h"
 #include "oracle/run_reference.h"
 #include "sched/run_plan.h"
 #include "sched/executor.h"
@@ -168,40 +171,89 @@ TEST(RunCompression, LocalPairsRoundTripAndAliasSafety) {
 }
 
 TEST(RunCompression, AppendRunMatchesElementwiseGreedy) {
-  // appendOffsetRun / appendLocalRun absorb whole runs, yet must leave
-  // exactly the runs the element-wise greedy (compressOffsets /
-  // compressPairs) makes of the expanded sequence — across seams that
-  // continue, break or change a progression, and for singleton, repeated
-  // and descending runs.
+  // appendRun absorbs whole runs, yet must leave exactly the runs the
+  // oracle's element-wise greedy makes of the expanded sequence, for every
+  // run type: OffsetRun and LocalRun (sched::reference), and the three
+  // shapes that carry a linearization position — LinRun, as a vector and
+  // through the streaming RunEmitter, SendSeg and RecvSeg
+  // (core::elementwise).  Seams continue, break or change a progression,
+  // jump a position or change the owner; runs are singletons (with a
+  // stray stride), repeated (stride 0) or descending.
+  using core::LinRun;
+  using core::RecvSeg;
+  using core::SendSeg;
   Rng rng(1234);
-  for (int trial = 0; trial < 200; ++trial) {
+  for (int trial = 0; trial < 400; ++trial) {
     std::vector<OffsetRun> runs;
     std::vector<LocalRun> localRuns;
+    std::vector<LinRun> linRuns;
+    std::vector<SendSeg> sendSegs;
+    std::vector<RecvSeg> recvSegs;
+    std::vector<RecvSeg> emitted;
+    const core::LibraryAdapter::RunFn collect =
+        [&](Index lin, int owner, Index off, Index count, Index offStride) {
+          emitted.push_back(RecvSeg{lin, off, count, offStride, owner});
+        };
+    core::RunEmitter emitter(collect);
+
     std::vector<Index> offsets;
     std::vector<std::pair<Index, Index>> pairs;
+    std::vector<LinRun> wantLin;
+    std::vector<SendSeg> wantSend;
+    std::vector<RecvSeg> wantRecv;
     Index at = static_cast<Index>(rng.below(50));
+    Index dstAt = static_cast<Index>(rng.below(50));
+    Index lin = 0;
+    Index owner = 0;
     const int n = static_cast<int>(1 + rng.below(8));
     for (int r = 0; r < n; ++r) {
       // Often start where the previous run would continue.
       const Index start =
           rng.below(2) == 0 ? at : static_cast<Index>(rng.below(100));
+      const Index dst =
+          rng.below(2) == 0 ? dstAt : static_cast<Index>(rng.below(100));
       const Index stride = static_cast<Index>(rng.below(5)) - 1;
+      const Index dstStride = static_cast<Index>(rng.below(4)) - 1;
       const Index count = static_cast<Index>(1 + rng.below(6));
-      const Index dstStride = static_cast<Index>(rng.below(3));
-      const OffsetRun run{start, count, count == 1 ? 0 : stride};
-      appendOffsetRun(runs, run);
-      appendLocalRun(localRuns, LocalRun{start, 2 * start, count,
-                                         run.stride,
-                                         count == 1 ? 0 : dstStride});
+      if (rng.below(4) == 0) lin += static_cast<Index>(1 + rng.below(3));
+      if (rng.below(4) == 0) owner = static_cast<Index>(rng.below(3));
+
+      appendRun(runs, OffsetRun{start, count, stride});
+      appendRun(localRuns, LocalRun{start, dst, count, stride, dstStride});
+      appendRun(linRuns, LinRun{lin, start, count, stride});
+      emitter.add(lin, static_cast<int>(owner), start, count, stride);
+      appendRun(sendSegs, SendSeg{lin, start, dst, count, stride, dstStride,
+                                  owner});
+      appendRun(recvSegs, RecvSeg{lin, dst, count, dstStride, owner});
       for (Index k = 0; k < count; ++k) {
-        offsets.push_back(start + k * run.stride);
-        pairs.emplace_back(start + k * run.stride,
-                           2 * start + k * (count == 1 ? 0 : dstStride));
+        const Index off = start + k * stride;
+        const Index dstOff = dst + k * dstStride;
+        offsets.push_back(off);
+        pairs.emplace_back(off, dstOff);
+        core::elementwise::emitLin(wantLin, lin + k, off);
+        core::elementwise::emitSend(wantSend, lin + k, off, dstOff, owner);
+        core::elementwise::emitRecv(wantRecv, lin + k, dstOff, owner);
       }
       at = start + count * stride;
+      dstAt = dst + count * dstStride;
+      lin += count;
     }
-    EXPECT_EQ(runs, compress(offsets)) << "trial " << trial;
-    EXPECT_EQ(localRuns, reference::compressPairs(pairs)) << "trial " << trial;
+    emitter.flush();
+    // The emitter is keyed like a RecvSeg lane, over the source offsets.
+    std::vector<RecvSeg> wantEmitted;
+    for (const SendSeg& g : wantSend) {
+      for (Index k = 0; k < g.count; ++k) {
+        core::elementwise::emitRecv(wantEmitted, g.lin + k,
+                                    g.srcOff + k * g.srcStride, g.dstOwner);
+      }
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    EXPECT_EQ(runs, reference::compressOffsets(offsets));
+    EXPECT_EQ(localRuns, reference::compressPairs(pairs));
+    EXPECT_EQ(linRuns, wantLin);
+    EXPECT_EQ(emitted, wantEmitted);
+    EXPECT_EQ(sendSegs, wantSend);
+    EXPECT_EQ(recvSegs, wantRecv);
   }
 }
 

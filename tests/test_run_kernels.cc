@@ -185,13 +185,11 @@ TEST(PlanKernel, FittingOffsetsKeepOnlyTheNarrowStream) {
                                         OffsetRun{12, 2, -1}});
   const PlanKernel k = PlanKernel::compile(plan);
   ASSERT_EQ(k.kind, KernelKind::kIndexList);
-  EXPECT_TRUE(k.ownedIndices.empty());
   EXPECT_EQ(k.idx32,
             (std::vector<std::uint32_t>{0, 1, 7, 8, 3, 4, 12, 11}));
   EXPECT_EQ(k.extent, 13);
   // A plan of singleton runs narrows likewise.
   const PlanKernel flat = PlanKernel::compile(planFromOffsets({5, 0, 9}));
-  EXPECT_TRUE(flat.ownedIndices.empty());
   EXPECT_EQ(flat.idx32, (std::vector<std::uint32_t>{5, 0, 9}));
   EXPECT_EQ(flat.extent, 10);
   // Local transfers likewise.
@@ -200,35 +198,36 @@ TEST(PlanKernel, FittingOffsetsKeepOnlyTheNarrowStream) {
                      LocalRun{7, 20, 2, 1, -1}};
   const LocalKernel lk = LocalKernel::compile(local);
   ASSERT_EQ(lk.kind, KernelKind::kIndexList);
-  EXPECT_TRUE(lk.srcIdx.empty());
-  EXPECT_TRUE(lk.dstIdx.empty());
   EXPECT_EQ(lk.srcIdx32, (std::vector<std::uint32_t>{0, 4, 7, 7, 8}));
   EXPECT_EQ(lk.dstIdx32, (std::vector<std::uint32_t>{9, 2, 3, 20, 19}));
   EXPECT_EQ(lk.srcExtent, 9);
   EXPECT_EQ(lk.dstExtent, 21);
 }
 
-TEST(PlanKernel, OffsetBeyond32BitsKeepsOnlyTheWideList) {
+TEST(PlanKernel, OffsetBeyond32BitsCompilesToRunList) {
+  // A plan whose shape earns kIndexList but holds an offset beyond 32 bits
+  // compiles to the run-wise loop, which runs the same element order.
   // Compiled but never executed: no test can allocate such a buffer.
   const Index big = Index{1} << 32;
   const OffsetPlan plan = planFromRuns(
       {OffsetRun{0, 2, 1}, OffsetRun{big, 1, 0}, OffsetRun{5, 1, 0}});
+  ASSERT_EQ(classifyPlan(plan), KernelKind::kIndexList);
   const PlanKernel k = PlanKernel::compile(plan);
-  ASSERT_EQ(k.kind, KernelKind::kIndexList);
+  EXPECT_EQ(k.kind, KernelKind::kRunList);
   EXPECT_TRUE(k.idx32.empty());
-  EXPECT_EQ(k.ownedIndices,
-            expandOffsets(std::span<const OffsetRun>(plan.runs)));
   EXPECT_EQ(k.extent, big + 1);
 
-  Schedule local;
-  local.localRuns = {LocalRun{0, big, 1, 1, 1}, LocalRun{2, 3, 1, 1, 1}};
-  const LocalKernel lk = LocalKernel::compile(local);
-  ASSERT_EQ(lk.kind, KernelKind::kIndexList);
-  EXPECT_TRUE(lk.srcIdx32.empty());
-  EXPECT_TRUE(lk.dstIdx32.empty());
-  EXPECT_EQ(lk.srcIdx, (std::vector<Index>{0, 2}));
-  EXPECT_EQ(lk.dstIdx, (std::vector<Index>{big, 3}));
-  EXPECT_EQ(lk.dstExtent, big + 1);
+  // Local transfers likewise, whichever side holds the wide offset.
+  for (const bool wideSrc : {false, true}) {
+    Schedule local;
+    local.localRuns = {LocalRun{0, 3, 1, 1, 1}, LocalRun{2, 4, 1, 1, 1}};
+    (wideSrc ? local.localRuns[0].src : local.localRuns[0].dst) = big;
+    const LocalKernel lk = LocalKernel::compile(local);
+    EXPECT_EQ(lk.kind, KernelKind::kRunList);
+    EXPECT_TRUE(lk.srcIdx32.empty());
+    EXPECT_TRUE(lk.dstIdx32.empty());
+    EXPECT_EQ(wideSrc ? lk.srcExtent : lk.dstExtent, big + 1);
+  }
 }
 
 // --- executor-level differentials ------------------------------------------

@@ -24,7 +24,7 @@ using sched::Executor;
 using sched::OffsetPlan;
 using sched::OffsetRun;
 using sched::Schedule;
-using sched::appendOffsetRun;
+using sched::appendRun;
 using transport::Comm;
 using transport::World;
 using transport::WorldOptions;
@@ -233,8 +233,7 @@ Schedule fuzzSchedule(unsigned seed, int nprocs, int me, bool overlap,
     OffsetPlan p;
     p.peer = d;
     for (int i = 0; i < n; ++i) {
-      appendOffsetRun(p.runs,
-                      OffsetRun{static_cast<Index>(rng() % kSrcLen), 1, 0});
+      appendRun(p.runs, OffsetRun{static_cast<Index>(rng() % kSrcLen), 1, 0});
     }
     sched.sends.push_back(std::move(p));
   }
@@ -250,7 +249,7 @@ Schedule fuzzSchedule(unsigned seed, int nprocs, int me, bool overlap,
       const Index off = overlap
                             ? static_cast<Index>(rng() % 16)
                             : static_cast<Index>(base + static_cast<size_t>(i));
-      appendOffsetRun(p.runs, OffsetRun{off, 1, 0});
+      appendRun(p.runs, OffsetRun{off, 1, 0});
     }
     base += static_cast<size_t>(n);
     sched.recvs.push_back(std::move(p));

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
+#include "util/radix_sort.h"
 
 namespace mc::chaos {
 
@@ -13,6 +14,31 @@ thread_local DerefCacheStats g_stats;
 }  // namespace
 
 const DerefCacheStats& derefCacheStats() { return g_stats; }
+
+SortedBatch sortUnique(std::span<const Index> globals, Index globalSize) {
+  struct Query {
+    Index global;
+    std::uint32_t pos;
+  };
+  std::vector<Query> order(globals.size());
+  for (std::size_t i = 0; i < globals.size(); ++i) {
+    const Index g = globals[i];
+    MC_REQUIRE(g >= 0 && g < globalSize, "global index %lld out of range",
+               static_cast<long long>(g));
+    order[i] = Query{g, static_cast<std::uint32_t>(i)};
+  }
+  radixSort(order, [](const Query& q) { return q.global; });
+  SortedBatch out;
+  out.uniqOf.resize(order.size());
+  out.uniq.reserve(order.size());
+  for (const Query& q : order) {
+    if (out.uniq.empty() || out.uniq.back() != q.global) {
+      out.uniq.push_back(q.global);
+    }
+    out.uniqOf[q.pos] = static_cast<std::uint32_t>(out.uniq.size() - 1);
+  }
+  return out;
+}
 
 DerefCache& derefCache() {
   thread_local DerefCache cache;

@@ -46,6 +46,20 @@ struct DerefCacheStats {
 
 const DerefCacheStats& derefCacheStats();
 
+/// A dereference batch made distinct: `uniq` ascends without duplicates,
+/// and query i is uniq[uniqOf[i]].
+struct SortedBatch {
+  std::vector<layout::Index> uniq;
+  std::vector<std::uint32_t> uniqOf;
+};
+
+/// The inspector's one sort-unique (localize and dereferenceCached both
+/// call it): checks every query against [0, globalSize) — mc::Error
+/// otherwise — and radix-sorts the (global, position) pairs, so the
+/// sorted distinct batch is what the cache probes in one pass.
+SortedBatch sortUnique(std::span<const layout::Index> globals,
+                       layout::Index globalSize);
+
 class DerefCache {
  public:
   /// Resident-entry cap per rank (~48 MiB of (Index, ElementLoc) pairs at

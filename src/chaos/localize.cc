@@ -1,8 +1,5 @@
 #include "chaos/localize.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "chaos/deref_cache.h"
 
 namespace mc::chaos {
@@ -16,23 +13,12 @@ Localized localize(transport::Comm& comm, const TranslationTable& table,
   const int me = comm.rank();
   const Index ownedCount = table.localCount(me);
 
-  // Sort-and-unique the references; uniqOf maps each reference to its
-  // distinct slot.  The sorted distinct batch is what the dereference
-  // cache probes in one pass.
-  std::vector<Index> uniq;
-  std::vector<std::uint32_t> uniqOf(refs.size());
-  comm.compute([&] {
-    std::vector<std::pair<Index, std::uint32_t>> order(refs.size());
-    for (size_t i = 0; i < refs.size(); ++i) {
-      order[i] = {refs[i], static_cast<std::uint32_t>(i)};
-    }
-    std::sort(order.begin(), order.end());
-    uniq.reserve(order.size());
-    for (const auto& [g, pos] : order) {
-      if (uniq.empty() || uniq.back() != g) uniq.push_back(g);
-      uniqOf[pos] = static_cast<std::uint32_t>(uniq.size() - 1);
-    }
-  });
+  // Sort-and-unique the references (deref_cache.h); batch.uniqOf maps each
+  // reference to its distinct slot.
+  const SortedBatch batch = comm.computeValue(
+      [&] { return sortUnique(refs, table.globalSize()); });
+  const std::vector<Index>& uniq = batch.uniq;
+  const std::vector<std::uint32_t>& uniqOf = batch.uniqOf;
 
   // Batched, cached dereference of the distinct references (collective).
   const std::vector<ElementLoc> locs = table.dereferenceCached(comm, uniq);

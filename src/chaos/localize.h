@@ -30,7 +30,8 @@ struct Localized {
   sched::Schedule scatterAddSched;
 };
 
-/// Collective inspector over the calling processor's reference list.
+/// Collective inspector over the calling processor's reference list; a
+/// reference outside [0, globalSize) throws mc::Error before any exchange.
 /// Batched: references are sort-and-uniqued, resolved through the per-rank
 /// dereference cache (deref_cache.h) in one sorted pass — only distinct
 /// uncached references travel to the table's home processors — and ghost

@@ -250,36 +250,21 @@ std::vector<ElementLoc> TranslationTable::dereferenceCached(
   DerefCache& cache = derefCache();
   std::vector<ElementLoc> out(globals.size());
 
-  // Sort-and-unique the batch, remembering each query's distinct slot so
-  // results scatter back in query order.  One sort replaces the per-element
-  // hash probes of the unbatched path.  Host-side batching work is not
-  // charged to the virtual clock — same convention as dereference(), whose
-  // per-element grouping also runs uncharged: the modeled per-query cost
-  // (advance below) is the model of lookup work, and charging measured CPU
-  // on top of it would double-count.  Call sites that want the host cost on
-  // the clock wrap the call in computeValue (as buildIrregCopySchedule
-  // does).
-  std::vector<std::pair<Index, std::uint32_t>> order(globals.size());
-  std::vector<std::uint32_t> uniqOf(globals.size());
-  std::vector<Index> uniq;
-  std::vector<ElementLoc> locs;
-  std::vector<std::uint8_t> hit;
+  // Sort-and-unique the batch (deref_cache.h), remembering each query's
+  // distinct slot so results scatter back in query order.  One sort
+  // replaces the per-element hash probes of the unbatched path.  Host-side
+  // batching work is not charged to the virtual clock — same convention as
+  // dereference(), whose per-element grouping also runs uncharged: the
+  // modeled per-query cost (advance below) is the model of lookup work,
+  // and charging measured CPU on top of it would double-count.  Call sites
+  // that want the host cost on the clock wrap the call in computeValue (as
+  // buildIrregCopySchedule does).
+  const SortedBatch batch = sortUnique(globals, globalSize_);
+  const std::vector<Index>& uniq = batch.uniq;
+  std::vector<ElementLoc> locs(uniq.size());
+  std::vector<std::uint8_t> hit(uniq.size());
   std::vector<Index> missG;
   std::vector<std::uint32_t> missAt;
-  for (std::size_t i = 0; i < globals.size(); ++i) {
-    const Index g = globals[i];
-    MC_REQUIRE(g >= 0 && g < globalSize_, "global index %lld out of range",
-               static_cast<long long>(g));
-    order[i] = {g, static_cast<std::uint32_t>(i)};
-  }
-  std::sort(order.begin(), order.end());
-  uniq.reserve(order.size());
-  for (const auto& [g, pos] : order) {
-    if (uniq.empty() || uniq.back() != g) uniq.push_back(g);
-    uniqOf[pos] = static_cast<std::uint32_t>(uniq.size() - 1);
-  }
-  locs.resize(uniq.size());
-  hit.resize(uniq.size());
   cache.lookupSorted(uid_, uniq, locs.data(), hit.data());
   for (std::size_t u = 0; u < uniq.size(); ++u) {
     if (hit[u]) continue;
@@ -341,7 +326,7 @@ std::vector<ElementLoc> TranslationTable::dereferenceCached(
   }
   cache.insertSorted(uid_, missG, missLocs);
   for (std::size_t i = 0; i < globals.size(); ++i) {
-    out[i] = locs[uniqOf[i]];
+    out[i] = locs[batch.uniqOf[i]];
   }
   return out;
 }

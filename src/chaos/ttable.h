@@ -77,7 +77,8 @@ class TranslationTable {
 
   /// Batched, cached dereference — same collective contract and same
   /// results as dereference(), different cost model.  Queries are
-  /// sort-and-uniqued, the per-rank dereference cache (deref_cache.h) is
+  /// sort-and-uniqued by chaos::sortUnique (deref_cache.h; a query outside
+  /// [0, globalSize) throws mc::Error), the per-rank dereference cache is
   /// probed in one sorted pass, and only the distinct *misses* travel to
   /// their home processors (grouped page-contiguously by the sort); the
   /// modeled per-element query cost is likewise charged per miss only.

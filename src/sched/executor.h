@@ -367,12 +367,18 @@ class Executor {
     LocalKernel local;
   };
 
-  /// Compiles `sched`'s kernels.  Compiling checks every run and every
-  /// payload size, so a (re)bind does it before it changes any state or
-  /// sends anything.  When `old` is the bound schedule, a plan identical to
-  /// its plan for the same peer reuses the compiled kernel — the rebind()
-  /// fast path for untouched peers.
+  /// Compiles `sched`'s kernels.  Compiling checks every run, every
+  /// payload size and the receive lane's peer order, so a (re)bind does it
+  /// before it changes any state or sends anything.  When `old` is the
+  /// bound schedule, a plan identical to its plan for the same peer reuses
+  /// the compiled kernel — the rebind() fast path for untouched peers.
   Kernels compileKernels(const Schedule& sched, const Schedule* old) const {
+    // Receives match one message per peer and route it by the sender's
+    // global rank, monotone in peer, to the plan at the same index.
+    for (std::size_t i = 1; i < sched.recvs.size(); ++i) {
+      MC_REQUIRE(sched.recvs[i - 1].peer < sched.recvs[i].peer,
+                 "receive plans must be sorted by peer, without duplicates");
+    }
     ensureKernelMetrics();
     Kernels k;
     compileLane(sched.sends, old != nullptr ? &old->sends : nullptr,
@@ -402,11 +408,8 @@ class Executor {
       RecvSlot s;
       s.srcGlobal = comm_->globalRankOf(peerProgram(), p.peer);
       s.bytes = static_cast<std::size_t>(p.elementCount()) * sizeof(T);
-      // Plans are sorted by peer and global ranks are monotone in peer, so
-      // slots_ is sorted by srcGlobal and slot index == plan index; a
-      // duplicate peer would break the one-message-per-pair matching.
-      MC_REQUIRE(slots_.empty() || slots_.back().srcGlobal < s.srcGlobal,
-                 "receive plans must be sorted by peer, without duplicates");
+      // compileKernels checked that plans are sorted by peer, so slots_ is
+      // sorted by srcGlobal and slot index == plan index.
       slots_.push_back(s);
     }
     stash_.resize(sched_->recvs.size());

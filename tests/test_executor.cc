@@ -318,6 +318,47 @@ TEST(Executor, BindRejectsOffsetListsBeforeSendingAnything) {
   }
 }
 
+TEST(Executor, RefusedRebindKeepsTheBoundSchedule) {
+  // A receive lane that lists one peer twice is refused at rebind before
+  // any state changes: the executor stays bound to its old schedule and
+  // runs it bitwise as before, whichever of the two plans is the odd one.
+  World::runSPMD(2, [](Comm& c) {
+    const int peer = 1 - c.rank();
+    Schedule good;
+    good.sends.push_back(OffsetPlan{peer, {}, {OffsetRun{0, 2, 1}}});
+    good.recvs.push_back(OffsetPlan{peer, {}, {OffsetRun{2, 2, 1}}});
+    Schedule shortFirst = good;
+    shortFirst.recvs = {OffsetPlan{peer, {}, {OffsetRun{2, 1, 1}}},
+                        OffsetPlan{peer, {}, {OffsetRun{0, 2, 1}}}};
+    Schedule shortSecond = good;
+    shortSecond.recvs = {OffsetPlan{peer, {}, {OffsetRun{2, 2, 1}}},
+                         OffsetPlan{peer, {}, {OffsetRun{0, 1, 1}}}};
+    const auto valuesOf = [](int rank) {
+      return std::vector<double>{10.0 * rank + 1.5, 10.0 * rank + 2.25};
+    };
+    std::vector<double> want = valuesOf(c.rank());
+    const std::vector<double> theirs = valuesOf(peer);
+    want.insert(want.end(), theirs.begin(), theirs.end());
+    Executor<double> ex(c, good);
+    const auto runOnce = [&] {
+      std::vector<double> buf = valuesOf(c.rank());
+      buf.resize(4, -1.0);
+      c.barrier();
+      c.resetStats();
+      ex.run(buf, buf);
+      EXPECT_EQ(buf, want);
+      return c.stats().messagesSent;
+    };
+    const std::uint64_t messages = runOnce();
+    EXPECT_EQ(messages, 1u);
+    for (const Schedule* bad : {&shortFirst, &shortSecond}) {
+      EXPECT_THROW(ex.rebind(*bad), Error);
+      EXPECT_EQ(&ex.schedule(), &good);
+      EXPECT_EQ(runOnce(), messages);
+    }
+  });
+}
+
 /// Each bad variant of `good` as built, and again after a round trip
 /// through the schedule codec (the bytes a server archive, a snapshot or
 /// another program hands to a bind).

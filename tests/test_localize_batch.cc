@@ -173,6 +173,28 @@ TEST(LocalizeBatch, AdversarialOwnerSkewMatchesOracle) {
   });
 }
 
+TEST(LocalizeBatch, OutOfRangeReferencesThrowUnderBothStorages) {
+  // localize and dereferenceCached share one sort-unique, which checks
+  // every reference against [0, globalSize) before any exchange; every
+  // rank passes a bad reference, so each throws on its own and the ranks
+  // stay in step for the localize that follows.
+  World::runSPMD(4, [](Comm& c) {
+    const Index n = 64;
+    const auto mine = randomPartition(n, c.size(), c.rank(), 61);
+    for (const Storage storage :
+         {Storage::kReplicated, Storage::kDistributed}) {
+      const auto table = TranslationTable::build(c, mine, n, storage);
+      for (const Index bad : {Index{-1}, n}) {
+        const std::vector<Index> refs{0, n - 1, bad, 3};
+        EXPECT_THROW(localize(c, table, refs), Error);
+        EXPECT_THROW(table.dereferenceCached(c, refs), Error);
+      }
+      const std::vector<Index> refs{0, n - 1, 3, 0};
+      differential(c, table, refs);
+    }
+  });
+}
+
 // --- dereference-cache contract --------------------------------------------
 
 TEST(DerefCache, SecondLocalizeHitsEntirelyInCache) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "util/error.h"
@@ -133,8 +134,21 @@ TEST(Table, SeparatorLine) {
   EXPECT_NE(t.render().find("---"), std::string::npos);
 }
 
-/// radixSort must give std::sort's order.
+using KeyPos = std::pair<std::int64_t, std::uint32_t>;
+
+std::int64_t keyOf(const KeyPos& item) { return item.first; }
+
+/// radixSort must give std::sort's order, on bare keys and, sorting by
+/// key alone, on (key, position) pairs listed with ascending positions.
 void expectSortsLikeStdSort(std::vector<std::int64_t> keys) {
+  std::vector<KeyPos> pairs;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    pairs.emplace_back(keys[i], static_cast<std::uint32_t>(i));
+  }
+  std::vector<KeyPos> wantPairs = pairs;
+  std::sort(wantPairs.begin(), wantPairs.end());
+  radixSort(pairs, keyOf);
+  EXPECT_EQ(pairs, wantPairs);
   std::vector<std::int64_t> want = keys;
   std::sort(want.begin(), want.end());
   radixSort(keys);
@@ -157,14 +171,27 @@ TEST(RadixSort, SortedReversedAndDuplicates) {
   expectSortsLikeStdSort(down);
   expectSortsLikeStdSort({7, 3, 7, 0, 3, 3, 0, 7, 1});
   expectSortsLikeStdSort(std::vector<std::int64_t>(100, 0));
+  expectSortsLikeStdSort(std::vector<std::int64_t>(100, 777));
+  expectSortsLikeStdSort(std::vector<std::int64_t>(100, std::int64_t{1} << 40));
 }
 
-TEST(RadixSort, KeysNeedingOneTwoAndSixPasses) {
+TEST(RadixSort, DuplicateHeavyBatches) {
+  Rng rng(23);
+  for (const std::uint64_t distinct : {2u, 17u, 300u, 5000u}) {
+    std::vector<std::int64_t> keys(6000);
+    for (std::int64_t& k : keys) {
+      k = static_cast<std::int64_t>(rng.below(distinct));
+    }
+    expectSortsLikeStdSort(keys);
+  }
+}
+
+TEST(RadixSort, KeysNeedingOneTwoThreeAndSixPasses) {
   Rng rng(17);
-  // Largest key below 2^11 (one pass), below 2^22 (two passes), and up to
-  // INT64_MAX (six passes).
+  // Largest key below 2^11 (one pass), below 2^22 (two passes), below 2^33
+  // (three passes), and up to INT64_MAX (six passes).
   for (const std::uint64_t bound :
-       {std::uint64_t{1} << 11, std::uint64_t{1} << 22,
+       {std::uint64_t{1} << 11, std::uint64_t{1} << 22, std::uint64_t{1} << 33,
         static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())}) {
     std::vector<std::int64_t> keys;
     for (int i = 0; i < 3000; ++i) {
@@ -186,6 +213,10 @@ TEST(RadixSort, NegativeKeyThrowsAndLeavesKeys) {
   EXPECT_EQ(keys, before);
   std::vector<std::int64_t> one{-5};
   EXPECT_THROW(radixSort(one), Error);
+  std::vector<KeyPos> pairs{{4, 0}, {2, 1}, {-1, 2}, {9, 3}};
+  const std::vector<KeyPos> pairsBefore = pairs;
+  EXPECT_THROW(radixSort(pairs, keyOf), Error);
+  EXPECT_EQ(pairs, pairsBefore);
 }
 
 }  // namespace

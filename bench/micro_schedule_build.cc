@@ -14,9 +14,11 @@
 //     single elements.
 //
 // The element-wise leg is the test-only reference builder
-// (tests/oracle/elementwise_builder.h).  Both legs reach ownership through
-// the same adapter calls, the Chaos dereference cache included, so the A/B
-// compares only the join pipelines.  Each case reports the cold (first) and
+// (tests/oracle/elementwise_builder.h): it routes each processor's owned
+// elements to the chunk owners (the paper's protocol), where the
+// run-native builder asks the adapter for each chunk by position.  Both
+// legs dereference Chaos ownership through the same per-rank cache, with
+// equal hit and miss counts.  Each case reports the cold (first) and
 // warm (subsequent) build times separately plus the localize.deref_cache
 // hit/miss counters, so what the cache buys on repeat builds stays visible.
 //

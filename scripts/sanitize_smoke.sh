@@ -25,9 +25,12 @@
 # executor — per-rank mutable state inside shared, cached schedules (two
 # MC_ComputeSched handles share one cached schedule, copyRegions fetches one
 # from the rank's cache, CoupledMesh steps two) — the inter-program
-# suite, whose paired builds and moves run across program threads, and the
+# suite, whose paired builds and moves run across program threads, the
 # Chaos and RCB suites, whose collective translation-table builds run on
-# rank threads.
+# rank threads, and the run-join and adapter-contract suites, whose
+# cooperation chunk tables fill through the adapters' collective chunk
+# inquiry (a distributed Chaos table's dereference exchange on rank
+# threads).
 #
 # Usage: scripts/sanitize_smoke.sh [--preset=asan-ubsan|tsan] [ctest -R regex]
 set -euo pipefail
@@ -46,7 +49,7 @@ case "$PRESET" in
     ;;
   tsan)
     BUILD_DIR=build-tsan
-    DEFAULT_FILTER="test_transport|test_transport_extra|test_executor|test_split_phase|test_obs|test_schedule_cache|test_localize_batch|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot|test_core_copy|test_mc_api|test_workloads|test_schedule_invariants|test_core_interprogram|test_chaos|test_rcb"
+    DEFAULT_FILTER="test_transport|test_transport_extra|test_executor|test_split_phase|test_obs|test_schedule_cache|test_localize_batch|test_run_kernels|test_schedule_delta|test_topology|test_server|test_server_sharing|test_snapshot|test_core_copy|test_mc_api|test_workloads|test_schedule_invariants|test_core_interprogram|test_chaos|test_rcb|test_run_join|test_adapter_contract"
     ;;
   *)
     echo "unknown preset: $PRESET (expected asan-ubsan or tsan)" >&2

@@ -20,8 +20,9 @@ Localized localize(transport::Comm& comm, const TranslationTable& table,
   const std::vector<Index>& uniq = batch.uniq;
   const std::vector<std::uint32_t>& uniqOf = batch.uniqOf;
 
-  // Batched, cached dereference of the distinct references (collective).
-  const std::vector<ElementLoc> locs = table.dereferenceCached(comm, uniq);
+  // Batched, cached dereference of the distinct references (collective);
+  // the batch is already sorted and distinct, so it is not sorted again.
+  const std::vector<ElementLoc> locs = table.dereferenceSorted(comm, uniq);
 
   // Walk the references in their original order, assigning each distinct
   // off-processor reference a ghost slot at its FIRST appearance — the

@@ -246,21 +246,33 @@ std::vector<ElementLoc> TranslationTable::dereference(
 
 std::vector<ElementLoc> TranslationTable::dereferenceCached(
     transport::Comm& comm, std::span<const Index> globals) const {
-  ensureLocalizeMetrics();
-  DerefCache& cache = derefCache();
-  std::vector<ElementLoc> out(globals.size());
-
   // Sort-and-unique the batch (deref_cache.h), remembering each query's
   // distinct slot so results scatter back in query order.  One sort
   // replaces the per-element hash probes of the unbatched path.  Host-side
   // batching work is not charged to the virtual clock — same convention as
   // dereference(), whose per-element grouping also runs uncharged: the
-  // modeled per-query cost (advance below) is the model of lookup work,
-  // and charging measured CPU on top of it would double-count.  Call sites
-  // that want the host cost on the clock wrap the call in computeValue (as
-  // buildIrregCopySchedule does).
+  // modeled per-query cost (advance in dereferenceSorted) is the model of
+  // lookup work, and charging measured CPU on top of it would double-count.
+  // Call sites that want the host cost on the clock wrap the call in
+  // computeValue (as buildIrregCopySchedule does).
   const SortedBatch batch = sortUnique(globals, globalSize_);
-  const std::vector<Index>& uniq = batch.uniq;
+  const std::vector<ElementLoc> locs = dereferenceSorted(comm, batch.uniq);
+  std::vector<ElementLoc> out(globals.size());
+  for (std::size_t i = 0; i < globals.size(); ++i) {
+    out[i] = locs[batch.uniqOf[i]];
+  }
+  return out;
+}
+
+std::vector<ElementLoc> TranslationTable::dereferenceSorted(
+    transport::Comm& comm, std::span<const Index> uniq) const {
+  ensureLocalizeMetrics();
+  MC_REQUIRE(uniq.empty() || (uniq.front() >= 0 && uniq.back() < globalSize_),
+             "dereference batch leaves [0, %lld)",
+             static_cast<long long>(globalSize_));
+  DerefCache& cache = derefCache();
+  // The cache is probed in one sorted pass, and only the distinct misses
+  // travel to their home processors.
   std::vector<ElementLoc> locs(uniq.size());
   std::vector<std::uint8_t> hit(uniq.size());
   std::vector<Index> missG;
@@ -325,10 +337,7 @@ std::vector<ElementLoc> TranslationTable::dereferenceCached(
     locs[missAt[m]] = missLocs[m];
   }
   cache.insertSorted(uid_, missG, missLocs);
-  for (std::size_t i = 0; i < globals.size(); ++i) {
-    out[i] = locs[batch.uniqOf[i]];
-  }
-  return out;
+  return locs;
 }
 
 ElementLoc TranslationTable::dereferenceLocal(Index g) const {

@@ -88,6 +88,14 @@ class TranslationTable {
   std::vector<ElementLoc> dereferenceCached(
       transport::Comm& comm, std::span<const layout::Index> globals) const;
 
+  /// dereferenceCached for a batch that is already sorted ascending and
+  /// duplicate-free (a chaos::sortUnique batch's `uniq`, which also checked
+  /// its range): the same collective contract, cache probes, counters and
+  /// charges, with no second sort.  Returns the locations in batch order.
+  /// chaos::localize calls it with its own sorted references.
+  std::vector<ElementLoc> dereferenceSorted(
+      transport::Comm& comm, std::span<const layout::Index> uniq) const;
+
   /// Local lookup; requires replicated storage.
   ElementLoc dereferenceLocal(layout::Index g) const;
 

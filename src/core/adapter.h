@@ -47,27 +47,23 @@ class DistObject {
   const std::type_info* type_;
 };
 
-/// One element of a linearization: its position and local offset (the owner
-/// is implied by who holds the record).
-struct LinLoc {
-  layout::Index lin = 0;
-  layout::Index offset = 0;
-};
-
-/// A run of linearization positions [lin, lin+count) with one owner, living
-/// at local offsets off + k*offStride.  Regular libraries produce one run
-/// per local section row; fully irregular data degrades to count-1 runs.
-/// Count-1 runs carry offStride 0 (canonical form); lanes grow through
-/// sched::appendRun, whose elements must also continue `lin`.
+/// A run of linearization positions [lin, lin+count) owned by processor
+/// `owner` at local offsets off + k*offStride.  Regular libraries produce
+/// one run per local section row; fully irregular data degrades to count-1
+/// runs.  Count-1 runs carry offStride 0 (canonical form); lanes grow
+/// through sched::appendRun, whose elements must also continue `lin` and
+/// match `owner`.  Five Index fields and no padding: the cooperation build
+/// ships these rows between programs as raw bytes.
 struct LinRun {
   layout::Index lin = 0;
   layout::Index off = 0;
   layout::Index count = 0;
   layout::Index offStride = 0;
+  layout::Index owner = 0;
 
   bool operator==(const LinRun&) const = default;
   static constexpr sched::RunShape<LinRun, 1> kShape{
-      {{{&LinRun::off, &LinRun::offStride}}}, &LinRun::lin};
+      {{{&LinRun::off, &LinRun::offStride}}}, &LinRun::lin, &LinRun::owner};
 };
 
 class LibraryAdapter {
@@ -97,26 +93,15 @@ class LibraryAdapter {
       const std::function<void(layout::Index lin, int owner,
                                layout::Index offset)>& fn) const = 0;
 
-  /// Collective over the owning program: returns the calling processor's
-  /// owned elements of the linearization, sorted by position.  The default
-  /// filters enumerateAll; libraries whose dereference requires
-  /// communication (Chaos with a distributed translation table) override
-  /// it with a partitioned collective implementation.
-  virtual std::vector<LinLoc> enumerateOwned(const DistObject& obj,
-                                             const SetOfRegions& set,
-                                             transport::Comm& comm) const;
-
   /// Enumerates linearization positions [linLo, linHi) only, in order, with
-  /// no communication; only valid when supportsLocalEnumeration(obj).  The
-  /// default filters enumerateAll (O(set size)); adapters whose regions
-  /// support random access override it with an O(linHi - linLo)
-  /// implementation — this is what lets the cooperation build spread its
-  /// ownership work across processors.
+  /// no communication; only valid when supportsLocalEnumeration(obj).
+  /// Adapters whose regions support random access implement it in
+  /// O(linHi - linLo).
   virtual void enumerateRange(
       const DistObject& obj, const SetOfRegions& set, layout::Index linLo,
       layout::Index linHi,
       const std::function<void(layout::Index lin, int owner,
-                               layout::Index offset)>& fn) const;
+                               layout::Index offset)>& fn) const = 0;
 
   /// Callback for run-producing enumeration: positions [lin, lin+count)
   /// are owned by `owner` at offsets off + k*offStride.  Runs arrive in
@@ -126,27 +111,31 @@ class LibraryAdapter {
                                    layout::Index count,
                                    layout::Index offStride)>;
 
-  /// Run-producing form of enumerateOwned: the calling processor's owned
-  /// elements as maximal (lin, off, count, offStride) runs, sorted by
-  /// position.  Collective, like enumerateOwned.  The default shim derives
-  /// runs from enumerateRangeRuns when the descriptor is locally
-  /// enumerable, else coalesces enumerateOwned element-wise — so every
-  /// adapter works unmodified, and regular adapters that override
-  /// enumerateRangeRuns get O(runs) behaviour for free.
-  virtual std::vector<LinRun> enumerateOwnedRuns(const DistObject& obj,
-                                                 const SetOfRegions& set,
-                                                 transport::Comm& comm) const;
-
   /// Run-producing form of enumerateRange: emits maximal same-owner runs
-  /// covering [linLo, linHi) exactly, in order.  No communication; only
-  /// valid when supportsLocalEnumeration(obj).  The default shim coalesces
-  /// enumerateRange element-wise (O(linHi - linLo)); regular adapters
-  /// override it with an O(runs) implementation — one callback per local
-  /// section row instead of one per element.
+  /// covering [linLo, linHi) exactly, in order (core::RunEmitter makes
+  /// them maximal).  No communication; only valid when
+  /// supportsLocalEnumeration(obj).  Regular adapters emit one run per
+  /// local section row instead of one per element.
   virtual void enumerateRangeRuns(const DistObject& obj,
                                   const SetOfRegions& set,
                                   layout::Index linLo, layout::Index linHi,
-                                  const RunFn& fn) const;
+                                  const RunFn& fn) const = 0;
+
+  /// Ownership by position.  Collective over the owning program: each
+  /// processor passes its own range [linLo, linHi) (ranges may differ and
+  /// may be empty, but every processor calls) and receives that range's
+  /// maximal same-owner runs, in order — the cooperation method's chunk
+  /// owners ask for their own chunk.  The default enumerates the range
+  /// locally and charges it as compute; a library whose ownership lookup
+  /// needs communication (Chaos with a distributed translation table)
+  /// overrides it with a collective lookup.
+  virtual void enumerateChunkRuns(const DistObject& obj,
+                                  const SetOfRegions& set,
+                                  layout::Index linLo, layout::Index linHi,
+                                  transport::Comm& comm,
+                                  const RunFn& fn) const {
+    comm.compute([&] { enumerateRangeRuns(obj, set, linLo, linHi, fn); });
+  }
 
   /// A cheap, communication-free content digest of the locally held
   /// descriptor state, used as the descriptor's contribution to schedule

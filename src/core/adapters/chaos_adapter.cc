@@ -1,5 +1,7 @@
 #include "core/adapters/chaos_adapter.h"
 
+#include "core/adapters/run_emitter.h"
+
 namespace mc::core {
 
 using chaos::ElementLoc;
@@ -26,98 +28,94 @@ bool ChaosAdapter::supportsLocalEnumeration(const DistObject& obj) const {
          TranslationTable::Storage::kReplicated;
 }
 
-void ChaosAdapter::enumerateAll(
-    const DistObject& obj, const SetOfRegions& set,
-    const std::function<void(Index, int, Index)>& fn) const {
-  const auto& table = obj.as<TranslationTable>();
-  MC_REQUIRE(table.storage() == TranslationTable::Storage::kReplicated,
-             "a distributed translation table cannot be enumerated locally; "
-             "use the cooperation method or replicate the table");
-  Index base = 0;
-  for (const Region& r : set.regions()) {
-    const auto& idx = r.asIndices();
-    for (size_t k = 0; k < idx.size(); ++k) {
-      const ElementLoc loc = table.dereferenceLocal(idx[k]);
-      fn(base + static_cast<Index>(k), loc.proc, loc.offset);
-    }
-    base += static_cast<Index>(idx.size());
-  }
-}
+namespace {
 
-void ChaosAdapter::enumerateRange(
-    const DistObject& obj, const SetOfRegions& set, Index linLo, Index linHi,
-    const std::function<void(Index, int, Index)>& fn) const {
-  const auto& table = obj.as<TranslationTable>();
-  MC_REQUIRE(table.storage() == TranslationTable::Storage::kReplicated,
-             "a distributed translation table cannot be enumerated locally");
+/// Calls fn(lin, global) for positions [linLo, linHi) of an index-list set,
+/// in order.
+template <typename Fn>
+void forEachGlobal(const SetOfRegions& set, Index linLo, Index linHi,
+                   Fn&& fn) {
   Index base = 0;
   for (const Region& r : set.regions()) {
+    if (base >= linHi) break;
     const auto& idx = r.asIndices();
     const Index n = static_cast<Index>(idx.size());
     const Index lo = std::max(linLo, base);
     const Index hi = std::min(linHi, base + n);
     for (Index lin = lo; lin < hi; ++lin) {
-      const ElementLoc loc =
-          table.dereferenceLocal(idx[static_cast<size_t>(lin - base)]);
-      fn(lin, loc.proc, loc.offset);
+      fn(lin, idx[static_cast<size_t>(lin - base)]);
     }
     base += n;
-    if (base >= linHi) break;
   }
 }
 
-std::vector<LinLoc> ChaosAdapter::enumerateOwned(const DistObject& obj,
-                                                 const SetOfRegions& set,
-                                                 transport::Comm& comm) const {
+/// The descriptor's table, which local enumeration needs whole.
+const TranslationTable& replicatedTable(const DistObject& obj) {
   const auto& table = obj.as<TranslationTable>();
-  const int np = comm.size();
-  const int me = comm.rank();
-  const Index n = set.numElements();
-  // Each processor dereferences a contiguous slice of the linearization —
-  // this is how the cooperation method spreads the dereference cost over
-  // the program's processors.
-  const Index chunk = np > 0 ? (n + np - 1) / np : n;
-  const Index lo = chunk * me;
-  const Index hi = std::min(n, lo + chunk);
+  MC_REQUIRE(table.storage() == TranslationTable::Storage::kReplicated,
+             "a distributed translation table cannot be enumerated locally; "
+             "use the cooperation method or replicate the table");
+  return table;
+}
 
-  std::vector<Index> sliceGlobals;
-  sliceGlobals.reserve(static_cast<size_t>(std::max<Index>(0, hi - lo)));
-  Index base = 0;
-  for (const Region& r : set.regions()) {
-    const auto& idx = r.asIndices();
-    const Index rn = static_cast<Index>(idx.size());
-    const Index rLo = std::max(lo, base);
-    const Index rHi = std::min(hi, base + rn);
-    for (Index p = rLo; p < rHi; ++p) {
-      sliceGlobals.push_back(idx[static_cast<size_t>(p - base)]);
+}  // namespace
+
+void ChaosAdapter::enumerateAll(
+    const DistObject& obj, const SetOfRegions& set,
+    const std::function<void(Index, int, Index)>& fn) const {
+  enumerateRange(obj, set, 0, set.numElements(), fn);
+}
+
+void ChaosAdapter::enumerateRange(
+    const DistObject& obj, const SetOfRegions& set, Index linLo, Index linHi,
+    const std::function<void(Index, int, Index)>& fn) const {
+  const TranslationTable& table = replicatedTable(obj);
+  forEachGlobal(set, linLo, linHi, [&](Index lin, Index g) {
+    const ElementLoc loc = table.dereferenceLocal(g);
+    fn(lin, loc.proc, loc.offset);
+  });
+}
+
+void ChaosAdapter::enumerateRangeRuns(const DistObject& obj,
+                                      const SetOfRegions& set, Index linLo,
+                                      Index linHi, const RunFn& fn) const {
+  const TranslationTable& table = replicatedTable(obj);
+  RunEmitter emit(fn);
+  forEachGlobal(set, linLo, linHi, [&](Index lin, Index g) {
+    const ElementLoc loc = table.dereferenceLocal(g);
+    emit.add(lin, loc.proc, loc.offset, 1, 0);
+  });
+  emit.flush();
+}
+
+void ChaosAdapter::enumerateChunkRuns(const DistObject& obj,
+                                      const SetOfRegions& set, Index linLo,
+                                      Index linHi, transport::Comm& comm,
+                                      const RunFn& fn) const {
+  const auto& table = obj.as<TranslationTable>();
+  if (table.storage() == TranslationTable::Storage::kReplicated) {
+    LibraryAdapter::enumerateChunkRuns(obj, set, linLo, linHi, comm, fn);
+    return;
+  }
+  // A distributed table resolves the chunk's globals in one batched, cached
+  // dereference.  The exchange is collective: a rank with an empty chunk
+  // still takes part.
+  const std::vector<Index> globals = comm.computeValue([&] {
+    std::vector<Index> out;
+    out.reserve(static_cast<size_t>(std::max<Index>(0, linHi - linLo)));
+    forEachGlobal(set, linLo, linHi,
+                  [&](Index, Index g) { out.push_back(g); });
+    return out;
+  });
+  const std::vector<ElementLoc> locs = table.dereferenceCached(comm, globals);
+  comm.compute([&] {
+    RunEmitter emit(fn);
+    for (size_t k = 0; k < locs.size(); ++k) {
+      emit.add(linLo + static_cast<Index>(k), locs[k].proc, locs[k].offset, 1,
+               0);
     }
-    base += rn;
-  }
-
-  // The slice resolves through the batched per-rank dereference cache.
-  const std::vector<ElementLoc> locs =
-      table.dereferenceCached(comm, sliceGlobals);
-
-  // Route (lin, offset) to each element's owner.
-  struct Rec {
-    Index lin;
-    Index offset;
-  };
-  std::vector<std::vector<Rec>> toOwner(static_cast<size_t>(np));
-  for (size_t k = 0; k < locs.size(); ++k) {
-    toOwner[static_cast<size_t>(locs[k].proc)].push_back(
-        Rec{lo + static_cast<Index>(k), locs[k].offset});
-  }
-  auto rows = comm.alltoall(toOwner);
-  std::vector<LinLoc> out;
-  // Slices are position-ordered, so concatenating rows in sender order
-  // yields... records from sender s cover slice s; within a slice they are
-  // ascending.  Senders are visited 0..np-1, and slice s's positions all
-  // precede slice s+1's, so the concatenation is globally sorted by lin.
-  for (const auto& row : rows) {
-    for (const Rec& rec : row) out.push_back(LinLoc{rec.lin, rec.offset});
-  }
-  return out;
+    emit.flush();
+  });
 }
 
 double ChaosAdapter::modeledElementDereferenceCost(

@@ -6,10 +6,11 @@
 // around:
 //
 //  * with a distributed table, ownership queries require communication, so
-//    enumerateOwned is overridden with a partitioned collective: each
-//    processor dereferences its slice of the linearization and routes the
-//    results to the owners (this is why the paper's two-program schedule
-//    times drop almost linearly with more Chaos-side processors, Table 3);
+//    enumerateChunkRuns is overridden with a collective lookup: each
+//    processor dereferences its own chunk of the linearization in one
+//    batched, cached exchange with the table's home processors (this is
+//    why the paper's two-program schedule times drop almost linearly with
+//    more Chaos-side processors, Table 3);
 //  * full local enumeration (the duplication method) needs the whole table:
 //    possible only when it is replicated, and serializing the descriptor
 //    ships O(array size) data — the reason the paper calls duplication
@@ -30,14 +31,18 @@ class ChaosAdapter final : public LibraryAdapter {
   void enumerateAll(const DistObject& obj, const SetOfRegions& set,
                     const std::function<void(layout::Index, int,
                                              layout::Index)>& fn) const override;
-  std::vector<LinLoc> enumerateOwned(const DistObject& obj,
-                                     const SetOfRegions& set,
-                                     transport::Comm& comm) const override;
   void enumerateRange(const DistObject& obj, const SetOfRegions& set,
                       layout::Index linLo, layout::Index linHi,
                       const std::function<void(layout::Index, int,
                                                layout::Index)>& fn)
       const override;
+  void enumerateRangeRuns(const DistObject& obj, const SetOfRegions& set,
+                          layout::Index linLo, layout::Index linHi,
+                          const RunFn& fn) const override;
+  void enumerateChunkRuns(const DistObject& obj, const SetOfRegions& set,
+                          layout::Index linLo, layout::Index linHi,
+                          transport::Comm& comm,
+                          const RunFn& fn) const override;
   double modeledElementDereferenceCost(const DistObject& obj) const override;
   std::uint64_t localFingerprint(const DistObject& obj) const override;
   std::vector<std::byte> serializeDesc(const DistObject& obj,

@@ -1,15 +1,20 @@
 // Coalescing emitter for adapter run enumeration.
 //
-// Adapters that override LibraryAdapter::enumerateRangeRuns produce one
-// candidate run per (section row x ownership block) segment.  Those
-// segments are already maximal in the common case, but can be mergeable
-// across row or region boundaries (e.g. a whole-array section on one
-// processor is a single arithmetic run).  RunEmitter buffers the most
-// recent run and merges in-order additions through sched::appendRun — same
-// owner, contiguous linearization positions, exact offset-progression
+// Every LibraryAdapter::enumerateRangeRuns, and Chaos's enumerateChunkRuns
+// over a distributed table, produce candidate runs: one per (section row x
+// ownership block) segment for the regular libraries, one per element for
+// Chaos.  Those candidates can be mergeable across row, region or element
+// boundaries (e.g. a whole-array section on one processor is a single
+// arithmetic run).  RunEmitter buffers the most recent run and merges
+// in-order additions through sched::appendRun on LinRun — same owner,
+// contiguous linearization positions, exact offset-progression
 // continuation — so the stream it forwards to the RunFn is identical no
-// matter how the adapter cut its segments.  The default enumerateRangeRuns
-// feeds it one element at a time.
+// matter how the adapter cut its segments.
+//
+// The emitter keeps a reference to the callback, so the callback must
+// outlive it: pass a named RunFn (an adapter's `fn` parameter).  Passing a
+// lambda would bind a temporary std::function that dies at the end of the
+// declaration; that constructor is deleted.
 #pragma once
 
 #include "core/adapter.h"
@@ -19,12 +24,13 @@ namespace mc::core {
 class RunEmitter {
  public:
   explicit RunEmitter(const LibraryAdapter::RunFn& fn) : tail_{fn, {}, false} {}
+  RunEmitter(LibraryAdapter::RunFn&&) = delete;
 
   /// Adds positions [lin, lin+count) owned by `owner` at offsets
   /// off + k*offStride.  Additions must arrive in linearization order.
   void add(layout::Index lin, int owner, layout::Index off,
            layout::Index count, layout::Index offStride) {
-    sched::appendRun(tail_, Run{lin, off, count, offStride, owner});
+    sched::appendRun(tail_, LinRun{lin, off, count, offStride, owner});
   }
 
   /// Emits the buffered run; call once after the last add().
@@ -34,27 +40,16 @@ class RunEmitter {
   }
 
  private:
-  /// A LinRun keyed by its owner.
-  struct Run {
-    layout::Index lin = 0;
-    layout::Index off = 0;
-    layout::Index count = 0;
-    layout::Index offStride = 0;
-    layout::Index owner = 0;
-    static constexpr sched::RunShape<Run, 1> kShape{
-        {{{&Run::off, &Run::offStride}}}, &Run::lin, &Run::owner};
-  };
-
   /// A one-run lane for appendRun: starting a new run forwards the old one.
   struct Tail {
-    using value_type = Run;
+    using value_type = LinRun;
     const LibraryAdapter::RunFn& fn;
-    Run run;
+    LinRun run;
     bool open = false;
 
     bool empty() const { return !open; }
-    Run& back() { return run; }
-    void push_back(const Run& next) {
+    LinRun& back() { return run; }
+    void push_back(const LinRun& next) {
       emit();
       run = next;
       open = true;

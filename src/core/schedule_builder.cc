@@ -1,6 +1,7 @@
 #include "core/schedule_builder.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/builder_internal.h"
 #include "obs/metrics.h"
@@ -111,149 +112,77 @@ using namespace detail;
 namespace {
 
 // ---------------------------------------------------------------------------
-// Wire formats.
-//
-// The cooperation method ships ownership information and marching orders
-// between processors.  All streams are run-length encoded with strides:
-// regular data produces long arithmetic runs (whole section rows), so the
-// shipped volume stays proportional to the number of *blocks*, not the
-// number of elements — matching the compact descriptors the original
-// Meta-Chaos shipped for regular sections.  Fully irregular data degrades
-// to count-1 runs, whose cost profile the paper's Chaos experiments show.
-//
-// Ownership runs ship as core::LinRun (the adapter inquiry type — the
-// sender is implied by the lane).  Every stream grows through
-// sched::appendRun, so its bytes do not depend on how its elements were
-// cut into runs.
-// ---------------------------------------------------------------------------
-
-/// Routes a processor's owned elements (sorted by position) into per-chunk
-/// LinRun streams of `chunk` positions each, coalescing as it goes.
-std::vector<std::vector<LinRun>> routeToChunks(const std::vector<LinLoc>& owned,
-                                               Index chunk, int nChunks) {
-  std::vector<std::vector<LinRun>> to(static_cast<size_t>(nChunks));
-  for (const LinLoc& ll : owned) {
-    sched::appendRun(to[static_cast<size_t>(ll.lin / chunk)],
-                     LinRun{ll.lin, ll.offset, 1, 0});
-  }
-  return to;
-}
-
-/// Routes a processor's owned runs into per-chunk LinRun streams, splitting
-/// runs at chunk boundaries (runs never cross chunks on the wire).
-std::vector<std::vector<LinRun>> routeRunsToChunks(
-    const std::vector<LinRun>& owned, Index chunk, int nChunks) {
-  std::vector<std::vector<LinRun>> to(static_cast<size_t>(nChunks));
-  for (LinRun run : owned) {
-    while (run.count > 0) {
-      const Index c = run.lin / chunk;
-      const Index take = std::min(run.count, (c + 1) * chunk - run.lin);
-      sched::appendRun(to[static_cast<size_t>(c)],
-                       LinRun{run.lin, run.off, take, run.offStride});
-      run.lin += take;
-      run.off += take * run.offStride;
-      run.count -= take;
-    }
-  }
-  return to;
-}
-
-// ---------------------------------------------------------------------------
 // Ownership tables.
 //
-// ChunkTable is a sorted interval table of (positions, owner, offsets)
-// runs covering the chunk exactly, filled straight from LinRun streams
-// without per-element expansion — O(runs) memory.
+// The cooperation method is ownership by position: the linearization is cut
+// into contiguous chunks, one per processor of the joining program, and each
+// chunk owner joins both sides' ownership of its chunk.  A ChunkTable is
+// that ownership as a sorted run table (core::LinRun: positions, owner,
+// offsets) covering the chunk exactly — O(runs) memory.  Every table grows
+// through the one checked append, whose sched::appendRun makes the table a
+// pure function of its element sequence however the runs arrive cut: whole
+// from a local enumeration, or in rows another program shipped.
 // ---------------------------------------------------------------------------
 
-/// One ownership run of a chunk: positions [lin, lin+count) owned by
-/// `owner` at offsets off + k*offStride.
-struct OwnedRun {
-  Index lin;
-  Index off;
-  Index count;
-  Index offStride;
-  int owner;
-};
+/// Bound on every offset and offset stride a table holds: below 2^62 in
+/// magnitude, the greedy's and the join's offset arithmetic stays inside
+/// Index.
+constexpr Index kOffsetLimit = Index{1} << 62;
 
 struct ChunkTable {
   Index lo = 0;
   Index size = 0;
-  std::vector<OwnedRun> runs;  // sorted by lin, covering [lo, lo+size)
+  int owners = 0;            // owners are ranks of a program this wide
+  std::vector<LinRun> runs;  // sorted by lin, covering [lo, lo+size)
 
-  ChunkTable(Index lo_, Index size_) : lo(lo_), size(size_) {}
+  ChunkTable(Index lo_, Index size_, int owners_)
+      : lo(lo_), size(size_), owners(owners_) {}
 
-  /// Streaming fill for locally enumerated chunks: runs must arrive in
-  /// linearization order (the enumerateRangeRuns contract).
-  void append(Index lin, int owner, Index off, Index count, Index offStride,
-              const char* side) {
-    const Index expected = runs.empty() ? lo : runs.back().lin + runs.back().count;
-    MC_REQUIRE(lin >= expected, "%s linearization visits position %lld twice",
-               side, static_cast<long long>(lin));
-    MC_REQUIRE(lin >= lo && lin + count <= lo + size,
+  /// Appends the next run in position order.  The run may be another
+  /// program's bytes: it must name an owner of the program, hold at least
+  /// one position, address offsets in [0, kOffsetLimit) by a stride below
+  /// kOffsetLimit, and lie inside the chunk past every position already
+  /// filled.
+  void append(const LinRun& run, const char* side) {
+    MC_REQUIRE(run.owner >= 0 && run.owner < owners,
+               "%s run at position %lld names owner %lld of a %d-rank "
+               "program",
+               side, static_cast<long long>(run.lin),
+               static_cast<long long>(run.owner), owners);
+    MC_REQUIRE(run.count >= 1, "%s run at position %lld holds %lld elements",
+               side, static_cast<long long>(run.lin),
+               static_cast<long long>(run.count));
+    Index last = 0;
+    MC_REQUIRE(run.off >= 0 && run.off < kOffsetLimit &&
+                   run.offStride > -kOffsetLimit &&
+                   run.offStride < kOffsetLimit &&
+                   !__builtin_mul_overflow(run.count - 1, run.offStride,
+                                           &last) &&
+                   !__builtin_add_overflow(run.off, last, &last) &&
+                   last >= 0 && last < kOffsetLimit,
+               "%s run at position %lld leaves the offset range", side,
+               static_cast<long long>(run.lin));
+    const Index filled = runs.empty() ? lo : runs.back().lin + runs.back().count;
+    MC_REQUIRE(run.lin >= filled, "%s linearization visits position %lld twice",
+               side, static_cast<long long>(run.lin));
+    MC_REQUIRE(run.count <= lo + size - run.lin,
                "%s element at position %lld routed to the wrong chunk", side,
-               static_cast<long long>(lin));
-    runs.push_back(OwnedRun{lin, off, count, offStride, owner});
+               static_cast<long long>(run.lin));
+    sched::appendRun(runs, run);
   }
 
-  /// Fill from per-sender wire streams.  Every sender's stream is already
-  /// sorted by position, so a k-way merge over per-sender cursors rebuilds
-  /// the interval table without a global sort.  Exhausted streams are
-  /// dropped from the cursor set, so the scan stays tight.  The rows may be
-  /// another program's bytes: a run must hold at least one position, all
-  /// of them inside the chunk, past every position already filled.
-  void fillFromRows(const std::vector<std::vector<LinRun>>& rows,
-                    const char* side) {
-    struct Cursor {
-      const LinRun* p;
-      const LinRun* end;
-      Index lin;  // == p->lin, cached so the min-scan stays in this array
-      int sender;
+  /// The adapter callback that appends each run it emits.
+  auto filler(const char* side) {
+    return [this, side](Index lin, int owner, Index off, Index count,
+                        Index offStride) {
+      append(LinRun{lin, off, count, offStride, owner}, side);
     };
-    std::vector<Cursor> cur;
-    size_t total = 0;
-    cur.reserve(rows.size());
-    for (size_t sender = 0; sender < rows.size(); ++sender) {
-      total += rows[sender].size();
-      if (!rows[sender].empty()) {
-        cur.push_back(Cursor{rows[sender].data(),
-                             rows[sender].data() + rows[sender].size(),
-                             rows[sender].front().lin,
-                             static_cast<int>(sender)});
-      }
-    }
-    runs.reserve(total);
-    Index pos = lo;
-    while (!cur.empty()) {
-      size_t best = 0;
-      for (size_t k = 1; k < cur.size(); ++k) {
-        if (cur[k].lin < cur[best].lin) best = k;
-      }
-      const LinRun& run = *cur[best].p;
-      MC_REQUIRE(run.count >= 1, "%s run at position %lld holds %lld elements",
-                 side, static_cast<long long>(run.lin),
-                 static_cast<long long>(run.count));
-      MC_REQUIRE(run.lin >= lo && run.count <= lo + size - run.lin,
-                 "%s element at position %lld routed to the wrong chunk",
-                 side, static_cast<long long>(run.lin));
-      MC_REQUIRE(run.lin >= pos, "%s linearization visits position %lld twice",
-                 side, static_cast<long long>(run.lin));
-      pos = run.lin + run.count;
-      runs.push_back(OwnedRun{run.lin, run.off, run.count, run.offStride,
-                              cur[best].sender});
-      if (++cur[best].p == cur[best].end) {
-        cur[best] = cur.back();
-        cur.pop_back();
-      } else {
-        cur[best].lin = cur[best].p->lin;
-      }
-    }
   }
 
   /// Verifies the table covers the chunk with no gaps.
   void checkComplete(const char* side) const {
     Index pos = lo;
-    for (const OwnedRun& run : runs) {
+    for (const LinRun& run : runs) {
       MC_REQUIRE(run.lin == pos, "%s linearization skips position %lld", side,
                  static_cast<long long>(pos));
       pos = run.lin + run.count;
@@ -262,23 +191,41 @@ struct ChunkTable {
                static_cast<long long>(pos));
   }
 
-  std::size_t tableBytes() const { return runs.size() * sizeof(OwnedRun); }
+  std::size_t tableBytes() const { return runs.size() * sizeof(LinRun); }
 };
 
-/// The one local table fill: a checked run table for positions [lo, hi) of
-/// `set`, by local enumeration of `obj`.  Serves the cooperation build's
-/// locally enumerable chunks, both duplication builds, the fresh-segment
-/// pass and computeDelta.
+/// Chunk `k` of a linearization of n positions cut into `parts` chunks of
+/// ceil(n/parts) positions; trailing chunks may be short or empty.
+std::pair<Index, Index> chunkOf(Index n, int parts, int k) {
+  const Index chunk = (n + parts - 1) / parts;
+  const Index lo = std::min(n, chunk * k);
+  return {lo, std::min(n, lo + chunk)};
+}
+
+/// The local table fill: a checked run table for positions [lo, hi) of
+/// `set`, by local enumeration of `obj`, whose owners are ranks of a
+/// program `owners` wide.  Serves both duplication builds, the
+/// fresh-segment pass and computeDelta.
 ChunkTable localTable(const LibraryAdapter& lib, const DistObject& obj,
-                      const SetOfRegions& set, Index lo, Index hi,
+                      const SetOfRegions& set, Index lo, Index hi, int owners,
                       const char* side) {
-  ChunkTable table(lo, hi - lo);
-  lib.enumerateRangeRuns(
-      obj, set, lo, hi,
-      [&](Index lin, int owner, Index off, Index count, Index offStride) {
-        table.append(lin, owner, off, count, offStride, side);
-      });
+  ChunkTable table(lo, hi - lo, owners);
+  lib.enumerateRangeRuns(obj, set, lo, hi, table.filler(side));
   table.checkComplete(side);
+  return table;
+}
+
+/// The cooperation table fill: this rank's ownership of its own chunk
+/// [lo, hi), through the adapter's collective chunk inquiry.  Every rank of
+/// the program calls it (a Chaos distributed table dereferences
+/// collectively); no ownership travels between ranks.
+ChunkTable chunkTable(transport::Comm& comm, const LibraryAdapter& lib,
+                      const DistObject& obj, const SetOfRegions& set,
+                      Index lo, Index hi, const char* side) {
+  ChunkTable table(lo, hi - lo, comm.size());
+  lib.enumerateChunkRuns(obj, set, lo, hi, comm, table.filler(side));
+  comm.compute([&] { table.checkComplete(side); });
+  g_buildStats.ownershipTableBytes += table.tableBytes();
   return table;
 }
 
@@ -294,8 +241,8 @@ void joinTables(const ChunkTable& src, const ChunkTable& dst, F&& fn) {
   Index pos = src.lo;
   const Index end = src.lo + src.size;
   while (pos < end) {
-    const OwnedRun& s = src.runs[i];
-    const OwnedRun& d = dst.runs[j];
+    const LinRun& s = src.runs[i];
+    const LinRun& d = dst.runs[j];
     const Index sEnd = s.lin + s.count;
     const Index dEnd = d.lin + d.count;
     const Index stop = std::min(sEnd, dEnd);
@@ -307,7 +254,7 @@ void joinTables(const ChunkTable& src, const ChunkTable& dst, F&& fn) {
 }
 
 /// Offset of position `pos` within run `r`.
-Index offAt(const OwnedRun& r, Index pos) {
+Index offAt(const LinRun& r, Index pos) {
   return r.off + (pos - r.lin) * r.offStride;
 }
 
@@ -330,15 +277,14 @@ Index offAt(const OwnedRun& r, Index pos) {
 void joinSegs(const ChunkTable& src, const ChunkTable& dst, int srcMe,
               int dstMe, std::vector<SendSeg>& sends,
               std::vector<RecvSeg>& recvs) {
-  joinTables(src, dst, [&](const OwnedRun& s, const OwnedRun& d, Index pos,
+  joinTables(src, dst, [&](const LinRun& s, const LinRun& d, Index pos,
                            Index count) {
     if (s.owner == srcMe) {
       sched::appendRun(sends, SendSeg{pos, offAt(s, pos), offAt(d, pos), count,
-                                      s.offStride, d.offStride,
-                                      static_cast<Index>(d.owner)});
+                                      s.offStride, d.offStride, d.owner});
     } else if (d.owner == dstMe) {
-      sched::appendRun(recvs, RecvSeg{pos, offAt(d, pos), count, d.offStride,
-                                      static_cast<Index>(s.owner)});
+      sched::appendRun(recvs,
+                       RecvSeg{pos, offAt(d, pos), count, d.offStride, s.owner});
     }
   });
 }
@@ -396,43 +342,8 @@ void assembleFromSegs(const std::vector<SendSeg>& sendSegs,
 }
 
 // ---------------------------------------------------------------------------
-// Chunk ownership acquisition and the cooperation join.
+// The cooperation join.
 // ---------------------------------------------------------------------------
-
-/// Obtains one side's ownership info for this processor's chunk as a run
-/// table.  When the descriptor is locally enumerable the chunk owner
-/// computes it directly (no communication); otherwise the side performs the
-/// collective owned-runs enumeration and routes the results to chunk owners
-/// (Chaos with a distributed table — the expensive path the paper
-/// measures).  Must be called by every processor of the program in either
-/// case.
-ChunkTable chunkTableIntra(transport::Comm& comm, const LibraryAdapter& lib,
-                           const DistObject& obj, const SetOfRegions& set,
-                           Index n, Index chunk, const char* side) {
-  const int me = comm.rank();
-  const Index lo = chunk * me;
-  const Index size = std::max<Index>(0, std::min(n, lo + chunk) - lo);
-  if (lib.supportsLocalEnumeration(obj)) {
-    ChunkTable table = comm.computeValue(
-        [&] { return localTable(lib, obj, set, lo, lo + size, side); });
-    g_buildStats.ownershipTableBytes += table.tableBytes();
-    return table;
-  }
-  // Element routing coalesces into the identical LinRun wire stream that
-  // enumerateOwnedRuns + routeRunsToChunks would produce (the same greedy
-  // rule), in one pass instead of two — on fully irregular data the
-  // coalesce passes are the dominant build cost.
-  const std::vector<LinLoc> owned = lib.enumerateOwned(obj, set, comm);
-  auto rows = comm.alltoall(comm.computeValue(
-      [&] { return routeToChunks(owned, chunk, comm.size()); }));
-  ChunkTable table(lo, size);
-  comm.compute([&] {
-    table.fillFromRows(rows, side);
-    table.checkComplete(side);
-  });
-  g_buildStats.ownershipTableBytes += table.tableBytes();
-  return table;
-}
 
 /// The cooperation join at a chunk owner: pairs its two chunk tables and
 /// writes every source owner's marching orders into sendTo and every
@@ -444,16 +355,15 @@ ChunkTable chunkTableIntra(transport::Comm& comm, const LibraryAdapter& lib,
 void joinOrders(const ChunkTable& src, const ChunkTable& dst,
                 bool sameProgram, std::vector<std::vector<SendRun>>& sendTo,
                 std::vector<std::vector<RecvRun>>& recvTo) {
-  joinTables(src, dst, [&](const OwnedRun& s, const OwnedRun& d, Index pos,
+  joinTables(src, dst, [&](const LinRun& s, const LinRun& d, Index pos,
                            Index count) {
     const Index dstOff = offAt(d, pos);
     sched::appendRun(sendTo[static_cast<size_t>(s.owner)],
                      SendRun{pos, offAt(s, pos), dstOff, count, s.offStride,
-                             d.offStride, static_cast<Index>(d.owner)});
+                             d.offStride, d.owner});
     if (!sameProgram || d.owner != s.owner) {
       sched::appendRun(recvTo[static_cast<size_t>(d.owner)],
-                       RecvRun{pos, dstOff, count, d.offStride,
-                               static_cast<Index>(s.owner)});
+                       RecvRun{pos, dstOff, count, d.offStride, s.owner});
     }
   });
 }
@@ -474,12 +384,12 @@ McSchedule buildIntraCooperation(transport::Comm& comm,
   out.plan.bufferLocalCopies = false;
   const int np = comm.size();
   const int me = comm.rank();
-  const Index chunk = (n + np - 1) / np;
+  const auto [lo, hi] = chunkOf(n, np, me);
 
   const ChunkTable src =
-      chunkTableIntra(comm, srcLib, srcObj, srcSet, n, chunk, "source");
+      chunkTable(comm, srcLib, srcObj, srcSet, lo, hi, "source");
   const ChunkTable dst =
-      chunkTableIntra(comm, dstLib, dstObj, dstSet, n, chunk, "destination");
+      chunkTable(comm, dstLib, dstObj, dstSet, lo, hi, "destination");
 
   // Join and emit marching orders for the processors that own the data.
   std::vector<std::vector<SendRun>> sendTo(static_cast<size_t>(np));
@@ -517,14 +427,16 @@ McSchedule buildIntraDuplication(transport::Comm& comm,
                (srcLib.modeledElementDereferenceCost(srcObj) +
                 dstLib.modeledElementDereferenceCost(dstObj)) *
                static_cast<double>(n) / comm.size());
+  const int np = comm.size();
   const int me = comm.rank();
   comm.compute([&] {
     // Two full ownership passes per processor — the 2x dereference cost the
     // paper attributes to duplication — with no communication, but as run
     // streams: the table stays O(runs), never O(elements).
-    const ChunkTable src = localTable(srcLib, srcObj, srcSet, 0, n, "source");
+    const ChunkTable src =
+        localTable(srcLib, srcObj, srcSet, 0, n, np, "source");
     const ChunkTable dst =
-        localTable(dstLib, dstObj, dstSet, 0, n, "destination");
+        localTable(dstLib, dstObj, dstSet, 0, n, np, "destination");
     g_buildStats.ownershipTableBytes += src.tableBytes() + dst.tableBytes();
     joinSegs(src, dst, me, me, out.sendSegs, out.recvSegs);
     assembleFromSegs(out.sendSegs, out.recvSegs, me, out.plan);
@@ -550,16 +462,29 @@ McSchedule buildInterCooperationSend(transport::Comm& comm,
   out.numElements = n;
   handshakeCount(comm, remoteProgram, n);
 
-  // Ship my ownership info to the destination-side chunk owners (the
+  // Ownership by position: I look up my own slice of the linearization
+  // and ship it to the destination's chunk owners as (lin, off, count,
+  // offStride, owner) rows, split at their chunk boundaries (the
   // destination program cannot see my descriptor, so this shipping always
   // happens — compactly, thanks to the run encoding).
   const int pd = comm.programInfo(remoteProgram).nprocs;
   const Index chunk = (n + pd - 1) / pd;
-  const std::vector<LinRun> srcOwned =
-      srcLib.enumerateOwnedRuns(srcObj, srcSet, comm);
-  (void)interAlltoall(comm, remoteProgram, comm.computeValue([&] {
-                        return routeRunsToChunks(srcOwned, chunk, pd);
-                      }));
+  const auto [lo, hi] = chunkOf(n, comm.size(), comm.rank());
+  std::vector<std::vector<LinRun>> rows(static_cast<size_t>(pd));
+  srcLib.enumerateChunkRuns(
+      srcObj, srcSet, lo, hi, comm,
+      [&](Index lin, int owner, Index off, Index count, Index offStride) {
+        while (count > 0) {
+          const Index c = lin / chunk;
+          const Index take = std::min(count, (c + 1) * chunk - lin);
+          sched::appendRun(rows[static_cast<size_t>(c)],
+                           LinRun{lin, off, take, offStride, owner});
+          lin += take;
+          off += take * offStride;
+          count -= take;
+        }
+      });
+  (void)interAlltoall(comm, remoteProgram, rows);
 
   // Receive my marching orders back.
   const std::vector<std::vector<SendRun>> empty(static_cast<size_t>(pd));
@@ -583,25 +508,26 @@ McSchedule buildInterCooperationRecv(transport::Comm& comm,
   out.numElements = n;
   handshakeCount(comm, remoteProgram, n);
 
-  const int me = comm.rank();
   const int np = comm.size();  // destination program owns the chunks
   const int ps = comm.programInfo(remoteProgram).nprocs;
-  const Index chunk = (n + np - 1) / np;
+  const auto [lo, hi] = chunkOf(n, np, comm.rank());
 
-  // Source ownership info arrives from the remote program.
+  // The source program's rows arrive one list per source rank, slices in
+  // rank order, so appending them in sender order fills the chunk in
+  // position order.
   const std::vector<std::vector<LinRun>> emptyInfo(static_cast<size_t>(ps));
-  auto srcRows = interAlltoall(comm, remoteProgram, emptyInfo);
-  const Index lo = chunk * me;
-  const Index size = std::max<Index>(0, std::min(n, lo + chunk) - lo);
-  ChunkTable src(lo, size);
+  const auto srcRows = interAlltoall(comm, remoteProgram, emptyInfo);
+  ChunkTable src(lo, hi - lo, ps);
   comm.compute([&] {
-    src.fillFromRows(srcRows, "source");
+    for (const auto& row : srcRows) {
+      for (const LinRun& run : row) src.append(run, "source");
+    }
     src.checkComplete("source");
   });
   g_buildStats.ownershipTableBytes += src.tableBytes();
   // Destination ownership info for my chunk.
   const ChunkTable dst =
-      chunkTableIntra(comm, dstLib, dstObj, dstSet, n, chunk, "destination");
+      chunkTable(comm, dstLib, dstObj, dstSet, lo, hi, "destination");
 
   // Join; ship send plans to the remote program, recv plans to my own.
   std::vector<std::vector<SendRun>> sendTo(static_cast<size_t>(ps));
@@ -650,9 +576,11 @@ McSchedule buildInterDuplication(transport::Comm& comm,
 
   const int me = comm.rank();
   comm.compute([&] {
-    const ChunkTable my = localTable(myLib, myObj, mySet, 0, n, "local");
+    const ChunkTable my =
+        localTable(myLib, myObj, mySet, 0, n, comm.size(), "local");
     const ChunkTable their =
-        localTable(remoteLib, remoteObj, remoteSet, 0, n, "remote");
+        localTable(remoteLib, remoteObj, remoteSet, 0, n,
+                   comm.programInfo(remoteProgram).nprocs, "remote");
     g_buildStats.ownershipTableBytes += my.tableBytes() + their.tableBytes();
     // Senders pack their own (source) offsets; receivers unpack into their
     // own (destination) offsets.
@@ -742,7 +670,7 @@ void mergeSegStreams(const std::vector<Seg>& a, const std::vector<Seg>& b,
 /// interval.  patchSchedule runs it over the new distributions;
 /// buildRedistMove runs it with the old distribution as the source.
 /// Returns the ownership-table bytes materialized.
-std::size_t freshSegs(int me, const LibraryAdapter& srcLib,
+std::size_t freshSegs(const transport::Comm& comm, const LibraryAdapter& srcLib,
                       const DistObject& srcObj, const SetOfRegions& srcSet,
                       const LibraryAdapter& dstLib, const DistObject& dstObj,
                       const SetOfRegions& dstSet,
@@ -754,11 +682,12 @@ std::size_t freshSegs(int me, const LibraryAdapter& srcLib,
     const Index lo = std::max<Index>(0, ivRaw.lo);
     const Index hi = std::min(n, ivRaw.hi);
     if (hi <= lo) continue;
-    const ChunkTable src = localTable(srcLib, srcObj, srcSet, lo, hi, "source");
+    const ChunkTable src =
+        localTable(srcLib, srcObj, srcSet, lo, hi, comm.size(), "source");
     const ChunkTable dst =
-        localTable(dstLib, dstObj, dstSet, lo, hi, "destination");
+        localTable(dstLib, dstObj, dstSet, lo, hi, comm.size(), "destination");
     tableBytes += src.tableBytes() + dst.tableBytes();
-    joinSegs(src, dst, me, me, sends, recvs);
+    joinSegs(src, dst, comm.rank(), comm.rank(), sends, recvs);
   }
   return tableBytes;
 }
@@ -892,7 +821,7 @@ McSchedule patchSchedule(transport::Comm& comm, const McSchedule& old,
     std::vector<SendSeg> freshSend;
     std::vector<RecvSeg> freshRecv;
     g_buildStats.ownershipTableBytes +=
-        freshSegs(me, srcLib, newSrcObj, srcSet, dstLib, newDstObj, dstSet,
+        freshSegs(comm, srcLib, newSrcObj, srcSet, dstLib, newDstObj, dstSet,
                   delta, n, freshSend, freshRecv);
     std::vector<SendSeg> keptSend;
     std::vector<RecvSeg> keptRecv;
@@ -927,9 +856,11 @@ layout::DistDelta computeDelta(const DistObject& oldObj,
   const Index n = set.numElements();
   layout::DistDelta delta;
   if (n == 0) return delta;
-  const ChunkTable a = localTable(oldLib, oldObj, set, 0, n, "old");
-  const ChunkTable b = localTable(newLib, newObj, set, 0, n, "new");
-  joinTables(a, b, [&](const OwnedRun& s, const OwnedRun& d, Index pos,
+  // No program width here: the owners are only compared, never indexed.
+  constexpr int kAnyOwner = std::numeric_limits<int>::max();
+  const ChunkTable a = localTable(oldLib, oldObj, set, 0, n, kAnyOwner, "old");
+  const ChunkTable b = localTable(newLib, newObj, set, 0, n, kAnyOwner, "new");
+  joinTables(a, b, [&](const LinRun& s, const LinRun& d, Index pos,
                        Index count) {
     // A segment is unchanged iff owner and offset progression agree; when
     // only the strides differ some positions may still coincide — marking
@@ -1030,7 +961,7 @@ sched::Schedule buildRedistMove(transport::Comm& comm,
     std::vector<SendSeg> sends;
     std::vector<RecvSeg> recvs;
     g_buildStats.ownershipTableBytes +=
-        freshSegs(comm.rank(), oldLib, oldObj, set, newLib, newObj, set,
+        freshSegs(comm, oldLib, oldObj, set, newLib, newObj, set,
                   delta, n, sends, recvs);
     assembleFromSegs(sends, recvs, comm.rank(), plan);
   });

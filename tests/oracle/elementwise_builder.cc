@@ -2,30 +2,13 @@
 
 #include <algorithm>
 
+#include "chaos/ttable.h"
 #include "core/builder_internal.h"
 #include "oracle/run_reference.h"
 
 namespace mc::core::elementwise {
 
 using layout::Index;
-
-void emitLin(std::vector<LinRun>& lane, Index lin, Index off) {
-  if (!lane.empty()) {
-    LinRun& run = lane.back();
-    if (lin == run.lin + run.count) {
-      if (run.count == 1) {
-        run.offStride = off - run.off;
-        ++run.count;
-        return;
-      }
-      if (off == run.off + run.count * run.offStride) {
-        ++run.count;
-        return;
-      }
-    }
-  }
-  lane.push_back(LinRun{lin, off, 1, 0});
-}
 
 void emitSend(std::vector<SendSeg>& lane, Index lin, Index srcOff,
               Index dstOff, Index dstOwner) {
@@ -71,11 +54,88 @@ namespace {
 
 using namespace core::detail;
 
+/// One element of a linearization: its position and local offset (the owner
+/// is implied by who holds the record).
+struct LinLoc {
+  Index lin = 0;
+  Index offset = 0;
+};
+
+/// Collective over the owning program: the calling processor's owned
+/// elements of the linearization, sorted by position — the paper's
+/// owner-routing protocol.  A Chaos table (either storage) is dereferenced
+/// in slices: each processor resolves a contiguous slice of the
+/// linearization through the batched, cached dereference and routes every
+/// element to its owner.  Every other library filters enumerateAll.
+std::vector<LinLoc> enumerateOwned(const LibraryAdapter& lib,
+                                   const DistObject& obj,
+                                   const SetOfRegions& set,
+                                   transport::Comm& comm) {
+  const int np = comm.size();
+  const int me = comm.rank();
+  std::vector<LinLoc> out;
+  if (obj.library() != "chaos") {
+    MC_REQUIRE(lib.supportsLocalEnumeration(obj),
+               "library '%s' cannot enumerate ownership locally",
+               lib.name().c_str());
+    lib.enumerateAll(obj, set, [&](Index lin, int owner, Index offset) {
+      if (owner == me) out.push_back(LinLoc{lin, offset});
+    });
+    return out;  // enumerateAll visits in order, so `out` is sorted by lin
+  }
+  const auto& table = obj.as<chaos::TranslationTable>();
+  const Index n = set.numElements();
+  const Index chunk = np > 0 ? (n + np - 1) / np : n;
+  const Index lo = chunk * me;
+  const Index hi = std::min(n, lo + chunk);
+
+  std::vector<Index> sliceGlobals;
+  sliceGlobals.reserve(static_cast<size_t>(std::max<Index>(0, hi - lo)));
+  Index base = 0;
+  for (const Region& r : set.regions()) {
+    const auto& idx = r.asIndices();
+    const Index rn = static_cast<Index>(idx.size());
+    const Index rLo = std::max(lo, base);
+    const Index rHi = std::min(hi, base + rn);
+    for (Index p = rLo; p < rHi; ++p) {
+      sliceGlobals.push_back(idx[static_cast<size_t>(p - base)]);
+    }
+    base += rn;
+  }
+
+  // The slice resolves through the batched per-rank dereference cache.
+  const std::vector<chaos::ElementLoc> locs =
+      table.dereferenceCached(comm, sliceGlobals);
+
+  // Route (lin, offset) to each element's owner.
+  std::vector<std::vector<LinLoc>> toOwner(static_cast<size_t>(np));
+  for (size_t k = 0; k < locs.size(); ++k) {
+    toOwner[static_cast<size_t>(locs[k].proc)].push_back(
+        LinLoc{lo + static_cast<Index>(k), locs[k].offset});
+  }
+  // Records from sender s cover slice s, ascending, and slice s's positions
+  // all precede slice s+1's, so the rows concatenated in sender order are
+  // sorted by lin.
+  for (const auto& row : comm.alltoall(toOwner)) {
+    out.insert(out.end(), row.begin(), row.end());
+  }
+  return out;
+}
+
+/// The protocol's ownership row: positions [lin, lin+count) at offsets
+/// off + k*offStride, owned by the processor that sent it.
+struct LinRow {
+  Index lin = 0;
+  Index off = 0;
+  Index count = 0;
+  Index offStride = 0;
+};
+
 /// Routes a processor's owned elements (sorted by position) into per-chunk
-/// LinRun streams of `chunk` positions each, one element at a time.
-std::vector<std::vector<LinRun>> routeToChunks(const std::vector<LinLoc>& owned,
+/// row streams of `chunk` positions each, one element at a time.
+std::vector<std::vector<LinRow>> routeToChunks(const std::vector<LinLoc>& owned,
                                                Index chunk, int nChunks) {
-  std::vector<std::vector<LinRun>> to(static_cast<size_t>(nChunks));
+  std::vector<std::vector<LinRow>> to(static_cast<size_t>(nChunks));
   for (const LinLoc& ll : owned) {
     emitLin(to[static_cast<size_t>(ll.lin / chunk)], ll.lin, ll.offset);
   }
@@ -107,10 +167,10 @@ struct ChunkInfo {
     offset[k] = off;
   }
 
-  void fillFromRuns(const std::vector<std::vector<LinRun>>& rows,
+  void fillFromRuns(const std::vector<std::vector<LinRow>>& rows,
                     const char* side) {
     for (size_t sender = 0; sender < rows.size(); ++sender) {
-      for (const LinRun& run : rows[sender]) {
+      for (const LinRow& run : rows[sender]) {
         for (Index k = 0; k < run.count; ++k) {
           put(run.lin + k, static_cast<int>(sender),
               run.off + k * run.offStride, side);
@@ -201,7 +261,7 @@ ChunkInfo chunkInfoIntra(transport::Comm& comm, const LibraryAdapter& lib,
                          });
     });
   } else {
-    const std::vector<LinLoc> owned = lib.enumerateOwned(obj, set, comm);
+    const std::vector<LinLoc> owned = enumerateOwned(lib, obj, set, comm);
     auto rows = comm.alltoall(comm.computeValue(
         [&] { return routeToChunks(owned, chunk, comm.size()); }));
     comm.compute([&] { info.fillFromRuns(rows, side); });
@@ -342,7 +402,7 @@ McSchedule buildInterCooperationSend(transport::Comm& comm,
   const int pd = comm.programInfo(remoteProgram).nprocs;
   const Index chunk = (n + pd - 1) / pd;
   const std::vector<LinLoc> srcOwned =
-      srcLib.enumerateOwned(srcObj, srcSet, comm);
+      enumerateOwned(srcLib, srcObj, srcSet, comm);
   (void)interAlltoall(comm, remoteProgram, comm.computeValue([&] {
                         return routeToChunks(srcOwned, chunk, pd);
                       }));
@@ -375,7 +435,7 @@ McSchedule buildInterCooperationRecv(transport::Comm& comm,
   const int ps = comm.programInfo(remoteProgram).nprocs;
   const Index chunk = (n + np - 1) / np;
 
-  const std::vector<std::vector<LinRun>> emptyInfo(static_cast<size_t>(ps));
+  const std::vector<std::vector<LinRow>> emptyInfo(static_cast<size_t>(ps));
   auto srcRows = interAlltoall(comm, remoteProgram, emptyInfo);
   const Index lo = chunk * me;
   const Index size = std::max<Index>(0, std::min(n, lo + chunk) - lo);

@@ -1,7 +1,7 @@
 // The element-wise reference schedule builder.
 //
-// Same entry points, same build methods and the same wire protocol as
-// core::computeSchedule / computeScheduleSend / computeScheduleRecv, but
+// Same entry points and the same build methods as core::computeSchedule /
+// computeScheduleSend / computeScheduleRecv, but
 // every ownership table holds one (owner, offset) entry per element and
 // every join walks positions one at a time; plans are listed element by
 // element and compressed last.  The run-native builder must produce
@@ -14,12 +14,17 @@
 //   * the baseline leg of bench/micro_schedule_build, which links the
 //     mc_test_oracles target.
 //
-// Ownership comes through the same LibraryAdapter inquiry functions the
-// production builder calls (including the Chaos dereference cache), so an
-// A/B against this builder compares only the join pipelines.  It shares no
-// appender with the production builder: its ownership streams, marching
-// orders and provenance grow through the element-wise appenders below, and
-// its plans through sched::reference (run_reference.h).
+// Ownership reaches the chunk owners by the paper's owner-routing protocol:
+// each processor lists the elements it owns (the enumerateAll owner filter,
+// or for Chaos a sliced dereferenceCached whose results travel to their
+// owners) and routes them to the chunk owners, where the production
+// builder asks the adapter for each chunk by position.  Both derivations
+// resolve Chaos ownership through the same dereference cache.  The oracle
+// shares no appender with the production builder: its ownership streams,
+// marching orders and provenance grow through the element-wise appenders
+// below, and its plans through sched::reference (run_reference.h).  Its
+// inter-program halves speak the owner-routing wire protocol, so they pair
+// with each other, not with the production halves.
 #pragma once
 
 #include <cstddef>
@@ -31,9 +36,29 @@ namespace mc::core::elementwise {
 
 /// The oracle's element-wise appenders: each extends the tail of `lane`
 /// with one element or starts a new run, the greedy sched::appendRun must
-/// reproduce for that run type.  A RecvSeg is a LinRun keyed by its owner,
-/// so emitRecv also serves as the reference for core::RunEmitter.
-void emitLin(std::vector<LinRun>& lane, layout::Index lin, layout::Index off);
+/// reproduce for that run type.  emitLin fills one owner's lane of any run
+/// type with LinRun's (lin, off, count, offStride) fields: core::LinRun
+/// (owner left 0) or the oracle's owner-free wire row, whose owner is its
+/// sender.  A RecvSeg has a LinRun's shape, so emitRecv also serves as the
+/// reference for core::RunEmitter.
+template <typename Run>
+void emitLin(std::vector<Run>& lane, layout::Index lin, layout::Index off) {
+  if (!lane.empty()) {
+    Run& run = lane.back();
+    if (lin == run.lin + run.count) {
+      if (run.count == 1) {
+        run.offStride = off - run.off;
+        ++run.count;
+        return;
+      }
+      if (off == run.off + run.count * run.offStride) {
+        ++run.count;
+        return;
+      }
+    }
+  }
+  lane.push_back(Run{lin, off, 1, 0});
+}
 void emitSend(std::vector<SendSeg>& lane, layout::Index lin,
               layout::Index srcOff, layout::Index dstOff,
               layout::Index dstOwner);
@@ -49,8 +74,9 @@ McSchedule computeSchedule(transport::Comm& comm, const DistObject& srcObj,
                            Method method = Method::kCooperation,
                            std::size_t* tableBytes = nullptr);
 
-/// Element-wise core::computeScheduleSend; pairs with either builder's
-/// computeScheduleRecv on the remote program.
+/// Element-wise core::computeScheduleSend; pairs with the oracle's
+/// computeScheduleRecv on the remote program (with either builder's, for
+/// the duplication method, whose wire protocol they share).
 McSchedule computeScheduleSend(transport::Comm& comm, const DistObject& srcObj,
                                const SetOfRegions& srcSet, int remoteProgram,
                                Method method = Method::kCooperation,

@@ -302,32 +302,33 @@ TEST(InterProgram, MismatchedSizesAbort) {
 }
 
 // The source program's ownership rows arrive as another program's bytes.
-// Rows that step the position cursor backwards — {lo, 10}, {lo+10, -5},
-// {lo+5, size-5} from one sender list positions lo+5 .. lo+9 twice yet
-// cover the chunk end to end — must be refused, not joined.
-TEST(InterProgram, OwnershipRowWithNegativeCountIsRefused) {
+// A two-rank source program writes the cooperation send protocol out by
+// hand (the count, one row list per source rank, then it waits for its
+// marching orders); a one-rank destination owns the whole 16-position
+// chunk and appends the rows in sender order.  Returns whether the
+// destination refused them with mc::Error.
+using Rows = std::vector<LinRun>;  // one source rank's rows for the chunk
+
+bool destinationRefuses(const Rows& rank0, const Rows& rank1) {
   constexpr Index kN = 16;
   using Orders = std::vector<std::vector<detail::SendRun>>;
+  bool refused = false;
   World::run({
-      ProgramSpec{"src", 1,
-                  [](Comm& c) {
-                    // The cooperation send protocol, written out by hand:
-                    // the count, the ownership rows, the marching orders.
+      ProgramSpec{"src", 2,
+                  [&](Comm& c) {
                     detail::handshakeCount(c, /*remoteProgram=*/1, kN);
-                    const std::vector<std::vector<LinRun>> rows = {
-                        {LinRun{0, 0, 10, 1}, LinRun{10, 10, -5, 1},
-                         LinRun{5, 5, kN - 5, 1}}};
+                    const std::vector<Rows> rows = {c.rank() == 0 ? rank0
+                                                                  : rank1};
                     (void)detail::interAlltoall(c, 1, rows);
                     (void)detail::interAlltoall(c, 1, Orders(1));
                   }},
       ProgramSpec{"dst", 1,
-                  [](Comm& c) {
+                  [&](Comm& c) {
                     hpfrt::HpfArray<double> v(
                         c, hpfrt::matvecVectorDist(kN, 1));
                     SetOfRegions set;
                     set.add(Region::section(
                         RegularSection::box({0}, {kN - 1})));
-                    bool refused = false;
                     try {
                       computeScheduleRecv(c, HpfAdapter::describe(v), set,
                                           /*remoteProgram=*/0,
@@ -335,11 +336,67 @@ TEST(InterProgram, OwnershipRowWithNegativeCountIsRefused) {
                     } catch (const Error&) {
                       refused = true;
                       // Release the source, which waits for its orders.
-                      (void)detail::interAlltoall(c, 0, Orders(1));
+                      (void)detail::interAlltoall(c, 0, Orders(2));
                     }
-                    EXPECT_TRUE(refused);
                   }},
   });
+  return refused;
+}
+
+// Control: two senders' slices, each owned by its sender, in position
+// order — accepted, so the refusals below test the rows and not the
+// harness.
+TEST(InterProgram, WellFormedOwnershipRowsAreAccepted) {
+  EXPECT_FALSE(destinationRefuses({LinRun{0, 0, 8, 1, 0}},
+                                  {LinRun{8, 0, 8, 1, 1}}));
+}
+
+TEST(InterProgram, OwnershipRowNamingNoSourceRankIsRefused) {
+  EXPECT_TRUE(destinationRefuses({LinRun{0, 0, 8, 1, -1}},
+                                 {LinRun{8, 0, 8, 1, 1}}));
+  EXPECT_TRUE(destinationRefuses({LinRun{0, 0, 8, 1, 0}},
+                                 {LinRun{8, 0, 8, 1, 2}}));
+}
+
+// Rows that step the position cursor backwards — {0, 10}, {10, -5},
+// {5, 11} from one sender list positions 5 .. 9 twice yet cover the chunk
+// end to end — must be refused, not joined.
+TEST(InterProgram, OwnershipRowWithNegativeCountIsRefused) {
+  EXPECT_TRUE(destinationRefuses(
+      {LinRun{0, 0, 10, 1, 0}, LinRun{10, 10, -5, 1, 0},
+       LinRun{5, 5, 11, 1, 0}},
+      {}));
+  EXPECT_TRUE(destinationRefuses(
+      {LinRun{0, 0, 8, 1, 0}, LinRun{8, 0, 0, 1, 0}},
+      {LinRun{8, 0, 8, 1, 1}}));
+}
+
+TEST(InterProgram, OverlappingOrMisorderedOwnershipRowsAreRefused) {
+  // Sender 1's rows overlap sender 0's at positions 8 and 9.
+  EXPECT_TRUE(destinationRefuses({LinRun{0, 0, 10, 1, 0}},
+                                 {LinRun{8, 0, 8, 1, 1}}));
+  // Sender 1's slice precedes sender 0's.
+  EXPECT_TRUE(destinationRefuses({LinRun{8, 0, 8, 1, 0}},
+                                 {LinRun{0, 0, 8, 1, 1}}));
+}
+
+TEST(InterProgram, OwnershipRowPastTheChunkEndIsRefused) {
+  EXPECT_TRUE(destinationRefuses({LinRun{0, 0, 8, 1, 0}},
+                                 {LinRun{8, 0, 9, 1, 1}}));
+}
+
+// Offsets the destination's join and run greedy would compute beyond
+// Index: a stride that overflows within the run, a negative offset.
+TEST(InterProgram, OwnershipRowLeavingTheOffsetRangeIsRefused) {
+  EXPECT_TRUE(destinationRefuses({LinRun{0, 0, 8, Index{1} << 61, 0}},
+                                 {LinRun{8, 0, 8, 1, 1}}));
+  EXPECT_TRUE(destinationRefuses({LinRun{0, -1, 8, 1, 0}},
+                                 {LinRun{8, 0, 8, 1, 1}}));
+}
+
+TEST(InterProgram, OwnershipRowsWithAGapAreRefused) {
+  EXPECT_TRUE(destinationRefuses({LinRun{0, 0, 7, 1, 0}},
+                                 {LinRun{8, 0, 8, 1, 1}}));
 }
 
 // The duplication bundle (library name, descriptor, set) arrives from the

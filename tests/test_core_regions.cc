@@ -315,36 +315,5 @@ TEST(ChaosAdapter, DescriptorRoundTripShipsWholeTable) {
   });
 }
 
-TEST(ChaosAdapter, EnumerateOwnedSortedAndComplete) {
-  World::runSPMD(3, [](Comm& c) {
-    const ChaosAdapter adapter;
-    const Index n = 40;
-    const auto mine = chaos::cyclicPartition(n, c.size(), c.rank());
-    auto table = std::make_shared<const chaos::TranslationTable>(
-        chaos::TranslationTable::build(
-            c, mine, n, chaos::TranslationTable::Storage::kDistributed));
-    const DistObject obj("chaos", table);
-    SetOfRegions set;
-    std::vector<Index> ids;
-    for (Index g = n - 1; g >= 0; --g) ids.push_back(g);  // reversed order
-    set.add(Region::indices(ids));
-    const auto owned = adapter.enumerateOwned(obj, set, c);
-    // Sorted by linearization position.
-    for (size_t i = 1; i < owned.size(); ++i) {
-      EXPECT_LT(owned[i - 1].lin, owned[i].lin);
-    }
-    // Every processor owns exactly its share.
-    EXPECT_EQ(static_cast<Index>(owned.size()),
-              table->localCount(c.rank()));
-    // lin k refers to global n-1-k; the offset must match my assignment
-    // (mine[offset] is the global index stored there).
-    for (const LinLoc& ll : owned) {
-      const Index g = n - 1 - ll.lin;
-      ASSERT_LT(static_cast<size_t>(ll.offset), mine.size());
-      EXPECT_EQ(mine[static_cast<size_t>(ll.offset)], g);
-    }
-  });
-}
-
 }  // namespace
 }  // namespace mc::core

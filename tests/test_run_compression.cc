@@ -174,9 +174,9 @@ TEST(RunCompression, AppendRunMatchesElementwiseGreedy) {
   // appendRun absorbs whole runs, yet must leave exactly the runs the
   // oracle's element-wise greedy makes of the expanded sequence, for every
   // run type: OffsetRun and LocalRun (sched::reference), and the three
-  // shapes that carry a linearization position — LinRun, as a vector and
-  // through the streaming RunEmitter, SendSeg and RecvSeg
-  // (core::elementwise).  Seams continue, break or change a progression,
+  // shapes that carry a linearization position — LinRun, as a one-owner
+  // vector and, keyed by owner, through the streaming RunEmitter, SendSeg
+  // and RecvSeg (core::elementwise).  Seams continue, break or change a progression,
   // jump a position or change the owner; runs are singletons (with a
   // stray stride), repeated (stride 0) or descending.
   using core::LinRun;
@@ -220,7 +220,7 @@ TEST(RunCompression, AppendRunMatchesElementwiseGreedy) {
 
       appendRun(runs, OffsetRun{start, count, stride});
       appendRun(localRuns, LocalRun{start, dst, count, stride, dstStride});
-      appendRun(linRuns, LinRun{lin, start, count, stride});
+      appendRun(linRuns, LinRun{lin, start, count, stride, 0});
       emitter.add(lin, static_cast<int>(owner), start, count, stride);
       appendRun(sendSegs, SendSeg{lin, start, dst, count, stride, dstStride,
                                   owner});

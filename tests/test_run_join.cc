@@ -7,17 +7,20 @@
 // every ordered library pair, both build methods, intra- and
 // inter-program, and for adversarial irregular index sets (stride-0
 // fan-out, descending runs, singletons straddling chunk boundaries).  Also
-// checks the adapter run-enumeration contract: expanded run streams equal
-// the element streams.
+// checks the adapter run-enumeration contract (expanded run streams equal
+// the element streams, for the local range inquiry and the collective
+// chunk inquiry) and that a cooperation build ships no ownership.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <tuple>
+#include <type_traits>
 
 #include "chaos/partition.h"
 #include "core/adapters/chaos_adapter.h"
 #include "core/adapters/hpf_adapter.h"
 #include "core/adapters/parti_adapter.h"
+#include "core/adapters/run_emitter.h"
 #include "core/adapters/tulip_adapter.h"
 #include "core/data_move.h"
 #include "oracle/elementwise_builder.h"
@@ -461,36 +464,99 @@ TEST(RunEnumerationContract, RangeRunsExpandToElementStream) {
   });
 }
 
-TEST(RunEnumerationContract, OwnedRunsExpandToOwnedElements) {
+// The chunk inquiry on every adapter and both Chaos storages: each rank
+// asks for its own range of an uneven split that leaves ranks 1 and 3 an
+// empty range (every rank still calls — the distributed dereference
+// exchange is collective), and the runs must be maximal and expand to
+// exactly enumerateAll's stream for that range.
+TEST(RunEnumerationContract, ChunkRunsExpandToElementStream) {
   World::runSPMD(4, [](Comm& c) {
     registerBuiltinAdapters();
-    // Distributed-chaos last: its enumerateOwned is collective, so keep the
-    // call order identical on every rank.
     for (bool chaosReplicated : {true, false}) {
       for (Lib lib : {Lib::kParti, Lib::kHpf, Lib::kChaos, Lib::kTulip}) {
         if (!chaosReplicated && lib != Lib::kChaos) continue;
         SCOPED_TRACE(std::string(libName(lib)) +
-                     (chaosReplicated ? "" : " (distributed)"));
+                     (chaosReplicated ? "" : " (distributed)") + " rank " +
+                     std::to_string(c.rank()));
         Instance inst = makeInstance(lib, c, chaosReplicated);
+        // A distributed table cannot enumerate locally; its replicated twin
+        // holds the same partition.
+        const Instance whole =
+            chaosReplicated ? inst : makeInstance(lib, c, true);
         const LibraryAdapter& ad =
             Registry::instance().get(inst.obj.library());
-        const std::vector<LinRun> runs =
-            ad.enumerateOwnedRuns(inst.obj, inst.set, c);
-        const std::vector<LinLoc> owned =
-            ad.enumerateOwned(inst.obj, inst.set, c);
-        std::vector<std::pair<Index, Index>> expanded;
-        for (const LinRun& run : runs) {
-          EXPECT_GT(run.count, 0);
-          for (Index k = 0; k < run.count; ++k) {
-            expanded.emplace_back(run.lin + k, run.off + k * run.offStride);
-          }
-        }
-        std::vector<std::pair<Index, Index>> want;
-        for (const LinLoc& ll : owned) want.emplace_back(ll.lin, ll.offset);
-        EXPECT_EQ(expanded, want);
+        const Index n = inst.set.numElements();
+        const std::vector<Index> cuts = {0, 13, 13, n, n};
+        const Index lo = cuts[static_cast<size_t>(c.rank())];
+        const Index hi = cuts[static_cast<size_t>(c.rank()) + 1];
+        std::vector<Elem> want;
+        ad.enumerateAll(whole.obj, whole.set,
+                        [&](Index lin, int owner, Index off) {
+                          if (lin >= lo && lin < hi) {
+                            want.emplace_back(lin, owner, off);
+                          }
+                        });
+        std::vector<Elem> got;
+        std::vector<LinRun> runs;
+        ad.enumerateChunkRuns(
+            inst.obj, inst.set, lo, hi, c,
+            [&](Index lin, int owner, Index off, Index count,
+                Index offStride) {
+              EXPECT_GT(count, 0);
+              runs.push_back(LinRun{lin, off, count, offStride, owner});
+              for (Index k = 0; k < count; ++k) {
+                got.emplace_back(lin + k, owner, off + k * offStride);
+              }
+            });
+        EXPECT_EQ(got, want);
+        // Maximal: the canonical greedy merges none of them.
+        std::vector<LinRun> canonical;
+        for (const LinRun& run : runs) sched::appendRun(canonical, run);
+        EXPECT_EQ(canonical, runs);
       }
     }
   });
+}
+
+// RunEmitter keeps a reference to its callback, so a temporary callback —
+// a lambda converted to a std::function that dies with the declaration —
+// must not compile.
+static_assert(!std::is_constructible_v<
+              RunEmitter, decltype([](Index, int, Index, Index, Index) {})>);
+static_assert(std::is_constructible_v<RunEmitter,
+                                      const LibraryAdapter::RunFn&>);
+
+// Ownership by position ships no ownership: a Parti -> Chaos cooperation
+// build on 4 ranks sends only the marching orders (two alltoalls, 6
+// messages per rank) over a replicated table, plus the distributed table's
+// dereference exchange (two more alltoalls) over a distributed one — and
+// both build the same ownership tables.
+TEST(RunJoinMessages, CooperationShipsNoOwnership) {
+  constexpr int kProcs = 4;
+  std::map<bool, std::vector<std::uint64_t>> messages;
+  std::map<bool, std::vector<std::size_t>> tableBytes;
+  for (bool replicated : {true, false}) {
+    messages[replicated].resize(kProcs);
+    tableBytes[replicated].resize(kProcs);
+    World::runSPMD(kProcs, [&](Comm& c) {
+      Instance src = makeParti(c);
+      Instance dst = makeChaos(c, replicated);
+      c.barrier();
+      c.resetStats();
+      (void)computeSchedule(c, src.obj, src.set, dst.obj, dst.set,
+                            Method::kCooperation);
+      const auto r = static_cast<size_t>(c.rank());
+      messages[replicated][r] = c.stats().messagesSent;
+      tableBytes[replicated][r] = lastBuildStats().ownershipTableBytes;
+    });
+  }
+  for (size_t r = 0; r < kProcs; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    EXPECT_EQ(messages[true][r], 6u);
+    EXPECT_EQ(messages[false][r], 12u);
+    EXPECT_EQ(tableBytes[true][r], tableBytes[false][r]);
+    EXPECT_GT(tableBytes[true][r], 0u);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Micro-benchmarks (google-benchmark) for linearization enumeration — the
-// per-element inquiry work at the heart of every Meta-Chaos schedule build,
-// measured per region type / library adapter.
+// ownership inquiry at the heart of every Meta-Chaos schedule build,
+// LibraryAdapter::enumerateRangeRuns, measured per region type / library
+// adapter over the whole set (and over one chunk of it for Parti).  Items
+// are elements; regular layouts answer in one run per section row segment,
+// irregular ones degrade to count-1 runs.
 #include <benchmark/benchmark.h>
 
 #include "core/adapters/chaos_adapter.h"
@@ -16,6 +19,22 @@ using mc::layout::RegularSection;
 using mc::layout::Shape;
 using namespace mc::core;
 
+/// Times adapter.enumerateRangeRuns over positions [lo, hi) of `set`.
+void timeRangeRuns(benchmark::State& state, const LibraryAdapter& adapter,
+                   const DistObject& obj, const SetOfRegions& set, Index lo,
+                   Index hi) {
+  Index sink = 0;
+  const LibraryAdapter::RunFn sum = [&](Index, int owner, Index off,
+                                        Index count, Index) {
+    sink += owner + off + count;
+  };
+  for (auto _ : state) {
+    adapter.enumerateRangeRuns(obj, set, lo, hi, sum);
+    benchmark::DoNotOptimize(sink);
+  }
+  state.SetItemsProcessed(state.iterations() * (hi - lo));
+}
+
 void BM_EnumerateParti(benchmark::State& state) {
   const Index side = state.range(0);
   auto desc = std::make_shared<const mc::parti::PartiDesc>(
@@ -24,15 +43,7 @@ void BM_EnumerateParti(benchmark::State& state) {
   const DistObject obj("parti", desc);
   SetOfRegions set;
   set.add(Region::section(RegularSection::box({0, 0}, {side - 1, side - 1})));
-  const PartiAdapter adapter;
-  for (auto _ : state) {
-    Index sink = 0;
-    adapter.enumerateAll(obj, set, [&](Index, int owner, Index off) {
-      sink += owner + off;
-    });
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * side * side);
+  timeRangeRuns(state, PartiAdapter(), obj, set, 0, set.numElements());
 }
 BENCHMARK(BM_EnumerateParti)->Arg(256)->Arg(512);
 
@@ -46,15 +57,7 @@ void BM_EnumerateHpfCyclic(benchmark::State& state) {
   const DistObject obj("hpf", dist);
   SetOfRegions set;
   set.add(Region::section(RegularSection::box({0, 0}, {side - 1, side - 1})));
-  const HpfAdapter adapter;
-  for (auto _ : state) {
-    Index sink = 0;
-    adapter.enumerateAll(obj, set, [&](Index, int owner, Index off) {
-      sink += owner + off;
-    });
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * side * side);
+  timeRangeRuns(state, HpfAdapter(), obj, set, 0, set.numElements());
 }
 BENCHMARK(BM_EnumerateHpfCyclic)->Arg(256)->Arg(512);
 
@@ -76,15 +79,7 @@ void BM_EnumerateChaosReplicated(benchmark::State& state) {
   for (Index k = 0; k < n; ++k) ids[static_cast<size_t>(k)] = n - 1 - k;
   SetOfRegions set;
   set.add(Region::indices(std::move(ids)));
-  const ChaosAdapter adapter;
-  for (auto _ : state) {
-    Index sink = 0;
-    adapter.enumerateAll(obj, set, [&](Index, int owner, Index off) {
-      sink += owner + off;
-    });
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
+  timeRangeRuns(state, ChaosAdapter(), obj, set, 0, set.numElements());
 }
 BENCHMARK(BM_EnumerateChaosReplicated)->Arg(65536);
 
@@ -95,15 +90,7 @@ void BM_EnumerateTulip(benchmark::State& state) {
   const DistObject obj("pc++", desc);
   SetOfRegions set;
   set.add(Region::range(0, n - 1));
-  const TulipAdapter adapter;
-  for (auto _ : state) {
-    Index sink = 0;
-    adapter.enumerateAll(obj, set, [&](Index, int owner, Index off) {
-      sink += owner + off;
-    });
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
+  timeRangeRuns(state, TulipAdapter(), obj, set, 0, set.numElements());
 }
 BENCHMARK(BM_EnumerateTulip)->Arg(65536);
 
@@ -116,17 +103,8 @@ void BM_EnumerateRangeParti(benchmark::State& state) {
   const DistObject obj("parti", desc);
   SetOfRegions set;
   set.add(Region::section(RegularSection::box({0, 0}, {side - 1, side - 1})));
-  const PartiAdapter adapter;
   const Index chunk = side * side / 16;
-  for (auto _ : state) {
-    Index sink = 0;
-    adapter.enumerateRange(obj, set, 5 * chunk, 6 * chunk,
-                           [&](Index, int owner, Index off) {
-                             sink += owner + off;
-                           });
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * chunk);
+  timeRangeRuns(state, PartiAdapter(), obj, set, 5 * chunk, 6 * chunk);
 }
 BENCHMARK(BM_EnumerateRangeParti);
 

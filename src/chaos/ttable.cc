@@ -215,26 +215,7 @@ std::vector<ElementLoc> TranslationTable::dereference(
     queryTo[h].push_back(g);
     posOf[h].push_back(i);
   }
-  auto queries = comm.alltoall(queryTo);
-  // Answer the queries that landed on my slice; the per-element lookup cost
-  // is charged here, on the answering processor, so dereference work
-  // spreads over the processors holding the table.
-  const Index sliceLo = homeBlock_ * myRank_;
-  std::size_t answered = 0;
-  for (const auto& qs : queries) answered += qs.size();
-  comm.advance(modeledQueryCost_ * static_cast<double>(answered));
-  std::vector<std::vector<ElementLoc>> answers(static_cast<size_t>(np));
-  for (int q = 0; q < np; ++q) {
-    const auto& qs = queries[static_cast<size_t>(q)];
-    auto& ans = answers[static_cast<size_t>(q)];
-    ans.reserve(qs.size());
-    for (Index g : qs) {
-      const Index slot = g - sliceLo;
-      MC_CHECK(slot >= 0 && slot < static_cast<Index>(entries_.size()));
-      ans.push_back(entries_[static_cast<size_t>(slot)]);
-    }
-  }
-  auto replies = comm.alltoall(answers);
+  const auto replies = askHomes(comm, queryTo);
   for (int h = 0; h < np; ++h) {
     const auto& reply = replies[static_cast<size_t>(h)];
     const auto& pos = posOf[static_cast<size_t>(h)];
@@ -307,27 +288,9 @@ std::vector<ElementLoc> TranslationTable::dereferenceSorted(
                   missG.begin() + static_cast<std::ptrdiff_t>(end));
       k = end;
     }
-    auto queries = comm.alltoall(queryTo);
-    const Index sliceLo = homeBlock_ * myRank_;
-    std::size_t answered = 0;
-    for (const auto& qs : queries) answered += qs.size();
-    comm.advance(modeledQueryCost_ * static_cast<double>(answered));
-    std::vector<std::vector<ElementLoc>> answers(
-        static_cast<std::size_t>(np));
-    for (int q = 0; q < np; ++q) {
-      const auto& qs = queries[static_cast<std::size_t>(q)];
-      auto& ans = answers[static_cast<std::size_t>(q)];
-      ans.reserve(qs.size());
-      for (Index g : qs) {
-        const Index slot = g - sliceLo;
-        MC_CHECK(slot >= 0 && slot < static_cast<Index>(entries_.size()));
-        ans.push_back(entries_[static_cast<std::size_t>(slot)]);
-      }
-    }
-    auto replies = comm.alltoall(answers);
     // Replies land in home order == the order the segments were carved.
     std::size_t filled = 0;
-    for (const auto& reply : replies) {
+    for (const auto& reply : askHomes(comm, queryTo)) {
       for (const ElementLoc& loc : reply) missLocs[filled++] = loc;
     }
     MC_CHECK(filled == missG.size());
@@ -338,6 +301,26 @@ std::vector<ElementLoc> TranslationTable::dereferenceSorted(
   }
   cache.insertSorted(uid_, missG, missLocs);
   return locs;
+}
+
+std::vector<std::vector<ElementLoc>> TranslationTable::askHomes(
+    transport::Comm& comm,
+    const std::vector<std::vector<Index>>& queryTo) const {
+  const auto queries = comm.alltoall(queryTo);
+  const Index sliceLo = homeBlock_ * myRank_;
+  std::size_t answered = 0;
+  for (const auto& qs : queries) answered += qs.size();
+  comm.advance(modeledQueryCost_ * static_cast<double>(answered));
+  std::vector<std::vector<ElementLoc>> answers(queries.size());
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    answers[q].reserve(queries[q].size());
+    for (Index g : queries[q]) {
+      const Index slot = g - sliceLo;
+      MC_CHECK(slot >= 0 && slot < static_cast<Index>(entries_.size()));
+      answers[q].push_back(entries_[static_cast<std::size_t>(slot)]);
+    }
+  }
+  return comm.alltoall(answers);
 }
 
 ElementLoc TranslationTable::dereferenceLocal(Index g) const {

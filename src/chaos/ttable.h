@@ -161,6 +161,15 @@ class TranslationTable {
   /// Every factory calls it last.
   void computeFingerprint(std::span<const HashStream::Digest> rowDigests);
 
+  /// The distributed query/answer exchange, collective: queryTo[h] lists
+  /// the globals this rank asks home processor h; returns h's answers in
+  /// the same order.  The modeled per-query cost is charged on the
+  /// answering processor, so dereference work spreads over the processors
+  /// holding the table.
+  std::vector<std::vector<ElementLoc>> askHomes(
+      transport::Comm& comm,
+      const std::vector<std::vector<layout::Index>>& queryTo) const;
+
   Storage storage_ = Storage::kReplicated;
   layout::Index globalSize_ = 0;
   layout::Index homeBlock_ = 1;          // ceil(N/P)

@@ -8,6 +8,15 @@
 // descriptor so another program can reason about it.  Nothing else about
 // the library is exposed; Meta-Chaos stays ignorant of how the library
 // distributes its data.
+//
+// The enumeration and the dereference form one inquiry here, asked by
+// position and answered in runs: enumerateRangeRuns gives the owners and
+// local offsets of a window of the linearization as maximal same-owner
+// runs, and enumerateChunkRuns is its collective form for descriptors
+// whose ownership needs communication.  A library derives its ownership
+// once, in enumerateRangeRuns; the element-by-element derivation the
+// tests compare every adapter against lives in tests/oracle
+// (element_reference.h).
 #pragma once
 
 #include <functional>
@@ -72,8 +81,6 @@ class LibraryAdapter {
 
   /// Registry key, e.g. "parti", "hpf", "chaos", "pc++".
   virtual std::string name() const = 0;
-  /// The Region kind this library defines.
-  virtual Region::Kind regionKind() const = 0;
 
   /// Checks that `set` is well-formed for `obj` (kind, bounds); throws
   /// mc::Error otherwise.
@@ -85,24 +92,6 @@ class LibraryAdapter {
   /// table).  Required by the *duplication* schedule method.
   virtual bool supportsLocalEnumeration(const DistObject& obj) const = 0;
 
-  /// Enumerates the whole linearization of `set` in order, calling
-  /// fn(linPos, ownerRank, localOffset) per element.  No communication;
-  /// only valid when supportsLocalEnumeration(obj).
-  virtual void enumerateAll(
-      const DistObject& obj, const SetOfRegions& set,
-      const std::function<void(layout::Index lin, int owner,
-                               layout::Index offset)>& fn) const = 0;
-
-  /// Enumerates linearization positions [linLo, linHi) only, in order, with
-  /// no communication; only valid when supportsLocalEnumeration(obj).
-  /// Adapters whose regions support random access implement it in
-  /// O(linHi - linLo).
-  virtual void enumerateRange(
-      const DistObject& obj, const SetOfRegions& set, layout::Index linLo,
-      layout::Index linHi,
-      const std::function<void(layout::Index lin, int owner,
-                               layout::Index offset)>& fn) const = 0;
-
   /// Callback for run-producing enumeration: positions [lin, lin+count)
   /// are owned by `owner` at offsets off + k*offStride.  Runs arrive in
   /// linearization order and never overlap.
@@ -111,11 +100,11 @@ class LibraryAdapter {
                                    layout::Index count,
                                    layout::Index offStride)>;
 
-  /// Run-producing form of enumerateRange: emits maximal same-owner runs
-  /// covering [linLo, linHi) exactly, in order (core::RunEmitter makes
-  /// them maximal).  No communication; only valid when
-  /// supportsLocalEnumeration(obj).  Regular adapters emit one run per
-  /// local section row instead of one per element.
+  /// Ownership of linearization positions [linLo, linHi): emits maximal
+  /// same-owner runs covering the range exactly, in order
+  /// (core::RunEmitter makes them maximal).  No communication; only valid
+  /// when supportsLocalEnumeration(obj).  Regular adapters emit one run per
+  /// local section row; irregular ownership degrades to count-1 runs.
   virtual void enumerateRangeRuns(const DistObject& obj,
                                   const SetOfRegions& set,
                                   layout::Index linLo, layout::Index linHi,

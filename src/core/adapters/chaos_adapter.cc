@@ -60,22 +60,6 @@ const TranslationTable& replicatedTable(const DistObject& obj) {
 
 }  // namespace
 
-void ChaosAdapter::enumerateAll(
-    const DistObject& obj, const SetOfRegions& set,
-    const std::function<void(Index, int, Index)>& fn) const {
-  enumerateRange(obj, set, 0, set.numElements(), fn);
-}
-
-void ChaosAdapter::enumerateRange(
-    const DistObject& obj, const SetOfRegions& set, Index linLo, Index linHi,
-    const std::function<void(Index, int, Index)>& fn) const {
-  const TranslationTable& table = replicatedTable(obj);
-  forEachGlobal(set, linLo, linHi, [&](Index lin, Index g) {
-    const ElementLoc loc = table.dereferenceLocal(g);
-    fn(lin, loc.proc, loc.offset);
-  });
-}
-
 void ChaosAdapter::enumerateRangeRuns(const DistObject& obj,
                                       const SetOfRegions& set, Index linLo,
                                       Index linHi, const RunFn& fn) const {

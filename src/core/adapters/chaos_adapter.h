@@ -11,9 +11,10 @@
 //    batched, cached exchange with the table's home processors (this is
 //    why the paper's two-program schedule times drop almost linearly with
 //    more Chaos-side processors, Table 3);
-//  * full local enumeration (the duplication method) needs the whole table:
-//    possible only when it is replicated, and serializing the descriptor
-//    ships O(array size) data — the reason the paper calls duplication
+//  * the local run inquiry, enumerateRangeRuns (the duplication method
+//    asks it for the whole set), needs the whole table: it answers only
+//    for a replicated table, and serializing the descriptor ships
+//    O(array size) data — the reason the paper calls duplication
 //    impractical for Chaos data across programs.
 #pragma once
 
@@ -25,17 +26,8 @@ namespace mc::core {
 class ChaosAdapter final : public LibraryAdapter {
  public:
   std::string name() const override { return "chaos"; }
-  Region::Kind regionKind() const override { return Region::Kind::kIndices; }
   void validate(const DistObject& obj, const SetOfRegions& set) const override;
   bool supportsLocalEnumeration(const DistObject& obj) const override;
-  void enumerateAll(const DistObject& obj, const SetOfRegions& set,
-                    const std::function<void(layout::Index, int,
-                                             layout::Index)>& fn) const override;
-  void enumerateRange(const DistObject& obj, const SetOfRegions& set,
-                      layout::Index linLo, layout::Index linHi,
-                      const std::function<void(layout::Index, int,
-                                               layout::Index)>& fn)
-      const override;
   void enumerateRangeRuns(const DistObject& obj, const SetOfRegions& set,
                           layout::Index linLo, layout::Index linHi,
                           const RunFn& fn) const override;

@@ -1,7 +1,6 @@
 #include "core/adapters/hpf_adapter.h"
 
 #include "core/adapters/run_emitter.h"
-#include "core/adapters/section_range.h"
 #include "util/hash.h"
 
 namespace mc::core {
@@ -25,32 +24,6 @@ void HpfAdapter::validate(const DistObject& obj,
                  "section exceeds array bounds in dimension %d", d);
     }
   }
-}
-
-void HpfAdapter::enumerateAll(
-    const DistObject& obj, const SetOfRegions& set,
-    const std::function<void(Index, int, Index)>& fn) const {
-  const auto& dist = obj.as<hpfrt::HpfDist>();
-  Index base = 0;
-  for (const Region& r : set.regions()) {
-    const layout::RegularSection& s = r.asSection();
-    s.forEach([&](const layout::Point& p, Index pos) {
-      const int owner = dist.ownerOf(p);
-      fn(base + pos, owner, dist.localOffset(owner, p));
-    });
-    base += s.numElements();
-  }
-}
-
-void HpfAdapter::enumerateRange(
-    const DistObject& obj, const SetOfRegions& set, Index linLo, Index linHi,
-    const std::function<void(Index, int, Index)>& fn) const {
-  const auto& dist = obj.as<hpfrt::HpfDist>();
-  forEachSectionPointInRange(set, linLo, linHi,
-                             [&](Index lin, const layout::Point& p) {
-                               const int owner = dist.ownerOf(p);
-                               fn(lin, owner, dist.localOffset(owner, p));
-                             });
 }
 
 void HpfAdapter::enumerateRangeRuns(const DistObject& obj,

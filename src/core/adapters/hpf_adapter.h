@@ -2,8 +2,8 @@
 //
 // Region type: a regular array section (HPF array subsections, exactly the
 // paper's CreateRegion_HPF example); linearization: row-major over the
-// section.  All three HPF distribution patterns are closed-form, so local
-// enumeration always works and descriptors are tiny.
+// section.  All three HPF distribution patterns are closed-form, so the run
+// inquiry answers any range locally and descriptors are tiny.
 #pragma once
 
 #include "core/adapter.h"
@@ -14,19 +14,10 @@ namespace mc::core {
 class HpfAdapter final : public LibraryAdapter {
  public:
   std::string name() const override { return "hpf"; }
-  Region::Kind regionKind() const override { return Region::Kind::kSection; }
   void validate(const DistObject& obj, const SetOfRegions& set) const override;
   bool supportsLocalEnumeration(const DistObject&) const override {
     return true;
   }
-  void enumerateAll(const DistObject& obj, const SetOfRegions& set,
-                    const std::function<void(layout::Index, int,
-                                             layout::Index)>& fn) const override;
-  void enumerateRange(const DistObject& obj, const SetOfRegions& set,
-                      layout::Index linLo, layout::Index linHi,
-                      const std::function<void(layout::Index, int,
-                                               layout::Index)>& fn)
-      const override;
   /// O(runs): splits section rows along the last dimension at the
   /// closed-form BLOCK / CYCLIC / CYCLIC(k) ownership boundaries.
   void enumerateRangeRuns(const DistObject& obj, const SetOfRegions& set,

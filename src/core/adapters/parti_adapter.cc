@@ -1,7 +1,6 @@
 #include "core/adapters/parti_adapter.h"
 
 #include "core/adapters/run_emitter.h"
-#include "core/adapters/section_range.h"
 #include "util/hash.h"
 
 namespace mc::core {
@@ -27,59 +26,20 @@ void PartiAdapter::validate(const DistObject& obj,
   }
 }
 
-void PartiAdapter::enumerateAll(
-    const DistObject& obj, const SetOfRegions& set,
-    const std::function<void(Index, int, Index)>& fn) const {
-  const auto& desc = obj.as<parti::PartiDesc>();
-  // Per-processor addressing snapshots: one table lookup per element
-  // instead of re-deriving the owned box every time.
-  std::vector<parti::PartiAddr> addr;
-  addr.reserve(static_cast<size_t>(desc.decomp.nprocs()));
-  for (int proc = 0; proc < desc.decomp.nprocs(); ++proc) {
-    addr.push_back(desc.addrOf(proc));
-  }
-  Index base = 0;
-  for (const Region& r : set.regions()) {
-    const layout::RegularSection& s = r.asSection();
-    s.forEach([&](const layout::Point& p, Index pos) {
-      const int owner = desc.decomp.ownerOf(p);
-      fn(base + pos, owner, addr[static_cast<size_t>(owner)].offsetOf(p));
-    });
-    base += s.numElements();
-  }
-}
-
-void PartiAdapter::enumerateRange(
-    const DistObject& obj, const SetOfRegions& set, Index linLo, Index linHi,
-    const std::function<void(Index, int, Index)>& fn) const {
-  const auto& desc = obj.as<parti::PartiDesc>();
-  std::vector<parti::PartiAddr> addr;
-  addr.reserve(static_cast<size_t>(desc.decomp.nprocs()));
-  for (int proc = 0; proc < desc.decomp.nprocs(); ++proc) {
-    addr.push_back(desc.addrOf(proc));
-  }
-  forEachSectionPointInRange(set, linLo, linHi,
-                             [&](Index lin, const layout::Point& p) {
-                               const int owner = desc.decomp.ownerOf(p);
-                               fn(lin, owner,
-                                  addr[static_cast<size_t>(owner)].offsetOf(p));
-                             });
-}
-
 void PartiAdapter::enumerateRangeRuns(const DistObject& obj,
                                       const SetOfRegions& set, Index linLo,
                                       Index linHi, const RunFn& fn) const {
   const auto& desc = obj.as<parti::PartiDesc>();
   const layout::BlockDecomp& dec = desc.decomp;
-  std::vector<parti::PartiAddr> addr;
-  addr.reserve(static_cast<size_t>(dec.nprocs()));
-  for (int proc = 0; proc < dec.nprocs(); ++proc) {
-    addr.push_back(desc.addrOf(proc));
-  }
   // Owners change along a section row only at last-dimension block
   // boundaries, and local offsets advance by the section stride there (the
   // padded storage is row-major, last dimension innermost) — so each row
   // yields one run per owner block instead of one callback per element.
+  // rowAddr[j] is the addressing snapshot of a row's j-th owner block; the
+  // rows of one block row meet the same owners, so it is rebuilt only when
+  // the owner differs.  Nothing is sized by the processor count, which a
+  // descriptor from another program may overstate.
+  std::vector<std::pair<int, parti::PartiAddr>> rowAddr;
   const int L = dec.rank() - 1;
   const Index extL = dec.globalShape()[L];
   const Index blockL =
@@ -99,12 +59,16 @@ void PartiAdapter::enumerateRangeRuns(const DistObject& obj,
       const Index rel = lin - base;
       layout::Point p = s.pointAt(rel);
       const Index rowEnd = std::min(hi, lin + (cntL - rel % cntL));
-      while (lin < rowEnd) {
+      for (size_t j = 0; lin < rowEnd; ++j) {
         const int owner = dec.ownerOf(p);
+        if (j == rowAddr.size()) {
+          rowAddr.emplace_back(owner, desc.addrOf(owner));
+        } else if (rowAddr[j].first != owner) {
+          rowAddr[j] = {owner, desc.addrOf(owner)};
+        }
         const Index blkHi = std::min(extL, blockL * (p[L] / blockL + 1)) - 1;
         const Index take = std::min(rowEnd - lin, (blkHi - p[L]) / stL + 1);
-        emit.add(lin, owner, addr[static_cast<size_t>(owner)].offsetOf(p), take,
-                 stL);
+        emit.add(lin, owner, rowAddr[j].second.offsetOf(p), take, stL);
         lin += take;
         p[L] += take * stL;
       }

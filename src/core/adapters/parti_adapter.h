@@ -2,9 +2,10 @@
 //
 // Region type: a regular array section; linearization: row-major over the
 // section's index tuples.  Ownership is closed-form from the block
-// decomposition, so both full local enumeration (duplication) and the
-// default owned-filter (cooperation) work without communication, and the
-// descriptor serializes to a few dozen bytes.
+// decomposition, so the run inquiry answers any range without
+// communication — for a cooperation chunk owner's own chunk as for the
+// duplication method's whole set — and the descriptor serializes to a few
+// dozen bytes.
 #pragma once
 
 #include "core/adapter.h"
@@ -15,19 +16,10 @@ namespace mc::core {
 class PartiAdapter final : public LibraryAdapter {
  public:
   std::string name() const override { return "parti"; }
-  Region::Kind regionKind() const override { return Region::Kind::kSection; }
   void validate(const DistObject& obj, const SetOfRegions& set) const override;
   bool supportsLocalEnumeration(const DistObject&) const override {
     return true;
   }
-  void enumerateAll(const DistObject& obj, const SetOfRegions& set,
-                    const std::function<void(layout::Index, int,
-                                             layout::Index)>& fn) const override;
-  void enumerateRange(const DistObject& obj, const SetOfRegions& set,
-                      layout::Index linLo, layout::Index linHi,
-                      const std::function<void(layout::Index, int,
-                                               layout::Index)>& fn)
-      const override;
   /// O(runs): one callback per (section row x owner block) segment, split
   /// along the last dimension with the closed-form block boundaries.
   void enumerateRangeRuns(const DistObject& obj, const SetOfRegions& set,

@@ -22,41 +22,6 @@ void TulipAdapter::validate(const DistObject& obj,
   }
 }
 
-void TulipAdapter::enumerateAll(
-    const DistObject& obj, const SetOfRegions& set,
-    const std::function<void(Index, int, Index)>& fn) const {
-  const auto& desc = obj.as<tulip::TulipDesc>();
-  Index base = 0;
-  for (const Region& r : set.regions()) {
-    const ElementRange& e = r.asRange();
-    const Index n = e.numElements();
-    for (Index k = 0; k < n; ++k) {
-      const Index g = e.at(k);
-      fn(base + k, desc.ownerOf(g), desc.localOffsetOf(g));
-    }
-    base += n;
-  }
-}
-
-void TulipAdapter::enumerateRange(
-    const DistObject& obj, const SetOfRegions& set, Index linLo, Index linHi,
-    const std::function<void(Index, int, Index)>& fn) const {
-  const auto& desc = obj.as<tulip::TulipDesc>();
-  Index base = 0;
-  for (const Region& r : set.regions()) {
-    const ElementRange& e = r.asRange();
-    const Index n = e.numElements();
-    const Index lo = std::max(linLo, base);
-    const Index hi = std::min(linHi, base + n);
-    for (Index lin = lo; lin < hi; ++lin) {
-      const Index g = e.at(lin - base);
-      fn(lin, desc.ownerOf(g), desc.localOffsetOf(g));
-    }
-    base += n;
-    if (base >= linHi) break;
-  }
-}
-
 void TulipAdapter::enumerateRangeRuns(const DistObject& obj,
                                       const SetOfRegions& set, Index linLo,
                                       Index linHi, const RunFn& fn) const {

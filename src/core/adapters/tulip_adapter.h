@@ -14,19 +14,10 @@ namespace mc::core {
 class TulipAdapter final : public LibraryAdapter {
  public:
   std::string name() const override { return "pc++"; }
-  Region::Kind regionKind() const override { return Region::Kind::kRange; }
   void validate(const DistObject& obj, const SetOfRegions& set) const override;
   bool supportsLocalEnumeration(const DistObject&) const override {
     return true;
   }
-  void enumerateAll(const DistObject& obj, const SetOfRegions& set,
-                    const std::function<void(layout::Index, int,
-                                             layout::Index)>& fn) const override;
-  void enumerateRange(const DistObject& obj, const SetOfRegions& set,
-                      layout::Index linLo, layout::Index linHi,
-                      const std::function<void(layout::Index, int,
-                                               layout::Index)>& fn)
-      const override;
   /// O(runs): one callback per ownership block of each element range.
   void enumerateRangeRuns(const DistObject& obj, const SetOfRegions& set,
                           layout::Index linLo, layout::Index linHi,

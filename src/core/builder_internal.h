@@ -25,9 +25,6 @@ using SendRun = SendSeg;
 /// unpacked into dstOff + k*dstStride.
 using RecvRun = RecvSeg;
 
-/// The registered adapter for `obj`'s library.
-const LibraryAdapter& adapterFor(const DistObject& obj);
-
 /// Cross-program personalized all-to-all.  Collective over *both* programs:
 /// each processor passes one buffer per remote rank and receives one from
 /// each.  Pairing relies on both programs making matching calls in order.
@@ -69,7 +66,8 @@ std::vector<std::byte> packRemoteBundle(const LibraryAdapter& lib,
 
 /// Inverse of packRemoteBundle.  The bytes come from another program: every
 /// length, the library name, the descriptor and the set are validated, and
-/// malformed input throws mc::Error.
+/// so is the set against the descriptor (the named adapter's validate), so
+/// malformed input throws mc::Error before anything enumerates it.
 std::pair<DistObject, SetOfRegions> unpackRemoteBundle(
     std::span<const std::byte> bytes);
 

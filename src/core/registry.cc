@@ -23,11 +23,6 @@ void Registry::add(std::unique_ptr<LibraryAdapter> adapter) {
   adapters_.emplace(key, std::move(adapter));
 }
 
-bool Registry::has(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return adapters_.find(name) != adapters_.end();
-}
-
 const LibraryAdapter& Registry::get(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = adapters_.find(name);
@@ -45,6 +40,11 @@ void registerBuiltinAdapters() {
     r.add(std::make_unique<ChaosAdapter>());
     r.add(std::make_unique<TulipAdapter>());
   });
+}
+
+const LibraryAdapter& adapterFor(const DistObject& obj) {
+  registerBuiltinAdapters();
+  return Registry::instance().get(obj.library());
 }
 
 }  // namespace mc::core

@@ -22,7 +22,6 @@ class Registry {
   /// re-registering an existing name is rejected.
   void add(std::unique_ptr<LibraryAdapter> adapter);
 
-  bool has(const std::string& name) const;
   const LibraryAdapter& get(const std::string& name) const;
 
  private:
@@ -34,5 +33,9 @@ class Registry {
 /// Registers the four built-in adapters (parti, hpf, chaos, pc++) exactly
 /// once per process; safe to call from every virtual processor.
 void registerBuiltinAdapters();
+
+/// The registered adapter for `obj`'s library, after registering the
+/// built-ins; throws mc::Error for an unknown library.
+const LibraryAdapter& adapterFor(const DistObject& obj);
 
 }  // namespace mc::core

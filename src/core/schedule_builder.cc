@@ -53,11 +53,6 @@ void noteBuildDone() {
 
 namespace detail {
 
-const LibraryAdapter& adapterFor(const DistObject& obj) {
-  registerBuiltinAdapters();
-  return Registry::instance().get(obj.library());
-}
-
 std::vector<std::byte> packRemoteBundle(const LibraryAdapter& lib,
                                         const DistObject& obj,
                                         const SetOfRegions& set,
@@ -78,7 +73,11 @@ std::pair<DistObject, SetOfRegions> unpackRemoteBundle(
   r.requireEnd("remote bundle");
   registerBuiltinAdapters();
   DistObject obj = Registry::instance().get(name).deserializeDesc(desc);
-  return {std::move(obj), deserializeSet(set)};
+  SetOfRegions regions = deserializeSet(set);
+  // Each part decodes alone; enumeration needs them to agree (a section of
+  // lower rank than its array would divide by a zero stride).
+  adapterFor(obj).validate(obj, regions);
+  return {std::move(obj), std::move(regions)};
 }
 
 std::vector<std::byte> exchangeBlob(transport::Comm& comm, int remoteProgram,

@@ -7,11 +7,6 @@ namespace mc::core {
 
 namespace {
 
-const LibraryAdapter& adapterOf(const DistObject& obj) {
-  registerBuiltinAdapters();
-  return Registry::instance().get(obj.library());
-}
-
 void hashRegion(HashStream& h, const Region& r) {
   h.pod(r.kind());
   switch (r.kind()) {
@@ -111,9 +106,8 @@ Key intraKey(transport::Comm& comm, const DistObject& srcObj,
 
 void hashScheduleSide(HashStream& h, const DistObject& obj,
                       const SetOfRegions& set) {
-  const LibraryAdapter& lib = adapterOf(obj);
   h.str(obj.library());
-  h.pod(lib.localFingerprint(obj));
+  h.pod(adapterFor(obj).localFingerprint(obj));
   h.pod(set.regions().size());
   for (const Region& r : set.regions()) hashRegion(h, r);
 }

@@ -4,6 +4,7 @@
 
 #include "chaos/ttable.h"
 #include "core/builder_internal.h"
+#include "oracle/element_reference.h"
 #include "oracle/run_reference.h"
 
 namespace mc::core::elementwise {
@@ -66,7 +67,7 @@ struct LinLoc {
 /// owner-routing protocol.  A Chaos table (either storage) is dereferenced
 /// in slices: each processor resolves a contiguous slice of the
 /// linearization through the batched, cached dereference and routes every
-/// element to its owner.  Every other library filters enumerateAll.
+/// element to its owner.  Every other library filters forEachElement.
 std::vector<LinLoc> enumerateOwned(const LibraryAdapter& lib,
                                    const DistObject& obj,
                                    const SetOfRegions& set,
@@ -78,10 +79,11 @@ std::vector<LinLoc> enumerateOwned(const LibraryAdapter& lib,
     MC_REQUIRE(lib.supportsLocalEnumeration(obj),
                "library '%s' cannot enumerate ownership locally",
                lib.name().c_str());
-    lib.enumerateAll(obj, set, [&](Index lin, int owner, Index offset) {
-      if (owner == me) out.push_back(LinLoc{lin, offset});
-    });
-    return out;  // enumerateAll visits in order, so `out` is sorted by lin
+    forEachElement(obj, set, 0, set.numElements(),
+                   [&](Index lin, int owner, Index offset) {
+                     if (owner == me) out.push_back(LinLoc{lin, offset});
+                   });
+    return out;  // forEachElement visits in order, so `out` is sorted by lin
   }
   const auto& table = obj.as<chaos::TranslationTable>();
   const Index n = set.numElements();
@@ -255,10 +257,10 @@ ChunkInfo chunkInfoIntra(transport::Comm& comm, const LibraryAdapter& lib,
   ChunkInfo info(lo, size);
   if (lib.supportsLocalEnumeration(obj)) {
     comm.compute([&] {
-      lib.enumerateRange(obj, set, lo, lo + size,
-                         [&](Index lin, int owner, Index off) {
-                           info.put(lin, owner, off, side);
-                         });
+      forEachElement(obj, set, lo, lo + size,
+                     [&](Index lin, int owner, Index off) {
+                       info.put(lin, owner, off, side);
+                     });
     });
   } else {
     const std::vector<LinLoc> owned = enumerateOwned(lib, obj, set, comm);
@@ -342,11 +344,11 @@ McSchedule buildIntraDuplication(transport::Comm& comm,
     std::vector<int> dstOwner(static_cast<size_t>(n));
     std::vector<Index> dstOff(static_cast<size_t>(n));
     tableBytes += 2 * static_cast<size_t>(n) * (sizeof(int) + sizeof(Index));
-    srcLib.enumerateAll(srcObj, srcSet, [&](Index lin, int owner, Index off) {
+    forEachElement(srcObj, srcSet, 0, n, [&](Index lin, int owner, Index off) {
       srcOwner[static_cast<size_t>(lin)] = owner;
       srcOff[static_cast<size_t>(lin)] = off;
     });
-    dstLib.enumerateAll(dstObj, dstSet, [&](Index lin, int owner, Index off) {
+    forEachElement(dstObj, dstSet, 0, n, [&](Index lin, int owner, Index off) {
       dstOwner[static_cast<size_t>(lin)] = owner;
       dstOff[static_cast<size_t>(lin)] = off;
     });
@@ -502,15 +504,15 @@ McSchedule buildInterDuplication(transport::Comm& comm,
     std::vector<int> theirOwner(static_cast<size_t>(n));
     std::vector<Index> theirOff(static_cast<size_t>(n));
     tableBytes += 2 * static_cast<size_t>(n) * (sizeof(int) + sizeof(Index));
-    myLib.enumerateAll(myObj, mySet, [&](Index lin, int owner, Index off) {
+    forEachElement(myObj, mySet, 0, n, [&](Index lin, int owner, Index off) {
       myOwner[static_cast<size_t>(lin)] = owner;
       myOff[static_cast<size_t>(lin)] = off;
     });
-    remoteLib.enumerateAll(remoteObj, remoteSet,
-                           [&](Index lin, int owner, Index off) {
-                             theirOwner[static_cast<size_t>(lin)] = owner;
-                             theirOff[static_cast<size_t>(lin)] = off;
-                           });
+    forEachElement(remoteObj, remoteSet, 0, n,
+                   [&](Index lin, int owner, Index off) {
+                     theirOwner[static_cast<size_t>(lin)] = owner;
+                     theirOff[static_cast<size_t>(lin)] = off;
+                   });
     std::vector<std::vector<Index>> byPeer;
     for (Index lin = 0; lin < n; ++lin) {
       const auto ll = static_cast<size_t>(lin);
@@ -598,16 +600,14 @@ sched::Schedule buildRedistMove(transport::Comm& comm,
   std::vector<Index> oldOff(static_cast<size_t>(n));
   std::vector<int> newOwner(static_cast<size_t>(n));
   std::vector<Index> newOff(static_cast<size_t>(n));
-  adapterFor(oldObj).enumerateAll(oldObj, set,
-                                  [&](Index lin, int owner, Index off) {
-                                    oldOwner[static_cast<size_t>(lin)] = owner;
-                                    oldOff[static_cast<size_t>(lin)] = off;
-                                  });
-  adapterFor(newObj).enumerateAll(newObj, set,
-                                  [&](Index lin, int owner, Index off) {
-                                    newOwner[static_cast<size_t>(lin)] = owner;
-                                    newOff[static_cast<size_t>(lin)] = off;
-                                  });
+  forEachElement(oldObj, set, 0, n, [&](Index lin, int owner, Index off) {
+    oldOwner[static_cast<size_t>(lin)] = owner;
+    oldOff[static_cast<size_t>(lin)] = off;
+  });
+  forEachElement(newObj, set, 0, n, [&](Index lin, int owner, Index off) {
+    newOwner[static_cast<size_t>(lin)] = owner;
+    newOff[static_cast<size_t>(lin)] = off;
+  });
   const int me = comm.rank();
   sched::Schedule plan;
   plan.bufferLocalCopies = false;

@@ -15,16 +15,20 @@
 //     mc_test_oracles target.
 //
 // Ownership reaches the chunk owners by the paper's owner-routing protocol:
-// each processor lists the elements it owns (the enumerateAll owner filter,
+// each processor lists the elements it owns (forEachElement's owner filter,
 // or for Chaos a sliced dereferenceCached whose results travel to their
 // owners) and routes them to the chunk owners, where the production
-// builder asks the adapter for each chunk by position.  Both derivations
-// resolve Chaos ownership through the same dereference cache.  The oracle
-// shares no appender with the production builder: its ownership streams,
-// marching orders and provenance grow through the element-wise appenders
-// below, and its plans through sched::reference (run_reference.h).  Its
-// inter-program halves speak the owner-routing wire protocol, so they pair
-// with each other, not with the production halves.
+// builder asks the adapter for each chunk by position.  Every other
+// ownership table — a locally enumerable chunk, the duplication method's
+// whole sets — comes element by element from forEachElement
+// (element_reference.h), never from the adapters' run inquiries.  Both
+// derivations resolve Chaos ownership through the same dereference cache.
+// The oracle shares no appender with the production builder: its
+// ownership streams, marching orders and provenance grow through the
+// element-wise appenders below, and its plans through sched::reference
+// (run_reference.h).  Its inter-program halves speak the owner-routing
+// wire protocol, so they pair with each other, not with the production
+// halves.
 #pragma once
 
 #include <cstddef>
@@ -89,8 +93,8 @@ McSchedule computeScheduleRecv(transport::Comm& comm, const DistObject& dstObj,
                                std::size_t* tableBytes = nullptr);
 
 /// Element-wise core::buildRedistMove: for every delta position, the old
-/// and the new (owner, offset) from enumerateAll, listed element by element
-/// and compressed last.
+/// and the new (owner, offset) from forEachElement, listed element by
+/// element and compressed last.
 sched::Schedule buildRedistMove(transport::Comm& comm,
                                 const DistObject& oldObj,
                                 const DistObject& newObj,

@@ -1,9 +1,13 @@
-// Contract tests every library adapter must satisfy: enumerateAll /
-// enumerateRange consistency (the run inquiries are checked against
-// enumerateAll in test_run_join), descriptor round-trips
-// preserving enumeration, descriptor decoders surviving byte-level fuzz,
-// and modeled-cost accounting.
+// Contract tests every library adapter must satisfy: the run inquiry
+// (enumerateRangeRuns) covers every position once and expands to the
+// element-wise reference (tests/oracle/element_reference.h) on every window,
+// the reference's windows agree with its whole walk, descriptor round-trips
+// preserve the runs, descriptor decoders survive byte-level fuzz, and
+// modeled-cost accounting holds.  The collective chunk inquiry is checked
+// against the same reference in test_run_join.
 #include <gtest/gtest.h>
+
+#include <tuple>
 
 #include "chaos/partition.h"
 #include "core/adapters/chaos_adapter.h"
@@ -13,6 +17,7 @@
 #include "core/registry.h"
 #include "core/schedule_builder.h"
 #include "fuzz_decoder.h"
+#include "oracle/element_reference.h"
 #include "transport/world.h"
 
 namespace mc::core {
@@ -75,36 +80,67 @@ Fixture makeFixture(const std::string& lib, Comm& c) {
 
 class AdapterContractP : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(AdapterContractP, EnumerateAllVisitsEveryPositionOnce) {
+using Elem = std::tuple<Index, int, Index>;  // lin, owner, offset
+
+/// The reference's stream for positions [lo, hi).
+std::vector<Elem> referenceElems(const Fixture& f, Index lo, Index hi) {
+  std::vector<Elem> out;
+  elementwise::forEachElement(f.obj, f.set, lo, hi,
+                              [&](Index lin, int owner, Index off) {
+                                out.emplace_back(lin, owner, off);
+                              });
+  return out;
+}
+
+/// The adapter's runs for positions [lo, hi).
+std::vector<LinRun> runsOf(const DistObject& obj, const SetOfRegions& set,
+                           Index lo, Index hi) {
+  std::vector<LinRun> out;
+  adapterFor(obj).enumerateRangeRuns(
+      obj, set, lo, hi,
+      [&](Index lin, int owner, Index off, Index count, Index offStride) {
+        out.push_back(LinRun{lin, off, count, offStride, owner});
+      });
+  return out;
+}
+
+/// The adapter's runs for positions [lo, hi), expanded element by element.
+std::vector<Elem> expandedRuns(const DistObject& obj, const SetOfRegions& set,
+                               Index lo, Index hi) {
+  std::vector<Elem> out;
+  for (const LinRun& r : runsOf(obj, set, lo, hi)) {
+    EXPECT_GT(r.count, 0);
+    for (Index k = 0; k < r.count; ++k) {
+      out.emplace_back(r.lin + k, static_cast<int>(r.owner),
+                       r.off + k * r.offStride);
+    }
+  }
+  return out;
+}
+
+TEST_P(AdapterContractP, RangeRunsCoverEveryPositionOnce) {
   World::runSPMD(4, [&](Comm& c) {
-    registerBuiltinAdapters();
     const Fixture f = makeFixture(GetParam(), c);
-    const LibraryAdapter& lib = Registry::instance().get(f.obj.library());
     const Index n = f.set.numElements();
     ASSERT_GT(n, 0);
-    Index visits = 0;
-    Index expect = 0;
-    lib.enumerateAll(f.obj, f.set, [&](Index lin, int owner, Index off) {
-      EXPECT_EQ(lin, expect++);
+    const std::vector<Elem> got = expandedRuns(f.obj, f.set, 0, n);
+    ASSERT_EQ(got.size(), static_cast<size_t>(n));
+    for (Index k = 0; k < n; ++k) {
+      const auto& [lin, owner, off] = got[static_cast<size_t>(k)];
+      EXPECT_EQ(lin, k);
       EXPECT_GE(owner, 0);
       EXPECT_LT(owner, c.size());
       EXPECT_GE(off, 0);
-      ++visits;
-    });
-    EXPECT_EQ(visits, n);
+    }
+    EXPECT_EQ(got, referenceElems(f, 0, n));
   });
 }
 
-TEST_P(AdapterContractP, EnumerateRangeMatchesEnumerateAll) {
+TEST_P(AdapterContractP, RangeRunsMatchTheReference) {
   World::runSPMD(4, [&](Comm& c) {
-    registerBuiltinAdapters();
     const Fixture f = makeFixture(GetParam(), c);
-    const LibraryAdapter& lib = Registry::instance().get(f.obj.library());
     const Index n = f.set.numElements();
-    std::vector<std::pair<int, Index>> all(static_cast<size_t>(n));
-    lib.enumerateAll(f.obj, f.set, [&](Index lin, int owner, Index off) {
-      all[static_cast<size_t>(lin)] = {owner, off};
-    });
+    const std::vector<Elem> all = referenceElems(f, 0, n);
     // Every window, including empty, degenerate and cross-region ones.
     for (const auto& [lo, hi] : {std::pair<Index, Index>{0, n},
                                 {0, 1},
@@ -112,33 +148,41 @@ TEST_P(AdapterContractP, EnumerateRangeMatchesEnumerateAll) {
                                 {n / 3, 2 * n / 3},
                                 {5, 5},
                                 {n, n}}) {
-      Index expect = lo;
-      lib.enumerateRange(f.obj, f.set, lo, hi,
-                         [&](Index lin, int owner, Index off) {
-                           ASSERT_EQ(lin, expect++);
-                           EXPECT_EQ(owner, all[static_cast<size_t>(lin)].first);
-                           EXPECT_EQ(off, all[static_cast<size_t>(lin)].second);
-                         });
-      EXPECT_EQ(expect, hi);
+      SCOPED_TRACE("window [" + std::to_string(lo) + ", " +
+                   std::to_string(hi) + ")");
+      const std::vector<Elem> want(all.begin() + lo, all.begin() + hi);
+      EXPECT_EQ(expandedRuns(f.obj, f.set, lo, hi), want);
     }
   });
 }
 
-TEST_P(AdapterContractP, DescriptorRoundTripPreservesEnumeration) {
+// The reference itself: its windows over an uneven split, cut mid-row and
+// mid-region, concatenate to its whole walk, so a broken range clip in the
+// reference cannot mask a broken adapter.
+TEST_P(AdapterContractP, ReferenceRangesConcatenateToTheWhole) {
   World::runSPMD(4, [&](Comm& c) {
-    registerBuiltinAdapters();
     const Fixture f = makeFixture(GetParam(), c);
-    const LibraryAdapter& lib = Registry::instance().get(f.obj.library());
+    const Index n = f.set.numElements();
+    const std::vector<Index> cuts = {0, 1, 7, 7, n / 3, n / 2, n - 1, n};
+    std::vector<Elem> pieces;
+    for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+      const std::vector<Elem> piece = referenceElems(f, cuts[i], cuts[i + 1]);
+      pieces.insert(pieces.end(), piece.begin(), piece.end());
+    }
+    EXPECT_EQ(pieces, referenceElems(f, 0, n));
+  });
+}
+
+TEST_P(AdapterContractP, DescriptorRoundTripPreservesRuns) {
+  World::runSPMD(4, [&](Comm& c) {
+    const Fixture f = makeFixture(GetParam(), c);
+    const LibraryAdapter& lib = adapterFor(f.obj);
     const DistObject back =
         lib.deserializeDesc(lib.serializeDesc(f.obj, c));
-    std::vector<std::pair<int, Index>> a, b;
-    lib.enumerateAll(f.obj, f.set, [&](Index, int owner, Index off) {
-      a.emplace_back(owner, off);
-    });
-    lib.enumerateAll(back, f.set, [&](Index, int owner, Index off) {
-      b.emplace_back(owner, off);
-    });
-    EXPECT_EQ(a, b);
+    const Index n = f.set.numElements();
+    const std::vector<LinRun> runs = runsOf(f.obj, f.set, 0, n);
+    EXPECT_FALSE(runs.empty());
+    EXPECT_EQ(runsOf(back, f.set, 0, n), runs);
   });
 }
 
@@ -146,9 +190,8 @@ TEST_P(AdapterContractP, DescriptorRoundTripPreservesEnumeration) {
 // byte flip (the Chaos table travels framed, so flips fail its checksum).
 TEST_P(AdapterContractP, DescriptorDecoderSurvivesFuzz) {
   World::runSPMD(4, [&](Comm& c) {
-    registerBuiltinAdapters();
     const Fixture f = makeFixture(GetParam(), c);
-    const LibraryAdapter& lib = Registry::instance().get(f.obj.library());
+    const LibraryAdapter& lib = adapterFor(f.obj);
     const std::vector<std::byte> bytes = lib.serializeDesc(f.obj, c);
     if (c.rank() != 0) return;
     fuzzDecoder(bytes, [&](std::span<const std::byte> d) {
@@ -159,9 +202,8 @@ TEST_P(AdapterContractP, DescriptorDecoderSurvivesFuzz) {
 
 TEST_P(AdapterContractP, ValidateAcceptsItsOwnFixture) {
   World::runSPMD(4, [&](Comm& c) {
-    registerBuiltinAdapters();
     const Fixture f = makeFixture(GetParam(), c);
-    const LibraryAdapter& lib = Registry::instance().get(f.obj.library());
+    const LibraryAdapter& lib = adapterFor(f.obj);
     EXPECT_NO_THROW(lib.validate(f.obj, f.set));
   });
 }

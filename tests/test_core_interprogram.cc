@@ -401,7 +401,8 @@ TEST(InterProgram, OwnershipRowsWithAGapAreRefused) {
 
 // The duplication bundle (library name, descriptor, set) arrives from the
 // other program: for every library it decodes or throws mc::Error for every
-// prefix and byte flip, and the decoded set's element count is defined.
+// prefix and byte flip, and what decodes can be enumerated the way
+// buildInterDuplication does, by the run inquiry over every position.
 TEST(InterProgram, RemoteBundleDecoderSurvivesFuzz) {
   World::runSPMD(2, [](Comm& c) {
     parti::BlockDistArray<double> pa(c, Shape::of({6, 5}), 1);
@@ -428,16 +429,43 @@ TEST(InterProgram, RemoteBundleDecoderSurvivesFuzz) {
         {TulipAdapter::describe(coll), &range},
     };
     for (const auto& [obj, set] : cases) {
-      const std::vector<std::byte> bundle = detail::packRemoteBundle(
-          detail::adapterFor(obj), obj, *set, c);
+      const std::vector<std::byte> bundle =
+          detail::packRemoteBundle(adapterFor(obj), obj, *set, c);
       if (c.rank() != 0) continue;
       SCOPED_TRACE(obj.library());
       const auto [back, backSet] = detail::unpackRemoteBundle(bundle);
       EXPECT_EQ(back.library(), obj.library());
       EXPECT_EQ(backSet.numElements(), set->numElements());
       fuzzDecoder(bundle, [](std::span<const std::byte> bytes) {
-        EXPECT_GE(detail::unpackRemoteBundle(bytes).second.numElements(), 0);
+        const auto [dObj, dSet] = detail::unpackRemoteBundle(bytes);
+        const Index n = dSet.numElements();
+        EXPECT_GE(n, 0);
+        Index covered = 0;
+        adapterFor(dObj).enumerateRangeRuns(
+            dObj, dSet, 0, n,
+            [&](Index, int, Index, Index count, Index) { covered += count; });
+        EXPECT_EQ(covered, n);
       });
+    }
+  });
+}
+
+// A peer's bundle whose descriptor and set disagree — a 2-D array described
+// with a 1-D section — is refused at decode with mc::Error, before the run
+// inquiry divides by the section's missing last-dimension stride.
+// packRemoteBundle does not validate, so it can build one.
+TEST(InterProgram, RemoteBundleWithMismatchedRankIsRefused) {
+  World::runSPMD(2, [](Comm& c) {
+    parti::BlockDistArray<double> pa(c, Shape::of({6, 5}), 1);
+    hpfrt::HpfArray<double> ha(
+        c, hpfrt::HpfDist::blockEveryDim(Shape::of({6, 5}), c.size()));
+    const SetOfRegions row(Region::section(RegularSection::of({0}, {4}, {1})));
+    for (const DistObject& obj :
+         {PartiAdapter::describe(pa), HpfAdapter::describe(ha)}) {
+      SCOPED_TRACE(obj.library());
+      const std::vector<std::byte> bundle =
+          detail::packRemoteBundle(adapterFor(obj), obj, row, c);
+      EXPECT_THROW((void)detail::unpackRemoteBundle(bundle), Error);
     }
   });
 }

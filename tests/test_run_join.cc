@@ -8,8 +8,9 @@
 // inter-program, and for adversarial irregular index sets (stride-0
 // fan-out, descending runs, singletons straddling chunk boundaries).  Also
 // checks the adapter run-enumeration contract (expanded run streams equal
-// the element streams, for the local range inquiry and the collective
-// chunk inquiry) and that a cooperation build ships no ownership.
+// the element-wise reference's streams, tests/oracle/element_reference.h,
+// for the local range inquiry and the collective chunk inquiry) and that a
+// cooperation build ships no ownership.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -23,6 +24,7 @@
 #include "core/adapters/run_emitter.h"
 #include "core/adapters/tulip_adapter.h"
 #include "core/data_move.h"
+#include "oracle/element_reference.h"
 #include "oracle/elementwise_builder.h"
 #include "transport/world.h"
 #include "util/rng.h"
@@ -440,10 +442,10 @@ TEST(RunEnumerationContract, RangeRunsExpandToElementStream) {
       const LibraryAdapter& ad = Registry::instance().get(inst.obj.library());
       const Index n = inst.set.numElements();
       std::vector<Elem> elems;
-      ad.enumerateAll(inst.obj, inst.set,
-                      [&](Index lin, int owner, Index off) {
-                        elems.emplace_back(lin, owner, off);
-                      });
+      elementwise::forEachElement(inst.obj, inst.set, 0, n,
+                                  [&](Index lin, int owner, Index off) {
+                                    elems.emplace_back(lin, owner, off);
+                                  });
       // Expand runs over an uneven range split; cut points land mid-row and
       // mid-block so the enumerators must clip runs correctly.
       std::vector<Elem> expanded;
@@ -468,7 +470,7 @@ TEST(RunEnumerationContract, RangeRunsExpandToElementStream) {
 // asks for its own range of an uneven split that leaves ranks 1 and 3 an
 // empty range (every rank still calls — the distributed dereference
 // exchange is collective), and the runs must be maximal and expand to
-// exactly enumerateAll's stream for that range.
+// exactly the reference's stream for that range.
 TEST(RunEnumerationContract, ChunkRunsExpandToElementStream) {
   World::runSPMD(4, [](Comm& c) {
     registerBuiltinAdapters();
@@ -490,12 +492,12 @@ TEST(RunEnumerationContract, ChunkRunsExpandToElementStream) {
         const Index lo = cuts[static_cast<size_t>(c.rank())];
         const Index hi = cuts[static_cast<size_t>(c.rank()) + 1];
         std::vector<Elem> want;
-        ad.enumerateAll(whole.obj, whole.set,
-                        [&](Index lin, int owner, Index off) {
-                          if (lin >= lo && lin < hi) {
-                            want.emplace_back(lin, owner, off);
-                          }
-                        });
+        elementwise::forEachElement(whole.obj, whole.set, 0, n,
+                                    [&](Index lin, int owner, Index off) {
+                                      if (lin >= lo && lin < hi) {
+                                        want.emplace_back(lin, owner, off);
+                                      }
+                                    });
         std::vector<Elem> got;
         std::vector<LinRun> runs;
         ad.enumerateChunkRuns(

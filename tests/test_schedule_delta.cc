@@ -21,6 +21,7 @@
 #include "core/schedule_cache.h"
 #include "hpfrt/hpf_array.h"
 #include "layout/dist_delta.h"
+#include "oracle/element_reference.h"
 #include "oracle/elementwise_builder.h"
 #include "oracle/repartition_oracle.h"
 #include "transport/world.h"
@@ -614,26 +615,28 @@ TEST(ScheduleDelta, ElementwiseProvenanceParity) {
 }
 
 // ---------------------------------------------------------------------------
-// computeDelta exactness against a brute-force enumerateAll diff.
+// computeDelta exactness against a brute-force diff of the element-wise
+// reference's ownership.
 
 TEST(ScheduleDelta, ComputeDeltaMatchesBruteForce) {
   World::runSPMD(kProcs, [](Comm& c) {
     for (const int moves : {0, 2, 7}) {
       Scenario s(c, 23u, moves);
       const DistDelta delta = computeDelta(s.oldSrc, s.newSrc, s.srcSet);
-      const LibraryAdapter& lib = Registry::instance().get("chaos");
       std::vector<std::pair<int, Index>> oldMap(
           static_cast<std::size_t>(Scenario::kM));
       std::vector<std::pair<int, Index>> newMap(
           static_cast<std::size_t>(Scenario::kM));
-      lib.enumerateAll(s.oldSrc, s.srcSet, [&](Index lin, int owner,
-                                               Index off) {
-        oldMap[static_cast<std::size_t>(lin)] = {owner, off};
-      });
-      lib.enumerateAll(s.newSrc, s.srcSet, [&](Index lin, int owner,
-                                               Index off) {
-        newMap[static_cast<std::size_t>(lin)] = {owner, off};
-      });
+      elementwise::forEachElement(
+          s.oldSrc, s.srcSet, 0, Scenario::kM,
+          [&](Index lin, int owner, Index off) {
+            oldMap[static_cast<std::size_t>(lin)] = {owner, off};
+          });
+      elementwise::forEachElement(
+          s.newSrc, s.srcSet, 0, Scenario::kM,
+          [&](Index lin, int owner, Index off) {
+            newMap[static_cast<std::size_t>(lin)] = {owner, off};
+          });
       // Soundness: every genuinely changed position is marked.  (The
       // converse does not hold exactly — a stride-mismatched joined
       // segment is marked whole even when some of its positions coincide;

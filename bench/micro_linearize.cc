@@ -4,12 +4,20 @@
 // adapter over the whole set (and over one chunk of it for Parti).  Items
 // are elements; regular layouts answer in one run per section row segment,
 // irregular ones degrade to count-1 runs.
+//
+// Also the two host passes an irregular build makes over its index lists:
+// the digest of an index region (HashStream::podSpan, as
+// core::Region::indices takes it) and chaos::sortUnique on a dense batch
+// (bitmap) and a sparse one (radix sort), one on each side of its
+// selection.
 #include <benchmark/benchmark.h>
 
+#include "chaos/deref_cache.h"
 #include "core/adapters/chaos_adapter.h"
 #include "core/adapters/hpf_adapter.h"
 #include "core/adapters/parti_adapter.h"
 #include "core/adapters/tulip_adapter.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace {
@@ -107,6 +115,45 @@ void BM_EnumerateRangeParti(benchmark::State& state) {
   timeRangeRuns(state, PartiAdapter(), obj, set, 5 * chunk, 6 * chunk);
 }
 BENCHMARK(BM_EnumerateRangeParti);
+
+void BM_DigestIndexList(benchmark::State& state) {
+  // mesh_coupling's permutation region: 512^2 indices, 2 MiB.
+  const Index n = Index{1} << 18;
+  mc::Rng rng(11);
+  std::vector<Index> ids(static_cast<size_t>(n));
+  for (Index& g : ids) g = static_cast<Index>(rng.below(n));
+  for (auto _ : state) {
+    mc::HashStream h;
+    h.podSpan(std::span<const Index>(ids));
+    benchmark::DoNotOptimize(h.digest());
+  }
+  state.SetBytesProcessed(state.iterations() * n *
+                          static_cast<Index>(sizeof(Index)));
+}
+BENCHMARK(BM_DigestIndexList);
+
+/// Times chaos::sortUnique on 261,888 references (one rank's edge
+/// endpoints in mesh_coupling) drawn from [0, span).
+void timeSortUnique(benchmark::State& state, Index span) {
+  const std::size_t refs = 261888;
+  mc::Rng rng(13);
+  std::vector<Index> globals(refs);
+  for (Index& g : globals) g = static_cast<Index>(rng.below(span));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mc::chaos::sortUnique(globals, span));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<Index>(refs));
+}
+
+void BM_SortUniqueDense(benchmark::State& state) {
+  timeSortUnique(state, Index{1} << 18);  // 4,096 bitmap words
+}
+BENCHMARK(BM_SortUniqueDense);
+
+void BM_SortUniqueSparse(benchmark::State& state) {
+  timeSortUnique(state, Index{1} << 40);
+}
+BENCHMARK(BM_SortUniqueSparse);
 
 }  // namespace
 

@@ -17,7 +17,9 @@
 # (empty sets, one element, more processors than elements, many small
 # regions, a 1-D world, int elements) are the run appender's corner cases,
 # and the util suite, whose radix sort indexes its scatter by counted digit
-# (the Chaos inspector sorts every dereference batch with it).
+# (the Chaos inspector sorts every sparse dereference batch with it; dense
+# ones take a bitmap, checked in the localize suite) and whose digest loads
+# its stream a word at a time through a buffered partial word.
 # Pass --preset=tsan to run the ThreadSanitizer build instead: the
 # transport / executor / split-phase suites, where the cross-thread mailbox
 # traffic lives, the schedule cache, whose inter-program hit/miss agreement

@@ -1,6 +1,7 @@
 #include "chaos/deref_cache.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "obs/metrics.h"
 #include "util/radix_sort.h"
@@ -10,22 +11,53 @@ namespace mc::chaos {
 using layout::Index;
 
 namespace {
+
 thread_local DerefCacheStats g_stats;
-}  // namespace
 
-const DerefCacheStats& derefCacheStats() { return g_stats; }
+/// Dense batches: marks each global in a bitmap over [lo, lo + 64·words),
+/// reads `uniq` off the set bits in order, and ranks each query by the set
+/// bits below it.  O(batch + words).
+SortedBatch bitmapUnique(std::span<const Index> globals, Index lo,
+                         std::size_t words) {
+  std::vector<std::uint64_t> bits(words, 0);
+  for (const Index g : globals) {
+    const auto d = static_cast<std::uint64_t>(g - lo);
+    bits[d >> 6] |= std::uint64_t{1} << (d & 63);
+  }
+  std::vector<std::uint32_t> below(words);  // distinct globals before word w
+  std::uint32_t count = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    below[w] = count;
+    count += static_cast<std::uint32_t>(std::popcount(bits[w]));
+  }
+  SortedBatch out;
+  out.uniq.reserve(count);
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t x = bits[w]; x != 0; x &= x - 1) {
+      out.uniq.push_back(lo + static_cast<Index>(64 * w) +
+                         std::countr_zero(x));
+    }
+  }
+  out.uniqOf.resize(globals.size());
+  for (std::size_t i = 0; i < globals.size(); ++i) {
+    const auto d = static_cast<std::uint64_t>(globals[i] - lo);
+    const std::uint64_t lower = (std::uint64_t{1} << (d & 63)) - 1;
+    out.uniqOf[i] = below[d >> 6] + static_cast<std::uint32_t>(
+                                        std::popcount(bits[d >> 6] & lower));
+  }
+  return out;
+}
 
-SortedBatch sortUnique(std::span<const Index> globals, Index globalSize) {
+/// Sparse batches: radix-sorts the (global, position) pairs, O(batch) for
+/// any key span.
+SortedBatch radixUnique(std::span<const Index> globals) {
   struct Query {
     Index global;
     std::uint32_t pos;
   };
   std::vector<Query> order(globals.size());
   for (std::size_t i = 0; i < globals.size(); ++i) {
-    const Index g = globals[i];
-    MC_REQUIRE(g >= 0 && g < globalSize, "global index %lld out of range",
-               static_cast<long long>(g));
-    order[i] = Query{g, static_cast<std::uint32_t>(i)};
+    order[i] = Query{globals[i], static_cast<std::uint32_t>(i)};
   }
   radixSort(order, [](const Query& q) { return q.global; });
   SortedBatch out;
@@ -38,6 +70,28 @@ SortedBatch sortUnique(std::span<const Index> globals, Index globalSize) {
     out.uniqOf[q.pos] = static_cast<std::uint32_t>(out.uniq.size() - 1);
   }
   return out;
+}
+
+}  // namespace
+
+const DerefCacheStats& derefCacheStats() { return g_stats; }
+
+SortedBatch sortUnique(std::span<const Index> globals, Index globalSize) {
+  if (globals.empty()) return {};
+  Index lo = globals.front();
+  Index hi = lo;
+  for (const Index g : globals) {
+    MC_REQUIRE(g >= 0 && g < globalSize, "global index %lld out of range",
+               static_cast<long long>(g));
+    lo = std::min(lo, g);
+    hi = std::max(hi, g);
+  }
+  // A bitmap over [lo, hi] pays one pass over its words; it is taken when
+  // that is no more than the batch.  Past that the radix sort, whose cost
+  // does not grow with the span, is the cheaper of the two.
+  const std::size_t words = static_cast<std::size_t>((hi - lo) / 64) + 1;
+  return words <= globals.size() ? bitmapUnique(globals, lo, words)
+                                 : radixUnique(globals);
 }
 
 DerefCache& derefCache() {

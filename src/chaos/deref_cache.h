@@ -55,8 +55,11 @@ struct SortedBatch {
 
 /// The inspector's one sort-unique (localize and dereferenceCached both
 /// call it): checks every query against [0, globalSize) — mc::Error
-/// otherwise — and radix-sorts the (global, position) pairs, so the
-/// sorted distinct batch is what the cache probes in one pass.
+/// otherwise — so the sorted distinct batch is what the cache probes in
+/// one pass.  A dense batch, whose key span [min, max] needs no more
+/// 64-bit words than it has queries, is answered from a bitmap of that
+/// span; a sparse one radix-sorts its (global, position) pairs.  Both give
+/// the same bits.
 SortedBatch sortUnique(std::span<const layout::Index> globals,
                        layout::Index globalSize);
 

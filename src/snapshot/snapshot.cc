@@ -22,7 +22,9 @@ namespace {
 // local-pair lanes), so a version-3 body no longer parses.
 // Version 5: a replicated Chaos table's fingerprint folds its row digests,
 // so version-4 keys over such tables could never hit again.
-constexpr std::uint32_t kSnapshotVersion = 5;
+// Version 6: every key is a word-wise HashStream digest, so no version-5
+// key could hit again.
+constexpr std::uint32_t kSnapshotVersion = 6;
 
 /// Cumulative per-rank counters behind the snapshot.* obs metrics.
 struct Counters {

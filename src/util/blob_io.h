@@ -54,7 +54,9 @@ enum Kind : std::uint32_t {
 
 inline constexpr std::array<char, 8> kMagic = {'M', 'C', 'B', 'L',
                                                'O', 'B', '0', '1'};
-inline constexpr std::uint32_t kContainerVersion = 1;
+/// Version 2: the payload checksum is the word-wise HashStream digest, so a
+/// version-1 frame is refused here rather than as a checksum mismatch.
+inline constexpr std::uint32_t kContainerVersion = 2;
 /// Written as a native u32; a byte-swapped reader sees 0x04030201.
 inline constexpr std::uint32_t kEndianTag = 0x01020304u;
 

@@ -10,8 +10,10 @@
 // shard on every rank).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <random>
+#include <utility>
 
 #include "chaos/deref_cache.h"
 #include "chaos/irreg_array.h"
@@ -193,6 +195,107 @@ TEST(LocalizeBatch, OutOfRangeReferencesThrowUnderBothStorages) {
       differential(c, table, refs);
     }
   });
+}
+
+// --- sortUnique: bitmap and radix paths against std::sort -----------------
+
+/// std::sort + unique: what sortUnique must give bit for bit.
+SortedBatch sortUniqueReference(std::span<const Index> globals) {
+  SortedBatch want;
+  want.uniq.assign(globals.begin(), globals.end());
+  std::sort(want.uniq.begin(), want.uniq.end());
+  want.uniq.erase(std::unique(want.uniq.begin(), want.uniq.end()),
+                  want.uniq.end());
+  for (const Index g : globals) {
+    want.uniqOf.push_back(static_cast<std::uint32_t>(
+        std::lower_bound(want.uniq.begin(), want.uniq.end(), g) -
+        want.uniq.begin()));
+  }
+  return want;
+}
+
+void expectSortUniqueMatches(const std::vector<Index>& globals,
+                             Index globalSize, const char* what) {
+  const SortedBatch got = sortUnique(globals, globalSize);
+  const SortedBatch want = sortUniqueReference(globals);
+  EXPECT_EQ(got.uniq, want.uniq) << what;
+  EXPECT_EQ(got.uniqOf, want.uniqOf) << what;
+}
+
+/// `distinct` globals drawn from [lo, lo + span), each listed `copies`
+/// times, shuffled.
+std::vector<Index> duplicatedBatch(std::mt19937_64& rng, Index lo, Index span,
+                                   std::size_t distinct, std::size_t copies) {
+  std::uniform_int_distribution<Index> pick(lo, lo + span - 1);
+  std::vector<Index> out;
+  for (std::size_t k = 0; k < distinct; ++k) {
+    out.insert(out.end(), copies, pick(rng));
+  }
+  std::shuffle(out.begin(), out.end(), rng);
+  return out;
+}
+
+TEST(SortUnique, DenseBatchesMatchStdSort) {
+  std::mt19937_64 rng(41);
+  // Mesh-like: every edge endpoint listed about four times.
+  const Index table = Index{1} << 18;
+  expectSortUniqueMatches(duplicatedBatch(rng, 0, table, 16384, 4), table,
+                          "mesh-like");
+  // A window far from 0.
+  const Index far = Index{1} << 40;
+  expectSortUniqueMatches(duplicatedBatch(rng, far, 4096, 700, 3), 2 * far,
+                          "window far from 0");
+}
+
+TEST(SortUnique, SparseBatchesMatchStdSort) {
+  const Index apart = Index{1} << 40;
+  std::vector<Index> spread;
+  for (const Index k : {5, 0, 3, 5, 1, 0, 7}) spread.push_back(k * apart);
+  expectSortUniqueMatches(spread, 8 * apart, "keys 2^40 apart");
+  expectSortUniqueMatches({999'999'937, 12, 500'000'000, 12, 77'777},
+                          1'000'000'000, "a handful over a large table");
+}
+
+TEST(SortUnique, SelectionBoundaryMatchesStdSort) {
+  // The bitmap is taken while the span [min, max] needs no more 64-bit
+  // words than the batch has queries: here exactly that many, then one
+  // more.
+  std::mt19937_64 rng(43);
+  const Index lo = 1000;
+  for (const std::size_t n : {2u, 64u, 999u}) {
+    for (const Index extra : {Index{0}, Index{1}}) {
+      const Index hi = lo + 64 * (static_cast<Index>(n) + extra) - 1;
+      std::vector<Index> globals{hi, lo};
+      std::uniform_int_distribution<Index> pick(lo, hi);
+      while (globals.size() < n) globals.push_back(pick(rng));
+      expectSortUniqueMatches(globals, hi + 1,
+                              extra == 0 ? "span words == batch"
+                                         : "span words == batch + 1");
+    }
+  }
+}
+
+TEST(SortUnique, DegenerateBatchesMatchStdSort) {
+  expectSortUniqueMatches(std::vector<Index>(100, 42), 43, "all equal");
+  expectSortUniqueMatches({7}, 8, "one key");
+  expectSortUniqueMatches({}, 8, "empty");
+}
+
+TEST(SortUnique, OutOfRangeThrowsOnBothPaths) {
+  // A dense batch over a 200-element table stays dense with either bad
+  // key; a sparse one over 2^40 stays sparse.
+  std::vector<Index> dense(200);
+  std::iota(dense.begin(), dense.end(), Index{0});
+  const Index n = Index{1} << 40;
+  const std::vector<Index> sparse{0, n / 2, n - 1};
+  for (auto [batch, size] : {std::pair{dense, Index{200}},
+                             std::pair{sparse, n}}) {
+    for (const Index bad : {Index{-1}, size}) {
+      batch.push_back(bad);
+      EXPECT_THROW(sortUnique(batch, size), Error);
+      batch.pop_back();
+    }
+  }
 }
 
 // --- dereference-cache contract --------------------------------------------

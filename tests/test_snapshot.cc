@@ -120,6 +120,28 @@ TEST(BlobFrame, EveryPrefixAndEveryByteFlipRejected) {
   expectEveryByteFlipRejected(framed, read);
 }
 
+// Container version 2 changed the payload checksum, so a version-1 frame
+// is refused by its version, which unframe checks before the checksum: a
+// format change must not read as a corrupted payload.
+TEST(BlobFrame, ContainerVersionOneIsRefusedByVersion) {
+  std::vector<std::byte> payload;
+  blob::putU64(payload, 42);
+  std::vector<std::byte> framed = blob::frame(blob::kSnapshotBody, 1, payload);
+  blob::FrameHeader h;
+  std::memcpy(&h, framed.data(), sizeof(h));
+  h.containerVersion = 1;
+  std::memcpy(framed.data(), &h, sizeof(h));
+  try {
+    blob::unframe(framed, blob::kSnapshotBody);
+    ADD_FAILURE() << "a container-version-1 frame was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "blob container version 1, this build reads 2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // The reserve-clamp bugfix: a well-framed payload (magic, checksum all
 // valid) whose leading count field claims more items than the payload could
 // possibly hold must fail the count clamp with mc::Error — not bad_alloc,
@@ -603,9 +625,10 @@ TEST(Snapshot, VersionTwoBodyIsRefused) {
   // snapshot's entries could never hit again; version 4 dropped the
   // schedules' offset-list and local-pair lanes, so a version-3 body no
   // longer parses; version 5 changed the fingerprint of replicated Chaos
-  // tables, so a version-4 snapshot's entries over them could never hit.
-  // Restore refuses all three bodies instead of loading them.
-  for (const std::uint32_t oldVersion : {2u, 3u, 4u}) {
+  // tables, so a version-4 snapshot's entries over them could never hit;
+  // version 6 changed the digest every key is, so no version-5 key could
+  // hit.  Restore refuses all four bodies instead of loading them.
+  for (const std::uint32_t oldVersion : {2u, 3u, 4u, 5u}) {
     const std::filesystem::path dir =
         tmpDir("version" + std::to_string(oldVersion));
     World::runSPMD(2, [&](Comm& c) {
@@ -630,7 +653,7 @@ TEST(Snapshot, VersionTwoBodyIsRefused) {
       std::size_t bodySize = 0;
       const blob::FrameView body =
           blob::unframe(bytes, blob::kSnapshotBody, &bodySize);
-      ASSERT_EQ(body.kindVersion, 5u);
+      ASSERT_EQ(body.kindVersion, 6u);
       std::vector<std::byte> old =
           blob::frame(blob::kSnapshotBody, oldVersion, body.payload);
       old.insert(old.end(), bytes.begin() + static_cast<long>(bodySize),

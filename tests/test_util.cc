@@ -4,12 +4,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "util/error.h"
 #include "util/format.h"
+#include "util/hash.h"
 #include "util/radix_sort.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -217,6 +220,119 @@ TEST(RadixSort, NegativeKeyThrowsAndLeavesKeys) {
   const std::vector<KeyPos> pairsBefore = pairs;
   EXPECT_THROW(radixSort(pairs, keyOf), Error);
   EXPECT_EQ(pairs, pairsBefore);
+}
+
+
+/// A 100-byte stream with no repeated word.
+std::vector<unsigned char> patternBytes() {
+  std::vector<unsigned char> data(100);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<unsigned char>(i * 37 + 11);
+  }
+  return data;
+}
+
+/// The digest of `data` fed as pieces cut at the ascending offsets `cuts`,
+/// with an empty bytes() call at every cut.
+HashStream::Digest digestCut(const std::vector<unsigned char>& data,
+                             const std::vector<std::size_t>& cuts) {
+  HashStream h;
+  std::size_t from = 0;
+  for (const std::size_t to : cuts) {
+    h.bytes(data.data() + from, to - from);
+    h.bytes(data.data() + to, 0);
+    from = to;
+  }
+  h.bytes(data.data() + from, data.size() - from);
+  h.bytes(nullptr, 0);
+  return h.digest();
+}
+
+TEST(HashStream, EveryCutGivesOneDigest) {
+  const std::vector<unsigned char> data = patternBytes();
+  const HashStream::Digest want = digestCut(data, {});
+  // Every one and two cuts, inside words and on their edges.
+  for (std::size_t i = 0; i <= data.size(); ++i) {
+    EXPECT_EQ(digestCut(data, {i}), want) << "cut at " << i;
+    for (std::size_t j = i; j <= data.size(); ++j) {
+      ASSERT_EQ(digestCut(data, {i, j}), want) << "cuts at " << i << ", " << j;
+    }
+  }
+  // A byte at a time.
+  std::vector<std::size_t> all(data.size());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  EXPECT_EQ(digestCut(data, all), want);
+  // pod and podSpan feed the same bytes as bytes() does.
+  HashStream typed;
+  std::uint32_t head = 0;
+  std::memcpy(&head, data.data(), sizeof(head));
+  typed.pod(head);
+  typed.pod(data[4]);
+  typed.bytes(data.data() + 5, data.size() - 5);
+  EXPECT_EQ(typed.digest(), want);
+  // digest() reads a copy of the partial word: asking early changes nothing.
+  HashStream early;
+  early.bytes(data.data(), 13);
+  (void)early.digest();
+  early.bytes(data.data() + 13, data.size() - 13);
+  EXPECT_EQ(early.digest(), want);
+}
+
+TEST(HashStream, LengthPrefixesSeparateFields) {
+  // The stream has no call boundaries: these are one stream.
+  HashStream rawWhole;
+  rawWhole.bytes("ab", 2);
+  HashStream rawSplit;
+  rawSplit.bytes("a", 1);
+  rawSplit.bytes("b", 1);
+  EXPECT_EQ(rawWhole.digest(), rawSplit.digest());
+  // str and podSpan prefix their length, which keeps fields apart.
+  HashStream whole;
+  whole.str("ab");
+  HashStream split;
+  split.str("a");
+  split.str("b");
+  EXPECT_NE(whole.digest(), split.digest());
+  const std::vector<std::int64_t> ab{1, 2};
+  HashStream spanWhole;
+  spanWhole.podSpan(std::span<const std::int64_t>(ab));
+  HashStream spanSplit;
+  spanSplit.podSpan(std::span<const std::int64_t>(ab).first(1));
+  spanSplit.podSpan(std::span<const std::int64_t>(ab).last(1));
+  EXPECT_NE(spanWhole.digest(), spanSplit.digest());
+  // The length fold keeps a stream apart from its zero-padded extension.
+  HashStream empty;
+  HashStream zero;
+  zero.pod(std::uint8_t{0});
+  EXPECT_NE(empty.digest(), zero.digest());
+  HashStream a;
+  a.bytes("a", 1);
+  HashStream aZero;
+  aZero.bytes("a\0", 2);
+  EXPECT_NE(a.digest(), aZero.digest());
+}
+
+// Pinned digests: cache keys, table fingerprints and blob checksums are
+// these values, and snapshots persist them, so a compiler or host change
+// that moved one would silently re-key every snapshot.
+TEST(HashStream, KnownAnswers) {
+  const auto digestOf = [](const void* data, std::size_t n) {
+    HashStream h;
+    h.bytes(data, n);
+    return h.digest();
+  };
+  using D = HashStream::Digest;
+  EXPECT_EQ(digestOf(nullptr, 0),
+            (D{0xf52a15e9a9b5e89bULL, 0x7716003d5c5baea8ULL}));
+  EXPECT_EQ(digestOf("abc", 3),
+            (D{0x9f6a94e6cb47493bULL, 0x0ccc9a94b902b02cULL}));
+  EXPECT_EQ(digestOf("abcdefgh", 8),
+            (D{0xcab92ec623c0e43cULL, 0xf5bf1f51f558b546ULL}));
+  EXPECT_EQ(digestOf("mc-blob-payload", 15),
+            (D{0xf50855036f168776ULL, 0xb8f653137623d399ULL}));
+  const std::vector<unsigned char> data = patternBytes();
+  EXPECT_EQ(digestOf(data.data(), data.size()),
+            (D{0x39094b848b56cb20ULL, 0x02984a875f64d94aULL}));
 }
 
 }  // namespace

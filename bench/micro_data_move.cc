@@ -20,7 +20,14 @@
 //     The per-link-class traffic counters
 //     (link.inter_node/intra_node/forwarded) show the message-count
 //     mechanism: aggregated mode emits at most nodes-1 inter-node
-//     messages per rank per step.
+//     messages per rank per step;
+//   * the Figure-1 edge sweep (chaos::EdgeSweep over a side x side grid
+//     under a random renumbering and a random partition, as in the coupled
+//     mesh): the two-buffer reference sweep, which decides owned-or-ghost
+//     per boundary endpoint, against the sweep over one local index space.
+//     Host wall clock per step, with the interior/boundary edge counts;
+//     both legs sweep twin arrays equally often, so their y must agree
+//     bitwise.
 //
 // Reports wall-clock per step (virtual clocks cannot see the transport's
 // internal copies — they happen outside compute()), plus the new
@@ -43,16 +50,19 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "chaos/irregular_loop.h"
 #include "chaos/partition.h"
 #include "common/bench_util.h"
 #include "core/adapters/chaos_adapter.h"
 #include "core/adapters/hpf_adapter.h"
 #include "core/adapters/parti_adapter.h"
 #include "core/schedule_builder.h"
+#include "meshgen/meshgen.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "oracle/edge_sweep_reference.h"
 #include "oracle/reference_executor.h"
 #include "sched/executor.h"
 #include "sched/kernels.h"
@@ -233,6 +243,17 @@ sched::Schedule makeRingPlan(const transport::Comm& c, Index block) {
   return plan;
 }
 
+struct SweepResult {
+  Leg reference, sweep;
+  double interiorEdges = 0, boundaryEdges = 0;  // summed over ranks
+  bool bitwiseEqual = false;  // y after both legs, on every rank
+  double speedup() const {
+    return sweep.perStepSeconds > 0
+               ? reference.perStepSeconds / sweep.perStepSeconds
+               : 0.0;
+  }
+};
+
 struct ContentionResult {
   Leg flat, aggregated;
   double speedup() const {
@@ -282,6 +303,7 @@ int main(int argc, char** argv) {
   results[0].name = "regular->regular";
   results[1].name = "irregular->irregular";
   OverlapResult overlap;
+  SweepResult edgeSweep;
   ContentionResult contention;
 
   transport::World::runSPMD(kProcs, [&](transport::Comm& c) {
@@ -386,6 +408,48 @@ int main(int argc, char** argv) {
         overlap.commSeconds = load;
       }
     }
+
+    // Edge-sweep case (case 4 below needs worlds of its own): the Figure-1
+    // edge sweep, block-distributed edges of a renumbered grid over
+    // randomly partitioned nodes.
+    {
+      const meshgen::EdgeList edges = meshgen::renumberNodes(
+          meshgen::gridEdges(side, side), meshgen::nodePermutation(n, 11));
+      const auto mine = chaos::randomPartition(n, c.size(), c.rank(), 12);
+      auto table = std::make_shared<const chaos::TranslationTable>(
+          chaos::TranslationTable::build(
+              c, mine, n, chaos::TranslationTable::Storage::kDistributed));
+      std::vector<Index> ia, ib;
+      for (const Index e :
+           chaos::blockPartition(edges.numEdges(), c.size(), c.rank())) {
+        ia.push_back(edges.ia[static_cast<size_t>(e)]);
+        ib.push_back(edges.ib[static_cast<size_t>(e)]);
+      }
+      chaos::IrregArray<double> x(c, table, mine), y(c, table, mine);
+      chaos::IrregArray<double> xr(c, table, mine), yr(c, table, mine);
+      for (chaos::IrregArray<double>* a : {&x, &xr}) {
+        a->fillByGlobal([](Index g) { return 1.0 + 1e-3 * static_cast<double>(g); });
+      }
+      chaos::oracle::EdgeSweepReference<double> reference(c, *table, ia, ib);
+      chaos::EdgeSweep<double> sweep(c, *table, ia, ib);
+      const Leg ref = measureLeg(c, steps, [&] { reference.run(xr, yr); });
+      const Leg fast = measureLeg(c, steps, [&] { sweep.run(x, y); });
+      const bool same =
+          y.raw().empty() || std::memcmp(y.raw().data(), yr.raw().data(),
+                                         y.raw().size_bytes()) == 0;
+      const double mismatchedRanks = c.allreduceSum(same ? 0.0 : 1.0);
+      const double interior =
+          c.allreduceSum(static_cast<double>(sweep.interiorEdges()));
+      const double boundary =
+          c.allreduceSum(static_cast<double>(sweep.boundaryEdges()));
+      if (c.rank() == 0) {
+        edgeSweep.reference = ref;
+        edgeSweep.sweep = fast;
+        edgeSweep.interiorEdges = interior;
+        edgeSweep.boundaryEdges = boundary;
+        edgeSweep.bitwiseEqual = mismatchedRanks == 0;
+      }
+    }
   });
 
   // Case 4: node-aggregated execution under NIC contention.  8 processes
@@ -468,6 +532,16 @@ int main(int argc, char** argv) {
       overlap.split.perStepSeconds * 1e3, overlap.speedup(),
       overlap.split.drainedEarly / steps,
       overlap.split.allocations / steps);
+  std::printf(
+      "\nFigure-1 edge sweep (%.0f interior + %.0f boundary edges, %d "
+      "procs, wall clock):\n"
+      "  two ghost buffers   %8.3f ms/step\n"
+      "  one index space     %8.3f ms/step   speedup %4.2fx   y bitwise "
+      "equal: %s\n",
+      edgeSweep.interiorEdges, edgeSweep.boundaryEdges, kProcs,
+      edgeSweep.reference.perStepSeconds * 1e3,
+      edgeSweep.sweep.perStepSeconds * 1e3, edgeSweep.speedup(),
+      edgeSweep.bitwiseEqual ? "yes" : "NO");
   std::printf(
       "\nnode aggregation under contention (%d procs on %d nodes, "
       "%lld doubles/peer all-to-all, virtual clock):\n"
@@ -580,8 +654,16 @@ int main(int argc, char** argv) {
   ag.metric("inter_node_messages_per_rank_step",
             contention.aggregated.interNodeMessages / steps / kProcs);
   ag.metric("speedup", contention.speedup());
+  obs::BenchReport::Case& es = report.addCase("chaos_edge_sweep");
+  es.metric("interior_edges", edgeSweep.interiorEdges);
+  es.metric("boundary_edges", edgeSweep.boundaryEdges);
+  legMetrics(es, "reference", edgeSweep.reference);
+  legMetrics(es, "sweep", edgeSweep.sweep);
+  es.metric("speedup", edgeSweep.speedup());
+  es.metric("bitwise_equal", edgeSweep.bitwiseEqual ? 1 : 0);
+  linkMetrics(es, "link.", edgeSweep.sweep);
   report.write("BENCH_data_move.json");
   std::printf(
       "\nwrote BENCH_data_move.json and TRACE_data_move_overlap.json\n");
-  return 0;
+  return edgeSweep.bitwiseEqual ? 0 : 1;
 }

@@ -3,8 +3,14 @@
 // Each processor holds the elements a partitioner assigned to it, in local
 // order; a shared TranslationTable maps global indices to (owner, offset).
 // Off-processor references are resolved by the localize inspector
-// (chaos/localize.h), which appends a ghost area after the owned elements —
-// the classic Chaos storage layout.
+// (chaos/localize.h), which numbers every reference in one local index
+// space: owned offsets, then ghost slots appended after the owned elements
+// — the classic Chaos storage layout.  The array stores that layout: its
+// storage is the owned elements followed by a ghost area, which
+// withGhosts() sizes on first use, so an irregular loop addresses owned
+// and gathered values through one base pointer (chaos::EdgeSweep).
+// Everything else (raw(), localCount(), local(), fillByGlobal,
+// gatherGlobal, snapshots, remap) sees the owned elements only.
 #pragma once
 
 #include <memory>
@@ -42,14 +48,30 @@ class IrregArray {
   std::shared_ptr<const TranslationTable> tablePtr() const { return table_; }
   layout::Index globalSize() const { return table_->globalSize(); }
   layout::Index localCount() const {
-    return static_cast<layout::Index>(data_.size());
+    return static_cast<layout::Index>(myGlobals_.size());
   }
   std::span<const layout::Index> myGlobals() const { return myGlobals_; }
 
-  std::span<T> raw() { return data_; }
-  std::span<const T> raw() const { return data_; }
+  /// The owned elements.
+  std::span<T> raw() { return std::span<T>(data_).first(myGlobals_.size()); }
+  std::span<const T> raw() const {
+    return std::span<const T>(data_).first(myGlobals_.size());
+  }
   T& local(layout::Index i) { return data_[static_cast<size_t>(i)]; }
   const T& local(layout::Index i) const { return data_[static_cast<size_t>(i)]; }
+
+  /// The local index space [0, localCount() + ghostCount): the owned
+  /// elements followed by `ghostCount` ghost slots, whose values are
+  /// unspecified until a gather fills them.  Grows the storage on first use;
+  /// a growth invalidates spans earlier raw() and withGhosts() calls
+  /// returned.
+  std::span<T> withGhosts(layout::Index ghostCount) {
+    MC_REQUIRE(ghostCount >= 0, "negative ghost count %lld",
+               static_cast<long long>(ghostCount));
+    const size_t extent = myGlobals_.size() + static_cast<size_t>(ghostCount);
+    if (data_.size() < extent) data_.resize(extent, T{});
+    return std::span<T>(data_).first(extent);
+  }
 
   /// Sets every owned element to fn(globalIndex).
   template <typename F>
@@ -83,7 +105,7 @@ class IrregArray {
   transport::Comm* comm_;
   std::shared_ptr<const TranslationTable> table_;
   std::vector<layout::Index> myGlobals_;
-  std::vector<T> data_;
+  std::vector<T> data_;  // owned elements, then the ghost area
 };
 
 }  // namespace mc::chaos

@@ -6,7 +6,8 @@
 //   2. assigns each distinct off-processor reference a ghost slot appended
 //      after the owned elements,
 //   3. rewrites the references as local indices (owned offset, or
-//      localCount + ghost slot), and
+//      localCount + ghost slot) — one local index space, which
+//      IrregArray::withGhosts stores as owned elements plus ghost area, and
 //   4. builds the gather schedule (owners -> ghost slots) and its reverse,
 //      the scatter-add schedule (ghost contributions -> owners).
 //
@@ -24,7 +25,7 @@ struct Localized {
   std::vector<layout::Index> localIndices;
   layout::Index ghostCount = 0;
   /// Gather: pack from owned data (sends), unpack into the ghost area
-  /// (recvs index the ghost buffer, not owned storage).
+  /// (recvs index ghost slots from the area's start, not owned storage).
   sched::Schedule gatherSched;
   /// Scatter-add: pack from the ghost area, accumulate into owned data.
   sched::Schedule scatterAddSched;
@@ -44,7 +45,8 @@ Localized localize(transport::Comm& comm, const TranslationTable& table,
 /// Gather executor: fills `ghost` (size >= ghostCount) with the current
 /// owner values for the localized off-processor references.  Collective.
 /// One-shot convenience; a time-step loop should bind a sched::Executor to
-/// gatherSched once and run() it per step (see chaos::EdgeSweep).
+/// gatherSched once and run() it per step, into the array's ghost area
+/// (see chaos::EdgeSweep).
 template <typename T>
 void gatherGhosts(transport::Comm& comm, const Localized& loc,
                   std::span<const T> owned, std::span<T> ghost) {

@@ -1,20 +1,30 @@
 // Tests for the Chaos-like library: partitioners, translation tables,
-// localize inspector, gather/scatter-add executors, native copies, and the
-// Figure-1 edge sweep.
+// irregular arrays and their ghost area, localize inspector,
+// gather/scatter-add executors, native copies, and the Figure-1 edge sweep
+// (against a serial oracle and, bitwise, against the two-buffer reference
+// sweep in oracle/edge_sweep_reference.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <functional>
 #include <numeric>
 #include <set>
 #include <span>
+#include <type_traits>
 
 #include "chaos/irreg_array.h"
 #include "chaos/irreg_copy.h"
 #include "chaos/irregular_loop.h"
 #include "chaos/localize.h"
 #include "chaos/partition.h"
+#include "chaos/remap.h"
 #include "chaos/ttable.h"
+#include "meshgen/meshgen.h"
+#include "oracle/edge_sweep_reference.h"
 #include "oracle/run_reference.h"
+#include "snapshot/array_io.h"
 #include "transport/world.h"
 #include "util/hash.h"
 
@@ -743,6 +753,233 @@ TEST(EdgeSweep, MatchesSerialOracle) {
         EXPECT_NEAR(got[static_cast<size_t>(v)], ys[static_cast<size_t>(v)], 1e-9)
             << "np=" << np << " node=" << v;
       }
+    });
+  }
+}
+
+// The executors bind to the sweep's own schedules, so it must stay put.
+static_assert(!std::is_copy_constructible_v<EdgeSweep<double>> &&
+              !std::is_copy_assignable_v<EdgeSweep<double>> &&
+              !std::is_move_constructible_v<EdgeSweep<double>> &&
+              !std::is_move_assignable_v<EdgeSweep<double>>);
+
+bool sameBytes(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+/// An edge list over `nodes` global nodes.
+struct SweepGraph {
+  Index nodes = 0;
+  std::vector<Index> ia, ib;
+
+  /// Block `part` of `parts` of the edges: one rank's slice.
+  SweepGraph block(int parts, int part) const {
+    SweepGraph slice{nodes, {}, {}};
+    for (Index e : blockPartition(static_cast<Index>(ia.size()), parts, part)) {
+      slice.ia.push_back(ia[static_cast<size_t>(e)]);
+      slice.ib.push_back(ib[static_cast<size_t>(e)]);
+    }
+    return slice;
+  }
+};
+
+/// A side x side grid graph under a seeded renumbering, plus a few chords
+/// and self-loops, so endpoints repeat within and across edges.
+SweepGraph gridGraph(Index side, std::uint64_t seed) {
+  const auto perm = meshgen::nodePermutation(side * side, seed);
+  const auto edges = meshgen::renumberNodes(meshgen::gridEdges(side, side), perm);
+  SweepGraph g{side * side, edges.ia, edges.ib};
+  for (Index v = 0; v < g.nodes; v += 7) {
+    g.ia.push_back(v);
+    g.ib.push_back((v * 5 + 3) % g.nodes);
+    g.ia.push_back(v);
+    g.ib.push_back(v);
+  }
+  return g;
+}
+
+using Assignment = std::function<std::vector<Index>(const Comm&)>;
+
+/// Per rank: the sweep's interior and boundary edge counts.
+struct EdgeClasses {
+  size_t interior = 0, boundary = 0;
+};
+
+/// Runs chaos::EdgeSweep and the two-buffer reference on twin arrays for
+/// three sweeps; x and y must agree byte for byte on every rank.  The
+/// first `edgeRanks` ranks hold the edges (block-distributed), the rest
+/// none.  Returns each rank's edge classes.
+std::vector<EdgeClasses> expectSweepMatchesReference(
+    const SweepGraph& g, int np, TranslationTable::Storage storage,
+    const Assignment& assign, int edgeRanks) {
+  std::vector<EdgeClasses> classes(static_cast<size_t>(np));
+  World::runSPMD(np, [&](Comm& c) {
+    const auto mine = assign(c);
+    auto table = std::make_shared<const TranslationTable>(
+        TranslationTable::build(c, mine, g.nodes, storage));
+    const SweepGraph mineEdges =
+        c.rank() < edgeRanks ? g.block(edgeRanks, c.rank()) : SweepGraph{};
+    IrregArray<double> x(c, table, mine), y(c, table, mine);
+    IrregArray<double> xr(c, table, mine), yr(c, table, mine);
+    for (IrregArray<double>* a : {&x, &xr}) {
+      a->fillByGlobal([](Index v) { return std::sqrt(2.0 + static_cast<double>(v)); });
+    }
+    for (IrregArray<double>* a : {&y, &yr}) {
+      a->fillByGlobal([](Index v) { return 1.0 / (3.0 + static_cast<double>(v)); });
+    }
+    EdgeSweep<double> sweep(c, *table, mineEdges.ia, mineEdges.ib);
+    oracle::EdgeSweepReference<double> reference(c, *table, mineEdges.ia,
+                                                 mineEdges.ib);
+    for (int s = 0; s < 3; ++s) {
+      sweep.run(x, y);
+      reference.run(xr, yr);
+    }
+    EXPECT_TRUE(sameBytes(x.raw(), xr.raw())) << "np=" << np << " rank " << c.rank();
+    EXPECT_TRUE(sameBytes(y.raw(), yr.raw())) << "np=" << np << " rank " << c.rank();
+    EXPECT_EQ(sweep.interiorEdges() + sweep.boundaryEdges(),
+              mineEdges.ia.size());
+    classes[static_cast<size_t>(c.rank())] = {sweep.interiorEdges(),
+                                              sweep.boundaryEdges()};
+  });
+  return classes;
+}
+
+constexpr TranslationTable::Storage kBothStorages[] = {
+    TranslationTable::Storage::kDistributed,
+    TranslationTable::Storage::kReplicated};
+
+TEST(EdgeSweep, BitwiseEqualToReferenceUnderRandomAndRcbPartitions) {
+  const Index side = 12;
+  for (const std::uint64_t seed : {3u, 11u}) {
+    const SweepGraph g = gridGraph(side, seed);
+    const auto coords = meshgen::gridCoordinates(
+        side, side, meshgen::nodePermutation(side * side, seed));
+    const Assignment random = [&](const Comm& c) {
+      return randomPartition(g.nodes, c.size(), c.rank(), seed + 1);
+    };
+    const Assignment rcb = [&](const Comm& c) {
+      return rcbPartition(coords.x, coords.y, c.size(), c.rank());
+    };
+    for (const int np : {1, 2, 4, 8}) {
+      for (const auto storage : kBothStorages) {
+        for (const Assignment* assign : {&random, &rcb}) {
+          const auto classes =
+              expectSweepMatchesReference(g, np, storage, *assign, np);
+          if (np == 1) {  // one rank owns everything: no boundary edges
+            EXPECT_EQ(classes[0].interior, g.ia.size());
+            EXPECT_EQ(classes[0].boundary, 0u);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(EdgeSweep, BitwiseEqualToReferenceWithAnEdgelessRank) {
+  // Rank 3 holds no edges, yet owns nodes the others' sweeps scatter into.
+  const SweepGraph g = gridGraph(10, 5);
+  const Assignment random = [&](const Comm& c) {
+    return randomPartition(g.nodes, c.size(), c.rank(), 6);
+  };
+  for (const auto storage : kBothStorages) {
+    const auto classes = expectSweepMatchesReference(g, 4, storage, random, 3);
+    EXPECT_EQ(classes[3].interior + classes[3].boundary, 0u);
+  }
+}
+
+TEST(EdgeSweep, BitwiseEqualToReferenceOnAnAllBoundaryGraph) {
+  // Block halves joined only across: every edge has one endpoint per rank.
+  const Index half = 40;
+  SweepGraph g{2 * half, {}, {}};
+  for (Index v = 0; v < half; ++v) {
+    g.ia.push_back(v);
+    g.ib.push_back(half + (v * 7) % half);
+    g.ia.push_back(half + v);
+    g.ib.push_back((v * 3 + 1) % half);
+  }
+  const Assignment block = [&](const Comm& c) {
+    return blockPartition(g.nodes, c.size(), c.rank());
+  };
+  for (const auto storage : kBothStorages) {
+    for (const auto& cls : expectSweepMatchesReference(g, 2, storage, block, 2)) {
+      EXPECT_EQ(cls.interior, 0u);
+      EXPECT_GT(cls.boundary, 0u);
+    }
+  }
+}
+
+TEST(EdgeSweep, RefusesTheSameArrayAsXAndY) {
+  const SweepGraph g = gridGraph(6, 2);
+  World::runSPMD(2, [&](Comm& c) {
+    const auto mine = randomPartition(g.nodes, c.size(), c.rank(), 4);
+    auto table = std::make_shared<const TranslationTable>(TranslationTable::build(
+        c, mine, g.nodes, TranslationTable::Storage::kDistributed));
+    IrregArray<double> x(c, table, mine);
+    const SweepGraph mineEdges = g.block(c.size(), c.rank());
+    EdgeSweep<double> sweep(c, *table, mineEdges.ia, mineEdges.ib);
+    EXPECT_THROW(sweep.run(x, x), Error);
+  });
+}
+
+TEST(IrregArray, GhostAreaGrowthKeepsTheOwnedView) {
+  World::runSPMD(1, [](Comm& c) {
+    const Index n = 9;
+    const auto mine = blockPartition(n, 1, 0);
+    auto table = std::make_shared<const TranslationTable>(TranslationTable::build(
+        c, mine, n, TranslationTable::Storage::kReplicated));
+    IrregArray<double> a(c, table, mine);
+    a.fillByGlobal([](Index g) { return 0.5 + static_cast<double>(g); });
+    const std::vector<double> before(a.raw().begin(), a.raw().end());
+    const std::span<double> local = a.withGhosts(4);
+    ASSERT_EQ(local.size(), 13u);
+    for (size_t i = 9; i < local.size(); ++i) local[i] = -1.0;
+    EXPECT_EQ(a.localCount(), 9);
+    EXPECT_TRUE(sameBytes(a.raw(), before));
+    // A smaller request is a prefix of the same storage; no growth.
+    EXPECT_EQ(a.withGhosts(2).data(), local.data());
+    EXPECT_EQ(a.withGhosts(2).size(), 11u);
+    EXPECT_EQ(a.withGhosts(4)[12], -1.0);
+    EXPECT_THROW(a.withGhosts(-1), Error);
+  });
+}
+
+TEST(IrregArray, SweptArrayMatchesItsUnsweptTwin) {
+  // After a sweep grows x's storage, everything outside the sweep still
+  // sees the owned elements only: the snapshot bytes, remap and
+  // gatherGlobal equal those of a twin no sweep touched.
+  const SweepGraph g = gridGraph(8, 9);
+  for (const auto storage : kBothStorages) {
+    World::runSPMD(4, [&](Comm& c) {
+      const auto mine = randomPartition(g.nodes, c.size(), c.rank(), 10);
+      auto table = std::make_shared<const TranslationTable>(
+          TranslationTable::build(c, mine, g.nodes, storage));
+      IrregArray<double> x(c, table, mine), y(c, table, mine);
+      IrregArray<double> twin(c, table, mine);
+      for (IrregArray<double>* a : {&x, &twin}) {
+        a->fillByGlobal([](Index v) { return std::cbrt(1.0 + static_cast<double>(v)); });
+      }
+      const SweepGraph mineEdges = g.block(c.size(), c.rank());
+      EdgeSweep<double> sweep(c, *table, mineEdges.ia, mineEdges.ib);
+      ASSERT_GT(sweep.localized().ghostCount, 0);
+      sweep.run(x, y);
+
+      EXPECT_EQ(x.localCount(), static_cast<Index>(mine.size()));
+      EXPECT_EQ(x.raw().size(), mine.size());
+      EXPECT_TRUE(std::ranges::equal(x.myGlobals(), mine));
+      EXPECT_TRUE(sameBytes(x.raw(), twin.raw()));
+      EXPECT_EQ(snapshot::serializeArray(x), snapshot::serializeArray(twin));
+      const std::vector<double> gathered = x.gatherGlobal();
+      EXPECT_EQ(gathered, twin.gatherGlobal());
+
+      const auto newMine = blockPartition(g.nodes, c.size(), c.rank());
+      std::vector<Index> movedX, movedTwin;
+      const IrregArray<double> rx = remap(x, newMine, storage, &movedX);
+      const IrregArray<double> rt = remap(twin, newMine, storage, &movedTwin);
+      EXPECT_EQ(movedX, movedTwin);
+      EXPECT_TRUE(sameBytes(rx.raw(), rt.raw()));
+      const std::vector<double> remapped = rx.gatherGlobal();
+      EXPECT_EQ(remapped, rt.gatherGlobal());
     });
   }
 }
